@@ -22,9 +22,14 @@ into q I + (1-q) P.
 
 States are plain tuples (ints for field rows, HeisenbergElement for
 Heisenberg tuples).  Exhaustive enumerations pack states into integers and
-order the space by that code, which keeps golden files stable.  Simulation
-uses the counter-based Philox generator keyed by (seed, trajectory id), so
-trajectories are reproducible and embarrassingly parallel.
+order the space by that code, so a given walk always lists its states, and
+hence its kernels, in the same order.  Each walk maps the whole code array
+to successor codes with array arithmetic; the move table, the dense kernel
+and the connected components are all derived from that one table, while
+apply_move stays the per-state definition the table is tested against.
+Simulation uses the counter-based Philox generator keyed by (seed,
+trajectory id), so trajectories are reproducible and embarrassingly
+parallel.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
-from .algebra import check_prime, rank_bits
-from .errors import BudgetError, InvalidMove
+from .algebra import check_prime, half_mod, rank_bits
+from .errors import BudgetError, DimensionMismatch, InvalidMove
 from .groups import (
     HeisenbergElement,
     decode_element,
@@ -366,6 +372,25 @@ def pa_pra_step(
     return tuple(out)
 
 
+def _digits(codes: np.ndarray, base: int, count: int) -> np.ndarray:
+    """Base-`base` digits of integer codes, least significant first: (..., count)."""
+    return (codes[..., None] // base ** np.arange(count, dtype=np.int64)) % base
+
+
+def _h_mul_codes(g: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
+    """Element codes of the products g k, the law of h_mul on digit arrays.
+
+    g and k hold encode_element digits (v_0, ..., v_{2m-1}, z) on their last
+    axis and broadcast against each other.
+    """
+    v, z = g[..., :-1], g[..., -1]
+    w, t = k[..., :-1], k[..., -1]
+    tw = (v[..., 0::2] * w[..., 1::2] - v[..., 1::2] * w[..., 0::2]).sum(axis=-1)
+    place = p ** np.arange(v.shape[-1] + 1, dtype=np.int64)
+    horizontal = (((v + w) % p) * place[:-1]).sum(axis=-1)
+    return horizontal + ((z + t + half_mod(p) * tw) % p) * place[-1]
+
+
 # ---------------------------------------------------------------------------
 # walk kernels
 # ---------------------------------------------------------------------------
@@ -383,7 +408,9 @@ class _WalkBase:
         self.laziness = float(laziness)
 
     # subclasses provide: apply_move(state, move), in_omega(state),
-    # space(budget), _sample_move(rng), counting_move_bound
+    # space(budget), _sample_move(rng), counting_move_bound and
+    # _successor_codes(codes), the (n_moves, M) codes of apply_move's
+    # results for every move and every state code, in move order
 
     def apply_kernel_row(self, state) -> list[tuple[tuple, float]]:
         """Aggregated successor list [(state', prob)]; probabilities sum to 1."""
@@ -404,14 +431,17 @@ class _WalkBase:
         return tuple(state)
 
     def move_permutations(self, space: EnumeratedSpace) -> np.ndarray:
-        """(n_moves, M) successor state indices; every move is a bijection."""
-        M = space.size
-        out = np.empty((len(self.moves), M), dtype=np.int64)
-        states = [space.state_at(i) for i in range(M)]
-        for mi, mv in enumerate(self.moves):
-            for si, st in enumerate(states):
-                out[mi, si] = space.index_of(self.apply_move(st, mv))
-        return out
+        """(n_moves, M) successor state indices; every move is a bijection.
+
+        Raises KeyError, as EnumeratedSpace.index_of_code does, when a
+        successor code is missing from the space.
+        """
+        succ = self._successor_codes(space.codes)
+        idx = np.searchsorted(space.codes, succ)
+        missing = np.take(space.codes, idx, mode="clip") != succ
+        if missing.any():
+            raise KeyError(f"code {int(succ[missing][0])} is not in the space")
+        return idx
 
     def dense(self, space: EnumeratedSpace | None = None) -> np.ndarray:
         """Dense transition matrix on the enumerated space."""
@@ -419,11 +449,12 @@ class _WalkBase:
             space = self.space()
         perms = self.move_permutations(space)
         M = space.size
-        mat = np.zeros((M, M))
         w = (1.0 - self.laziness) / len(self.moves)
         rows = np.arange(M)
-        for mi in range(perms.shape[0]):
-            np.add.at(mat, (rows, perms[mi]), w)
+        # bincount adds in input order, so the move-major flattening sums each
+        # entry move by move, as a per-move accumulation would
+        flat = (perms + rows * M).ravel()
+        mat = np.bincount(flat, weights=np.full(flat.size, w), minlength=M * M).reshape(M, M)
         if self.laziness:
             mat[rows, rows] += self.laziness
         return mat
@@ -453,6 +484,11 @@ class TransvectionWalk(_WalkBase):
     def apply_move(self, state, move):
         a, b = move
         return transvection_step(state, a, b)
+
+    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
+        a, b = np.array(self.moves, dtype=np.int64).T[:, :, None]
+        row_a = (codes >> (a * self.k)) & ((1 << self.k) - 1)
+        return codes ^ (row_a << (b * self.k))
 
     def in_omega(self, state) -> bool:
         if len(state) != self.n:
@@ -514,6 +550,15 @@ class OneColumnWalk(_WalkBase):
             i, j, a = move
         return one_column_step(state, i, j, a, self.p)
 
+    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
+        p = self.p
+        mv = np.array(self.moves, dtype=np.int64)
+        i, j = mv[:, 0:1], mv[:, 1:2]
+        a = mv[:, 2:3] if p > 2 else 1  # over F_2 a move always adds
+        y_i = (codes // p**i) % p
+        y_j = (codes // p**j) % p
+        return codes + ((y_i + a * y_j) % p - y_i) * p**i
+
     def in_omega(self, state) -> bool:
         return (
             len(state) == self.r
@@ -565,6 +610,17 @@ class PaPraWalk(_WalkBase):
     def apply_move(self, state, move):
         i, j, a, side = move
         return pa_pra_step(state, i, j, a, side)
+
+    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
+        p, hsize = self.p, self.p ** (2 * self.m + 1)
+        i, j, a = np.array([mv[:3] for mv in self.moves], dtype=np.int64).T
+        left = np.array([mv[3] == "L" for mv in self.moves])
+        elements = _digits(codes, hsize, self.r)  # (M, r) element codes
+        digits = _digits(elements, p, 2 * self.m + 1)  # (M, r, 2m+1)
+        g_i = digits[:, i]  # (M, n_moves, 2m+1)
+        power = (a[:, None] * digits[:, j]) % p  # g_j^a = (a v_j, a z_j)
+        new = np.where(left, _h_mul_codes(power, g_i, p), _h_mul_codes(g_i, power, p))
+        return (codes[:, None] + (new - elements[:, i]) * hsize**i).T
 
     def in_omega(self, state) -> bool:
         return (
@@ -626,16 +682,13 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
         if n < 2:
             raise ValueError("need at least one frozen row")
         size = 1 << k
-        counts = np.zeros(size)
         for zj in frozen:
             if not 0 <= int(zj) < size:
                 raise ValueError(f"frozen row {zj} outside F_2^{k}")
-            counts[int(zj)] += 1
-        mat = np.zeros((size, size))
-        for u in range(size):
-            for w in range(size):
-                if counts[w]:
-                    mat[u, u ^ w] += counts[w]
+        counts = np.bincount(np.array(frozen, dtype=np.int64), minlength=size).astype(float)
+        # K(u, v) = c_{u xor v}: each entry receives exactly one count
+        u = np.arange(size)
+        mat = counts[u[:, None] ^ u[None, :]]
         mat /= n - 1
         return FibreKernel("transvection", i, tuple(int(z) for z in frozen), mat, row_space(k))
     if kind in ("heisenberg", "pa_pra"):
@@ -643,18 +696,21 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
             raise ValueError("need at least one frozen coordinate")
         g0 = frozen[0]
         p_, m_ = g0.p, g0.h // 2
+        for gj in frozen:
+            if gj.p != p_ or gj.h != g0.h:
+                raise DimensionMismatch(f"elements of H({g0.h},{p_}) and H({gj.h},{gj.p})")
         space = heisenberg_space(p_, m_)
         size = space.size
-        elements = [space.state_at(t) for t in range(size)]
-        mat = np.zeros((size, size))
-        r1 = len(frozen)
-        for gj in frozen:
-            for a in range(p_):
-                ga = h_pow(gj, a)
-                for x_idx, x in enumerate(elements):
-                    mat[x_idx, space.index_of(h_mul(x, ga))] += 1.0  # right translation
-                    mat[x_idx, space.index_of(h_mul(ga, x))] += 1.0  # left translation
-        mat /= 2 * r1 * p_
+        x = _digits(space.codes, p_, 2 * m_ + 1)[None]  # (1, size, 2m+1)
+        g = _digits(np.array([encode_element(gj) for gj in frozen]), p_, 2 * m_ + 1)
+        # every power g_j^a = (a v_j, a z_j), a in F_p: (r1 * p, 1, 2m+1)
+        powers = ((np.arange(p_)[:, None, None] * g[None]) % p_).reshape(-1, 1, 2 * m_ + 1)
+        rows = np.arange(size) * size
+        right = rows + _h_mul_codes(x, powers, p_)
+        left = rows + _h_mul_codes(powers, x, p_)
+        counts = np.bincount(np.concatenate([right.ravel(), left.ravel()]), minlength=size * size)
+        mat = counts.reshape(size, size).astype(float)
+        mat /= 2 * len(frozen) * p_
         return FibreKernel("heisenberg", i, tuple(frozen), mat, space)
     raise ValueError(f"unknown fibre kind {kind!r}")
 
@@ -889,22 +945,16 @@ def connected_components(perms: np.ndarray) -> np.ndarray:
     """Component label per state for the union of the move permutations.
 
     All kernels here contain each move's inverse, so weak connectivity via
-    successor edges equals strong connectivity.
+    successor edges equals strong connectivity.  Components are numbered in
+    the order of their smallest state index.
     """
-    n_moves, M = perms.shape
-    label = np.full(M, -1, dtype=np.int64)
-    comp = 0
-    for s0 in range(M):
-        if label[s0] >= 0:
-            continue
-        stack = [s0]
-        label[s0] = comp
-        while stack:
-            x = stack.pop()
-            for mi in range(n_moves):
-                yidx = int(perms[mi, x])
-                if label[yidx] < 0:
-                    label[yidx] = comp
-                    stack.append(yidx)
-        comp += 1
-    return label
+    # imported here: the csgraph package pulls in scipy.sparse.linalg, whose
+    # import cost every use of groupwalks would otherwise pay
+    from scipy.sparse.csgraph import connected_components as csgraph_components
+
+    M = perms.shape[1]
+    rows = np.broadcast_to(np.arange(M), perms.shape).ravel()
+    graph = coo_matrix((np.ones(rows.size), (rows, perms.ravel())), shape=(M, M)).tocsr()
+    _, labels = csgraph_components(graph, directed=True, connection="weak")
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]

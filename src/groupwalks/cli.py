@@ -8,8 +8,11 @@ the effective parameter block, and a short hash of it, so reruns with the
 same configuration are byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 budget refusal, 3 internal
-invariant violation.  The environment variable ``GROUPWALKS_THREADS``
-limits BLAS thread pools when ``threadpoolctl`` is available.
+invariant violation or any other unexpected exception (``MemoryError``,
+``LinAlgError``, ...), reported as one ``internal error: <Type>: <message>``
+line on stderr; an interrupt is not caught.  The environment variable
+``GROUPWALKS_THREADS`` limits BLAS thread pools when ``threadpoolctl`` is
+available.
 """
 
 from __future__ import annotations
@@ -422,6 +425,8 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
         budget = _get_int(cfg, "state_budget", 1 << 16, minimum=1)
         dense_budget = _get_int(cfg, "dense_budget", 4096, minimum=1)
         space = walk.space(budget=budget)
+        if space.size > dense_budget:
+            raise BudgetError(f"{space.size} states exceed the dense mixing budget {dense_budget}")
         P = walk.dense(space)
         tau = mixing_time_exact(P, epsilon, budget=dense_budget)
         grid = _get_grid(cfg, "t_grid", list(range(0, tau + 1)))
@@ -773,9 +778,19 @@ def main(argv=None) -> int:
     except (InvariantError, ReversibilityError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure rather than bad input
+        return _internal_error(exc)
     except (ConfigError, GroupwalksError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1120,9 +1120,13 @@ def mc_tv_curve_one_column(
     """Plug-in TV curve of the weight statistic for the mod-2 walk.
 
     The empirical weight histogram at each grid time is compared with the
-    exact stationary weight law C(r, w)/(2^r - 1); the projection makes
-    this a lower bound on the state-space TV.  Returns the curve and the
-    linearly interpolated first crossing of 1/4.
+    exact stationary weight law C(r, w)/(2^r - 1).  The exact weight TV is
+    a lower bound on the state-space TV, because the weight is a projection
+    of the state.  This plug-in estimate is not a lower bound: sampling
+    noise biases it upward.  At stationarity its mean is about
+    (1/2) sqrt(2/pi) sum_w sd_w with sd_w = sqrt(pi_w (1 - pi_w) / trials),
+    of order r^(1/4) / sqrt(trials): 0.017 at r = 64 with 10^4 trials.
+    Returns the curve and the linearly interpolated first crossing of 1/4.
     """
     if r < 2 or trials < 1:
         raise ConfigError("need r >= 2 and at least one trial")

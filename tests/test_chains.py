@@ -221,18 +221,27 @@ class TestFibreKernels:
         assert np.abs(fk.matrix - fk.matrix.T).max() < 1e-12
 
     def test_group_fibre_matches_direct_averaging(self):
-        frozen = (_hel(1, 2, 1),)
-        fk = build_fibre_kernel("heisenberg", 0, frozen)
-        space = heisenberg_space(3, 1)
-        expect = np.zeros((27, 27))
-        for a in range(3):
-            ga = h_pow(frozen[0], a)
-            for xi in range(27):
-                x = space.state_at(xi)
-                expect[xi, space.index_of(x * ga)] += 1
-                expect[xi, space.index_of(ga * x)] += 1
-        expect /= 6
-        assert np.abs(fk.matrix - expect).max() < 1e-15
+        # exact equality with the h_mul loop: every entry is a count over 2 r1 p
+        rng = philox_generator(8)
+        cases = [(3, 1, (_hel(1, 2, 1),))]
+        for p, m, r1 in ((3, 1, 4), (5, 1, 3), (3, 2, 3)):
+            cases.append((p, m, tuple(
+                HeisenbergElement(FieldVector(rng.integers(0, p, 2 * m), p), int(rng.integers(p)))
+                for _ in range(r1)
+            )))
+        for p, m, frozen in cases:
+            fk = build_fibre_kernel("heisenberg", 0, frozen)
+            space = heisenberg_space(p, m)
+            expect = np.zeros((space.size, space.size))
+            for gj in frozen:
+                for a in range(p):
+                    ga = h_pow(gj, a)
+                    for xi in range(space.size):
+                        x = space.state_at(xi)
+                        expect[xi, space.index_of(x * ga)] += 1
+                        expect[xi, space.index_of(ga * x)] += 1
+            expect /= 2 * len(frozen) * p
+            assert np.array_equal(fk.matrix, expect), (p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +354,106 @@ class TestKernelStructure:
         space = walk.space()
         labels = connected_components(walk.move_permutations(space))
         assert labels.max() == 0
+
+
+# ---------------------------------------------------------------------------
+# vectorised move tables against the per-state apply_move oracle
+
+
+def _oracle_table(walk, space, columns):
+    """Successor indices by apply_move + index_of, one (move, state) at a time."""
+    out = np.empty((len(walk.moves), len(columns)), dtype=np.int64)
+    for ci, si in enumerate(columns):
+        state = space.state_at(si)
+        for mi, mv in enumerate(walk.moves):
+            out[mi, ci] = space.index_of(walk.apply_move(state, mv))
+    return out
+
+
+def _oracle_dense(walk, perms):
+    """Per-move np.add.at assembly of the kernel from a move table."""
+    M = perms.shape[1]
+    mat = np.zeros((M, M))
+    w = (1.0 - walk.laziness) / len(walk.moves)
+    rows = np.arange(M)
+    for mi in range(perms.shape[0]):
+        np.add.at(mat, (rows, perms[mi]), w)
+    if walk.laziness:
+        mat[rows, rows] += walk.laziness
+    return mat
+
+
+def _oracle_components(perms):
+    """Depth-first labels, numbered in the order of each component's first state."""
+    n_moves, M = perms.shape
+    label = np.full(M, -1, dtype=np.int64)
+    comp = 0
+    for s0 in range(M):
+        if label[s0] >= 0:
+            continue
+        stack = [s0]
+        label[s0] = comp
+        while stack:
+            x = stack.pop()
+            for mi in range(n_moves):
+                y = int(perms[mi, x])
+                if label[y] < 0:
+                    label[y] = comp
+                    stack.append(y)
+        comp += 1
+    return label
+
+
+_ORACLE_WALKS = [
+    (TransvectionWalk, (3, 1)),
+    (TransvectionWalk, (3, 2)),
+    (TransvectionWalk, (4, 2)),
+    (TransvectionWalk, (5, 2)),
+    (OneColumnWalk, (5, 2)),
+    (OneColumnWalk, (4, 3)),
+    (OneColumnWalk, (3, 5)),
+    (PaPraWalk, (2, 3, 1)),
+]
+
+
+class TestMoveTables:
+    @pytest.mark.parametrize(
+        "cls,args", _ORACLE_WALKS, ids=[f"{c.__name__}{a}" for c, a in _ORACLE_WALKS]
+    )
+    def test_table_dense_and_components_match_oracle(self, cls, args):
+        walk = cls(*args)
+        space = walk.space()
+        perms = walk.move_permutations(space)
+        oracle = _oracle_table(walk, space, range(space.size))
+        assert perms.dtype == np.int64
+        assert np.array_equal(perms, oracle)
+        assert np.array_equal(connected_components(perms), _oracle_components(oracle))
+        for q in (0.0, 0.25):
+            lazy = cls(*args, laziness=q)
+            assert np.array_equal(lazy.dense(space), _oracle_dense(lazy, oracle))
+
+    @pytest.mark.parametrize("r,p", [(3, 3), (2, 5)])
+    def test_group_table_on_sampled_states(self, r, p):
+        walk = PaPraWalk(r, p, 1)
+        space = walk.space()
+        cols = philox_generator(r * p).choice(space.size, size=500, replace=False)
+        perms = walk.move_permutations(space)
+        assert np.array_equal(perms[:, cols], _oracle_table(walk, space, cols))
+
+    def test_component_labels_follow_first_state(self):
+        # the cycles of a random permutation, with its inverse as the second move
+        sigma = philox_generator(4).permutation(60)
+        perms = np.stack([sigma, np.argsort(sigma)])
+        labels = connected_components(perms)
+        assert labels.max() > 2
+        assert np.array_equal(labels, _oracle_components(perms))
+
+    def test_missing_successor_raises(self):
+        walk = TransvectionWalk(3, 2)
+        full = walk.space()
+        partial = EnumeratedSpace(np.delete(full.codes, 17), full.encode, full.decode)
+        with pytest.raises(KeyError, match="is not in the space"):
+            walk.move_permutations(partial)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from groupwalks import cli
+from groupwalks.chains import _WalkBase
 from groupwalks.errors import InvariantError, ReversibilityError
 
 
@@ -421,6 +423,38 @@ class TestExitCodes:
             ["spectrum", "--walk", "transvection", "-n", "3", "-k", "1"], capsys
         )
         assert code == 3
+
+    @pytest.mark.parametrize("exc", [MemoryError("no room"), np.linalg.LinAlgError("singular")])
+    def test_unexpected_exception_exit_code(self, capsys, monkeypatch, exc):
+        def boom(cfg, out_path):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "birthdeath", boom)
+        code, out, err = run_cli(["birthdeath", "-r", "4", "-p", "3"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_interrupt_is_not_caught(self, monkeypatch):
+        def interrupt(cfg, out_path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._DISPATCH, "birthdeath", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["birthdeath", "-r", "4", "-p", "3"])
+
+    def test_dense_budget_refused_before_the_kernel_is_built(self, capsys, monkeypatch):
+        # F_3^8 \ 0 has 6560 states: within the default state budget, above the
+        # default dense budget of 4096, so the 344 MB kernel must never be built
+        def no_dense(self, space=None):
+            raise AssertionError("dense kernel built before the budget check")
+
+        monkeypatch.setattr(_WalkBase, "dense", no_dense)
+        code, _, err = run_cli(
+            ["mixing", "--mode", "exact", "--walk", "one-column", "-r", "8", "-p", "3"], capsys
+        )
+        assert code == 2
+        assert "6560 states exceed the dense mixing budget 4096" in err
 
 
 class TestThreadEnvironment:
