@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 DEFAULT_STATE_BUDGET = 1 << 24
+_AMBIENT_CHUNK = 1 << 20  # codes per block of an ambient scan
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -159,15 +160,20 @@ def stiefel_space(n: int, k: int, budget: int = DEFAULT_STATE_BUDGET) -> Enumera
     """All n-tuples of rows in F_2^k whose rows span F_2^k.
 
     The count is prod_{q<k} (2^n - 2^q); enumeration scans the ambient
-    2^{nk} tuples, so the budget applies to the ambient size.
+    2^{nk} tuples in blocks of _AMBIENT_CHUNK codes, so the budget applies
+    to the ambient size.
     """
     if k < 1 or n < k:
         raise ValueError(f"need n >= k >= 1 for a spanning tuple, got n={n}, k={k}")
     ambient = 1 << (n * k)
     _check_budget(ambient, budget, f"Stief({n},{k}) ambient")
-    rows = _all_row_arrays(n, k)
-    ranks = rank_bits_batch(rows, k)
-    codes = np.nonzero(ranks == k)[0].astype(np.int64)
+    shifts = np.arange(n, dtype=np.int64) * k
+    kept = []
+    for lo in range(0, ambient, _AMBIENT_CHUNK):
+        block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
+        rows = (block[:, None] >> shifts) & ((1 << k) - 1)
+        kept.append(block[rank_bits_batch(rows, k) == k])
+    codes = np.concatenate(kept)
     expected = 1
     for q in range(k):
         expected *= (1 << n) - (1 << q)
@@ -181,17 +187,6 @@ def stiefel_space(n: int, k: int, budget: int = DEFAULT_STATE_BUDGET) -> Enumera
         decode=lambda c: _decode_rows(c, n, k),
         description=f"Stief({n},{k})",
     )
-
-
-def _all_row_arrays(n: int, k: int) -> np.ndarray:
-    """(2^{nk}, n) array of packed rows for every ambient tuple code."""
-    ambient = 1 << (n * k)
-    codes = np.arange(ambient, dtype=np.int64)
-    mask = (1 << k) - 1
-    rows = np.empty((ambient, n), dtype=np.int64)
-    for i in range(n):
-        rows[:, i] = (codes >> (i * k)) & mask
-    return rows
 
 
 def one_column_space(r: int, p: int, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
@@ -430,6 +425,16 @@ class _WalkBase:
         """Total order on states used to sort successor lists."""
         return tuple(state)
 
+    def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
+        """Sorted state indices, one per class of starts with equal TV curves.
+
+        Each class lies in one orbit of automorphisms of the kernel, which
+        carry TV(P^t(x, .), pi) to itself, so worst-start exact mixing needs
+        only these starts.  Without known automorphisms every state is its
+        own class.
+        """
+        return np.arange(space.size)
+
     def move_permutations(self, space: EnumeratedSpace) -> np.ndarray:
         """(n_moves, M) successor state indices; every move is a bijection.
 
@@ -489,6 +494,15 @@ class TransvectionWalk(_WalkBase):
         a, b = np.array(self.moves, dtype=np.int64).T[:, :, None]
         row_a = (codes >> (a * self.k)) & ((1 << self.k) - 1)
         return codes ^ (row_a << (b * self.k))
+
+    def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
+        """One state per S_n class: a row permutation sends move (a, b) to
+        (s(a), s(b)), so it commutes with the kernel; the class key is the
+        packed tuple of sorted rows, and the smallest index represents it."""
+        shifts = np.arange(self.n, dtype=np.int64) * self.k
+        rows = (space.codes[:, None] >> shifts) & ((1 << self.k) - 1)
+        keys = (np.sort(rows, axis=1) << shifts).sum(axis=1)
+        return np.sort(np.unique(keys, return_index=True)[1])
 
     def in_omega(self, state) -> bool:
         if len(state) != self.n:
@@ -558,6 +572,14 @@ class OneColumnWalk(_WalkBase):
         y_i = (codes // p**i) % p
         y_j = (codes // p**j) % p
         return codes + ((y_i + a * y_j) % p - y_i) * p**i
+
+    def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
+        """One state per support size.  Coordinate permutations and scalings
+        of single coordinates by F_p^* commute with the kernel (scaling each
+        y_i by c_i turns move (i, j, a) into (i, j, a c_i / c_j), and a runs
+        over all of F_p), and they act transitively on each support size."""
+        support = (_digits(space.codes, self.p, self.r) != 0).sum(axis=1)
+        return np.sort(np.unique(support, return_index=True)[1])
 
     def in_omega(self, state) -> bool:
         return (

@@ -428,9 +428,10 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
         if space.size > dense_budget:
             raise BudgetError(f"{space.size} states exceed the dense mixing budget {dense_budget}")
         P = walk.dense(space)
-        tau = mixing_time_exact(P, epsilon, budget=dense_budget)
+        starts = walk.start_representatives(space)
+        tau = mixing_time_exact(P, epsilon, budget=dense_budget, starts=starts)
         grid = _get_grid(cfg, "t_grid", list(range(0, tau + 1)))
-        curve = worst_tv_curve(P, grid)
+        curve = worst_tv_curve(P, grid, starts=starts)
         lower = [tv_counting_lower(t, walk.counting_move_bound, space.size) for t in grid]
         report = {
             "mode": "exact",

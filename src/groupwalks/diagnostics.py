@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -519,17 +519,67 @@ def _matrix_of(kernel) -> np.ndarray:
     return mat
 
 
+def _refuse_reducible(P: np.ndarray, pi: np.ndarray, epsilon: float) -> None:
+    """Raise BudgetError when some closed class keeps worst-start TV above epsilon.
+
+    A weak component C of the kernel's nonzero pattern has no edge leaving
+    it, so a walk started in C stays there and TV(P^t(x, .), pi) >=
+    1 - pi(C) for every t.
+    """
+    # imported here: the csgraph package pulls in scipy.sparse.linalg, whose
+    # import cost every use of groupwalks would otherwise pay
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(csr_matrix(P), directed=True, connection="weak")
+    if count == 1:
+        return
+    floor = 1.0 - float(np.bincount(labels, weights=pi).min())
+    if floor > epsilon:
+        sizes = np.sort(np.bincount(labels))[::-1].tolist()
+        shown = ", ".join(map(str, sizes[:10])) + (", ..." if count > 10 else "")
+        raise BudgetError(
+            f"kernel is reducible ({count} closed classes of sizes {shown}): "
+            f"worst-start TV never drops below {floor:.6g} > epsilon {epsilon}"
+        )
+
+
+def _worst_tv_steps(P: np.ndarray, pi: np.ndarray, starts) -> Iterator[float]:
+    """Worst TV(P^t(x, .), pi) over the tracked starts x at t = 0, 1, 2, ...
+
+    The tracked rows start as P[starts] and advance by A @ P; starts=None
+    tracks every row.
+    """
+    M = P.shape[0]
+    idx = np.arange(M) if starts is None else np.asarray(starts, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= M:
+        raise ConfigError(f"starts must be a nonempty list of state indices below {M}")
+    A = np.zeros((idx.size, M))
+    A[np.arange(idx.size), idx] = 1.0
+    yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
+    A = P[idx]
+    while True:
+        yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
+        A = A @ P
+
+
 def mixing_time_exact(
     kernel,
     epsilon: float = 0.25,
     stationary=None,
     t_max: int = 100_000,
     budget: int = DEFAULT_DENSE_BUDGET,
+    starts=None,
 ) -> int:
     """Smallest t with worst-start TV(P^t(x, .), pi) <= epsilon, exactly.
 
-    Every start is tracked at once: the full t-step distribution matrix is
-    iterated and the worst row norm evaluated per step.
+    The rows of P^t for the start indices ``starts`` (every state when
+    None) are iterated and the worst row TV evaluated per step.  Passing
+    one start per orbit of the kernel's automorphisms (see
+    ``start_representatives`` on the walks) gives the same worst case from
+    fewer rows; with starts=None the result is bitwise the all-starts one.
+    A kernel whose weak components keep some start farther than epsilon
+    from pi for ever is refused with BudgetError before any product.
     """
     P = _matrix_of(kernel)
     M = P.shape[0]
@@ -538,35 +588,31 @@ def mixing_time_exact(
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
     pi = _weights_of(stationary, M) if stationary is not None else np.full(M, 1.0 / M)
-    worst0 = 0.5 * float(np.abs(np.eye(M) - pi[None, :]).sum(axis=1).max())
-    if worst0 <= epsilon:
-        return 0
-    A = P.copy()
-    for t in range(1, t_max + 1):
-        worst = 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
+    _refuse_reducible(P, pi, epsilon)
+    for t, worst in zip(range(t_max + 1), _worst_tv_steps(P, pi, starts)):
         if worst <= epsilon:
             return t
-        A = A @ P
     raise BudgetError(f"worst-start TV still above {epsilon} after {t_max} steps")
 
 
-def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None) -> np.ndarray:
-    """Worst-start exact TV at each grid time, by iterating the kernel."""
+def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None, starts=None) -> np.ndarray:
+    """Worst-start exact TV at each grid time, by iterating the kernel.
+
+    Only the rows of P^t for ``starts`` are tracked (every state when
+    None, which is bitwise the all-starts curve); values are returned in
+    sorted order of the distinct grid times.
+    """
     P = _matrix_of(kernel)
     M = P.shape[0]
     pi = _weights_of(stationary, M) if stationary is not None else np.full(M, 1.0 / M)
     grid = sorted(set(int(t) for t in t_grid))
     if grid and grid[0] < 0:
         raise ConfigError("grid times must be nonnegative")
-    out = {}
-    A = np.eye(M)
-    t_cur = 0
-    for t in grid:
-        while t_cur < t:
-            A = A @ P
-            t_cur += 1
-        out[t] = 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
-    return np.array([out[t] for t in grid])
+    if not grid:
+        return np.array([])
+    steps = _worst_tv_steps(P, pi, starts)
+    curve = [next(steps) for _ in range(grid[-1] + 1)]
+    return np.array([curve[t] for t in grid])
 
 
 def tv_counting_lower(t: int, move_count: int, omega_size: int) -> float:
@@ -1064,8 +1110,11 @@ def sample_balanced_frozen_tuples(
     The empirical measure of the horizontal parts must give every
     hyperplane ker xi mass at most beta, i.e. at most beta*(r-1) of the
     frozen coordinates may lie in any kernel (the zero vector counts in
-    every one).  Returns stacked horizontal parts (count, R, 2m) and
-    central parts (count, R) of accepted tuples, plus the acceptance rate.
+    every one).  Since any min(r-1, 2m-1) frozen parts lie in one
+    hyperplane, a level with min(r-1, 2m-1) > beta*(r-1) is refused with
+    BudgetError before any draw.  Returns stacked horizontal parts
+    (count, R, 2m) and central parts (count, R) of accepted tuples, plus
+    the acceptance rate.
     """
     check_prime(p)
     if p == 2 or m < 1 or r < 2:
@@ -1075,6 +1124,13 @@ def sample_balanced_frozen_tuples(
     R = r - 1
     h = 2 * m
     limit = beta * R + 1e-9
+    # any min(R, 2m-1) vectors of F_p^{2m} lie in one hyperplane ker xi
+    crowded = min(R, h - 1)
+    if crowded > limit:
+        raise BudgetError(
+            f"only 0/{count} balanced tuples after 0 draws: any {crowded} frozen "
+            f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * R:g}"
+        )
     xis = _nonzero_functional_matrix(h, p)
     rng = philox_generator(seed)
     kept_v, kept_z = [], []

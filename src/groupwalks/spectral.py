@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET
 from .errors import BudgetError, ConfigError, ReversibilityError
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 DEFAULT_LSI_SIZE_CAP = 64
-DEFAULT_FUNCTIONAL_BUDGET = 1 << 20
 
 
 class DenseOperator:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from groupwalks.algebra import FieldVector, rank_bits
+from groupwalks import chains
 from groupwalks.chains import (
     EnumeratedSpace,
     OneColumnWalk,
@@ -287,6 +288,16 @@ class TestSpaces:
         with pytest.raises(BudgetError):
             one_column_space(20, 3, budget=1000)
 
+    def test_chunked_stiefel_scan_matches_one_block(self, monkeypatch):
+        n, k = 8, 2
+        codes = np.arange(1 << (n * k), dtype=np.int64)
+        rows = (codes[:, None] >> (np.arange(n) * k)) & 3
+        expect = codes[rank_bits_batch(rows, k) == k]
+        assert np.array_equal(stiefel_space(n, k).codes, expect)
+        # blocks that do not divide the ambient size
+        monkeypatch.setattr(chains, "_AMBIENT_CHUNK", 1000)
+        assert np.array_equal(stiefel_space(n, k).codes, expect)
+
     def test_batched_rank_helpers(self):
         rng = philox_generator(7)
         rows = rng.integers(0, 16, size=(200, 6)).astype(np.int64)
@@ -300,6 +311,41 @@ class TestSpaces:
             from groupwalks.algebra import rank
 
             assert got_p[t] == rank(vs)
+
+
+# ---------------------------------------------------------------------------
+# automorphisms behind the exact-mixing start representatives
+
+
+def _swap01(state):
+    return (state[1], state[0]) + tuple(state[2:])
+
+
+def _scale0(p):
+    return lambda y: ((2 * y[0]) % p,) + tuple(y[1:])
+
+
+class TestKernelAutomorphisms:
+    @pytest.mark.parametrize("walk,f", [
+        (TransvectionWalk(4, 2, laziness=0.25), _swap01),  # row swap
+        (TransvectionWalk(5, 1), _swap01),
+        (OneColumnWalk(4, 2), _swap01),  # coordinate swap
+        (OneColumnWalk(4, 3, laziness=0.25), _swap01),
+        (OneColumnWalk(4, 3, laziness=0.25), _scale0(3)),  # scaling by 2 mod p
+        (OneColumnWalk(3, 5, laziness=0.5), _scale0(5)),
+    ])
+    def test_symmetry_generators_fix_the_kernel(self, walk, f):
+        space = walk.space()
+        P = walk.dense(space)
+        perm = np.array([space.index_of(f(x)) for x in space.states()])
+        assert np.array_equal(np.sort(perm), np.arange(space.size))
+        assert not np.array_equal(perm, np.arange(space.size))
+        assert np.array_equal(P[perm][:, perm], P)
+
+    def test_walk_without_known_automorphisms_keeps_every_start(self):
+        walk = PaPraWalk(2, 3, 1)
+        space = walk.space()
+        assert np.array_equal(walk.start_representatives(space), np.arange(space.size))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -455,6 +456,18 @@ class TestExitCodes:
         )
         assert code == 2
         assert "6560 states exceed the dense mixing budget 4096" in err
+
+    def test_reducible_kernel_refused_at_once(self, capsys):
+        # V_2(H(3,1)) splits into two determinant classes of 216 states, so
+        # worst-start TV never drops below 1/2
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", "2", "-p", "3", "-m", "1",
+             "--laziness", "0.5"], capsys
+        )
+        assert code == 2
+        assert "2 closed classes of sizes 216, 216" in err
+        assert time.perf_counter() - start < 5.0
 
 
 class TestThreadEnvironment:

@@ -1,12 +1,15 @@
 """Good sets, occupancy, mixing-time tables, birth-death analysis, and rates."""
 
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
 from groupwalks.algebra import FieldVector, LinearFunctional
 from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk
+from groupwalks import diagnostics
 from groupwalks.diagnostics import (
     WILSON_Z99,
     BDParams,
@@ -309,6 +312,17 @@ class TestTvAndMixing:
         with pytest.raises(BudgetError):
             mixing_time_exact(np.eye(3) * 1.0, t_max=5)
 
+    def test_reducible_kernel_refused_before_any_product(self, monkeypatch):
+        block = np.kron(np.eye(2), np.full((3, 3), 1 / 3))
+        monkeypatch.setattr(diagnostics, "_worst_tv_steps", None)
+        with pytest.raises(BudgetError, match=r"2 closed classes of sizes 3, 3"):
+            mixing_time_exact(block)
+
+    def test_reducible_kernel_within_epsilon_still_runs(self):
+        # each start stays in its half, at TV 1/2 from uniform after one step
+        block = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        assert mixing_time_exact(block, epsilon=0.6) == 1
+
     def test_worst_tv_curve_monotone_for_lazy_kernel(self):
         walk = TransvectionWalk(4, 1, laziness=0.5)
         curve = worst_tv_curve(walk.dense(), range(0, 25))
@@ -597,10 +611,120 @@ class TestBalancedSampling:
         with pytest.raises(ConfigError):
             sample_balanced_frozen_tuples(8, 3, 1, 1.0, 10, 0)
 
+    @pytest.mark.parametrize("r,m,beta", [(2, 1, 0.5), (3, 2, 0.9), (4, 2, 0.5)])
+    def test_infeasible_level_refused_before_drawing(self, monkeypatch, r, m, beta):
+        # any min(r-1, 2m-1) horizontal parts share a hyperplane
+        monkeypatch.setattr(diagnostics, "philox_generator", None)
+        with pytest.raises(BudgetError, match="after 0 draws"):
+            sample_balanced_frozen_tuples(r, 3, m, beta, 10, 0)
+
+    @pytest.mark.parametrize("args,digest", [
+        ((8, 3, 1, 0.5, 50, 3), "87d28863584008bf0de848afce7bc28dc4f007041a63dc1128e3d6ea807c6a12"),
+        # min(r-1, 2m-1) = 3 = beta*(r-1): feasible at the boundary
+        ((5, 3, 2, 0.75, 20, 4), "ba49fda3ca4fec31c44fd1d76f038025c7cdf71f948f9f41c9dfef206fc9a2ee"),
+    ])
+    def test_feasible_draws_unchanged(self, args, digest):
+        out = sample_balanced_frozen_tuples(*args)
+        assert out["draws"] == 1024
+        assert hashlib.sha256(out["V"].tobytes() + out["Z"].tobytes()).hexdigest() == digest
+
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetError):
             # beta just above 1/p is unreachably strict at this size
             sample_balanced_frozen_tuples(20, 3, 2, 1 / 3, 50, 0, max_draws=5000)
+
+
+# ---------------------------------------------------------------------------
+# exact mixing from one start per symmetry class
+
+EXACT_SWEEP = (
+    [(TransvectionWalk, (n, k)) for n, k in ((4, 1), (5, 1), (6, 1), (4, 2), (5, 2))]
+    + [(OneColumnWalk, (r, 3)) for r in range(2, 7)]
+    + [(OneColumnWalk, (r, 5)) for r in range(2, 5)]
+)
+
+
+def _oracle_mixing_time(P, epsilon=0.25, t_max=100_000):
+    """The all-starts loop of mixing_time_exact before it took starts."""
+    M = P.shape[0]
+    pi = np.full(M, 1.0 / M)
+    worst0 = 0.5 * float(np.abs(np.eye(M) - pi[None, :]).sum(axis=1).max())
+    if worst0 <= epsilon:
+        return 0
+    A = P.copy()
+    for t in range(1, t_max + 1):
+        worst = 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
+        if worst <= epsilon:
+            return t
+        A = A @ P
+    raise BudgetError(f"worst-start TV still above {epsilon} after {t_max} steps")
+
+
+def _oracle_worst_tv_curve(P, t_grid):
+    """The all-starts loop of worst_tv_curve before it took starts."""
+    M = P.shape[0]
+    pi = np.full(M, 1.0 / M)
+    grid = sorted(set(int(t) for t in t_grid))
+    out = {}
+    A = np.eye(M)
+    t_cur = 0
+    for t in grid:
+        while t_cur < t:
+            A = A @ P
+            t_cur += 1
+        out[t] = 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
+    return np.array([out[t] for t in grid])
+
+
+def _class_keys(walk, space):
+    """Class of each state, from the decoded states: sorted rows for the
+    row walk, support size for the one-column walk."""
+    if isinstance(walk, TransvectionWalk):
+        return [tuple(sorted(z)) for z in space.states()]
+    return [sum(1 for y in z if y) for z in space.states()]
+
+
+class TestStartRepresentatives:
+    @pytest.mark.parametrize("q", [0.25, 0.5])
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP)
+    def test_tv_rows_equal_their_representatives(self, cls, args, q):
+        walk = cls(*args, laziness=q)
+        space = walk.space()
+        P = walk.dense(space)
+        reps = walk.start_representatives(space)
+        keys = _class_keys(walk, space)
+        rep_of = {keys[i]: int(i) for i in reps}
+        assert len(rep_of) == reps.size == len(set(keys))
+        assert np.array_equal(reps, np.unique(reps))
+        owner = np.array([rep_of[key] for key in keys])
+        M = space.size
+        A = np.eye(M)
+        for _ in range(mixing_time_exact(P, starts=reps) + 1):
+            tv = 0.5 * np.abs(A - 1.0 / M).sum(axis=1)
+            np.testing.assert_allclose(tv, tv[owner], rtol=0, atol=1e-12)
+            A = A @ P
+
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP)
+    def test_all_starts_path_is_the_old_loop(self, cls, args):
+        walk = cls(*args, laziness=0.25)
+        space = walk.space()
+        P = walk.dense(space)
+        reps = walk.start_representatives(space)
+        tau = _oracle_mixing_time(P)
+        assert mixing_time_exact(P) == tau
+        assert mixing_time_exact(P, starts=reps) == tau
+        # unsorted, with a duplicate, and running past tau
+        grid = [tau + 3, 0, 2, tau, 2, 1]
+        expect = _oracle_worst_tv_curve(P, grid)
+        assert np.array_equal(worst_tv_curve(P, grid), expect)
+        np.testing.assert_allclose(worst_tv_curve(P, grid, starts=reps), expect, rtol=0, atol=1e-12)
+        assert expect[-1] <= 0.25 < expect[-3]
+
+    def test_bad_starts_rejected(self):
+        P = TransvectionWalk(4, 1).dense()
+        for starts in ([], [-1], [15], [[0, 1]]):
+            with pytest.raises(ConfigError):
+                worst_tv_curve(P, [0, 1], starts=starts)
 
 
 class TestCanonicalStart:
