@@ -65,7 +65,6 @@ from .chains import (
 )
 from .spectral import (
     DenseOperator,
-    Distribution,
     PipelineReport,
     dirichlet_form,
     entropy,

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, CharacteristicError, DimensionMismatch
 
 __all__ = [
@@ -67,6 +69,11 @@ def half_mod(p: int) -> int:
     if p == 2:
         raise CharacteristicError("1/2 does not exist over F_2")
     return (p + 1) // 2
+
+
+def _digits(codes: np.ndarray, base: int, count: int) -> np.ndarray:
+    """Base-`base` digits of integer codes, least significant first: (..., count)."""
+    return (codes[..., None] // base ** np.arange(count, dtype=np.int64)) % base
 
 
 @dataclass(frozen=True)

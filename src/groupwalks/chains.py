@@ -40,10 +40,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .algebra import check_prime, half_mod, rank_bits
+from .algebra import _digits, check_prime, rank_bits
 from .errors import BudgetError, DimensionMismatch, InvalidMove
 from .groups import (
     HeisenbergElement,
+    _h_mul_codes,
     decode_element,
     encode_element,
     generates,
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 DEFAULT_STATE_BUDGET = 1 << 24
-_AMBIENT_CHUNK = 1 << 20  # codes per block of an ambient scan
+_AMBIENT_CHUNK = 1 << 18  # codes per block of an ambient scan
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -217,7 +218,11 @@ def one_column_space(r: int, p: int, budget: int = DEFAULT_STATE_BUDGET) -> Enum
 def heisenberg_tuple_space(
     r: int, p: int, m: int, budget: int = DEFAULT_STATE_BUDGET
 ) -> EnumeratedSpace:
-    """All r-tuples over H(p, m) whose horizontal parts span F_p^{2m}."""
+    """All r-tuples over H(p, m) whose horizontal parts span F_p^{2m}.
+
+    The ambient (p^{2m+1})^r tuples are scanned in blocks of _AMBIENT_CHUNK
+    codes, as in stiefel_space.
+    """
     check_prime(p)
     if p == 2:
         raise ValueError("Heisenberg tuples require odd p")
@@ -225,15 +230,12 @@ def heisenberg_tuple_space(
     hsize = p ** (h + 1)
     ambient = hsize**r
     _check_budget(ambient, budget, f"V_{r}(H({p},{m})) ambient")
-    # horizontal matrix of every ambient tuple, (ambient, r, h)
-    codes = np.arange(ambient, dtype=np.int64)
-    horiz = np.empty((ambient, r, h), dtype=np.int8)
-    for i in range(r):
-        ci = (codes // (hsize**i)) % hsize
-        for d in range(h):
-            horiz[:, i, d] = (ci // (p**d)) % p
-    ranks = rank_modp_batch(horiz, p)
-    keep = np.nonzero(ranks == h)[0].astype(np.int64)
+    kept = []
+    for lo in range(0, ambient, _AMBIENT_CHUNK):
+        block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
+        horiz = _digits(_digits(block, hsize, r), p, h)  # (block, r, h)
+        kept.append(block[rank_modp_batch(horiz, p) == h])
+    keep = np.concatenate(kept)
     expected = p**r
     for q in range(h):
         expected *= p**r - p**q
@@ -365,25 +367,6 @@ def pa_pra_step(
     power = h_pow(g[j], a)
     out[i] = h_mul(g[i], power) if side == "R" else h_mul(power, g[i])
     return tuple(out)
-
-
-def _digits(codes: np.ndarray, base: int, count: int) -> np.ndarray:
-    """Base-`base` digits of integer codes, least significant first: (..., count)."""
-    return (codes[..., None] // base ** np.arange(count, dtype=np.int64)) % base
-
-
-def _h_mul_codes(g: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
-    """Element codes of the products g k, the law of h_mul on digit arrays.
-
-    g and k hold encode_element digits (v_0, ..., v_{2m-1}, z) on their last
-    axis and broadcast against each other.
-    """
-    v, z = g[..., :-1], g[..., -1]
-    w, t = k[..., :-1], k[..., -1]
-    tw = (v[..., 0::2] * w[..., 1::2] - v[..., 1::2] * w[..., 0::2]).sum(axis=-1)
-    place = p ** np.arange(v.shape[-1] + 1, dtype=np.int64)
-    horizontal = (((v + w) % p) * place[:-1]).sum(axis=-1)
-    return horizontal + ((z + t + half_mod(p) * tw) % p) * place[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,8 @@ from .errors import (
 )
 from .groups import (
     HeisenbergElement,
-    Representation,
-    fixed_projection,
-    heisenberg_elements,
-    h_mul,
-    operator_norm,
-    psi,
     representation_dimension_check,
+    representation_residuals,
 )
 
 SCHEMA_VERSION = 1
@@ -525,87 +520,16 @@ def cmd_repcheck(cfg: dict, out_path: str | None) -> None:
             f"{order * order} element pairs exceed the pair budget {pair_budget}; "
             f"rerun with pair_budget >= {order * order}"
         )
-    elements = list(heisenberg_elements(p, m))
     dim_sq_sum, group_order = representation_dimension_check(p, m)
-    blocks = []
-    for lam in range(1, p):
-        rep = Representation(p, m, lam)
-        mats = np.stack([rep.matrix(g) for g in elements])
-        d = mats.shape[1]
-        # multiplicativity and projective commutation, chunked over the
-        # first index to keep the pair tensor small
-        idx_of = {g: i for i, g in enumerate(elements)}
-        prod_idx = np.array(
-            [[idx_of[h_mul(a, b)] for b in elements] for a in elements], dtype=np.int64
-        )
-        mult_res = 0.0
-        comm_res = 0.0
-        for i, g in enumerate(elements):
-            lhs = mats[i] @ mats  # (N, d, d)
-            mult_res = max(
-                mult_res, float(np.abs(lhs - mats[prod_idx[i]]).max())
-            )
-            rhs = mats @ mats[i]  # (N, d, d)
-            phases = np.array(
-                [
-                    psi(lam * int(_omega(g, b)), p)
-                    for b in elements
-                ]
-            )
-            comm_res = max(
-                comm_res, float(np.abs(lhs - phases[:, None, None] * rhs).max())
-            )
-        eye = np.eye(d)
-        unit_res = float(
-            np.abs(np.einsum("nij,nkj->nik", mats, mats.conj()) - eye).max()
-        )
-        central_res = 0.0
-        for z in range(p):
-            g = HeisenbergElement(FieldVector([0] * (2 * m), p), z)
-            central_res = max(
-                central_res,
-                float(np.abs(rep.matrix(g) - psi(lam * z, p) * eye).max()),
-            )
-        # two-projections table over pairs with nonzero symplectic form
-        projections = [fixed_projection(mats[i], p) for i in range(len(elements))]
-        worst_dev = 0.0
-        checked = 0
-        target = p ** -0.5
-        for i, g in enumerate(elements):
-            for j, b in enumerate(elements):
-                if i == j or int(_omega(g, b)) == 0:
-                    continue
-                nrm = operator_norm(projections[i].matrix @ projections[j].matrix)
-                worst_dev = max(worst_dev, abs(nrm - target))
-                checked += 1
-        blocks.append(
-            {
-                "lambda": lam,
-                "dimension": d,
-                "mult_residual": mult_res,
-                "unitarity_residual": unit_res,
-                "central_residual": central_res,
-                "projective_commutation_residual": comm_res,
-                "two_projection_pairs": checked,
-                "two_projection_worst_deviation": worst_dev,
-                "two_projection_target": target,
-            }
-        )
     report = {
         "p": p,
         "m": m,
         "group_order": group_order,
         "dimension_square_sum": dim_sq_sum,
         "dimension_sum_exact": dim_sq_sum == group_order,
-        "representations": blocks,
+        "representations": representation_residuals(p, m),
     }
     _emit_json("repcheck", cfg, report, out_path)
-
-
-def _omega(g: HeisenbergElement, b: HeisenbergElement) -> int:
-    from .algebra import SymplecticForm
-
-    return int(SymplecticForm(g.h, g.p).eval(g.v, b.v))
 
 
 def cmd_pipeline(cfg: dict, out_path: str | None) -> None:

@@ -26,11 +26,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy import integrate
 
-from .algebra import LinearFunctional, check_prime
+from .algebra import LinearFunctional, _digits, check_prime
 from .chains import (
     OneColumnWalk,
     PaPraWalk,
     TransvectionWalk,
+    _AMBIENT_CHUNK,
     one_column_batch,
     pa_pra_batch,
     philox_generator,
@@ -88,7 +89,6 @@ WILSON_Z99 = 2.5758293035489004
 
 DEFAULT_FUNCTIONAL_BUDGET = 1 << 20
 DEFAULT_DENSE_BUDGET = 4096
-_AMBIENT_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +308,7 @@ def _ambient_counts_heisenberg(spec: GoodSetSpec, budget: int) -> tuple[int, int
     amb_bad = span_count = span_bad = 0
     for lo in range(0, total, _AMBIENT_CHUNK):
         codes = np.arange(lo, min(lo + _AMBIENT_CHUNK, total), dtype=np.int64)
-        elem = np.empty((len(codes), r), dtype=np.int64)
-        c = codes.copy()
-        for i in range(r):
-            elem[:, i] = c % group_order
-            c //= group_order
-        V = np.empty((len(codes), r, h), dtype=np.int64)
-        e = elem.copy()
-        for q in range(h):
-            V[:, :, q] = e % p
-            e //= p
+        V = _digits(_digits(codes, group_order, r), p, h)  # (block, r, h)
         good = good_mask_horizontal(V, spec)
         spanning = rank_modp_batch(V, p) == h
         amb_bad += int((~good).sum())
@@ -494,7 +485,12 @@ def burnin_occupancy(
 
 
 def _weights_of(dist, size: int | None = None) -> np.ndarray:
-    w = np.asarray(getattr(dist, "weights", dist), dtype=float)
+    """A weight vector as floats; None is the uniform law on `size` states."""
+    if dist is None:
+        if size is None:
+            raise ValueError("need a size to build the uniform law")
+        return np.full(size, 1.0 / size)
+    w = np.asarray(dist, dtype=float)
     if w.ndim != 1:
         raise DimensionMismatch(f"distribution must be a vector, got shape {w.shape}")
     if size is not None and w.size != size:
@@ -513,6 +509,7 @@ def tv_exact(d1, d2) -> float:
 
 
 def _matrix_of(kernel) -> np.ndarray:
+    """A square float matrix, unwrapping objects that carry one as `.matrix`."""
     mat = np.asarray(getattr(kernel, "matrix", kernel), dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {mat.shape}")
@@ -587,7 +584,7 @@ def mixing_time_exact(
         raise BudgetError(f"{M} states exceed the dense mixing budget {budget}")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
-    pi = _weights_of(stationary, M) if stationary is not None else np.full(M, 1.0 / M)
+    pi = _weights_of(stationary, M)
     _refuse_reducible(P, pi, epsilon)
     for t, worst in zip(range(t_max + 1), _worst_tv_steps(P, pi, starts)):
         if worst <= epsilon:
@@ -604,7 +601,7 @@ def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None, starts=None) 
     """
     P = _matrix_of(kernel)
     M = P.shape[0]
-    pi = _weights_of(stationary, M) if stationary is not None else np.full(M, 1.0 / M)
+    pi = _weights_of(stationary, M)
     grid = sorted(set(int(t) for t in t_grid))
     if grid and grid[0] < 0:
         raise ConfigError("grid times must be nonnegative")
@@ -816,32 +813,28 @@ def support_transition_frequencies(
 ) -> dict:
     """Empirical one-step support transitions of the one-column p-ary walk.
 
-    Runs ``chains`` coupled trajectories from a weight-one start for a
-    combined ``steps`` walk steps, tallying (support size, move) pairs where
-    the move is a death, hold, or birth.  Returns the (r+1, 3) count table,
-    per-size visit counts, and the empirical birth/death frequencies.
+    Runs ``chains`` trajectories of ``one_column_batch`` (stream 0 of
+    ``seed``) from a weight-one start for a combined ``steps`` walk steps,
+    tallying (support size, move) pairs where the move is a death, hold, or
+    birth.  Returns the (r+1, 3) count table, per-size visit counts, and the
+    empirical birth/death frequencies.
     """
     check_prime(p)
     if r < 2 or steps < 1 or chains < 1:
         raise ConfigError("need r >= 2, steps >= 1, chains >= 1")
-    rng = philox_generator(seed)
     per_chain = (steps + chains - 1) // chains
-    y = np.zeros((chains, r), dtype=np.int16)
-    y[:, 0] = 1
-    supp = (y != 0).sum(axis=1).astype(np.int64)
     counts = np.zeros((r + 1, 3), dtype=np.int64)
-    rows = np.arange(chains)
-    for _ in range(per_chain):
-        u = rng.integers(0, r * (r - 1), size=chains)
-        i = u // (r - 1)
-        j = u % (r - 1)
-        j = j + (j >= i)
-        a = rng.integers(0, p, size=chains).astype(np.int16)
-        new_val = (y[rows, i] + a * y[rows, j]) % p
-        delta = (new_val != 0).astype(np.int64) - (y[rows, i] != 0).astype(np.int64)
-        np.add.at(counts, (supp, delta + 1), 1)
-        y[rows, i] = new_val
-        supp += delta
+    supp = np.ones(chains, dtype=np.int64)  # the engine's weight-one start
+
+    def tally(t: int, y: np.ndarray) -> None:
+        now = np.count_nonzero(y, axis=1)
+        np.add.at(counts, (supp, now - supp + 1), 1)
+        supp[:] = now
+
+    # over F_2 the engine always adds the donor; a coin of 1/2 makes the
+    # multiplier uniform on F_2, the chain of bd_probs
+    one_column_batch(r, p, chains, range(1, per_chain + 1), seed, tally,
+                     laziness=0.5 if p == 2 else 0.0)
     visits = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         death_hat = np.where(visits > 0, counts[:, 0] / visits, np.nan)

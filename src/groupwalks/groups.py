@@ -43,6 +43,7 @@ from .algebra import (
     FieldVector,
     LinearFunctional,
     SymplecticForm,
+    _digits,
     check_prime,
     half_mod,
     rank,
@@ -70,6 +71,7 @@ __all__ = [
     "Projection",
     "fixed_projection",
     "projection_family_bound",
+    "representation_residuals",
 ]
 
 # Dense operator norms switch from full SVD to power iteration above this size.
@@ -132,6 +134,24 @@ def h_mul(g: HeisenbergElement, k: HeisenbergElement) -> HeisenbergElement:
     tw = int(form.eval(g.v, k.v))
     z = (g.z + k.z + half_mod(p) * tw) % p
     return HeisenbergElement(g.v + k.v, z)
+
+
+def _omega_digits(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """omega(v, w) on horizontal digit arrays (last axis), not reduced mod p."""
+    return (v[..., 0::2] * w[..., 1::2] - v[..., 1::2] * w[..., 0::2]).sum(axis=-1)
+
+
+def _h_mul_codes(g: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
+    """Element codes of the products g k, the law of h_mul on digit arrays.
+
+    g and k hold encode_element digits (v_0, ..., v_{2m-1}, z) on their last
+    axis and broadcast against each other.
+    """
+    v, z = g[..., :-1], g[..., -1]
+    w, t = k[..., :-1], k[..., -1]
+    place = p ** np.arange(v.shape[-1] + 1, dtype=np.int64)
+    horizontal = (((v + w) % p) * place[:-1]).sum(axis=-1)
+    return horizontal + ((z + t + half_mod(p) * _omega_digits(v, w)) % p) * place[-1]
 
 
 def h_pow(g: HeisenbergElement, a: int) -> HeisenbergElement:
@@ -388,3 +408,55 @@ def projection_family_bound(
     avg = sum(mats) / n
     lam_max = float(np.linalg.eigvalsh(avg)[-1])
     return delta, lam_max, 1.0 - 0.5 * delta * (1.0 - alpha)
+
+
+def representation_residuals(p: int, m: int) -> list[dict]:
+    """Residuals of the rho_lam axioms and two-projection norms, one block per lam.
+
+    Each block holds the worst multiplication, unitarity, central-character
+    and projective-commutation residuals over all elements or ordered pairs,
+    and the worst deviation of ||P_g P_b|| from p^{-1/2} over the ordered
+    pairs with omega(g, b) != 0, where P_g = fixed_projection(rho_lam(g), p).
+    Element indices are element codes, so the product table and omega come
+    from digit arithmetic; matrix products and singular values are batched
+    over one row of the pair table at a time, keeping memory at O(N d^2).
+    """
+    elements = list(heisenberg_elements(p, m))
+    digits = _digits(np.arange(len(elements), dtype=np.int64), p, 2 * m + 1)
+    prod = _h_mul_codes(digits[:, None], digits[None], p)  # (N, N) codes of g b
+    omega = _omega_digits(digits[:, None, :-1], digits[None, :, :-1]) % p
+    phase = np.array([psi(t, p) for t in range(p)])
+    centre = np.arange(p)  # (0, z) has code z p^{2m}
+    target = p**-0.5
+    blocks = []
+    for lam in range(1, p):
+        rep = Representation(p, m, lam)
+        mats = np.stack([rep.matrix(g) for g in elements])
+        proj = np.stack([fixed_projection(u, p).matrix for u in mats])
+        eye = np.eye(mats.shape[1])
+        mult_res = comm_res = worst_dev = 0.0
+        for i in range(len(elements)):
+            lhs = mats[i] @ mats  # (N, d, d)
+            mult_res = max(mult_res, float(np.abs(lhs - mats[prod[i]]).max()))
+            twisted = phase[lam * omega[i] % p][:, None, None] * (mats @ mats[i])
+            comm_res = max(comm_res, float(np.abs(lhs - twisted).max()))
+            pairs = np.flatnonzero(omega[i])
+            if pairs.size:
+                norms = np.linalg.svd(proj[i] @ proj[pairs], compute_uv=False)[:, 0]
+                worst_dev = max(worst_dev, float(np.abs(norms - target).max()))
+        unit = np.einsum("nij,nkj->nik", mats, mats.conj()) - eye
+        central = mats[centre * p ** (2 * m)] - phase[lam * centre % p][:, None, None] * eye
+        blocks.append(
+            {
+                "lambda": lam,
+                "dimension": mats.shape[1],
+                "mult_residual": mult_res,
+                "unitarity_residual": float(np.abs(unit).max()),
+                "central_residual": float(np.abs(central).max()),
+                "projective_commutation_residual": comm_res,
+                "two_projection_pairs": int(np.count_nonzero(omega)),
+                "two_projection_worst_deviation": worst_dev,
+                "two_projection_target": target,
+            }
+        )
+    return blocks

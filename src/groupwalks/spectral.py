@@ -25,14 +25,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET
+from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _weights_of
 from .errors import BudgetError, ConfigError, ReversibilityError
 
 __all__ = [
     "SYMMETRY_TOL",
     "DEFAULT_LSI_SIZE_CAP",
     "DenseOperator",
-    "Distribution",
     "check_reversibility",
     "spectrum",
     "spectral_gap",
@@ -102,56 +101,6 @@ class DenseOperator:
         return f"DenseOperator({self.flavor}, size={self.size})"
 
 
-class Distribution:
-    """Nonnegative weights with total mass at most 1 (subprobabilities allowed)."""
-
-    def __init__(self, weights, tol: float = 1e-12):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("a distribution is a one-dimensional weight vector")
-        if w.min() < -tol:
-            raise ValueError(f"negative weight {w.min()}")
-        w = np.clip(w, 0.0, None)
-        if w.sum() > 1.0 + 1e-9:
-            raise ValueError(f"total mass {w.sum()} exceeds 1")
-        w.flags.writeable = False
-        self.weights = w
-
-    @classmethod
-    def uniform(cls, n: int) -> "Distribution":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point(cls, n: int, i: int) -> "Distribution":
-        w = np.zeros(n)
-        w[i] = 1.0
-        return cls(w)
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[0]
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        return op.matrix
-    return np.asarray(op, dtype=float)
-
-
-def _as_weights(dist, size: int | None = None) -> np.ndarray:
-    if dist is None:
-        if size is None:
-            raise ValueError("need a size to build the uniform law")
-        return np.full(size, 1.0 / size)
-    if isinstance(dist, Distribution):
-        return dist.weights
-    return np.asarray(dist, dtype=float)
-
-
 def check_reversibility(op, stationary=None, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Return the symmetrized form D^{1/2} K D^{-1/2} of a reversible kernel.
 
@@ -159,8 +108,8 @@ def check_reversibility(op, stationary=None, tol: float = SYMMETRY_TOL) -> np.nd
     averaged away, which keeps eigensolvers on the self-adjoint path
     without masking construction bugs.
     """
-    K = _as_matrix(op)
-    rho = _as_weights(stationary, K.shape[0])
+    K = _matrix_of(op)
+    rho = _weights_of(stationary, K.shape[0])
     if rho.min() <= 0:
         raise ValueError("the stationary law must be strictly positive")
     s = np.sqrt(rho)
@@ -217,8 +166,8 @@ def fibre_eigenvalues_tr(
 
 def dirichlet_form(op, stationary, f, g=None) -> float:
     """<f, (I-K)g>_rho; includes the killing term for substochastic kernels."""
-    K = _as_matrix(op)
-    rho = _as_weights(stationary, K.shape[0])
+    K = _matrix_of(op)
+    rho = _weights_of(stationary, K.shape[0])
     f = np.asarray(f, dtype=float)
     g = f if g is None else np.asarray(g, dtype=float)
     return float(np.dot(rho * f, g - K @ g))
@@ -226,7 +175,7 @@ def dirichlet_form(op, stationary, f, g=None) -> float:
 
 def entropy(rho, u) -> float:
     """H_rho(u) = rho[u log(u / rho(u))] with the 0 log 0 = 0 convention."""
-    r = _as_weights(rho)
+    r = _weights_of(rho)
     u = np.asarray(u, dtype=float)
     if u.min() < -1e-12:
         raise ValueError(f"entropy needs a nonnegative function, min {u.min()}")
@@ -239,7 +188,7 @@ def entropy(rho, u) -> float:
 
 
 def variance(rho, f) -> float:
-    r = _as_weights(rho)
+    r = _weights_of(rho)
     f = np.asarray(f, dtype=float)
     mean = float(np.dot(r, f))
     return float(np.dot(r, (f - mean) ** 2))
@@ -260,8 +209,8 @@ def gap_lsi_bound(op, stationary=None, C: float = 4.0) -> float:
     by theory; it defaults to 4 and every downstream check parametrizes on
     it.
     """
-    K = _as_matrix(op)
-    rho = _as_weights(stationary, K.shape[0])
+    K = _matrix_of(op)
+    rho = _weights_of(stationary, K.shape[0])
     cp = poincare_constant(op, rho)
     return C * cp * math.log(1.0 / float(rho.min()))
 
@@ -318,11 +267,11 @@ def lsi_estimate(
     witness, so the result is a lower bound on the true supremum up to an
     evaluation noise floor of about 1e-7 set by the Dirichlet-energy guard.
     """
-    K = _as_matrix(op)
+    K = _matrix_of(op)
     M = K.shape[0]
     if M > size_cap:
         raise BudgetError(f"space size {M} exceeds the optimizer cap {size_cap}")
-    rho = _as_weights(stationary, M)
+    rho = _weights_of(stationary, M)
     S = check_reversibility(K, rho)
     # reducibility guard: a nonconstant function with zero Dirichlet energy
     evs, vecs = np.linalg.eigh(S)
@@ -395,13 +344,13 @@ def killed_kernel(op, good_mask, stationary=None) -> tuple[DenseOperator, float]
     delta_G = pi_G(1 - K_G 1) is the average killing rate, which satisfies
     delta_G <= pi(G^c)/pi(G) by reversibility.
     """
-    P = _as_matrix(op)
+    P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
     if mask.shape[0] != P.shape[0]:
         raise ValueError("mask size does not match the kernel")
     if not mask.any():
         raise ValueError("the retained set G must be nonempty")
-    pi = _as_weights(stationary, P.shape[0])
+    pi = _weights_of(stationary, P.shape[0])
     KG = P[np.ix_(mask, mask)]
     pi_g = pi[mask] / pi[mask].sum()
     delta = float(np.dot(pi_g, 1.0 - KG.sum(axis=1)))
@@ -456,11 +405,10 @@ def semigroup_evolve(op, u0, t: float, mode: str = "distribution", tail: float =
         raise ValueError("the time parameter must be nonnegative")
     if mode not in ("distribution", "function"):
         raise ValueError(f"unknown mode {mode!r}")
-    K = _as_matrix(op)
-    wrap = isinstance(u0, Distribution)
-    vec = np.array(u0.weights if wrap else u0, dtype=float)
+    K = _matrix_of(op)
+    vec = np.array(u0, dtype=float)
     if t == 0:
-        return Distribution(vec) if wrap else vec
+        return vec
     # choose the truncation order: smallest N with P(Poi(t) > N) < tail
     N = int(t + 10.0 * math.sqrt(t) + 20)
     while poisson_tail_gt(t, N) >= tail:
@@ -474,7 +422,7 @@ def semigroup_evolve(op, u0, t: float, mode: str = "distribution", tail: float =
         cur = cur @ K if mode == "distribution" else K @ cur
         if weights[k] > 0:
             out = out + weights[k] * cur
-    return Distribution(out) if wrap else out
+    return out
 
 
 def tv_signed(d1, d2) -> float:
@@ -484,8 +432,8 @@ def tv_signed(d1, d2) -> float:
     subprobability against a probability it is the natural total-variation
     distance (lambda = 0 against any probability gives 1).
     """
-    a = _as_weights(d1)
-    b = _as_weights(d2)
+    a = _weights_of(d1)
+    b = _weights_of(d2)
     nu = a - b
     return float(max(nu[nu > 0].sum() if (nu > 0).any() else 0.0,
                      -nu[nu < 0].sum() if (nu < 0).any() else 0.0))
@@ -498,8 +446,8 @@ def subprob_tv_bound(lam, rho) -> tuple[float, float]:
     and m the mass of lambda; requires lambda absolutely continuous w.r.t.
     rho.
     """
-    l = _as_weights(lam)
-    r = _as_weights(rho)
+    l = _weights_of(lam)
+    r = _weights_of(rho)
     if ((l > 1e-15) & (r <= 0)).any():
         raise ValueError("the subprobability charges a null set of the reference law")
     u = np.where(r > 0, l / np.where(r > 0, r, 1.0), 0.0)
@@ -525,8 +473,8 @@ def entropy_decay_check(
     constant; the report carries a numeric lower bound on that constant and
     flags the hypothesis instead of silently passing.
     """
-    K = _as_matrix(killed_op)
-    r = _as_weights(rho, K.shape[0])
+    K = _matrix_of(killed_op)
+    r = _weights_of(rho, K.shape[0])
     u0 = np.asarray(u0, dtype=float)
     delta = float(np.dot(r, 1.0 - K.sum(axis=1)))
     h0 = entropy(r, u0)
@@ -647,7 +595,7 @@ def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float
 
     The survival probability is <delta_x P^s restricted to G, K_G^L 1>.
     """
-    P = _as_matrix(op)
+    P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
     alpha = np.zeros(P.shape[0])
     alpha[x_index] = 1.0
@@ -662,7 +610,7 @@ def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float
 
 def worst_exit_probability(op, good_mask, s: int, L: int) -> tuple[float, int]:
     """Max over starts of the exit probability, with the worst start index."""
-    P = _as_matrix(op)
+    P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
     Ps = np.linalg.matrix_power(P, s) if s > 0 else np.eye(P.shape[0])
     surv = np.ones(int(mask.sum()))
@@ -693,7 +641,7 @@ def path_comparison_check(
     disagreement probability (an upper bound for the distance) from
     `trials` coupled trajectories.
     """
-    P = _as_matrix(op)
+    P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
     eta = exit_probability_exact(P, mask, x_index, s, L)
     bound = eta + poisson_tail_gt(t, L)
@@ -738,9 +686,9 @@ def ambient_lsi_A_for_good_support(op, good_mask, mu=None) -> dict:
     so A = (log|G| + log(1/q)) / (1 - lambda_max(K_G)) works whenever
     lambda_max < 1.
     """
-    P = _as_matrix(op)
+    P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
-    mu_w = _as_weights(mu, P.shape[0])
+    mu_w = _weights_of(mu, P.shape[0])
     q = float(mu_w[mask].sum())
     if q <= 0:
         raise ValueError("the support set has zero mass")

@@ -33,6 +33,7 @@ from groupwalks.chains import (
 from groupwalks.errors import BudgetError, InvalidMove
 from groupwalks.groups import (
     HeisenbergElement,
+    decode_element,
     encode_element,
     generates,
     h_identity,
@@ -297,6 +298,18 @@ class TestSpaces:
         # blocks that do not divide the ambient size
         monkeypatch.setattr(chains, "_AMBIENT_CHUNK", 1000)
         assert np.array_equal(stiefel_space(n, k).codes, expect)
+
+    def test_chunked_heisenberg_tuple_scan_matches_direct_filter(self, monkeypatch):
+        r, p, m = 3, 3, 1
+        hsize = p ** (2 * m + 1)
+        expect = [
+            c for c in range(hsize**r)
+            if generates([decode_element(c // hsize**i % hsize, p, m) for i in range(r)])
+        ]
+        assert np.array_equal(heisenberg_tuple_space(r, p, m).codes, expect)
+        # blocks that do not divide the ambient size 27^3
+        monkeypatch.setattr(chains, "_AMBIENT_CHUNK", 1000)
+        assert np.array_equal(heisenberg_tuple_space(r, p, m).codes, expect)
 
     def test_batched_rank_helpers(self):
         rng = philox_generator(7)

@@ -316,6 +316,23 @@ class TestRepcheckCommand:
             assert block["two_projection_worst_deviation"] < 1e-10
             assert block["two_projection_pairs"] > 0
 
+    def test_second_heisenberg_group(self, capsys):
+        p, m = 3, 2
+        code, out, _ = run_cli(["repcheck", "-p", str(p), "-m", str(m)], capsys)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["group_order"] == p ** (2 * m + 1) == report["dimension_square_sum"]
+        assert len(report["representations"]) == p - 1
+        h = p ** (2 * m)
+        for block in report["representations"]:
+            assert block["dimension"] == p**m
+            for key in ("mult_residual", "unitarity_residual", "central_residual",
+                        "projective_commutation_residual", "two_projection_worst_deviation"):
+                assert block[key] <= 1e-10
+            # ordered pairs with omega(g, b) != 0: g off the centre, then
+            # b's horizontal part off the hyperplane omega(g, .) = 0
+            assert block["two_projection_pairs"] == (h - 1) * (h - h // p) * p * p == 38_880
+
 
 # ---------------------------------------------------------------------------
 # configuration file handling

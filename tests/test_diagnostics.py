@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from groupwalks.algebra import FieldVector, LinearFunctional
-from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk
+from groupwalks.chains import (
+    OneColumnWalk,
+    PaPraWalk,
+    TransvectionWalk,
+    build_fibre_kernel,
+    philox_generator,
+)
 from groupwalks import diagnostics
 from groupwalks.diagnostics import (
     WILSON_Z99,
@@ -291,6 +297,26 @@ class TestTvAndMixing:
         with pytest.raises(ConfigError):
             tv_exact((0.9, 0.3), (0.5, 0.5))
 
+    def test_coercion_helpers(self):
+        # one pair serves diagnostics and spectral: None is the uniform law,
+        # `.matrix` is unwrapped, wrong shapes and sizes are refused
+        assert np.array_equal(diagnostics._weights_of(None, 4), np.full(4, 0.25))
+        assert diagnostics._weights_of([1, 0]).dtype == float
+        with pytest.raises(ValueError):
+            diagnostics._weights_of(None)
+        with pytest.raises(DimensionMismatch):
+            diagnostics._weights_of([0.5, 0.5], 3)
+        with pytest.raises(DimensionMismatch):
+            diagnostics._weights_of(np.eye(2))
+        kernel = OneColumnWalk(3, 2).dense()
+        wrapped = build_fibre_kernel("transvection", 0, [1, 2], k=2)
+        assert diagnostics._matrix_of(kernel) is kernel
+        assert np.array_equal(diagnostics._matrix_of(wrapped), wrapped.matrix)
+        with pytest.raises(DimensionMismatch):
+            diagnostics._matrix_of(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            diagnostics._matrix_of(np.ones(4))
+
     def test_uniform_kernel_mixes_in_one_step(self):
         P = np.full((5, 5), 0.2)
         assert mixing_time_exact(P) == 1
@@ -346,6 +372,29 @@ class TestTvAndMixing:
 
 # ---------------------------------------------------------------------------
 # birth-death analysis
+
+
+def _oracle_support_frequencies(r, p, steps, seed, chains=16):
+    """The inline p-ary stepping loop that support_transition_frequencies replaced."""
+    rng = philox_generator(seed)
+    per_chain = (steps + chains - 1) // chains
+    y = np.zeros((chains, r), dtype=np.int16)
+    y[:, 0] = 1
+    supp = (y != 0).sum(axis=1).astype(np.int64)
+    counts = np.zeros((r + 1, 3), dtype=np.int64)
+    rows = np.arange(chains)
+    for _ in range(per_chain):
+        u = rng.integers(0, r * (r - 1), size=chains)
+        i = u // (r - 1)
+        j = u % (r - 1)
+        j = j + (j >= i)
+        a = rng.integers(0, p, size=chains).astype(np.int16)
+        new_val = (y[rows, i] + a * y[rows, j]) % p
+        delta = (new_val != 0).astype(np.int64) - (y[rows, i] != 0).astype(np.int64)
+        np.add.at(counts, (supp, delta + 1), 1)
+        y[rows, i] = new_val
+        supp += delta
+    return {"counts": counts, "visits": counts.sum(axis=1), "steps": per_chain * chains}
 
 
 class TestBirthDeath:
@@ -425,6 +474,25 @@ class TestBirthDeath:
         res = embedded_crossing_mc(3, 1, 6, params, trials=4000, seed=12)
         sd = math.sqrt(exact * (1 - exact) / res["trials"])
         assert abs(res["estimate"] - exact) <= 4 * sd
+
+    @pytest.mark.parametrize("r, p", [(16, 3), (32, 3), (16, 5)])
+    def test_transition_frequencies_match_inline_loop(self, r, p):
+        got = support_transition_frequencies(r, p, 20_000, seed=5)
+        want = _oracle_support_frequencies(r, p, 20_000, seed=5)
+        for key in ("counts", "visits", "steps"):
+            assert np.array_equal(got[key], want[key])
+
+    def test_binary_transition_frequencies_match_rates(self):
+        # over F_2 the multiplier is uniform on {0, 1}, as in bd_probs
+        r, p = 6, 2
+        out = support_transition_frequencies(r, p, steps=120_000, seed=14)
+        params = BDParams(r=r, p=p)
+        for s in range(1, r + 1):
+            visits = int(out["visits"][s])
+            birth, death = bd_probs(s, params)
+            for hat, exact in ((out["birth_hat"][s], birth), (out["death_hat"][s], death)):
+                sd = math.sqrt(max(exact * (1 - exact), 1e-12) / visits)
+                assert abs(hat - exact) <= 5 * sd + 1e-12
 
     def test_transition_frequencies_match_rates(self):
         r, p = 6, 3

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from groupwalks.algebra import FieldVector, LinearFunctional, SymplecticForm
+from groupwalks.algebra import FieldVector, LinearFunctional, SymplecticForm, _digits
 from groupwalks.errors import CharacteristicError
 from groupwalks.groups import (
     Character,
@@ -27,6 +27,8 @@ from groupwalks.groups import (
     projection_family_bound,
     psi,
     representation_dimension_check,
+    representation_residuals,
+    _h_mul_codes,
 )
 
 P, M = 3, 1
@@ -37,12 +39,13 @@ def _el(v0, v1, z, p=P):
     return HeisenbergElement(FieldVector([v0, v1], p), z)
 
 
-def _mult_table():
-    """27 x 27 integer multiplication table keyed by element codes."""
-    idx = {encode_element(g): i for i, g in enumerate(H_ALL)}
-    table = np.empty((27, 27), dtype=np.int64)
-    for i, g in enumerate(H_ALL):
-        for j, k in enumerate(H_ALL):
+def _mult_table(p=P, m=M):
+    """Integer multiplication table of H(p, m) by h_mul, keyed by element codes."""
+    elements = list(heisenberg_elements(p, m))
+    idx = {encode_element(g): i for i, g in enumerate(elements)}
+    table = np.empty((len(elements), len(elements)), dtype=np.int64)
+    for i, g in enumerate(elements):
+        for j, k in enumerate(elements):
             table[i, j] = idx[encode_element(h_mul(g, k))]
     return table
 
@@ -80,6 +83,13 @@ class TestGroupLaw:
         left = TABLE[TABLE[:, :, None], ks[None, None, :]]
         right = TABLE[ks[:, None, None], TABLE[None, :, :]]
         assert (left == right).all()
+
+    @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2)])
+    def test_code_law_matches_h_mul_table(self, p, m):
+        # element index equals element code, so the table holds codes
+        digits = _digits(np.arange(p ** (2 * m + 1), dtype=np.int64), p, 2 * m + 1)
+        codes = _h_mul_codes(digits[:, None], digits[None], p)
+        assert np.array_equal(codes, _mult_table(p, m))
 
     def test_exponent_p(self):
         e = h_identity(P, M)
@@ -368,3 +378,63 @@ def test_operator_norm_matches_svd_on_random_matrices():
     for _ in range(20):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         assert operator_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _repcheck_oracle(p, m):
+    """The per-pair residual loops that representation_residuals replaced."""
+    form = SymplecticForm(2 * m, p)
+    elements = list(heisenberg_elements(p, m))
+    blocks = []
+    for lam in range(1, p):
+        rep = Representation(p, m, lam)
+        mats = np.stack([rep.matrix(g) for g in elements])
+        d = mats.shape[1]
+        idx_of = {g: i for i, g in enumerate(elements)}
+        prod_idx = np.array(
+            [[idx_of[h_mul(a, b)] for b in elements] for a in elements], dtype=np.int64
+        )
+        mult_res = 0.0
+        comm_res = 0.0
+        for i, g in enumerate(elements):
+            lhs = mats[i] @ mats
+            mult_res = max(mult_res, float(np.abs(lhs - mats[prod_idx[i]]).max()))
+            rhs = mats @ mats[i]
+            phases = np.array([psi(lam * int(form.eval(g.v, b.v)), p) for b in elements])
+            comm_res = max(comm_res, float(np.abs(lhs - phases[:, None, None] * rhs).max()))
+        eye = np.eye(d)
+        unit_res = float(np.abs(np.einsum("nij,nkj->nik", mats, mats.conj()) - eye).max())
+        central_res = 0.0
+        for z in range(p):
+            g = HeisenbergElement(FieldVector([0] * (2 * m), p), z)
+            central_res = max(
+                central_res, float(np.abs(rep.matrix(g) - psi(lam * z, p) * eye).max())
+            )
+        projections = [fixed_projection(mats[i], p) for i in range(len(elements))]
+        worst_dev = 0.0
+        checked = 0
+        target = p**-0.5
+        for i, g in enumerate(elements):
+            for j, b in enumerate(elements):
+                if i == j or int(form.eval(g.v, b.v)) == 0:
+                    continue
+                nrm = operator_norm(projections[i].matrix @ projections[j].matrix)
+                worst_dev = max(worst_dev, abs(nrm - target))
+                checked += 1
+        blocks.append(
+            {
+                "lambda": lam,
+                "dimension": d,
+                "mult_residual": mult_res,
+                "unitarity_residual": unit_res,
+                "central_residual": central_res,
+                "projective_commutation_residual": comm_res,
+                "two_projection_pairs": checked,
+                "two_projection_worst_deviation": worst_dev,
+                "two_projection_target": target,
+            }
+        )
+    return blocks
+
+
+def test_representation_residuals_match_per_pair_oracle():
+    assert representation_residuals(3, 1) == _repcheck_oracle(3, 1)
