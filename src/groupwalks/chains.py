@@ -27,9 +27,17 @@ hence its kernels, in the same order.  Each walk maps the whole code array
 to successor codes with array arithmetic; the move table, the dense kernel
 and the connected components are all derived from that one table, while
 apply_move stays the per-state definition the table is tested against.
-Simulation uses the counter-based Philox generator keyed by (seed,
-trajectory id), so trajectories are reproducible and embarrassingly
-parallel.
+
+All trajectories run on one loop, _drive.  It draws the moves of a block
+of steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
+pairs, then exponents, sides and laziness coins) from the counter-based
+Philox generator keyed by (seed, stream), then applies each step to every
+trial as one gather/update/scatter on a flat state array.  The batch engines
+one_column_batch, transvection_batch and pa_pra_batch are thin wrappers
+over it, deterministic in (seed, stream, trials); simulate is the engine
+with one trial on stream traj_id, so a trajectory is keyed by (seed,
+traj_id).  transvection_step, one_column_step and pa_pra_step stay the
+per-state definitions that loop is tested against.
 """
 
 from __future__ import annotations
@@ -40,11 +48,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .algebra import _digits, check_prime, rank_bits
+from .algebra import FieldVector, _digits, check_prime, half_mod, rank_bits
 from .errors import BudgetError, DimensionMismatch, InvalidMove
 from .groups import (
     HeisenbergElement,
     _h_mul_codes,
+    _omega_digits,
     decode_element,
     encode_element,
     generates,
@@ -386,7 +395,7 @@ class _WalkBase:
         self.laziness = float(laziness)
 
     # subclasses provide: apply_move(state, move), in_omega(state),
-    # space(budget), _sample_move(rng), counting_move_bound and
+    # space(budget), counting_move_bound and
     # _successor_codes(codes), the (n_moves, M) codes of apply_move's
     # results for every move and every state code, in move order
 
@@ -498,14 +507,6 @@ class TransvectionWalk(_WalkBase):
     def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
         return stiefel_space(self.n, self.k, budget)
 
-    def _sample_move(self, rng: np.random.Generator):
-        pair = int(rng.integers(self.n * (self.n - 1)))
-        a = pair // (self.n - 1)
-        b = pair % (self.n - 1)
-        if b >= a:
-            b += 1
-        return (a, b)
-
 
 class OneColumnWalk(_WalkBase):
     """Single-column replacement walk on F_p^r minus the origin.
@@ -574,16 +575,6 @@ class OneColumnWalk(_WalkBase):
     def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
         return one_column_space(self.r, self.p, budget)
 
-    def _sample_move(self, rng: np.random.Generator):
-        pair = int(rng.integers(self.r * (self.r - 1)))
-        i = pair // (self.r - 1)
-        j = pair % (self.r - 1)
-        if j >= i:
-            j += 1
-        if self.p == 2:
-            return (i, j)
-        return (i, j, int(rng.integers(self.p)))
-
 
 class PaPraWalk(_WalkBase):
     """Power-averaged product replacement on generating r-tuples of H(p, m)."""
@@ -639,16 +630,6 @@ class PaPraWalk(_WalkBase):
 
     def state_key(self, state) -> tuple:
         return tuple(encode_element(g) for g in state)
-
-    def _sample_move(self, rng: np.random.Generator):
-        pair = int(rng.integers(self.r * (self.r - 1)))
-        i = pair // (self.r - 1)
-        j = pair % (self.r - 1)
-        if j >= i:
-            j += 1
-        a = int(rng.integers(self.p))
-        side = "R" if int(rng.integers(2)) == 0 else "L"
-        return (i, j, a, side)
 
 
 # ---------------------------------------------------------------------------
@@ -721,83 +702,73 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
 
 
 # ---------------------------------------------------------------------------
-# simulation
+# trajectories: one block-drawn loop under simulate and the batch engines
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class Trajectory:
-    """Recorded output of one simulated trajectory."""
-
-    seed: int
-    traj_id: int
-    times: list[int]
-    observations: dict[str, list]
-    states: list | None = None
-    moves: list | None = None
+_BLOCK_CELLS = 1 << 16  # steps x trials of moves drawn at once
 
 
-def simulate(
-    walk,
-    start,
-    steps: int,
-    seed: int = 0,
-    observers: dict[str, Callable] | None = None,
-    record_every: int = 1,
-    keep_states: bool = False,
-    keep_moves: bool = False,
-    traj_id: int = 0,
-) -> Trajectory:
-    """Run one trajectory of `walk` from `start` for `steps` moves.
+def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
+    """The moves of `steps` steps of `trials` walks on r coordinates, in blocks.
 
-    The generator is Philox keyed by (seed, traj_id); per step it draws the
-    laziness coin (only when laziness > 0), then the ordered pair, then the
-    exponent and side where the kernel has them — exactly the kernel's move
-    weights.  Observers are evaluated at time 0, at every time divisible by
-    record_every, and at the final time.
+    Yields (recipient, donor, exponent, left, hold) arrays of shape
+    (block, trials), with max(1, _BLOCK_CELLS // trials) steps per block but
+    the last.  Each block draws, in this order: the ordered pairs (uniform,
+    recipient != donor), the exponents (uniform in [0, exponents); all 1 when
+    exponents == 1), the sides (left with probability 1/2; all right unless
+    `sides`) and the laziness coins (hold with probability `laziness`).
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if not walk.in_omega(start):
-        raise ValueError(f"start {start!r} is outside the state space")
-    observers = observers or {}
-    rng = philox_generator(seed, traj_id)
-    state = tuple(start)
-    times = [0]
-    obs: dict[str, list] = {name: [fn(state)] for name, fn in observers.items()}
-    states = [state] if keep_states else None
-    moves = [] if keep_moves else None
-    for t in range(1, steps + 1):
-        lazy = walk.laziness > 0 and rng.random() < walk.laziness
-        if lazy:
-            mv = None
-        else:
-            mv = walk._sample_move(rng)
-            state = walk.apply_move(state, mv)
-        if moves is not None:
-            moves.append(mv)
-        if t % record_every == 0 or t == steps:
-            times.append(t)
-            for name, fn in observers.items():
-                obs[name].append(fn(state))
-            if states is not None:
-                states.append(state)
-    return Trajectory(seed, traj_id, times, obs, states, moves)
+    per_block = max(1, _BLOCK_CELLS // max(trials, 1))
+    for done in range(0, steps, per_block):
+        shape = (min(per_block, steps - done), trials)
+        i, j = np.divmod(rng.integers(0, r * (r - 1), size=shape), r - 1)
+        j += j >= i
+        a = rng.integers(0, exponents, size=shape) if exponents > 1 else np.ones(shape, np.int64)
+        left = rng.integers(0, 2, size=shape) == 1 if sides else np.zeros(shape, bool)
+        hold = rng.random(shape) < laziness if laziness > 0 else np.zeros(shape, bool)
+        yield i, j, a, left, hold
 
 
-# ---------------------------------------------------------------------------
-# batched trajectory engines (vectorised across trials)
-# ---------------------------------------------------------------------------
+def _drive(cells, r, t_grid, seed, stream, laziness, step, observe, exponents=1, sides=False):
+    """Run trajectories in place on `cells` and observe them on a time grid.
+
+    cells holds trials * r coordinates, trial-major, then one spare that
+    stays zero, along its first axis.  step(tgt, src, a, left) updates
+    coordinates tgt (one per trial) from donors src with exponents a and
+    sides left.  A held step's donor is the spare cell, whose zero makes the
+    update the identity.  observe(t) runs at every grid time, after step t.
+    The moves come from _move_blocks on Philox (seed, stream).
+    """
+    grid = sorted(set(int(t) for t in t_grid))
+    if grid and grid[0] < 0:
+        raise ValueError("grid times must be nonnegative")
+    spare = len(cells) - 1
+    offset = np.arange(0, spare, r)
+    due = iter(grid)
+    t, next_t = 0, next(due, None)
+    if next_t == 0:
+        observe(0)
+        next_t = next(due, None)
+    rng = philox_generator(seed, stream)
+    steps = grid[-1] if grid else 0
+    for i, j, a, left, hold in _move_blocks(rng, steps, offset.size, r, exponents, sides, laziness):
+        tgt = i + offset
+        src = np.where(hold, spare, j + offset)
+        for row in zip(tgt, src, a, left):
+            step(*row)
+            t += 1
+            if t == next_t:
+                observe(t)
+                next_t = next(due, None)
 
 
-def _sample_pairs(rng: np.random.Generator, count: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    u = rng.integers(0, r * (r - 1), size=count)
-    i = u // (r - 1)
-    j = u % (r - 1)
-    j = j + (j >= i)
-    return i.astype(np.int64), j.astype(np.int64)
+def _xor_step(cells: np.ndarray) -> Callable:
+    """Row addition over F_2 on packed rows: cell tgt ^= cell src."""
+
+    def step(tgt, src, a, left):
+        cells.put(tgt, cells.take(tgt) ^ cells.take(src))
+
+    return step
 
 
 def one_column_batch(
@@ -811,42 +782,25 @@ def one_column_batch(
     laziness: float = 0.0,
     stream: int = 0,
 ) -> None:
-    """Vectorised one-column trajectories; stat_fn(t, Y) sees (trials, r) states.
+    """Vectorised one-column trajectories; stat_fn(t, Y) sees (trials, r) uint8 states.
 
-    All trials share one Philox stream keyed (seed, stream); per-step draws
-    are batched, so the run is deterministic in (seed, stream, trials).
+    All trials share one Philox stream keyed (seed, stream), so the run is
+    deterministic in (seed, stream, trials).  The default start is e_1.
     """
-    rng = philox_generator(seed, stream)
-    grid = sorted(set(int(t) for t in t_grid))
-    if grid and grid[0] < 0:
-        raise ValueError("grid times must be nonnegative")
-    y = np.zeros((trials, r), dtype=np.uint8)
+    cells = np.zeros(trials * r + 1, dtype=np.uint8)
+    y = cells[:-1].reshape(trials, r)
     if start is None:
-        y[:, 0] = 1  # weight-one start
+        y[:, 0] = 1
     else:
         y[:] = np.asarray(start, dtype=np.uint8)[None, :]
-    t_max = grid[-1] if grid else 0
-    gi = 0
-    rows = np.arange(trials)
-    if gi < len(grid) and grid[gi] == 0:
-        stat_fn(0, y)
-        gi += 1
-    for t in range(1, t_max + 1):
-        i, j = _sample_pairs(rng, trials, r)
-        if p == 2:
-            upd = y[rows, j]
-        else:
-            a = rng.integers(0, p, size=trials).astype(np.int16)
-            upd = (a * y[rows, j].astype(np.int16)) % p
-        if laziness > 0:
-            act = rng.random(trials) >= laziness
-            yi = y[rows, i].astype(np.int16)
-            y[rows, i] = np.where(act, (yi + upd) % p, yi).astype(np.uint8)
-        else:
-            y[rows, i] = ((y[rows, i].astype(np.int16) + upd) % p).astype(np.uint8)
-        if gi < len(grid) and grid[gi] == t:
-            stat_fn(t, y)
-            gi += 1
+
+    def add_step(tgt, src, a, left):
+        cells.put(tgt, (cells.take(tgt) + a * cells.take(src)) % p)
+
+    # over F_2 a move always adds the donor
+    step = _xor_step(cells) if p == 2 else add_step
+    _drive(cells, r, t_grid, seed, stream, laziness, step, lambda t: stat_fn(t, y),
+           exponents=1 if p == 2 else p)
 
 
 def transvection_batch(
@@ -860,28 +814,11 @@ def transvection_batch(
     laziness: float = 0.0,
     stream: int = 0,
 ) -> None:
-    """Vectorised tuple-walk trajectories on packed rows (trials, n)."""
-    rng = philox_generator(seed, stream)
-    grid = sorted(set(int(t) for t in t_grid))
-    z = np.empty((trials, n), dtype=np.int64)
+    """Vectorised tuple-walk trajectories on packed int64 rows (trials, n)."""
+    cells = np.zeros(trials * n + 1, dtype=np.int64)
+    z = cells[:-1].reshape(trials, n)
     z[:] = np.asarray(start, dtype=np.int64)[None, :]
-    t_max = grid[-1] if grid else 0
-    gi = 0
-    rows = np.arange(trials)
-    if gi < len(grid) and grid[gi] == 0:
-        stat_fn(0, z)
-        gi += 1
-    for t in range(1, t_max + 1):
-        a, b = _sample_pairs(rng, trials, n)
-        upd = z[rows, a]
-        if laziness > 0:
-            act = rng.random(trials) >= laziness
-            z[rows, b] = np.where(act, z[rows, b] ^ upd, z[rows, b])
-        else:
-            z[rows, b] ^= upd
-        if gi < len(grid) and grid[gi] == t:
-            stat_fn(t, z)
-            gi += 1
+    _drive(cells, n, t_grid, seed, stream, laziness, _xor_step(cells), lambda t: stat_fn(t, z))
 
 
 def pa_pra_batch(
@@ -899,51 +836,96 @@ def pa_pra_batch(
 ) -> None:
     """Vectorised Heisenberg-tuple trajectories.
 
-    stat_fn(t, V, Z) sees horizontal parts (trials, r, 2m) and central
+    stat_fn(t, V, Z) sees int16 horizontal parts (trials, r, 2m) and central
     coordinates (trials, r).
     """
-    rng = philox_generator(seed, stream)
-    grid = sorted(set(int(t) for t in t_grid))
     h = 2 * m
-    half = (p + 1) // 2
-    v = np.empty((trials, r, h), dtype=np.int16)
-    v[:] = np.asarray(start_v, dtype=np.int16)[None, :, :]
-    z = np.empty((trials, r), dtype=np.int16)
-    z[:] = np.asarray(start_z, dtype=np.int16)[None, :]
-    t_max = grid[-1] if grid else 0
-    gi = 0
-    rows = np.arange(trials)
-    if gi < len(grid) and grid[gi] == 0:
-        stat_fn(0, v, z)
-        gi += 1
-    for t in range(1, t_max + 1):
-        i, j = _sample_pairs(rng, trials, r)
-        a = rng.integers(0, p, size=trials).astype(np.int16)
-        side = rng.integers(0, 2, size=trials)  # 0 = right, 1 = left
-        vi = v[rows, i]  # (trials, h) views are copies via fancy indexing
-        vj = v[rows, j]
-        # omega(v_i, a v_j) = a * omega(v_i, v_j)
-        tw = np.zeros(trials, dtype=np.int64)
-        for q in range(m):
-            tw += vi[:, 2 * q].astype(np.int64) * vj[:, 2 * q + 1]
-            tw -= vi[:, 2 * q + 1].astype(np.int64) * vj[:, 2 * q]
-        sign = np.where(side == 0, 1, -1)
-        znew = (
-            z[rows, i].astype(np.int64)
-            + a.astype(np.int64) * z[rows, j]
-            + sign * half * a.astype(np.int64) * tw
-        ) % p
-        vnew = (vi.astype(np.int64) + a[:, None].astype(np.int64) * vj) % p
-        if laziness > 0:
-            act = rng.random(trials) >= laziness
-            z[rows, i] = np.where(act, znew, z[rows, i]).astype(np.int16)
-            v[rows, i] = np.where(act[:, None], vnew, vi).astype(np.int16)
-        else:
-            z[rows, i] = znew.astype(np.int16)
-            v[rows, i] = vnew.astype(np.int16)
-        if gi < len(grid) and grid[gi] == t:
-            stat_fn(t, v, z)
-            gi += 1
+    half = half_mod(p)
+    cells = np.zeros((trials * r + 1, h + 1), dtype=np.int16)  # element digits (v, z)
+    g = cells[:-1].reshape(trials, r, h + 1)
+    v, z = g[..., :h], g[..., h]
+    v[:] = np.asarray(start_v, dtype=np.int16)[None]
+    z[:] = np.asarray(start_z, dtype=np.int16)[None]
+
+    def step(tgt, src, a, left):
+        # g_i g_j^a (right) or g_j^a g_i (left), with g_j^a = (a v_j, a z_j)
+        g_i = cells[tgt]
+        power = cells[src] * a[:, None]
+        new = g_i + power
+        new[:, h] += np.where(left, -half, half) * _omega_digits(g_i[:, :h], power[:, :h])
+        cells[tgt] = new % p
+
+    _drive(cells, r, t_grid, seed, stream, laziness, step, lambda t: stat_fn(t, v, z),
+           exponents=p, sides=True)
+
+
+@dataclass
+class Trajectory:
+    """Recorded output of one simulated trajectory."""
+
+    seed: int
+    traj_id: int
+    times: list[int]
+    observations: dict[str, list]
+    states: list | None = None
+
+
+def simulate(
+    walk,
+    start,
+    steps: int,
+    seed: int = 0,
+    observers: dict[str, Callable] | None = None,
+    record_every: int = 1,
+    keep_states: bool = False,
+    traj_id: int = 0,
+) -> Trajectory:
+    """Run one trajectory of `walk` from `start` for `steps` moves.
+
+    This is the walk's batch engine with one trial on Philox stream
+    (seed, traj_id), so a trajectory is keyed by (seed, traj_id).  States
+    are decoded to tuples (HeisenbergElement tuples for PA-PRA) only at the
+    recorded times: 0, every time divisible by record_every, and the final
+    time.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if not walk.in_omega(start):
+        raise ValueError(f"start {start!r} is outside the state space")
+    observers = observers or {}
+    grid = sorted({*range(0, steps + 1, record_every), steps})
+    times: list[int] = []
+    obs: dict[str, list] = {name: [] for name in observers}
+    states: list = []
+
+    def record(t: int, state: tuple) -> None:
+        times.append(t)
+        for name, fn in observers.items():
+            obs[name].append(fn(state))
+        if keep_states:
+            states.append(state)
+
+    def stat_rows(t, rows):
+        record(t, tuple(rows[0].tolist()))
+
+    if isinstance(walk, TransvectionWalk):
+        transvection_batch(walk.n, walk.k, 1, grid, seed, stat_rows, np.array(start),
+                           walk.laziness, traj_id)
+    elif isinstance(walk, OneColumnWalk):
+        one_column_batch(walk.r, walk.p, 1, grid, seed, stat_rows, np.array(start),
+                         walk.laziness, traj_id)
+    else:
+        p = walk.p
+
+        def stat(t, v, z):
+            record(t, tuple(HeisenbergElement(FieldVector(vi, p), zi)
+                            for vi, zi in zip(v[0].tolist(), z[0].tolist())))
+
+        pa_pra_batch(walk.r, p, walk.m, 1, grid, seed, stat,
+                     [g.v.entries for g in start], [g.z for g in start], walk.laziness, traj_id)
+    return Trajectory(seed, traj_id, times, obs, states if keep_states else None)
 
 
 def connected_components(perms: np.ndarray) -> np.ndarray:

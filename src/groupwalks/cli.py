@@ -36,10 +36,16 @@ from .chains import (
     PaPraWalk,
     TransvectionWalk,
     build_fibre_kernel,
-    simulate,
+    one_column_batch,
+    pa_pra_batch,
+    transvection_batch,
 )
 from .diagnostics import (
     BDParams,
+    _default_start_rows,
+    _good_mask_of_table,
+    _n_table,
+    _s_table,
     bd_crossing_prob,
     bd_hitting_time,
     bd_probs,
@@ -49,10 +55,8 @@ from .diagnostics import (
     good_mask_rows,
     heisenberg_good_set,
     hyperplane_gap_floor,
-    in_good_set,
     mc_tv_curve_one_column,
     mixing_time_exact,
-    s_xi,
     sample_balanced_frozen_tuples,
     select_constants,
     transvection_good_set,
@@ -227,15 +231,6 @@ def _emit_csv(command: str, cfg: dict, header: list[str], rows, out_path: str | 
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt(value) -> str:
-    """Full-precision, locale-free cell formatting."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # walk construction shared by several subcommands
 
@@ -259,18 +254,6 @@ def _build_walk(cfg: dict):
     raise ConfigError(f"unknown walk {walk!r}; expected transvection, one-column, or pa-pra")
 
 
-def _default_start(walk):
-    if isinstance(walk, TransvectionWalk):
-        return tuple(1 << i for i in range(walk.k)) + (0,) * (walk.n - walk.k)
-    if isinstance(walk, OneColumnWalk):
-        return (1,) + (0,) * (walk.r - 1)
-    start_v, start_z = canonical_start(walk.r, walk.p, walk.m)
-    return tuple(
-        HeisenbergElement(FieldVector(list(start_v[i]), walk.p), int(start_z[i]))
-        for i in range(walk.r)
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -281,71 +264,57 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
     trials = _get_int(cfg, "trials", 1, minimum=1)
     record_every = _get_int(cfg, "record_every", 1, minimum=1)
     seed = _get_int(cfg, "seed", 0)
-    start = _default_start(walk)
+    grid = sorted({*range(0, steps + 1, record_every), steps})
+    recorded: list[np.ndarray] = []  # per grid time, (trials, ...) states
 
-    if isinstance(walk, (TransvectionWalk, OneColumnWalk)):
-        k = walk.k if isinstance(walk, TransvectionWalk) else 1
-        n = walk.n if isinstance(walk, TransvectionWalk) else walk.r
-        if isinstance(walk, OneColumnWalk) and walk.p != 2:
-            spec = None
-            header = ["trajectory_id", "step", "support"]
-            xi_codes: list[int] = []
-        else:
-            if (1 << k) - 1 > 256:
-                raise BudgetError(f"{(1 << k) - 1} sign columns exceed the CSV budget of 256")
-            spec = transvection_good_set(n, k)
-            xi_codes = list(range(1, 1 << k))
-            header = ["trajectory_id", "step"]
-            if isinstance(walk, OneColumnWalk):
-                header.append("weight")
-            header += [f"s_xi_{c}" for c in xi_codes] + ["in_good"]
-    else:
+    def record(t, state, *_):
+        recorded.append(state.copy())
+
+    def stacked() -> np.ndarray:
+        # trial-major, as the CSV rows are ordered
+        return np.stack(recorded, axis=1).reshape(trials * len(grid), *recorded[0].shape[1:])
+
+    if isinstance(walk, PaPraWalk):
         beta0 = _get_float(cfg, "beta0", 0.75)
         nf = walk.p ** (2 * walk.m) - 1
         if nf > 256:
             raise BudgetError(f"{nf} kernel-count columns exceed the CSV budget of 256")
         spec = heisenberg_good_set(walk.r, walk.p, walk.m, beta0)
-        xi_codes = list(range(1, nf + 1))
-        header = ["trajectory_id", "step"] + [f"n_xi_{c}" for c in xi_codes]
-        header += ["support", "in_good"]
-
-    rows: list[list[str]] = []
-    for tid in range(trials):
-        if isinstance(walk, PaPraWalk):
-            from .diagnostics import _nonzero_functional_matrix
-
-            xis = _nonzero_functional_matrix(2 * walk.m, walk.p)
-
-            def observe(state, _xis=xis):
-                vmat = np.array([g.v.entries for g in state], dtype=np.int64)
-                vals = (vmat @ _xis.T) % walk.p
-                n_table = (vals == 0).sum(axis=0)
-                support = int((vmat != 0).any(axis=1).sum())
-                good = in_good_set(state, spec)
-                return list(n_table) + [support, good]
-
-        elif isinstance(walk, OneColumnWalk) and walk.p != 2:
-
-            def observe(state):
-                return [sum(1 for y in state if y)]
-
+        header = [f"n_xi_{c}" for c in range(1, nf + 1)] + ["support", "in_good"]
+        start_v, start_z = canonical_start(walk.r, walk.p, walk.m)
+        pa_pra_batch(walk.r, walk.p, walk.m, trials, grid, seed, record,
+                     start_v, start_z, walk.laziness)
+        V = stacked()
+        n_tab = _n_table(V, walk.p)
+        support = (V != 0).any(axis=2).sum(axis=1)
+        columns = [n_tab, support, _good_mask_of_table(n_tab, spec)]
+    elif isinstance(walk, OneColumnWalk) and walk.p != 2:
+        header = ["support"]
+        one_column_batch(walk.r, walk.p, trials, grid, seed, record, laziness=walk.laziness)
+        columns = [np.count_nonzero(stacked(), axis=1)]
+    else:
+        # over F_2 the one-column walk is the tuple walk with k = 1
+        one_column = isinstance(walk, OneColumnWalk)
+        n, k = (walk.r, 1) if one_column else (walk.n, walk.k)
+        if (1 << k) - 1 > 256:
+            raise BudgetError(f"{(1 << k) - 1} sign columns exceed the CSV budget of 256")
+        spec = transvection_good_set(n, k)
+        header = [f"s_xi_{c}" for c in range(1, 1 << k)] + ["in_good"]
+        if one_column:
+            header = ["weight"] + header
+            one_column_batch(n, 2, trials, grid, seed, record, laziness=walk.laziness)
         else:
-
-            def observe(state):
-                svals = [s_xi(state, c, k) for c in xi_codes]
-                good = in_good_set(state, spec)
-                out = list(svals) + [good]
-                if isinstance(walk, OneColumnWalk):
-                    out = [sum(state)] + out
-                return out
-
-        traj = simulate(
-            walk, start, steps, seed=seed,
-            observers={"row": observe}, record_every=record_every, traj_id=tid,
-        )
-        for t, obs in zip(traj.times, traj.observations["row"]):
-            rows.append([_fmt(tid), _fmt(t)] + [_fmt(v) for v in obs])
-    _emit_csv("simulate", cfg, header, rows, out_path)
+            transvection_batch(n, k, trials, grid, seed, record,
+                               _default_start_rows(n, k), walk.laziness)
+        Z = stacked()
+        s_tab = _s_table(Z, k)
+        columns = [s_tab, _good_mask_of_table(s_tab, spec)]
+        if one_column:
+            columns = [Z.sum(axis=1)] + columns
+    ids = np.repeat(np.arange(trials), len(grid))
+    times = np.tile(grid, trials)
+    table = np.column_stack([ids, times] + columns).astype(np.int64)
+    _emit_csv("simulate", cfg, ["trajectory_id", "step"] + header, table.tolist(), out_path)
 
 
 def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
@@ -457,6 +426,7 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
             "trials": trials,
             "times": curve["times"],
             "tv": curve["tv"],
+            "tv_exact": curve["tv_exact"],
             "counting_lower": lower,
             "crossing_quarter": curve["crossing"],
             "n_log_n": scale,

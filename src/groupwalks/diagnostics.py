@@ -235,16 +235,36 @@ def _nonzero_functional_matrix(h: int, p: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _s_table(Z: np.ndarray, k: int) -> np.ndarray:
+    """Character sums S_xi of packed-row states Z (batch, n): (batch, 2^k - 1),
+    one column per functional code xi = 1, ..., 2^k - 1."""
+    codes = np.arange(1, 1 << k, dtype=Z.dtype)
+    parity = np.bitwise_count(Z[:, :, None] & codes[None, None, :]).astype(np.int64) & 1
+    return Z.shape[1] - 2 * parity.sum(axis=1)
+
+
+def _n_table(V: np.ndarray, p: int) -> np.ndarray:
+    """Kernel counts N_xi of horizontal parts V (batch, r, h): (batch, p^h - 1),
+    one column per nonzero functional in code order."""
+    xis = _nonzero_functional_matrix(V.shape[2], p)  # (nf, h)
+    vals = np.tensordot(V.astype(np.int64), xis.T, axes=([2], [0])) % p
+    return (vals == 0).sum(axis=1)
+
+
+def _good_mask_of_table(table: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
+    """Membership from an S_xi table (transvection) or N_xi table (heisenberg)."""
+    if spec.kind == "transvection":
+        return (4 * np.abs(table) <= spec.n).all(axis=1)
+    return (table <= _kernel_count_threshold(spec)).all(axis=1)
+
+
 def good_mask_rows(Z: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
     """Vectorised membership for packed-row states Z of shape (batch, n)."""
     if spec.kind != "transvection":
         raise ConfigError("packed-row membership is the transvection form")
     if Z.shape[1] != spec.n:
         raise DimensionMismatch(f"states have {Z.shape[1]} rows, spec expects {spec.n}")
-    codes = np.arange(1, 1 << spec.k, dtype=Z.dtype)
-    parity = np.bitwise_count(Z[:, :, None] & codes[None, None, :]).astype(np.int64) & 1
-    s_table = spec.n - 2 * parity.sum(axis=1)
-    return (4 * np.abs(s_table) <= spec.n).all(axis=1)
+    return _good_mask_of_table(_s_table(Z, spec.k), spec)
 
 
 def good_mask_horizontal(V: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
@@ -255,10 +275,7 @@ def good_mask_horizontal(V: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
         raise DimensionMismatch(
             f"states have shape {V.shape[1:]}, spec expects ({spec.n}, {spec.h})"
         )
-    xis = _nonzero_functional_matrix(spec.h, spec.p)  # (nf, h)
-    vals = np.tensordot(V.astype(np.int64), xis.T, axes=([2], [0])) % spec.p
-    n_table = (vals == 0).sum(axis=1)  # (batch, nf)
-    return (n_table <= _kernel_count_threshold(spec)).all(axis=1)
+    return _good_mask_of_table(_n_table(V, spec.p), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -823,18 +840,19 @@ def support_transition_frequencies(
     if r < 2 or steps < 1 or chains < 1:
         raise ConfigError("need r >= 2, steps >= 1, chains >= 1")
     per_chain = (steps + chains - 1) // chains
-    counts = np.zeros((r + 1, 3), dtype=np.int64)
+    counts = np.zeros(3 * (r + 1), dtype=np.int64)  # (support, move) flattened
     supp = np.ones(chains, dtype=np.int64)  # the engine's weight-one start
 
     def tally(t: int, y: np.ndarray) -> None:
         now = np.count_nonzero(y, axis=1)
-        np.add.at(counts, (supp, now - supp + 1), 1)
+        counts[:] += np.bincount(3 * supp + (now - supp + 1), minlength=counts.size)
         supp[:] = now
 
     # over F_2 the engine always adds the donor; a coin of 1/2 makes the
     # multiplier uniform on F_2, the chain of bd_probs
     one_column_batch(r, p, chains, range(1, per_chain + 1), seed, tally,
                      laziness=0.5 if p == 2 else 0.0)
+    counts = counts.reshape(r + 1, 3)
     visits = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         death_hat = np.where(visits > 0, counts[:, 0] / visits, np.nan)
@@ -1166,7 +1184,7 @@ def mc_tv_curve_one_column(
     seed: int,
     laziness: float = 0.0,
 ) -> dict:
-    """Plug-in TV curve of the weight statistic for the mod-2 walk.
+    """Plug-in TV curve of the weight statistic for the mod-2 walk, and its exact value.
 
     The empirical weight histogram at each grid time is compared with the
     exact stationary weight law C(r, w)/(2^r - 1).  The exact weight TV is
@@ -1175,7 +1193,11 @@ def mc_tv_curve_one_column(
     noise biases it upward.  At stationarity its mean is about
     (1/2) sqrt(2/pi) sum_w sd_w with sd_w = sqrt(pi_w (1 - pi_w) / trials),
     of order r^(1/4) / sqrt(trials): 0.017 at r = 64 with 10^4 trials.
-    Returns the curve and the linearly interpolated first crossing of 1/4.
+    ``tv_exact`` is the weight TV it estimates, from the lumped weight chain
+    started at weight 1: w -> w + 1 with probability (1-q) w (r-w) / (r(r-1))
+    and w -> w - 1 with (1-q) w (w-1) / (r(r-1)), q the laziness.
+    Returns both curves and the linearly interpolated first crossing of 1/4
+    by the plug-in curve.
     """
     if r < 2 or trials < 1:
         raise ConfigError("need r >= 2 and at least one trial")
@@ -1191,6 +1213,19 @@ def mc_tv_curve_one_column(
         tv[t] = 0.5 * float(np.abs(hist / trials - pi_w).sum())
 
     one_column_batch(r, 2, trials, grid, seed, stat, laziness=laziness)
+    w = np.arange(r + 1)
+    birth = (1.0 - laziness) * w * (r - w) / (r * (r - 1))
+    death = (1.0 - laziness) * w * (w - 1) / (r * (r - 1))
+    law = np.zeros(r + 1)
+    law[1] = 1.0
+    tv_exact = []
+    for previous, now in zip([0] + grid, grid):
+        for _ in range(now - previous):
+            moved = law * (1.0 - birth - death)
+            moved[1:] += (law * birth)[:-1]
+            moved[:-1] += (law * death)[1:]
+            law = moved
+        tv_exact.append(0.5 * float(np.abs(law - pi_w).sum()))
     times = np.array(grid, dtype=np.int64)
     curve = np.array([tv[t] for t in grid])
     crossing = float("nan")
@@ -1204,4 +1239,10 @@ def mc_tv_curve_one_column(
                 frac = (v0 - 0.25) / (v0 - v1) if v0 > v1 else 1.0
                 crossing = float(t0 + frac * (t1 - t0))
             break
-    return {"times": times, "tv": curve, "crossing": crossing, "trials": trials}
+    return {
+        "times": times,
+        "tv": curve,
+        "tv_exact": np.array(tv_exact),
+        "crossing": crossing,
+        "trials": trials,
+    }

@@ -65,30 +65,25 @@ DEFAULT_LSI_SIZE_CAP = 64
 
 
 class DenseOperator:
-    """Immutable dense kernel with a declared flavor.
+    """Immutable real dense kernel with a declared flavor.
 
     flavor 'stochastic' enforces row sums 1 (+-1e-12) and nonnegativity,
-    'substochastic' enforces row sums <= 1 + 1e-12, 'general' skips the
-    checks (complex entries allowed).
+    'substochastic' enforces nonnegativity and row sums <= 1 + 1e-12.
     """
 
     def __init__(self, matrix, flavor: str = "stochastic", tol: float = 1e-12):
-        mat = np.array(matrix)
+        mat = np.array(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
-        if flavor not in ("stochastic", "substochastic", "general"):
+        if flavor not in ("stochastic", "substochastic"):
             raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor != "general":
-            mat = mat.astype(float)
-            if mat.min() < -tol:
-                raise ValueError(f"negative entry {mat.min()} in a {flavor} kernel")
-            sums = mat.sum(axis=1)
-            if flavor == "stochastic" and np.abs(sums - 1.0).max() > tol:
-                raise ValueError(
-                    f"row sums deviate from 1 by {np.abs(sums - 1.0).max():.3e}"
-                )
-            if flavor == "substochastic" and sums.max() > 1.0 + tol:
-                raise ValueError(f"row sum {sums.max()} exceeds 1 in substochastic kernel")
+        if mat.min() < -tol:
+            raise ValueError(f"negative entry {mat.min()} in a {flavor} kernel")
+        sums = mat.sum(axis=1)
+        if flavor == "stochastic" and np.abs(sums - 1.0).max() > tol:
+            raise ValueError(f"row sums deviate from 1 by {np.abs(sums - 1.0).max():.3e}")
+        if flavor == "substochastic" and sums.max() > 1.0 + tol:
+            raise ValueError(f"row sum {sums.max()} exceeds 1 in substochastic kernel")
         mat.flags.writeable = False
         self.matrix = mat
         self.flavor = flavor

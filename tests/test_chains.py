@@ -558,6 +558,10 @@ class TestSimulate:
         b = simulate(walk, (1, 0, 0, 0, 0), 200, seed=9, observers=obs, traj_id=1)
         assert a.observations != b.observations
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate(TransvectionWalk(3, 1), (1, 0, 0), -1)
+
     def test_record_every_thins_the_grid(self):
         walk = TransvectionWalk(3, 1)
         traj = simulate(walk, (1, 0, 0), 10, seed=0, record_every=4)
@@ -715,6 +719,109 @@ class TestBatchEngines:
         # from (1,0,0,0), 9 of the 12 ordered pairs draw donor 0
         expect = 0.5 + 0.5 * (9 / 12)
         assert abs(frac - expect) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the trajectory loop against its drawn moves, replayed one state at a time
+
+_REPLAY_CASES = {
+    "transvection": ({"n": 4, "k": 2}, (1, 2, 0, 0)),
+    "one-column p=2": ({"r": 4, "p": 2}, (1, 0, 0, 0)),
+    "one-column p=3": ({"r": 4, "p": 3}, (1, 0, 0, 0)),
+    "one-column p=5": ({"r": 4, "p": 5}, (1, 0, 0, 0)),
+    "pa-pra": ({"r": 3, "p": 3, "m": 1}, (_hel(1, 0, 0), _hel(0, 1, 0), _hel(0, 0, 1))),
+}
+
+
+def _replayed(case, trials, grid, seed, laziness):
+    """States at the grid times from chains._move_blocks' draws, applied
+    through transvection_step, one_column_step and pa_pra_step."""
+    params, start = _REPLAY_CASES[case]
+    if case == "transvection":
+        r, exponents, sides = params["n"], 1, False
+    else:
+        r, sides = params["r"], case == "pa-pra"
+        exponents = 1 if params["p"] == 2 else params["p"]
+    states = [start] * trials
+    out = {0: list(states)} if 0 in grid else {}
+    blocks = chains._move_blocks(philox_generator(seed), max(grid), trials, r,
+                                 exponents, sides, laziness)
+    t = 0
+    for i, j, a, left, hold in blocks:
+        for s in range(i.shape[0]):
+            for tr in range(trials):
+                if hold[s, tr]:
+                    continue
+                mv = (int(i[s, tr]), int(j[s, tr]), int(a[s, tr]))
+                if case == "transvection":
+                    states[tr] = transvection_step(states[tr], mv[1], mv[0])
+                elif case == "pa-pra":
+                    states[tr] = pa_pra_step(states[tr], *mv, "L" if left[s, tr] else "R")
+                else:
+                    states[tr] = one_column_step(states[tr], *mv, params["p"])
+            t += 1
+            if t in grid:
+                out[t] = list(states)
+    return out
+
+
+def _engine_states(case, trials, grid, seed, laziness):
+    params, start = _REPLAY_CASES[case]
+    got = {}
+    if case == "transvection":
+        transvection_batch(params["n"], params["k"], trials, grid, seed,
+                           lambda t, z: got.__setitem__(t, z.copy()),
+                           start=np.array(start), laziness=laziness)
+    elif case == "pa-pra":
+        pa_pra_batch(params["r"], params["p"], params["m"], trials, grid, seed,
+                     lambda t, v, z: got.__setitem__(t, (v.copy(), z.copy())),
+                     start_v=[g.v.entries for g in start], start_z=[g.z for g in start],
+                     laziness=laziness)
+    else:
+        one_column_batch(params["r"], params["p"], trials, grid, seed,
+                         lambda t, y: got.__setitem__(t, y.copy()),
+                         start=np.array(start), laziness=laziness)
+    return got
+
+
+def _assert_replay_equal(case, trials, grid, seed, laziness):
+    got = _engine_states(case, trials, grid, seed, laziness)
+    want = _replayed(case, trials, grid, seed, laziness)
+    assert sorted(got) == sorted(want) == sorted(grid)
+    for t in grid:
+        if case == "pa-pra":
+            v = np.array([[g.v.entries for g in st] for st in want[t]])
+            z = np.array([[g.z for g in st] for st in want[t]])
+            assert np.array_equal(got[t][0], v) and np.array_equal(got[t][1], z)
+        else:
+            assert np.array_equal(got[t], np.array(want[t]))
+
+
+class TestDriverReplay:
+    @pytest.mark.parametrize("case", sorted(_REPLAY_CASES))
+    @pytest.mark.parametrize("laziness", [0.0, 0.25])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_engine_equals_replayed_moves(self, monkeypatch, case, laziness, trials):
+        # 16-cell blocks: 40 steps cross two block boundaries at 1 trial and
+        # seven at 3 trials
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 16)
+        _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
+
+    def test_default_block_boundary(self):
+        steps = chains._BLOCK_CELLS // 3 + 50
+        grid = [0, 1, steps // 2, steps - 51, steps - 50, steps]
+        _assert_replay_equal("one-column p=3", 3, grid, 62, 0.25)
+
+    def test_blocks_are_sized_by_cells(self):
+        blocks = list(chains._move_blocks(philox_generator(0), 10, 5000, 4))
+        assert [b[0].shape for b in blocks] == [(10, 5000)]
+        blocks = list(chains._move_blocks(philox_generator(0), 100_000, 1, 4))
+        assert [b[0].shape[0] for b in blocks] == [chains._BLOCK_CELLS, 100_000 - chains._BLOCK_CELLS]
+
+    @pytest.mark.parametrize("case", sorted(_REPLAY_CASES))
+    def test_negative_grid_times_rejected(self, case):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _engine_states(case, 2, [-1, 0, 5], 0, 0.0)
 
 
 def test_horizontal_projection_matches_column_walk():

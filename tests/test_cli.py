@@ -225,7 +225,7 @@ class TestMixingCommand:
         assert code == 0
         report = json.loads(out)["report"]
         assert set(report) == {
-            "mode", "r", "trials", "times", "tv", "counting_lower",
+            "mode", "r", "trials", "times", "tv", "tv_exact", "counting_lower",
             "crossing_quarter", "n_log_n", "fitted_constant",
         }
         assert report["times"][0] == 0

@@ -15,7 +15,7 @@ from groupwalks.chains import (
     build_fibre_kernel,
     philox_generator,
 )
-from groupwalks import diagnostics
+from groupwalks import chains as chain_module, diagnostics
 from groupwalks.diagnostics import (
     WILSON_Z99,
     BDParams,
@@ -275,6 +275,11 @@ class TestBurninOccupancy:
         with pytest.raises(ConfigError):
             burnin_occupancy(walk, transvection_good_set(6, 1), [0], trials=10, seed=0)
 
+    def test_negative_grid_time_rejected(self):
+        walk = TransvectionWalk(4, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            burnin_occupancy(walk, transvection_good_set(4, 2), [-1, 0, 5], trials=3, seed=0)
+
     def test_pa_pra_occupancy_runs(self):
         walk = PaPraWalk(5, 3, 1, laziness=0.5)
         spec = heisenberg_good_set(5, 3, 1, 0.731)
@@ -375,25 +380,21 @@ class TestTvAndMixing:
 
 
 def _oracle_support_frequencies(r, p, steps, seed, chains=16):
-    """The inline p-ary stepping loop that support_transition_frequencies replaced."""
-    rng = philox_generator(seed)
+    """An inline p-ary stepping loop over the batch engines' drawn moves."""
     per_chain = (steps + chains - 1) // chains
     y = np.zeros((chains, r), dtype=np.int16)
     y[:, 0] = 1
     supp = (y != 0).sum(axis=1).astype(np.int64)
     counts = np.zeros((r + 1, 3), dtype=np.int64)
     rows = np.arange(chains)
-    for _ in range(per_chain):
-        u = rng.integers(0, r * (r - 1), size=chains)
-        i = u // (r - 1)
-        j = u % (r - 1)
-        j = j + (j >= i)
-        a = rng.integers(0, p, size=chains).astype(np.int16)
-        new_val = (y[rows, i] + a * y[rows, j]) % p
-        delta = (new_val != 0).astype(np.int64) - (y[rows, i] != 0).astype(np.int64)
-        np.add.at(counts, (supp, delta + 1), 1)
-        y[rows, i] = new_val
-        supp += delta
+    blocks = chain_module._move_blocks(philox_generator(seed), per_chain, chains, r, exponents=p)
+    for i_block, j_block, a_block, _, _ in blocks:
+        for i, j, a in zip(i_block, j_block, a_block):
+            new_val = (y[rows, i] + a * y[rows, j]) % p
+            delta = (new_val != 0).astype(np.int64) - (y[rows, i] != 0).astype(np.int64)
+            np.add.at(counts, (supp, delta + 1), 1)
+            y[rows, i] = new_val
+            supp += delta
     return {"counts": counts, "visits": counts.sum(axis=1), "steps": per_chain * chains}
 
 
@@ -830,6 +831,42 @@ class TestGrowthAndCurves:
         assert out["tv"][0] == pytest.approx(1 - 4 / 15)
         assert out["tv"][-1] < 0.1
         assert 1.0 <= out["crossing"] <= 30.0
+
+    @pytest.mark.parametrize("r", [5, 6])
+    @pytest.mark.parametrize("laziness", [0.0, 0.25])
+    def test_mc_tv_exact_equals_lumped_dense_tv(self, r, laziness):
+        walk = OneColumnWalk(r, 2, laziness=laziness)
+        space = walk.space()
+        P = walk.dense(space)
+        weight = np.bitwise_count(space.codes)
+        pi_w = np.bincount(weight, minlength=r + 1) / space.size
+        row = np.zeros(space.size)
+        row[space.index_of((1,) + (0,) * (r - 1))] = 1.0
+        grid = list(range(0, 41, 3))
+        want = []
+        for t in range(grid[-1] + 1):
+            if t in grid:
+                law = np.bincount(weight, weights=row, minlength=r + 1)
+                want.append(0.5 * float(np.abs(law - pi_w).sum()))
+            row = row @ P
+        out = mc_tv_curve_one_column(r, trials=10, t_grid=grid, seed=0, laziness=laziness)
+        assert np.abs(out["tv_exact"] - np.array(want)).max() <= 1e-12
+
+    def test_mc_tv_plug_in_within_sampling_error_of_exact(self):
+        # |tv - tv_exact| <= D = sum_w |p_hat_w - p_w| / 2, E D <= sum_w sd_w / 2,
+        # and D exceeds its mean by x with probability <= exp(-2 N x^2)
+        r, trials = 64, 10_000
+        grid = [0, 50, 100, 200, 300, 450, 700]
+        out = mc_tv_curve_one_column(r, trials, grid, seed=19)
+        w = np.arange(r + 1)
+        K = np.diag(1.0 - (w * (r - w) + w * (w - 1)) / (r * (r - 1)))
+        K[w[:-1], w[1:]] = (w * (r - w) / (r * (r - 1)))[:-1]
+        K[w[1:], w[:-1]] = (w * (w - 1) / (r * (r - 1)))[1:]
+        slack = math.sqrt(math.log(1e7) / (2 * trials))
+        for idx, t in enumerate(grid):
+            law = np.linalg.matrix_power(K, t)[1]
+            bias = 0.5 * float(np.sqrt(law * (1 - law) / trials).sum())
+            assert abs(out["tv"][idx] - out["tv_exact"][idx]) <= bias + slack
 
     def test_mc_tv_curve_validation(self):
         with pytest.raises(ConfigError):

@@ -52,6 +52,24 @@ def _two_state(q):
 
 
 # ---------------------------------------------------------------------------
+# operator flavors
+
+
+class TestDenseOperator:
+    def test_flavors_check_their_rows(self):
+        assert DenseOperator(_two_state(0.3)).flavor == "stochastic"
+        assert DenseOperator(0.5 * _two_state(0.3), flavor="substochastic").size == 2
+        with pytest.raises(ValueError, match="row sums"):
+            DenseOperator(0.5 * _two_state(0.3))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            DenseOperator(2 * _two_state(0.3), flavor="substochastic")
+
+    def test_general_flavor_refused(self):
+        with pytest.raises(ValueError, match="unknown flavor 'general'"):
+            DenseOperator(_two_state(0.3), flavor="general")
+
+
+# ---------------------------------------------------------------------------
 # gaps and eigenvalues
 
 
