@@ -177,12 +177,10 @@ def stiefel_space(n: int, k: int, budget: int = DEFAULT_STATE_BUDGET) -> Enumera
         raise ValueError(f"need n >= k >= 1 for a spanning tuple, got n={n}, k={k}")
     ambient = 1 << (n * k)
     _check_budget(ambient, budget, f"Stief({n},{k}) ambient")
-    shifts = np.arange(n, dtype=np.int64) * k
     kept = []
     for lo in range(0, ambient, _AMBIENT_CHUNK):
         block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
-        rows = (block[:, None] >> shifts) & ((1 << k) - 1)
-        kept.append(block[rank_bits_batch(rows, k) == k])
+        kept.append(block[rank_bits_batch(_digits(block, 1 << k, n), k) == k])
     codes = np.concatenate(kept)
     expected = 1
     for q in range(k):
@@ -492,7 +490,7 @@ class TransvectionWalk(_WalkBase):
         (s(a), s(b)), so it commutes with the kernel; the class key is the
         packed tuple of sorted rows, and the smallest index represents it."""
         shifts = np.arange(self.n, dtype=np.int64) * self.k
-        rows = (space.codes[:, None] >> shifts) & ((1 << self.k) - 1)
+        rows = _digits(space.codes, 1 << self.k, self.n)
         keys = (np.sort(rows, axis=1) << shifts).sum(axis=1)
         return np.sort(np.unique(keys, return_index=True)[1])
 

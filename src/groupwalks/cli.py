@@ -25,12 +25,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 from scipy import linalg as _sla
 
 from . import spectral
-from .algebra import FieldVector
+from .algebra import FieldVector, _digits
 from .chains import (
     OneColumnWalk,
     PaPraWalk,
@@ -416,7 +417,8 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
             t_max = _get_int(cfg, "t_max", int(8 * r * math.log(r)) + 1, minimum=1)
             points = _get_int(cfg, "points", 40, minimum=2)
             grid = sorted(set([0] + [int(x) for x in np.geomspace(1, t_max, points)]))
-        curve = mc_tv_curve_one_column(r, trials, grid, seed)
+        laziness = _get_float(cfg, "laziness", 0.0)
+        curve = mc_tv_curve_one_column(r, trials, grid, seed, laziness)
         scale = r * math.log(r)
         walk = OneColumnWalk(r, 2)
         lower = [tv_counting_lower(t, walk.counting_move_bound, 2**r - 1) for t in grid]
@@ -466,17 +468,7 @@ def cmd_birthdeath(cfg: dict, out_path: str | None) -> None:
     epsilon = _get_float(cfg, "epsilon")
     if epsilon is not None:
         rc = select_constants(p, epsilon)
-        report["constants"] = {
-            "epsilon": rc.epsilon,
-            "beta0": rc.beta0,
-            "beta1": rc.beta1,
-            "alpha0": rc.alpha0,
-            "alpha_star": rc.alpha_star,
-            "alpha1": rc.alpha1,
-            "eta0": rc.eta0,
-            "I_beta0": rc.I_beta0,
-            "J_alpha": rc.J_alpha,
-        }
+        report["constants"] = {k: v for k, v in asdict(rc).items() if k != "p"}
     _emit_json("birthdeath", cfg, report, out_path)
 
 
@@ -517,8 +509,7 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
         )
     P = walk.dense(space)
     spec = transvection_good_set(walk.n, walk.k)
-    states = np.array([space.state_at(i) for i in range(space.size)], dtype=np.int64)
-    mask = good_mask_rows(states, spec)
+    mask = good_mask_rows(_digits(space.codes, 1 << walk.k, walk.n), spec)
     if not mask.any():
         raise ConfigError("the good set is empty for these parameters")
     ext = spectral.ambient_lsi_A_for_good_support(P, mask)

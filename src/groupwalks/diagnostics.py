@@ -5,7 +5,10 @@ This module measures what the walks of :mod:`groupwalks.chains` actually do:
 * character sums ``S_xi`` and kernel-hit counts ``N_xi`` of tuple states,
   and the good sets they define;
 * stationary and ambient good-set measure, exactly or by Monte Carlo with
-  Wilson confidence intervals;
+  Wilson confidence intervals.  Membership depends only on how many rows
+  take each value, so the exact measure and the fibre-gap scan run on the
+  compositions of n into the value alphabet (type classes), never on the
+  ambient tuples;
 * burn-in occupancy curves from worst-case-style starts;
 * exact total-variation distances, exact mixing times, counting lower
   bounds, and Monte Carlo TV curves for large instances;
@@ -31,7 +34,6 @@ from .chains import (
     OneColumnWalk,
     PaPraWalk,
     TransvectionWalk,
-    _AMBIENT_CHUNK,
     one_column_batch,
     pa_pra_batch,
     philox_generator,
@@ -89,6 +91,7 @@ WILSON_Z99 = 2.5758293035489004
 
 DEFAULT_FUNCTIONAL_BUDGET = 1 << 20
 DEFAULT_DENSE_BUDGET = 4096
+DEFAULT_CLASS_BUDGET = 1 << 23  # entries of a type-class table, classes * values
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,7 @@ def in_good_set(z: Sequence, spec: GoodSetSpec, budget: int = DEFAULT_FUNCTIONAL
                 return False
         return True
     limit = _kernel_count_threshold(spec)
-    for coeffs in _nonzero_functional_matrix(spec.h, spec.p):
+    for coeffs in _digits(np.arange(1, spec.p**spec.h), spec.p, spec.h):
         count = 0
         for elem in z:
             if int(np.dot(coeffs, elem.v.entries)) % spec.p == 0:
@@ -222,17 +225,6 @@ def in_good_set(z: Sequence, spec: GoodSetSpec, budget: int = DEFAULT_FUNCTIONAL
         if count > limit:
             return False
     return True
-
-
-def _nonzero_functional_matrix(h: int, p: int) -> np.ndarray:
-    """(p^h - 1, h) array of coefficient rows of all nonzero functionals."""
-    codes = np.arange(1, p**h, dtype=np.int64)
-    cols = []
-    c = codes.copy()
-    for _ in range(h):
-        cols.append(c % p)
-        c //= p
-    return np.stack(cols, axis=1)
 
 
 def _s_table(Z: np.ndarray, k: int) -> np.ndarray:
@@ -246,7 +238,7 @@ def _s_table(Z: np.ndarray, k: int) -> np.ndarray:
 def _n_table(V: np.ndarray, p: int) -> np.ndarray:
     """Kernel counts N_xi of horizontal parts V (batch, r, h): (batch, p^h - 1),
     one column per nonzero functional in code order."""
-    xis = _nonzero_functional_matrix(V.shape[2], p)  # (nf, h)
+    xis = _digits(np.arange(1, p ** V.shape[2]), p, V.shape[2])  # (nf, h)
     vals = np.tensordot(V.astype(np.int64), xis.T, axes=([2], [0])) % p
     return (vals == 0).sum(axis=1)
 
@@ -296,42 +288,61 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z99) -> tuple
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-def _ambient_counts_transvection(spec: GoodSetSpec, budget: int) -> tuple[int, int, int, int]:
-    """Exact (ambient, ambient_bad, spanning, spanning_bad) by chunked scan."""
-    n, k = spec.n, spec.k
-    total = 1 << (n * k)
-    if total > budget:
-        raise BudgetError(f"ambient space of {total} states exceeds the budget {budget}")
-    mask = (1 << k) - 1
-    shifts = np.arange(n, dtype=np.int64) * k
-    amb_bad = span_count = span_bad = 0
-    for lo in range(0, total, _AMBIENT_CHUNK):
-        codes = np.arange(lo, min(lo + _AMBIENT_CHUNK, total), dtype=np.int64)
-        rows = (codes[:, None] >> shifts[None, :]) & mask
-        good = good_mask_rows(rows, spec)
-        spanning = rank_bits_batch(rows, k) == k
-        amb_bad += int((~good).sum())
-        span_count += int(spanning.sum())
-        span_bad += int((spanning & ~good).sum())
-    return total, amb_bad, span_count, span_bad
+def _compositions(total: int, parts: int, budget: int) -> np.ndarray:
+    """(count, parts) array of all compositions of total into parts nonnegative
+    parts, in lexicographic order.
+
+    Refuses with BudgetError before allocating when the table's entries,
+    count * parts with count = C(total + parts - 1, parts - 1), exceed budget.
+    """
+    count = math.comb(total + parts - 1, parts - 1)
+    if count * parts > budget:
+        raise BudgetError(
+            f"{count} compositions of {total} into {parts} parts "
+            f"({count * parts} table entries) exceed the class budget {budget}"
+        )
+    C = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        # a prefix with `rest` left expands to rest + 1 rows, the next part 0..rest
+        sizes = rest + 1
+        part = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        C = np.column_stack([np.repeat(C, sizes, axis=0), part])
+        rest = np.repeat(rest, sizes) - part
+    return np.column_stack([C, rest])
 
 
-def _ambient_counts_heisenberg(spec: GoodSetSpec, budget: int) -> tuple[int, int, int, int]:
-    r, p, h = spec.n, spec.p, spec.h
-    group_order = p ** (h + 1)
-    total = group_order**r
-    if total > budget:
-        raise BudgetError(f"ambient space of {total} states exceeds the budget {budget}")
-    amb_bad = span_count = span_bad = 0
-    for lo in range(0, total, _AMBIENT_CHUNK):
-        codes = np.arange(lo, min(lo + _AMBIENT_CHUNK, total), dtype=np.int64)
-        V = _digits(_digits(codes, group_order, r), p, h)  # (block, r, h)
-        good = good_mask_horizontal(V, spec)
-        spanning = rank_modp_batch(V, p) == h
-        amb_bad += int((~good).sum())
-        span_count += int(spanning.sum())
-        span_bad += int((spanning & ~good).sum())
-    return total, amb_bad, span_count, span_bad
+def _type_counts(spec: GoodSetSpec, budget: int) -> tuple[int, int, int, int]:
+    """Exact (ambient, ambient_bad, spanning, spanning_bad) summed over type classes.
+
+    Membership depends only on how many rows take each value and spanning
+    only on which values occur, so each composition c of n into the value
+    alphabet stands for multinomial(n; c) tuples (times p^r central
+    coordinates for the Heisenberg set).
+    """
+    n = spec.n
+    if spec.kind == "transvection":
+        values = np.arange(1 << spec.k, dtype=np.int64)
+        C = _compositions(n, values.size, budget)
+        table = _s_table(values[:, None], spec.k)
+        spanning = rank_bits_batch(np.where(C > 0, values, 0), spec.k) == spec.k
+        central = 1
+    else:
+        values = _digits(np.arange(spec.p**spec.h, dtype=np.int64), spec.p, spec.h)
+        C = _compositions(n, values.shape[0], budget)
+        table = _n_table(values[:, None, :], spec.p)
+        present = np.where((C > 0)[:, :, None], values, 0)
+        spanning = rank_modp_batch(present, spec.p) == spec.h
+        central = spec.p**n
+    good = _good_mask_of_table(C @ table, spec)
+    factorials = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
+    weight = (math.factorial(n) * central) // factorials[C].prod(axis=1)
+    return (
+        int(weight.sum()),
+        int(weight[~good].sum()),
+        int(weight[spanning].sum()),
+        int(weight[spanning & ~good].sum()),
+    )
 
 
 def good_set_measure(
@@ -339,20 +350,19 @@ def good_set_measure(
     method: str = "exact",
     trials: int = 100_000,
     seed: int = 0,
-    budget: int = 1 << 24,
+    budget: int = DEFAULT_CLASS_BUDGET,
 ) -> dict:
     """Measure of the bad set under both the ambient and stationary laws.
 
-    ``exact`` scans the full product space (subject to ``budget``) and
-    returns exact counts; ``monte_carlo`` samples iid ambient states,
-    estimating the stationary law by rejection to the spanning states, and
-    reports Wilson 99% intervals.
+    ``exact`` returns exact integer counts by summing multinomial weights
+    over type classes (how many rows take each value), so ``budget`` bounds
+    the entries of the class table, C(n + |values| - 1, |values| - 1) classes
+    times |values|, not the ambient size.  ``monte_carlo`` samples iid
+    ambient states, estimating the stationary law by rejection to the
+    spanning states, and reports Wilson 99% intervals.
     """
     if method == "exact":
-        if spec.kind == "transvection":
-            total, amb_bad, span, span_bad = _ambient_counts_transvection(spec, budget)
-        else:
-            total, amb_bad, span, span_bad = _ambient_counts_heisenberg(spec, budget)
+        total, amb_bad, span, span_bad = _type_counts(spec, budget)
         return {
             "method": "exact",
             "ambient_size": total,
@@ -440,30 +450,24 @@ def burnin_occupancy(
         raise ConfigError(f"need at least one trial, got {trials}")
     failures: dict[int, int] = {}
 
+    def rows_stat(t: int, z: np.ndarray) -> None:
+        failures[t] = int((~good_mask_rows(z, spec)).sum())
+
     if isinstance(walk, OneColumnWalk):
         if walk.p != 2:
             raise ConfigError("occupancy tracking uses the sign statistic, so p = 2")
         if spec.kind != "transvection" or spec.k != 1 or spec.n != walk.r:
             raise ConfigError("good-set spec does not match the walk")
-
-        def stat(t: int, y: np.ndarray) -> None:
-            s_val = walk.r - 2 * y.sum(axis=1, dtype=np.int64)
-            failures[t] = int((4 * np.abs(s_val) > walk.r).sum())
-
         one_column_batch(
-            walk.r, 2, trials, grid, seed, stat,
+            walk.r, 2, trials, grid, seed, rows_stat,
             start=start, laziness=walk.laziness, stream=stream,
         )
     elif isinstance(walk, TransvectionWalk):
         if spec.kind != "transvection" or spec.k != walk.k or spec.n != walk.n:
             raise ConfigError("good-set spec does not match the walk")
         rows = _default_start_rows(walk.n, walk.k) if start is None else np.asarray(start)
-
-        def stat(t: int, z: np.ndarray) -> None:
-            failures[t] = int((~good_mask_rows(z, spec)).sum())
-
         transvection_batch(
-            walk.n, walk.k, trials, grid, seed, stat,
+            walk.n, walk.k, trials, grid, seed, rows_stat,
             start=rows, laziness=walk.laziness, stream=stream,
         )
     elif isinstance(walk, PaPraWalk):
@@ -1032,66 +1036,32 @@ def support_growth_mean_check(
 # fibre scans and balanced frozen-tuple sampling
 
 
-def _sign_table(k: int) -> np.ndarray:
-    """(2^k, 2^k) table of (-1)^{xi . w} indexed [xi, w]."""
-    codes = np.arange(1 << k, dtype=np.int64)
-    parity = np.bitwise_count(codes[:, None] & codes[None, :]).astype(np.int64) & 1
-    return 1 - 2 * parity
-
-
 def good_fibre_gap_scan(n: int, k: int) -> dict:
     """Exact spectral gap of every fibre kernel meeting the good set.
 
     A fibre is determined by the multiset of row values frozen in the other
     n-1 coordinates, so the scan enumerates value compositions rather than
-    states.  A fibre meets the good set when adding some row value back
-    produces a balanced full state.  Fibre kernels are convolution kernels
-    on F_2^k, so their eigenvalues are exactly the sign sums of the frozen
-    composition divided by n-1; the gap needs no dense eigensolve.
+    states, refusing with BudgetError before any work when their table
+    would hold more than DEFAULT_CLASS_BUDGET entries.  A fibre meets the
+    good set when adding some row value back produces a balanced full
+    state.  Fibre kernels are convolution kernels on F_2^k, so their
+    eigenvalues are exactly the sign sums of the frozen composition divided
+    by n-1; the gap needs no dense eigensolve.
     """
     if n < 2 or k < 1:
         raise ConfigError("need n >= 2 and k >= 1")
-    W = 1 << k
-    if W > 4096:
-        raise BudgetError(f"row space of {W} values is too large to scan")
-    sgn = _sign_table(k)
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    good_fibres = []
-    bad_fibres = []
-    seen_good: set[tuple[int, ...]] = set()
-    all_fibres = list(compositions(n - 1, W))
-    for d in all_fibres:
-        vec = np.array(d, dtype=np.int64)
-        meets = False
-        for w in range(W):
-            full = vec.copy()
-            full[w] += 1
-            s_vals = sgn[1:] @ full
-            if (4 * np.abs(s_vals) <= n).all():
-                meets = True
-                break
-        eigs = (sgn[1:] @ vec) / (n - 1)
-        gap = 1.0 - float(eigs.max())
-        if meets:
-            seen_good.add(d)
-            good_fibres.append(gap)
-        else:
-            bad_fibres.append(gap)
-    good_arr = np.array(good_fibres) if good_fibres else np.empty(0)
-    bad_arr = np.array(bad_fibres) if bad_fibres else np.empty(0)
+    C = _compositions(n - 1, 1 << k, DEFAULT_CLASS_BUDGET)
+    sgn = _s_table(np.arange(1 << k)[:, None], k)  # [w, xi - 1] = (-1)^{xi . w}
+    S = C @ sgn  # sign sums of the frozen rows
+    # adding row value w back gives sign sums S + sgn[w]
+    meets = np.logical_or.reduce([(4 * np.abs(S + row) <= n).all(axis=1) for row in sgn])
+    gap = 1.0 - S.max(axis=1) / (n - 1)
+    good_arr, bad_arr = gap[meets], gap[~meets]
     return {
         "n": n,
         "k": k,
-        "fibre_count": len(all_fibres),
-        "good_fibre_count": len(good_fibres),
+        "fibre_count": len(C),
+        "good_fibre_count": len(good_arr),
         "min_good_gap": float(good_arr.min()) if good_arr.size else float("nan"),
         "min_bad_gap": float(bad_arr.min()) if bad_arr.size else float("nan"),
         "good_gaps": good_arr,
@@ -1142,7 +1112,6 @@ def sample_balanced_frozen_tuples(
             f"only 0/{count} balanced tuples after 0 draws: any {crowded} frozen "
             f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * R:g}"
         )
-    xis = _nonzero_functional_matrix(h, p)
     rng = philox_generator(seed)
     kept_v, kept_z = [], []
     accepted = drawn = 0
@@ -1155,9 +1124,7 @@ def sample_balanced_frozen_tuples(
         V = rng.integers(0, p, size=(batch, R, h)).astype(np.int64)
         Z = rng.integers(0, p, size=(batch, R)).astype(np.int64)
         drawn += batch
-        vals = np.tensordot(V, xis.T, axes=([2], [0])) % p
-        n_table = (vals == 0).sum(axis=1)
-        ok = (n_table <= limit).all(axis=1)
+        ok = (_n_table(V, p) <= limit).all(axis=1)
         idx = np.flatnonzero(ok)
         if idx.size:
             kept_v.append(V[idx])

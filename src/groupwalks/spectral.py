@@ -19,7 +19,7 @@ confinement times can reach the hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -523,22 +523,7 @@ class PipelineReport:
     t_mix_cont_upper: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "omega_size": self.omega_size,
-            "t_star": self.t_star,
-            "L": self.L,
-            "t_conf": self.t_conf,
-            "zeta": self.zeta,
-            "R": self.R,
-            "eta": self.eta,
-            "pi_good_complement": self.pi_good_complement,
-            "tv_bound": self.tv_bound,
-            "poisson_lower_tail": self.poisson_lower_tail,
-            "condition_value": self.condition_value,
-            "condition_ok": self.condition_ok,
-            "t_mix_cont_upper": self.t_mix_cont_upper,
-        }
+        return asdict(self)
 
 
 def pipeline_report(

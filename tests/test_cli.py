@@ -12,6 +12,7 @@ import pytest
 
 from groupwalks import cli
 from groupwalks.chains import _WalkBase
+from groupwalks.diagnostics import mc_tv_curve_one_column
 from groupwalks.errors import InvariantError, ReversibilityError
 
 
@@ -230,6 +231,18 @@ class TestMixingCommand:
         }
         assert report["times"][0] == 0
         assert report["tv"][0] == pytest.approx(1.0, abs=0.05)
+
+    def test_mc_honours_laziness(self, capsys):
+        argv = ["mixing", "--mode", "mc", "-r", "8", "--trials", "200",
+                "--t-max", "20", "--points", "4", "--seed", "1", "--laziness"]
+        reports = {}
+        for q in ("0", "0.5"):
+            code, out, _ = run_cli(argv + [q], capsys)
+            assert code == 0
+            reports[q] = json.loads(out)["report"]
+        lazy = mc_tv_curve_one_column(8, 200, reports["0.5"]["times"], 1, laziness=0.5)
+        assert reports["0.5"]["tv_exact"] == lazy["tv_exact"].tolist()
+        assert reports["0.5"]["tv"] != reports["0"]["tv"]
 
     def test_unknown_mode(self, capsys):
         code, _, err = run_cli(["mixing", "--mode", "weird"], capsys)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from groupwalks.algebra import FieldVector, LinearFunctional
+from groupwalks.algebra import FieldVector, LinearFunctional, _digits
 from groupwalks.chains import (
     OneColumnWalk,
     PaPraWalk,
@@ -183,6 +183,30 @@ class TestGoodSet:
             heisenberg_good_set(4, 3, 1, 1.5)
 
 
+def _scan_counts(spec):
+    """Exact (ambient, ambient_bad, spanning, spanning_bad) by a chunked scan of
+    every ambient tuple; the oracle for the type-class counts."""
+    if spec.kind == "transvection":
+        values, total = 1 << spec.k, 1 << (spec.n * spec.k)
+    else:
+        values, total = spec.p ** (spec.h + 1), spec.p ** ((spec.h + 1) * spec.n)
+    amb_bad = span_count = span_bad = 0
+    for lo in range(0, total, 1 << 18):
+        codes = np.arange(lo, min(lo + (1 << 18), total), dtype=np.int64)
+        rows = _digits(codes, values, spec.n)
+        if spec.kind == "transvection":
+            good = good_mask_rows(rows, spec)
+            spanning = chain_module.rank_bits_batch(rows, spec.k) == spec.k
+        else:
+            V = _digits(rows, spec.p, spec.h)  # horizontal parts, (block, r, h)
+            good = good_mask_horizontal(V, spec)
+            spanning = chain_module.rank_modp_batch(V, spec.p) == spec.h
+        amb_bad += int((~good).sum())
+        span_count += int(spanning.sum())
+        span_bad += int((spanning & ~good).sum())
+    return total, amb_bad, span_count, span_bad
+
+
 class TestGoodSetMeasure:
     def test_exact_counts_weight_one_rows(self):
         out = good_set_measure(transvection_good_set(8, 1), method="exact")
@@ -225,6 +249,44 @@ class TestGoodSetMeasure:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             good_set_measure(transvection_good_set(30, 3), method="exact", budget=1 << 20)
+
+    @pytest.mark.parametrize("spec", [
+        # the exact instances above, except (12, 2): its scan takes about 22 s
+        transvection_good_set(8, 1),
+        transvection_good_set(6, 2),
+        transvection_good_set(12, 1),
+        transvection_good_set(8, 2),
+        transvection_good_set(9, 2),
+        transvection_good_set(10, 2),
+        transvection_good_set(5, 3),
+        heisenberg_good_set(3, 3, 1, 0.5),
+        heisenberg_good_set(3, 3, 1, 0.7),
+        heisenberg_good_set(3, 3, 1, 0.9),
+        heisenberg_good_set(4, 3, 1, 0.5),
+    ], ids=lambda s: f"{s.kind}-{s.n}-{s.k if s.kind == 'transvection' else s.beta0}")
+    def test_type_classes_match_ambient_scan(self, spec):
+        out = good_set_measure(spec, method="exact")
+        got = (out["ambient_size"], out["mu_bad_count"], out["omega_size"], out["pi_bad_count"])
+        assert got == _scan_counts(spec)
+
+    def test_type_classes_at_n12_k2(self):
+        # (ambient, ambient_bad, spanning, spanning_bad) as _scan_counts gives
+        # them, in about 22 s
+        out = good_set_measure(transvection_good_set(12, 2), method="exact")
+        got = (out["ambient_size"], out["mu_bad_count"], out["omega_size"], out["pi_bad_count"])
+        assert got == (16777216, 13081216, 16764930, 13068930)
+
+    def test_class_budget_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="class budget"):
+            good_set_measure(heisenberg_good_set(40, 3, 1, 0.5), method="exact")
+        with pytest.raises(BudgetError, match="class budget"):
+            # two rows over 1 024 values: 524 800 classes of 1 024 entries each
+            good_set_measure(transvection_good_set(2, 10), method="exact")
+        with pytest.raises(BudgetError, match="class budget"):
+            good_set_measure(transvection_good_set(12, 2), method="exact", budget=455 * 4 - 1)
+        good_set_measure(transvection_good_set(12, 2), method="exact", budget=455 * 4)
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
@@ -608,7 +670,59 @@ class TestWilson:
 # fibre scans and balanced sampling
 
 
+def _compositions_oracle(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions_oracle(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _scan_fibre_gaps(n, k):
+    """(good_gaps, bad_gaps) by stepping through the frozen compositions one
+    at a time; the oracle for good_fibre_gap_scan."""
+    W = 1 << k
+    codes = np.arange(W)
+    sgn = 1 - 2 * (np.bitwise_count(codes[:, None] & codes[None, :]).astype(np.int64) & 1)
+    good, bad = [], []
+    for d in _compositions_oracle(n - 1, W):
+        vec = np.array(d, dtype=np.int64)
+        meets = False
+        for w in range(W):
+            full = vec.copy()
+            full[w] += 1
+            if (4 * np.abs(sgn[1:] @ full) <= n).all():
+                meets = True
+                break
+        gap = 1.0 - float(((sgn[1:] @ vec) / (n - 1)).max())
+        (good if meets else bad).append(gap)
+    return np.array(good), np.array(bad)
+
+
 class TestFibreScan:
+    @pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 4), (3, 2), (4, 3), (6, 4)])
+    def test_compositions_in_recursive_order(self, total, parts):
+        expect = np.array(list(_compositions_oracle(total, parts)), dtype=np.int64)
+        assert np.array_equal(diagnostics._compositions(total, parts, 1 << 20), expect)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2) for n in range(2, 13)] + [(9, 3)])
+    def test_gaps_match_recursive_scan(self, n, k):
+        out = good_fibre_gap_scan(n, k)
+        good, bad = _scan_fibre_gaps(n, k)
+        assert np.array_equal(out["good_gaps"], good)
+        assert np.array_equal(out["bad_gaps"], bad)
+        assert out["fibre_count"] == good.size + bad.size
+        assert out["good_fibre_count"] == good.size
+
+    def test_class_budget_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="1855967520 compositions"):
+            good_fibre_gap_scan(20, 4)
+        with pytest.raises(BudgetError, match="524800 compositions"):
+            good_fibre_gap_scan(3, 10)
+        assert time.perf_counter() - start < 1.0
+
     def test_weight_one_rows_scan(self):
         out = good_fibre_gap_scan(12, 1)
         assert out["fibre_count"] == 12
