@@ -237,10 +237,18 @@ def _s_table(Z: np.ndarray, k: int) -> np.ndarray:
 
 def _n_table(V: np.ndarray, p: int) -> np.ndarray:
     """Kernel counts N_xi of horizontal parts V (batch, r, h): (batch, p^h - 1),
-    one column per nonzero functional in code order."""
-    xis = _digits(np.arange(1, p ** V.shape[2]), p, V.shape[2])  # (nf, h)
-    vals = np.tensordot(V.astype(np.int64), xis.T, axes=([2], [0])) % p
-    return (vals == 0).sum(axis=1)
+    one column per nonzero functional in code order.
+
+    xi(v) = 0 depends only on the row value v, so the test runs once per
+    distinct value that occurs and each row looks its answers up; no
+    (batch, r, p^h - 1) integer intermediate is built.
+    """
+    h = V.shape[2]
+    codes = (np.asarray(V, dtype=np.int64) % p) @ p ** np.arange(h, dtype=np.int64)
+    values, inverse = np.unique(codes, return_inverse=True)
+    xis = _digits(np.arange(1, p**h), p, h)  # (nf, h)
+    zero = (_digits(values, p, h) @ xis.T) % p == 0  # (distinct values, nf)
+    return zero[inverse.reshape(codes.shape)].sum(axis=1)
 
 
 def _good_mask_of_table(table: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
