@@ -48,12 +48,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .algebra import FieldVector, _digits, check_prime, half_mod, rank_bits
+from .algebra import FieldVector, _digits, check_prime, rank_bits
 from .errors import BudgetError, DimensionMismatch, InvalidMove
 from .groups import (
     HeisenbergElement,
     _h_mul_codes,
-    _omega_digits,
     decode_element,
     encode_element,
     generates,
@@ -149,9 +148,9 @@ class EnumeratedSpace:
         return f"EnumeratedSpace({self.description or 'custom'}, size={self.size})"
 
 
-def _check_budget(count: int, budget: int, what: str) -> None:
+def _check_budget(count: int, budget: int, what: str, unit: str = "states") -> None:
     if count > budget:
-        raise BudgetError(f"{what}: {count} states exceed the budget {budget}")
+        raise BudgetError(f"{what}: {count} {unit} exceed the budget {budget}")
 
 
 def _encode_rows(rows: Sequence[int], k: int) -> int:
@@ -715,14 +714,17 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
     recipient != donor), the exponents (uniform in [0, exponents); all 1 when
     exponents == 1), the sides (left with probability 1/2; all right unless
     `sides`) and the laziness coins (hold with probability `laziness`).
+    The integers are drawn as int32: for ranges below 2^32 Philox's bounded
+    32-bit path yields the same values as int64 draws, at half the memory.
     """
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
     for done in range(0, steps, per_block):
         shape = (min(per_block, steps - done), trials)
-        i, j = np.divmod(rng.integers(0, r * (r - 1), size=shape), r - 1)
+        i, j = np.divmod(rng.integers(0, r * (r - 1), size=shape, dtype=np.int32), r - 1)
         j += j >= i
-        a = rng.integers(0, exponents, size=shape) if exponents > 1 else np.ones(shape, np.int64)
-        left = rng.integers(0, 2, size=shape) == 1 if sides else np.zeros(shape, bool)
+        a = (rng.integers(0, exponents, size=shape, dtype=np.int32) if exponents > 1
+             else np.ones(shape, np.int32))
+        left = rng.integers(0, 2, size=shape, dtype=np.int32) == 1 if sides else np.zeros(shape, bool)
         hold = rng.random(shape) < laziness if laziness > 0 else np.zeros(shape, bool)
         yield i, j, a, left, hold
 
@@ -819,6 +821,35 @@ def transvection_batch(
     _drive(cells, n, t_grid, seed, stream, laziness, _xor_step(cells), lambda t: stat_fn(t, z))
 
 
+def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Power and two-sided product tables on the element codes of H(p, m).
+
+    With q = p^(2m+1) elements, powers[a*q + j] is the code of g_j^a and
+    products[side*q*q + i*q + j] the code of g_i g_j (side 0, right) or
+    g_j g_i (side 1, left).  Both come from the one law, _h_mul_codes:
+    it fills the p^(2m) x p^(2m) tables of horizontal sums and of the
+    central term omega/2 once, and those broadcast over the central digits,
+    so no (q, q, 2m+1) digit array is built.  The 2q^2 + pq entries are
+    checked against DEFAULT_STATE_BUDGET before any of this runs.
+    """
+    h = 2 * m
+    P, q = p**h, p ** (h + 1)
+    _check_budget(2 * q * q + p * q, DEFAULT_STATE_BUDGET, f"H({p},{m}) product tables", "entries")
+    horizontal = np.zeros((P, h + 1), dtype=np.int16)
+    horizontal[:, :h] = _digits(np.arange(P), p, h)
+    law = _h_mul_codes(horizontal[:, None], horizontal[None, :], p)  # z = t = 0
+    hsum, half_omega = (law % P).astype(np.int16), (law // P).astype(np.int16)
+    z = np.arange(p, dtype=np.int16)
+    # code i = hi + zi * P, so a (q, q) table is (zi, hi, zj, hj)
+    central = (z[:, None, None, None] + z[None, None, :, None] + half_omega[None, :, None, :]) % p
+    right = (central * np.int16(P) + hsum[None, :, None, :]).reshape(q, q)
+    products = np.concatenate([right.ravel(), right.T.ravel()])
+    powers = np.zeros((p, q), dtype=np.int16)  # g^0 is the identity, code 0
+    for a in range(1, p):  # g^a = g^(a-1) g
+        powers[a] = right[powers[a - 1], np.arange(q)]
+    return powers.ravel(), products
+
+
 def pa_pra_batch(
     r: int,
     p: int,
@@ -832,29 +863,31 @@ def pa_pra_batch(
     laziness: float = 0.0,
     stream: int = 0,
 ) -> None:
-    """Vectorised Heisenberg-tuple trajectories.
+    """Vectorised Heisenberg-tuple trajectories on int16 element codes.
 
-    stat_fn(t, V, Z) sees int16 horizontal parts (trials, r, 2m) and central
-    coordinates (trials, r).
+    A step looks up the donor's power and then the product in the tables of
+    _pa_pra_tables.  stat_fn(t, V, Z) sees int16 horizontal parts
+    (trials, r, 2m) and central coordinates (trials, r), decoded at grid
+    times only.
     """
     h = 2 * m
-    half = half_mod(p)
-    cells = np.zeros((trials * r + 1, h + 1), dtype=np.int16)  # element digits (v, z)
-    g = cells[:-1].reshape(trials, r, h + 1)
-    v, z = g[..., :h], g[..., h]
-    v[:] = np.asarray(start_v, dtype=np.int16)[None]
-    z[:] = np.asarray(start_z, dtype=np.int16)[None]
+    powers, products = _pa_pra_tables(p, m)
+    q = np.int32(p ** (h + 1))
+    place = p ** np.arange(h + 1, dtype=np.int64)
+    start = (np.asarray(start_v, dtype=np.int64) % p) @ place[:h] + (np.asarray(start_z) % p) * place[h]
+    cells = np.zeros(trials * r + 1, dtype=np.int16)  # the spare holds 0, the identity
+    g = cells[:-1].reshape(trials, r)
+    g[:] = start[None]
 
     def step(tgt, src, a, left):
-        # g_i g_j^a (right) or g_j^a g_i (left), with g_j^a = (a v_j, a z_j)
-        g_i = cells[tgt]
-        power = cells[src] * a[:, None]
-        new = g_i + power
-        new[:, h] += np.where(left, -half, half) * _omega_digits(g_i[:, :h], power[:, :h])
-        cells[tgt] = new % p
+        power = powers.take(a * q + cells.take(src))
+        cells.put(tgt, products.take((left * q + cells.take(tgt)) * q + power))
 
-    _drive(cells, r, t_grid, seed, stream, laziness, step, lambda t: stat_fn(t, v, z),
-           exponents=p, sides=True)
+    def observe(t):
+        digits = _digits(g, p, h + 1).astype(np.int16)
+        stat_fn(t, digits[..., :h], digits[..., h])
+
+    _drive(cells, r, t_grid, seed, stream, laziness, step, observe, exponents=p, sides=True)
 
 
 @dataclass

@@ -37,8 +37,6 @@ from .chains import (
     one_column_batch,
     pa_pra_batch,
     philox_generator,
-    rank_bits_batch,
-    rank_modp_batch,
     transvection_batch,
 )
 from .errors import (
@@ -320,6 +318,34 @@ def _compositions(total: int, parts: int, budget: int) -> np.ndarray:
     return np.column_stack([C, rest])
 
 
+def _value_table(spec: GoodSetSpec) -> np.ndarray:
+    """S_xi (transvection) or N_xi (heisenberg) of each single row value:
+    (values, functionals), values in code order."""
+    if spec.kind == "transvection":
+        return _s_table(np.arange(1 << spec.k, dtype=np.int64)[:, None], spec.k)
+    values = _digits(np.arange(spec.p**spec.h, dtype=np.int64), spec.p, spec.h)
+    return _n_table(values[:, None, :], spec.p)
+
+
+def _class_counts(C: np.ndarray, weights: np.ndarray, spec: GoodSetSpec) -> tuple[int, int, int, int]:
+    """(ambient, ambient_bad, spanning, spanning_bad) weights of value-count rows.
+
+    C[c, v] is how many rows take value v.  T = C @ (per-value table) holds
+    every S_xi or N_xi of each row of C.  The rows span exactly when no
+    nonzero functional vanishes on all of them, i.e. when no S_xi or N_xi
+    reaches n, so spanning is (T < n).all(axis=1) and needs no row reduction.
+    """
+    T = C @ _value_table(spec)
+    good = _good_mask_of_table(T, spec)
+    spanning = (T < spec.n).all(axis=1)
+    return (
+        int(weights.sum()),
+        int(weights[~good].sum()),
+        int(weights[spanning].sum()),
+        int(weights[spanning & ~good].sum()),
+    )
+
+
 def _type_counts(spec: GoodSetSpec, budget: int) -> tuple[int, int, int, int]:
     """Exact (ambient, ambient_bad, spanning, spanning_bad) summed over type classes.
 
@@ -329,28 +355,11 @@ def _type_counts(spec: GoodSetSpec, budget: int) -> tuple[int, int, int, int]:
     coordinates for the Heisenberg set).
     """
     n = spec.n
-    if spec.kind == "transvection":
-        values = np.arange(1 << spec.k, dtype=np.int64)
-        C = _compositions(n, values.size, budget)
-        table = _s_table(values[:, None], spec.k)
-        spanning = rank_bits_batch(np.where(C > 0, values, 0), spec.k) == spec.k
-        central = 1
-    else:
-        values = _digits(np.arange(spec.p**spec.h, dtype=np.int64), spec.p, spec.h)
-        C = _compositions(n, values.shape[0], budget)
-        table = _n_table(values[:, None, :], spec.p)
-        present = np.where((C > 0)[:, :, None], values, 0)
-        spanning = rank_modp_batch(present, spec.p) == spec.h
-        central = spec.p**n
-    good = _good_mask_of_table(C @ table, spec)
+    C = _compositions(n, spec.functional_count + 1, budget)
+    central = 1 if spec.kind == "transvection" else spec.p**n
     factorials = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
     weight = (math.factorial(n) * central) // factorials[C].prod(axis=1)
-    return (
-        int(weight.sum()),
-        int(weight[~good].sum()),
-        int(weight[spanning].sum()),
-        int(weight[spanning & ~good].sum()),
-    )
+    return _class_counts(C, weight, spec)
 
 
 def good_set_measure(
@@ -367,7 +376,8 @@ def good_set_measure(
     the entries of the class table, C(n + |values| - 1, |values| - 1) classes
     times |values|, not the ambient size.  ``monte_carlo`` samples iid
     ambient states, estimating the stationary law by rejection to the
-    spanning states, and reports Wilson 99% intervals.
+    spanning states, and reports Wilson 99% intervals; each sample is
+    reduced to its value counts, so ``budget`` bounds trials * |values|.
     """
     if method == "exact":
         total, amb_bad, span, span_bad = _type_counts(spec, budget)
@@ -384,18 +394,21 @@ def good_set_measure(
         raise ConfigError(f"unknown measure method {method!r}")
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
+    size = spec.functional_count + 1  # row values
+    if trials * size > budget:
+        raise BudgetError(
+            f"{trials} samples x {size} row values ({trials * size} count entries) "
+            f"exceed the class budget {budget}"
+        )
     rng = philox_generator(seed)
     if spec.kind == "transvection":
-        rows = rng.integers(0, 1 << spec.k, size=(trials, spec.n)).astype(np.int64)
-        good = good_mask_rows(rows, spec)
-        spanning = rank_bits_batch(rows, spec.k) == spec.k
+        codes = rng.integers(0, size, size=(trials, spec.n))
     else:
-        V = rng.integers(0, spec.p, size=(trials, spec.n, spec.h)).astype(np.int64)
-        good = good_mask_horizontal(V, spec)
-        spanning = rank_modp_batch(V, spec.p) == spec.h
-    amb_bad = int((~good).sum())
-    span = int(spanning.sum())
-    span_bad = int((spanning & ~good).sum())
+        V = rng.integers(0, spec.p, size=(trials, spec.n, spec.h))
+        codes = V @ spec.p ** np.arange(spec.h, dtype=np.int64)
+    trial = np.arange(trials, dtype=np.int64)[:, None] * size
+    C = np.bincount((trial + codes).ravel(), minlength=trials * size).reshape(trials, size)
+    _, amb_bad, span, span_bad = _class_counts(C, np.ones(trials, dtype=np.int64), spec)
     mu_lo, mu_hi = wilson_interval(amb_bad, trials)
     pi_lo, pi_hi = wilson_interval(span_bad, span) if span else (0.0, 1.0)
     return {
@@ -755,34 +768,41 @@ def bd_hitting_mc(
     seed: int,
     max_steps: int | None = None,
 ) -> dict:
-    """Monte Carlo mean walk steps from s to support >= target."""
+    """Monte Carlo mean walk steps from s to support >= target.
+
+    Only the unfinished trials are kept, as (state, ids) arrays; each step
+    draws one uniform per unfinished trial, in id order, and moves up when
+    u < B_s, down when B_s <= u < B_s + D_s.
+    """
     if not 1 <= s <= params.r or not 1 <= target <= params.r:
         raise ConfigError("levels out of range")
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got {trials}")
     if s >= target:
         return {"mean": 0.0, "sem": 0.0, "trials": trials, "unfinished": 0}
     birth, death = _bd_tables(params)
+    birth_or_death = birth + death
     if max_steps is None:
         max_steps = int(200 * params.r * math.log(params.r) * params.p) + 1000
     rng = philox_generator(seed)
     state = np.full(trials, s, dtype=np.int64)
+    ids = np.arange(trials)
     hit_time = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
     for t in range(1, max_steps + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if ids.size == 0:
             break
-        u = rng.random(idx.size)
-        b = birth[state[idx]]
-        d = death[state[idx]]
-        state[idx] += (u < b).astype(np.int64) - ((u >= b) & (u < b + d)).astype(np.int64)
-        reached = state[idx] >= target
-        hit_time[idx[reached]] = t
-        active[idx[reached]] = False
-    unfinished = int(active.sum())
-    times = hit_time[~active].astype(float)
+        u = rng.random(ids.size)
+        state += 2 * (u < birth[state]) - (u < birth_or_death[state])
+        reached = state >= target
+        if reached.any():
+            hit_time[ids[reached]] = t
+            state, ids = state[~reached], ids[~reached]
+    finished = np.ones(trials, dtype=bool)
+    finished[ids] = False
+    times = hit_time[finished].astype(float)
     mean = float(times.mean()) if times.size else float("nan")
     sem = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else float("nan")
-    return {"mean": mean, "sem": sem, "trials": trials, "unfinished": unfinished}
+    return {"mean": mean, "sem": sem, "trials": trials, "unfinished": int(ids.size)}
 
 
 def embedded_crossing_mc(
@@ -797,12 +817,15 @@ def embedded_crossing_mc(
     """Monte Carlo estimate of P_s(hit A0 before A1) for the jump chain.
 
     Holding steps are skipped: at each jump the chain moves up with
-    probability B_s/(B_s + D_s), down otherwise.
+    probability B_s/(B_s + D_s), down otherwise.  Only the states of the
+    unfinished trials are kept, in trial order.
     """
     if not 1 <= A0 < A1 <= params.r:
         raise ConfigError("bad levels")
     if not A0 <= s <= A1:
         raise ConfigError(f"start {s} outside [{A0}, {A1}]")
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got {trials}")
     if s == A0:
         return {"estimate": 1.0, "hits": trials, "trials": trials}
     if s == A1:
@@ -815,21 +838,18 @@ def embedded_crossing_mc(
         up_prob[interior] = np.where(tot[interior] > 0, birth[interior] / tot[interior], 0.0)
     rng = philox_generator(seed)
     state = np.full(trials, s, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    hit_low = np.zeros(trials, dtype=bool)
+    hits = 0
     for _ in range(max_jumps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if state.size == 0:
             break
-        u = rng.random(idx.size)
-        state[idx] += np.where(u < up_prob[state[idx]], 1, -1)
-        low = state[idx] == A0
-        high = state[idx] == A1
-        hit_low[idx[low]] = True
-        active[idx[low | high]] = False
-    if active.any():
+        u = rng.random(state.size)
+        state += 2 * (u < up_prob[state]) - 1
+        done = (state == A0) | (state == A1)
+        if done.any():
+            hits += int((state[done] == A0).sum())
+            state = state[~done]
+    if state.size:
         raise InvariantError("embedded crossing simulation did not finish")
-    hits = int(hit_low.sum())
     return {"estimate": hits / trials, "hits": hits, "trials": trials}
 
 

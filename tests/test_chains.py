@@ -730,6 +730,12 @@ _REPLAY_CASES = {
     "one-column p=3": ({"r": 4, "p": 3}, (1, 0, 0, 0)),
     "one-column p=5": ({"r": 4, "p": 5}, (1, 0, 0, 0)),
     "pa-pra": ({"r": 3, "p": 3, "m": 1}, (_hel(1, 0, 0), _hel(0, 1, 0), _hel(0, 0, 1))),
+    "pa-pra p=5": ({"r": 3, "p": 5, "m": 1},
+                   (_hel(1, 0, 0, p=5), _hel(0, 1, 0, p=5), _hel(0, 0, 1, p=5))),
+    "pa-pra m=2": ({"r": 5, "p": 3, "m": 2},
+                   tuple(HeisenbergElement(FieldVector(v, 3), z) for v, z in (
+                       ((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0),
+                       ((0, 0, 0, 1), 0), ((0, 0, 0, 0), 1)))),
 }
 
 
@@ -740,7 +746,7 @@ def _replayed(case, trials, grid, seed, laziness):
     if case == "transvection":
         r, exponents, sides = params["n"], 1, False
     else:
-        r, sides = params["r"], case == "pa-pra"
+        r, sides = params["r"], case.startswith("pa-pra")
         exponents = 1 if params["p"] == 2 else params["p"]
     states = [start] * trials
     out = {0: list(states)} if 0 in grid else {}
@@ -755,7 +761,7 @@ def _replayed(case, trials, grid, seed, laziness):
                 mv = (int(i[s, tr]), int(j[s, tr]), int(a[s, tr]))
                 if case == "transvection":
                     states[tr] = transvection_step(states[tr], mv[1], mv[0])
-                elif case == "pa-pra":
+                elif sides:
                     states[tr] = pa_pra_step(states[tr], *mv, "L" if left[s, tr] else "R")
                 else:
                     states[tr] = one_column_step(states[tr], *mv, params["p"])
@@ -772,7 +778,7 @@ def _engine_states(case, trials, grid, seed, laziness):
         transvection_batch(params["n"], params["k"], trials, grid, seed,
                            lambda t, z: got.__setitem__(t, z.copy()),
                            start=np.array(start), laziness=laziness)
-    elif case == "pa-pra":
+    elif case.startswith("pa-pra"):
         pa_pra_batch(params["r"], params["p"], params["m"], trials, grid, seed,
                      lambda t, v, z: got.__setitem__(t, (v.copy(), z.copy())),
                      start_v=[g.v.entries for g in start], start_z=[g.z for g in start],
@@ -789,7 +795,7 @@ def _assert_replay_equal(case, trials, grid, seed, laziness):
     want = _replayed(case, trials, grid, seed, laziness)
     assert sorted(got) == sorted(want) == sorted(grid)
     for t in grid:
-        if case == "pa-pra":
+        if case.startswith("pa-pra"):
             v = np.array([[g.v.entries for g in st] for st in want[t]])
             z = np.array([[g.z for g in st] for st in want[t]])
             assert np.array_equal(got[t][0], v) and np.array_equal(got[t][1], z)
@@ -822,6 +828,88 @@ class TestDriverReplay:
     def test_negative_grid_times_rejected(self, case):
         with pytest.raises(ValueError, match="nonnegative"):
             _engine_states(case, 2, [-1, 0, 5], 0, 0.0)
+
+    @pytest.mark.parametrize("r, exponents, sides, laziness, trials", [
+        (2, 1, False, 0.0, 7), (3, 3, True, 0.0, 5), (8, 5, True, 0.25, 3),
+        (64, 1, False, 0.5, 9), (1025, 13, True, 0.0, 4),
+    ])
+    def test_int32_draws_equal_default_dtype_draws(self, monkeypatch, r, exponents, sides,
+                                                   laziness, trials):
+        # Philox's bounded 32-bit path: pair ranges r(r-1) = 2, 6, 56, 4 032
+        # and 1 049 600 (about 2^20), exponent ranges 3, 5 and 13, side range 2
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
+        steps = 50
+        rng = philox_generator(71)
+        got = list(chains._move_blocks(philox_generator(71), steps, trials, r,
+                                       exponents, sides, laziness))
+        per_block = max(1, 64 // trials)
+        for done, block in zip(range(0, steps, per_block), got):
+            shape = (min(per_block, steps - done), trials)
+            i, j = np.divmod(rng.integers(0, r * (r - 1), size=shape), r - 1)
+            j += j >= i
+            a = rng.integers(0, exponents, size=shape) if exponents > 1 else np.ones(shape, np.int64)
+            left = rng.integers(0, 2, size=shape) == 1 if sides else np.zeros(shape, bool)
+            hold = rng.random(shape) < laziness if laziness > 0 else np.zeros(shape, bool)
+            for want, have in zip((i, j, a, left, hold), block):
+                assert np.array_equal(want, have)
+        assert sum(b[0].shape[0] for b in got) == steps
+
+
+def _element_product_oracle(p, m, codes_i, codes_j):
+    """Element codes of g_i g_j by HeisenbergElement arithmetic."""
+    return np.array([encode_element(decode_element(int(i), p, m) * decode_element(int(j), p, m))
+                     for i, j in zip(codes_i, codes_j)])
+
+
+class TestPaPraTables:
+    @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2)])
+    def test_tables_follow_the_group_law(self, p, m):
+        q = p ** (2 * m + 1)
+        powers, products = chains._pa_pra_tables(p, m)
+        assert powers.dtype == products.dtype == np.int16
+        assert powers.shape == (p * q,) and products.shape == (2 * q * q,)
+        rng = philox_generator(73)
+        i, j = rng.integers(0, q, size=(2, min(q * q, 3000)))
+        if q * q <= 3000:
+            i, j = np.divmod(np.arange(q * q), q)
+        right = _element_product_oracle(p, m, i, j)
+        assert np.array_equal(products[i * q + j], right)
+        assert np.array_equal(products[q * q + j * q + i], right)  # left side: g_i g_j
+        for a in range(p):
+            want = [encode_element(h_pow(decode_element(c, p, m), a)) for c in range(q)]
+            assert np.array_equal(powers[a * q:(a + 1) * q], want)
+
+    @pytest.mark.parametrize("p, m", [(17, 1), (19, 1), (5, 2), (5, 3)])
+    def test_table_budget_refused_before_the_law_runs(self, monkeypatch, p, m):
+        def fail(*args):
+            raise AssertionError("the group law ran before the budget check")
+
+        monkeypatch.setattr(chains, "_h_mul_codes", fail)
+        sv, sz = np.zeros((2 * m + 1, 2 * m), dtype=np.int64), np.zeros(2 * m + 1, dtype=np.int64)
+        with pytest.raises(BudgetError, match="product tables"):
+            pa_pra_batch(2 * m + 1, p, m, 2, [0, 5], 0, lambda t, v, z: None, sv, sz)
+        with pytest.raises(BudgetError, match="product tables"):
+            chains._pa_pra_tables(p, m)
+
+    @pytest.mark.parametrize("p, m", [(13, 1), (3, 3)])
+    def test_largest_admitted_tables(self, p, m):
+        q = p ** (2 * m + 1)
+        assert 2 * q * q + p * q <= chains.DEFAULT_STATE_BUDGET
+        powers, products = chains._pa_pra_tables(p, m)
+        i, j = philox_generator(74).integers(0, q, size=(2, 200))
+        assert np.array_equal(products[i * q + j], _element_product_oracle(p, m, i, j))
+
+    def test_held_steps_keep_the_state(self):
+        # laziness 1 holds every step: the spare's code 0 is the identity
+        v = np.array([[1, 0], [0, 1], [2, 2]])
+        z = np.array([2, 1, 0])
+        got = []
+        pa_pra_batch(3, 3, 1, 3, [0, 10, 50], 75, lambda t, V, Z: got.append((V.copy(), Z.copy())),
+                     start_v=v, start_z=z, laziness=1.0)
+        assert len(got) == 3
+        for V, Z in got:
+            assert (V == v[None]).all() and (Z == z[None]).all()
+            assert V.dtype == Z.dtype == np.int16
 
 
 def test_horizontal_projection_matches_column_walk():

@@ -207,6 +207,27 @@ def _scan_counts(spec):
     return total, amb_bad, span_count, span_bad
 
 
+def _mc_row_oracle(spec, trials, seed):
+    """(ambient_bad, spanning, spanning_bad) of the Monte Carlo measure's draws,
+    by per-row membership masks and a row reduction per sample."""
+    rng = philox_generator(seed)
+    if spec.kind == "transvection":
+        rows = rng.integers(0, 1 << spec.k, size=(trials, spec.n)).astype(np.int64)
+        good = good_mask_rows(rows, spec)
+        spanning = chain_module.rank_bits_batch(rows, spec.k) == spec.k
+    else:
+        V = rng.integers(0, spec.p, size=(trials, spec.n, spec.h)).astype(np.int64)
+        good = good_mask_horizontal(V, spec)
+        spanning = chain_module.rank_modp_batch(V, spec.p) == spec.h
+    return int((~good).sum()), int(spanning.sum()), int((spanning & ~good).sum())
+
+
+def _value_counts(codes, size):
+    trials = codes.shape[0]
+    flat = (np.arange(trials)[:, None] * size + codes).ravel()
+    return np.bincount(flat, minlength=trials * size).reshape(trials, size)
+
+
 class TestGoodSetMeasure:
     def test_exact_counts_weight_one_rows(self):
         out = good_set_measure(transvection_good_set(8, 1), method="exact")
@@ -291,6 +312,61 @@ class TestGoodSetMeasure:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             good_set_measure(transvection_good_set(8, 1), method="guess")
+
+    @pytest.mark.parametrize("spec, seed", [
+        (transvection_good_set(8, 1), 1),
+        (transvection_good_set(16, 2), 2),
+        (transvection_good_set(5, 3), 3),
+        (transvection_good_set(9, 4), 4),
+        (heisenberg_good_set(4, 3, 1, 0.5), 5),
+        (heisenberg_good_set(16, 3, 1, 0.75), 6),
+        (heisenberg_good_set(4, 5, 1, 0.6), 7),
+        (heisenberg_good_set(5, 3, 2, 0.7), 8),
+    ], ids=lambda x: str(x) if isinstance(x, int) else f"{x.kind}-{x.n}-{x.k or (x.p, x.m)}")
+    def test_monte_carlo_counts_match_row_oracle(self, spec, seed):
+        trials = 4000
+        out = good_set_measure(spec, method="monte_carlo", trials=trials, seed=seed)
+        amb_bad, span, span_bad = _mc_row_oracle(spec, trials, seed)
+        assert out["mu_trials"] == trials and out["pi_trials"] == span
+        assert out["mu_gc"] == amb_bad / trials
+        assert out["pi_gc"] == span_bad / span
+        assert out["mu_gc_ci"] == wilson_interval(amb_bad, trials)
+        assert out["pi_gc_ci"] == wilson_interval(span_bad, span)
+
+    @pytest.mark.parametrize("spec", [
+        *(transvection_good_set(n, k) for k in (1, 2, 3, 4) for n in (k, k + 1, k + 3)),
+        *(heisenberg_good_set(r, p, m, 0.5) for p, m in ((3, 1), (5, 1), (3, 2))
+          for r in (2 * m, 2 * m + 1, 2 * m + 3)),
+    ], ids=lambda x: f"{x.kind}-{x.n}-{x.k or (x.p, x.m)}")
+    def test_no_full_count_is_full_rank(self, spec):
+        # rows span exactly when no S_xi or N_xi reaches n
+        rng = _rng(9)
+        batch = 3000
+        if spec.kind == "transvection":
+            size = 1 << spec.k
+            # rows drawn from a random subset of values, so rank deficits occur
+            codes = rng.integers(0, size, size=(batch, spec.n)) & rng.integers(0, size, size=(batch, 1))
+            rank = chain_module.rank_bits_batch(codes, spec.k) == spec.k
+        else:
+            size = spec.p**spec.h
+            V = rng.integers(0, spec.p, size=(batch, spec.n, spec.h))
+            V[: batch // 2, :, 0] = 0  # half the batch in the hyperplane v_0 = 0
+            codes = V @ spec.p ** np.arange(spec.h)
+            rank = chain_module.rank_modp_batch(V, spec.p) == spec.h
+        T = _value_counts(codes, size) @ diagnostics._value_table(spec)
+        assert np.array_equal((T < spec.n).all(axis=1), rank)
+        assert rank.any() and not rank.all()
+
+    def test_monte_carlo_budget_refused_before_drawing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew samples before the budget check")
+
+        monkeypatch.setattr(diagnostics, "philox_generator", fail)
+        with pytest.raises(BudgetError, match="class budget"):
+            good_set_measure(transvection_good_set(8, 10), "monte_carlo", trials=100_000)
+        with pytest.raises(BudgetError, match="class budget"):
+            good_set_measure(heisenberg_good_set(8, 3, 1, 0.5), "monte_carlo", trials=1000,
+                             budget=9 * 1000 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +606,13 @@ class TestBirthDeath:
         res = bd_hitting_mc(1, 4, params, trials=4000, seed=11)
         assert res["unfinished"] == 0
         assert abs(res["mean"] - exact) <= 4 * res["sem"]
+
+    def test_no_trials_refused(self):
+        params = BDParams(r=6, p=3)
+        with pytest.raises(ConfigError, match="at least one trial"):
+            bd_hitting_mc(1, 4, params, trials=0, seed=1)
+        with pytest.raises(ConfigError, match="at least one trial"):
+            embedded_crossing_mc(3, 1, 6, params, trials=0, seed=1)
 
     def test_embedded_crossing_matches_formula(self):
         params = BDParams(r=6, p=3)

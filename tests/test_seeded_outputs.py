@@ -1,0 +1,171 @@
+"""Seeded Monte Carlo outputs pinned by SHA-256 digest.
+
+Each case runs a seeded engine and hashes a canonical JSON form of its
+output (array dtype, shape and values; floats by their shortest repr), so
+any change in the draws, their order or the law they feed shows up here.
+A digest may change only with a stated reason for the new output.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from groupwalks import cli
+from groupwalks import diagnostics as dg
+from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk, pa_pra_batch
+
+
+def _canon(x):
+    if isinstance(x, np.ndarray):
+        return {"dtype": str(x.dtype), "shape": list(x.shape), "data": x.tolist()}
+    if isinstance(x, dict):
+        return {str(k): _canon(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_canon(v) for v in x]
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(_canon(obj), sort_keys=True).encode()).hexdigest()
+
+
+def _burnin(walk, spec, grid, trials, seed):
+    return lambda: dg.burnin_occupancy(walk, spec, grid, trials, seed)
+
+
+def _pa_pra_states(r, p, m, trials, grid, seed, laziness):
+    def run():
+        sv, sz = dg.canonical_start(r, p, m)
+        got = {}
+        pa_pra_batch(r, p, m, trials, grid, seed,
+                     lambda t, v, z: got.__setitem__(t, (v.copy(), z.copy())),
+                     start_v=sv, start_z=sz, laziness=laziness)
+        return got
+    return run
+
+
+def _simulate_csv(tmp_path, argv):
+    def run():
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--walk", "pa-pra", *argv, "--out", str(out)]) == 0
+        return out.read_bytes().decode()
+    return run
+
+
+def _cases(tmp_path):
+    ts16 = dg.transvection_good_set(16, 1)
+    return {
+        "burnin one-column r=16": _burnin(OneColumnWalk(16, 2), ts16, [0, 5, 20, 60, 120], 300, 11),
+        "burnin one-column r=16 lazy": _burnin(OneColumnWalk(16, 2, 0.25), ts16, [0, 7, 50, 150], 300, 12),
+        "burnin transvection n=8 k=2": _burnin(TransvectionWalk(8, 2), dg.transvection_good_set(8, 2),
+                                               [0, 3, 10, 40, 90], 300, 13),
+        "burnin transvection n=8 k=2 lazy": _burnin(TransvectionWalk(8, 2, 0.25),
+                                                    dg.transvection_good_set(8, 2), [0, 10, 90], 300, 14),
+        "burnin pa-pra r=6 p=3 m=1": _burnin(PaPraWalk(6, 3, 1), dg.heisenberg_good_set(6, 3, 1, 0.75),
+                                             [0, 4, 20, 80], 300, 15),
+        "burnin pa-pra r=6 p=3 m=1 lazy": _burnin(PaPraWalk(6, 3, 1, 0.25),
+                                                  dg.heisenberg_good_set(6, 3, 1, 0.75), [0, 9, 80], 300, 16),
+        "burnin pa-pra r=7 p=5 m=1": _burnin(PaPraWalk(7, 5, 1), dg.heisenberg_good_set(7, 5, 1, 0.6),
+                                             [0, 10, 60], 200, 17),
+        "burnin pa-pra r=6 p=3 m=2": _burnin(PaPraWalk(6, 3, 2), dg.heisenberg_good_set(6, 3, 2, 0.7),
+                                             [0, 10, 60], 200, 18),
+        "pa_pra_batch r=8 p=3 m=3": _pa_pra_states(8, 3, 3, 5, [0, 1, 17, 200], 19, 0.0),
+        "pa_pra_batch r=4 p=13 m=1 lazy": _pa_pra_states(4, 13, 1, 5, [0, 1, 17, 200], 20, 0.25),
+        "good measure transvection n=8 k=2": lambda: dg.good_set_measure(
+            dg.transvection_good_set(8, 2), "monte_carlo", 3000, 21),
+        "good measure transvection n=12 k=3": lambda: dg.good_set_measure(
+            dg.transvection_good_set(12, 3), "monte_carlo", 3000, 22),
+        "good measure heisenberg r=6 p=3 m=1": lambda: dg.good_set_measure(
+            dg.heisenberg_good_set(6, 3, 1, 0.75), "monte_carlo", 3000, 23),
+        "good measure heisenberg r=5 p=3 m=2": lambda: dg.good_set_measure(
+            dg.heisenberg_good_set(5, 3, 2, 0.7), "monte_carlo", 3000, 24),
+        "good measure heisenberg r=4 p=5 m=1": lambda: dg.good_set_measure(
+            dg.heisenberg_good_set(4, 5, 1, 0.6), "monte_carlo", 3000, 25),
+        "bd_hitting_mc r=16 p=3": lambda: dg.bd_hitting_mc(1, 12, dg.BDParams(16, 3), 500, 26),
+        "bd_hitting_mc r=32 p=2": lambda: dg.bd_hitting_mc(2, 20, dg.BDParams(32, 2), 500, 27),
+        "bd_hitting_mc unfinished": lambda: dg.bd_hitting_mc(1, 12, dg.BDParams(16, 3), 300, 28,
+                                                             max_steps=150),
+        "embedded_crossing_mc r=16 p=3": lambda: dg.embedded_crossing_mc(
+            3, 2, 8, dg.BDParams(16, 3), 500, 29),
+        "embedded_crossing_mc r=32 p=2": lambda: dg.embedded_crossing_mc(
+            4, 3, 12, dg.BDParams(32, 2), 500, 30),
+        "support frequencies r=16 p=3": lambda: dg.support_transition_frequencies(16, 3, 4000, 31),
+        "support frequencies r=12 p=2": lambda: dg.support_transition_frequencies(12, 2, 4000, 32, chains=8),
+        "simulate pa-pra p=3 m=1": _simulate_csv(tmp_path, ["-r", "5", "-p", "3", "-m", "1", "--steps", "300",
+                                                            "--trials", "3", "--record-every", "10",
+                                                            "--seed", "33"]),
+        "simulate pa-pra p=5 m=1 lazy": _simulate_csv(tmp_path, ["-r", "4", "-p", "5", "-m", "1",
+                                                                 "--steps", "300", "--trials", "2",
+                                                                 "--record-every", "7", "--seed", "34",
+                                                                 "--laziness", "0.25"]),
+        "simulate pa-pra p=3 m=2": _simulate_csv(tmp_path, ["-r", "6", "-p", "3", "-m", "2", "--steps", "200",
+                                                            "--trials", "2", "--record-every", "10",
+                                                            "--seed", "35"]),
+    }
+
+
+DIGESTS = {
+    "bd_hitting_mc r=16 p=3":
+        "12237fac0d869530ed6bc41ad907c81420eec88ff978282ef32995da610a7854",
+    "bd_hitting_mc r=32 p=2":
+        "bc9fec77b27e3978360a53b93db2096901ae9002c6d32d1b23fa2fbb908f3bf5",
+    "bd_hitting_mc unfinished":
+        "59c66694083106270580571ef6dfd7e96eb02db3ba9fd8d4e89747152b306fa8",
+    "burnin one-column r=16":
+        "bff5a24365bad051137e2368343c017b33c977b2730824143cc0f1a5138c0e97",
+    "burnin one-column r=16 lazy":
+        "fa92281b74d8a110a9779f2443ccd688e231f81999f85220ed698af4f5c8957f",
+    "burnin pa-pra r=6 p=3 m=1":
+        "b122c7b75f0388a0da91b45ec052a4d1ec968e2bbacb909d01ffb831bd114d72",
+    "burnin pa-pra r=6 p=3 m=1 lazy":
+        "9b901fa19821bbe365b086ca2e639f08f2e5373ebfc12883eda7732a9ae70704",
+    "burnin pa-pra r=6 p=3 m=2":
+        "7c1b99f64b755411d0c2015fe720fce478c60d09a19a5c87cb53df2f1428e978",
+    "burnin pa-pra r=7 p=5 m=1":
+        "e810033a8e439e911ca63a4685dc0176aab04ec6d5c5ceb093dd4533e1810176",
+    "burnin transvection n=8 k=2":
+        "e617d63af0914e0c961253ebd4945b97ced2ced685c03847c467d722b4b9d08c",
+    "burnin transvection n=8 k=2 lazy":
+        "fe9b4770f9f9ab36ff6d2845e838a7d4255bc33a7eb86d9de0512f4675bac1a5",
+    "embedded_crossing_mc r=16 p=3":
+        "6a49dafc13cb8ce12e3ba5367d4401f8ed372e391b3e19b7fa2116c5fe5da3ea",
+    "embedded_crossing_mc r=32 p=2":
+        "e204ef665ab0b2b17ea2e5084b23bc1e6baa7b1ada025f7ad8967bd141da2e8d",
+    "good measure heisenberg r=4 p=5 m=1":
+        "4dbebb73b1b8bc08cb727c490f3a45a1260c293ee54f2c516d153a6392628a85",
+    "good measure heisenberg r=5 p=3 m=2":
+        "3335f13dfaea8099dd76fee35c8f86434889398274f608de9f2c27ab65d9c209",
+    "good measure heisenberg r=6 p=3 m=1":
+        "e8c4ccca3fddd75d3c3554e732b6fadf9aebc1db94687ad832c258d92089d6e1",
+    "good measure transvection n=12 k=3":
+        "bc371b2922a2ca38197d50d97865d33c1420bd82a7c6769e2b1f6dfe70ed07d4",
+    "good measure transvection n=8 k=2":
+        "9c5ea8b8cf3caad4e1e27db2e4f7a553654294b0c23f8b2bf396b7292432fd6f",
+    "pa_pra_batch r=4 p=13 m=1 lazy":
+        "3ee5a9c71fe6f2ac8d80ebbc318c29c725ffb6403467659371577152af9684d3",
+    "pa_pra_batch r=8 p=3 m=3":
+        "8bd66a4b682eba177708eb64ea74aaa5313c9d9233e38c61c12cdcfe74d0f22a",
+    "simulate pa-pra p=3 m=1":
+        "a8d2233cf102dcc55059357b31e911afaacc97c7641e71382b69bdd3af26332a",
+    "simulate pa-pra p=3 m=2":
+        "1fed53e10420490b0a922fb1c1918ea0fb5f97a74f53baad840548cbd9adb355",
+    "simulate pa-pra p=5 m=1 lazy":
+        "65f8a0820091eef585babeb12692dc799db7a422dda5af21f72357494f64da81",
+    "support frequencies r=12 p=2":
+        "c7da1d7e9235543b9a1fb992260c9a37cb70ca811907117dd3853f5c6bac7f92",
+    "support frequencies r=16 p=3":
+        "d7feb456543beff63064732922232de4548887a196c8888b7493805a6cc4d42f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_seeded_output_digest(tmp_path, case):
+    assert _digest(_cases(tmp_path)[case]()) == DIGESTS[case]
+
+
+def test_every_case_is_pinned(tmp_path):
+    assert sorted(_cases(tmp_path)) == sorted(DIGESTS)
