@@ -21,23 +21,25 @@ law on their state space.  An optional laziness weight q turns a kernel P
 into q I + (1-q) P.
 
 States are plain tuples (ints for field rows, HeisenbergElement for
-Heisenberg tuples).  Exhaustive enumerations pack states into integers and
-order the space by that code, so a given walk always lists its states, and
-hence its kernels, in the same order.  Each walk maps the whole code array
-to successor codes with array arithmetic; the move table, the dense kernel
-and the connected components are all derived from that one table, while
-apply_move stays the per-state definition the table is tested against.
+Heisenberg tuples).  Exhaustive enumerations pack states into integers, one
+digit per coordinate, and order the space by that code, so a given walk
+always lists its states, and hence its kernels, in the same order.
 
-All trajectories run on one loop, _drive.  It draws the moves of a block
-of steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
-pairs, then exponents, sides and laziness coins) from the counter-based
-Philox generator keyed by (seed, stream), then applies each step to every
-trial as one gather/update/scatter on a flat state array.  The batch engines
-one_column_batch, transvection_batch and pa_pra_batch are thin wrappers
-over it, deterministic in (seed, stream, trials); simulate is the engine
-with one trial on stream traj_id, so a trajectory is keyed by (seed,
-traj_id).  transvection_step, one_column_step and pa_pra_step stay the
-per-state definitions that loop is tested against.
+Each walk's move is written once, as a rule on per-coordinate codes: new
+recipient = rule(recipient, donor, exponent, left).  The rules are XOR of
+packed F_2 rows (transvections, and the one-column walk at p = 2),
+(x + a y) mod p (the one-column walk at odd p) and two lookups in the
+_pa_pra_tables (PA-PRA).  The move table (and from it the dense kernel and
+the connected components), the trajectory loop _drive and the fibre kernels
+all apply that rule; apply_move and the *_step functions stay the per-state
+definitions they are tested against.
+
+_drive draws the moves of a block of steps for every trial at once (about
+_BLOCK_CELLS steps x trials: ordered pairs, then exponents, sides and
+laziness coins) from the counter-based Philox generator keyed by (seed,
+stream).  The batch engines one_column_batch, transvection_batch and
+pa_pra_batch wrap it, deterministic in (seed, stream, trials); simulate is
+the engine with one trial on stream traj_id.
 """
 
 from __future__ import annotations
@@ -153,47 +155,54 @@ def _check_budget(count: int, budget: int, what: str, unit: str = "states") -> N
         raise BudgetError(f"{what}: {count} {unit} exceed the budget {budget}")
 
 
-def _encode_rows(rows: Sequence[int], k: int) -> int:
-    code = 0
-    for i, r in enumerate(rows):
-        code |= int(r) << (i * k)
-    return code
+def _digit_space(
+    codes, base: int, count: int, description: str,
+    to_digit: Callable = int, from_digit: Callable = int,
+) -> EnumeratedSpace:
+    """A space of tuples coded with one base-`base` digit per coordinate,
+    coordinate 0 least significant: the packing _digits reads."""
+    return EnumeratedSpace(
+        codes,
+        encode=lambda state: sum(to_digit(s) * base**i for i, s in enumerate(state)),
+        decode=lambda c: tuple(from_digit(c // base**i % base) for i in range(count)),
+        description=description,
+    )
 
 
-def _decode_rows(code: int, n: int, k: int) -> tuple[int, ...]:
-    mask = (1 << k) - 1
-    return tuple((code >> (i * k)) & mask for i in range(n))
+def _ambient_scan(what: str, ambient: int, budget: int, keep: Callable, expected: int) -> np.ndarray:
+    """The codes in [0, ambient) where keep(block) holds, in increasing order.
+
+    The ambient size is checked against the budget first; the scan then runs
+    over blocks of _AMBIENT_CHUNK codes, and the number kept must equal the
+    count formula `expected`.
+    """
+    _check_budget(ambient, budget, f"{what} ambient")
+    kept = []
+    for lo in range(0, ambient, _AMBIENT_CHUNK):
+        block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
+        kept.append(block[keep(block)])
+    codes = np.concatenate(kept)
+    if codes.shape[0] != expected:
+        raise RuntimeError(f"{what} enumeration mismatch: got {codes.shape[0]}, formula {expected}")
+    return codes
 
 
 def stiefel_space(n: int, k: int, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
     """All n-tuples of rows in F_2^k whose rows span F_2^k.
 
     The count is prod_{q<k} (2^n - 2^q); enumeration scans the ambient
-    2^{nk} tuples in blocks of _AMBIENT_CHUNK codes, so the budget applies
-    to the ambient size.
+    2^{nk} tuples, so the budget applies to the ambient size.
     """
     if k < 1 or n < k:
         raise ValueError(f"need n >= k >= 1 for a spanning tuple, got n={n}, k={k}")
-    ambient = 1 << (n * k)
-    _check_budget(ambient, budget, f"Stief({n},{k}) ambient")
-    kept = []
-    for lo in range(0, ambient, _AMBIENT_CHUNK):
-        block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
-        kept.append(block[rank_bits_batch(_digits(block, 1 << k, n), k) == k])
-    codes = np.concatenate(kept)
     expected = 1
     for q in range(k):
         expected *= (1 << n) - (1 << q)
-    if codes.shape[0] != expected:
-        raise RuntimeError(
-            f"Stiefel enumeration mismatch: got {codes.shape[0]}, formula {expected}"
-        )
-    return EnumeratedSpace(
-        codes,
-        encode=lambda st: _encode_rows(st, k),
-        decode=lambda c: _decode_rows(c, n, k),
-        description=f"Stief({n},{k})",
+    codes = _ambient_scan(
+        f"Stief({n},{k})", 1 << (n * k), budget,
+        lambda block: rank_bits_batch(_digits(block, 1 << k, n), k) == k, expected,
     )
+    return _digit_space(codes, 1 << k, n, f"Stief({n},{k})")
 
 
 def one_column_space(r: int, p: int, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
@@ -204,21 +213,7 @@ def one_column_space(r: int, p: int, budget: int = DEFAULT_STATE_BUDGET) -> Enum
     total = p**r
     _check_budget(total, budget, f"F_{p}^{r} ambient")
     codes = np.arange(1, total, dtype=np.int64)
-
-    def enc(y: Sequence[int]) -> int:
-        c = 0
-        for d in reversed(y):
-            c = c * p + int(d) % p
-        return c
-
-    def dec(c: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(r):
-            out.append(c % p)
-            c //= p
-        return tuple(out)
-
-    return EnumeratedSpace(codes, enc, dec, description=f"F_{p}^{r} \\ 0")
+    return _digit_space(codes, p, r, f"F_{p}^{r} \\ 0", to_digit=lambda d: int(d) % p)
 
 
 def heisenberg_tuple_space(
@@ -226,45 +221,23 @@ def heisenberg_tuple_space(
 ) -> EnumeratedSpace:
     """All r-tuples over H(p, m) whose horizontal parts span F_p^{2m}.
 
-    The ambient (p^{2m+1})^r tuples are scanned in blocks of _AMBIENT_CHUNK
-    codes, as in stiefel_space.
+    The ambient (p^{2m+1})^r tuples are scanned as in stiefel_space; the
+    count is p^r prod_{q<2m} (p^r - p^q), which is 0 for r < 2m.
     """
     check_prime(p)
     if p == 2:
         raise ValueError("Heisenberg tuples require odd p")
     h = 2 * m
     hsize = p ** (h + 1)
-    ambient = hsize**r
-    _check_budget(ambient, budget, f"V_{r}(H({p},{m})) ambient")
-    kept = []
-    for lo in range(0, ambient, _AMBIENT_CHUNK):
-        block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
-        horiz = _digits(_digits(block, hsize, r), p, h)  # (block, r, h)
-        kept.append(block[rank_modp_batch(horiz, p) == h])
-    keep = np.concatenate(kept)
     expected = p**r
     for q in range(h):
         expected *= p**r - p**q
-    # the count formula holds for r >= h; for smaller r the space is empty
-    if r >= h and keep.shape[0] != expected:
-        raise RuntimeError(
-            f"tuple enumeration mismatch: got {keep.shape[0]}, formula {expected}"
-        )
-
-    def enc(g: Sequence[HeisenbergElement]) -> int:
-        c = 0
-        for el in reversed(g):
-            c = c * hsize + encode_element(el)
-        return c
-
-    def dec(c: int) -> tuple[HeisenbergElement, ...]:
-        out = []
-        for _ in range(r):
-            out.append(decode_element(c % hsize, p, m))
-            c //= hsize
-        return tuple(out)
-
-    return EnumeratedSpace(keep, enc, dec, description=f"V_{r}(H({p},{m}))")
+    keep = _ambient_scan(
+        f"V_{r}(H({p},{m}))", hsize**r, budget,
+        lambda block: rank_modp_batch(_digits(_digits(block, hsize, r), p, h), p) == h, expected,
+    )
+    return _digit_space(keep, hsize, r, f"V_{r}(H({p},{m}))", encode_element,
+                        lambda c: decode_element(c, p, m))
 
 
 def row_space(k: int) -> EnumeratedSpace:
@@ -376,6 +349,60 @@ def pa_pra_step(
 
 
 # ---------------------------------------------------------------------------
+# move rules: each walk's law on per-coordinate codes
+# ---------------------------------------------------------------------------
+
+
+def _xor_rule(x, y, a, left):
+    """Row addition over F_2 on packed rows; the exponent is 1 and there is no side."""
+    return x ^ y
+
+
+def _one_column_rule(p: int) -> Callable:
+    """Y_i + a Y_j mod p; over F_2 a move always adds, which is XOR."""
+    if p == 2:
+        return _xor_rule
+    return lambda x, y, a, left: (x + a * y) % p
+
+
+def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Power and two-sided product tables on the element codes of H(p, m).
+
+    With q = p^(2m+1) elements, powers[a*q + j] is the code of g_j^a and
+    products[side*q*q + i*q + j] the code of g_i g_j (side 0, right) or
+    g_j g_i (side 1, left).  Both come from the one law, _h_mul_codes:
+    it fills the p^(2m) x p^(2m) tables of horizontal sums and of the
+    central term omega/2 once, and those broadcast over the central digits,
+    so no (q, q, 2m+1) digit array is built.  The 2q^2 + pq entries are
+    checked against DEFAULT_STATE_BUDGET before any of this runs.
+    """
+    h = 2 * m
+    P, q = p**h, p ** (h + 1)
+    _check_budget(2 * q * q + p * q, DEFAULT_STATE_BUDGET, f"H({p},{m}) product tables", "entries")
+    horizontal = np.zeros((P, h + 1), dtype=np.int16)
+    horizontal[:, :h] = _digits(np.arange(P), p, h)
+    law = _h_mul_codes(horizontal[:, None], horizontal[None, :], p)  # z = t = 0
+    hsum, half_omega = (law % P).astype(np.int16), (law // P).astype(np.int16)
+    z = np.arange(p, dtype=np.int16)
+    # code i = hi + zi * P, so a (q, q) table is (zi, hi, zj, hj)
+    central = (z[:, None, None, None] + z[None, None, :, None] + half_omega[None, :, None, :]) % p
+    right = (central * np.int16(P) + hsum[None, :, None, :]).reshape(q, q)
+    products = np.concatenate([right.ravel(), right.T.ravel()])
+    powers = np.zeros((p, q), dtype=np.int16)  # g^0 is the identity, code 0
+    for a in range(1, p):  # g^a = g^(a-1) g
+        powers[a] = right[powers[a - 1], np.arange(q)]
+    return powers.ravel(), products
+
+
+def _pa_pra_rule(p: int, m: int) -> Callable:
+    """g_i g_j^a (right) or g_j^a g_i (left) on element codes: the donor's
+    power, then the product, both looked up in the _pa_pra_tables."""
+    powers, products = _pa_pra_tables(p, m)
+    q = np.int32(p ** (2 * m + 1))
+    return lambda x, y, a, left: products.take((left * q + x) * q + powers.take(a * q + y))
+
+
+# ---------------------------------------------------------------------------
 # walk kernels
 # ---------------------------------------------------------------------------
 
@@ -392,9 +419,9 @@ class _WalkBase:
         self.laziness = float(laziness)
 
     # subclasses provide: apply_move(state, move), in_omega(state),
-    # space(budget), counting_move_bound and
-    # _successor_codes(codes), the (n_moves, M) codes of apply_move's
-    # results for every move and every state code, in move order
+    # space(budget), counting_move_bound, _coords and _base (the number of
+    # digits of a state code and their base), _rule (the move rule on those
+    # digits) and _coded(move), the move as (recipient, donor, exponent, left)
 
     def apply_kernel_row(self, state) -> list[tuple[tuple, float]]:
         """Aggregated successor list [(state', prob)]; probabilities sum to 1."""
@@ -423,6 +450,17 @@ class _WalkBase:
         own class.
         """
         return np.arange(space.size)
+
+    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
+        """(n_moves, M) codes of apply_move's results for every move and every
+        state code, in move order: the rule replaces the recipient digit."""
+        tgt, src, a, left = np.array([self._coded(mv) for mv in self.moves], dtype=np.int64).T
+        cols = np.ascontiguousarray(_digits(codes, self._base, self._coords).T)  # (coords, M)
+        old = cols[tgt]
+        delta = self._rule(old, cols[src], a[:, None], left[:, None]) - old
+        delta *= self._base ** tgt[:, None]
+        delta += codes
+        return delta
 
     def move_permutations(self, space: EnumeratedSpace) -> np.ndarray:
         """(n_moves, M) successor state indices; every move is a bijection.
@@ -467,6 +505,7 @@ class TransvectionWalk(_WalkBase):
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
         self.n = n
         self.k = k
+        self._coords, self._base, self._rule = n, 1 << k, _xor_rule
         self._init_laziness(laziness)
         self.moves = [(a, b) for a in range(n) for b in range(n) if a != b]
 
@@ -479,10 +518,8 @@ class TransvectionWalk(_WalkBase):
         a, b = move
         return transvection_step(state, a, b)
 
-    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
-        a, b = np.array(self.moves, dtype=np.int64).T[:, :, None]
-        row_a = (codes >> (a * self.k)) & ((1 << self.k) - 1)
-        return codes ^ (row_a << (b * self.k))
+    def _coded(self, move):
+        return move[1], move[0], 1, 0
 
     def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
         """One state per S_n class: a row permutation sends move (a, b) to
@@ -519,6 +556,7 @@ class OneColumnWalk(_WalkBase):
             raise ValueError("the walk needs at least two coordinates")
         self.r = r
         self.p = p
+        self._coords, self._base, self._rule = r, p, _one_column_rule(p)
         self._init_laziness(laziness)
         if p == 2:
             self.moves = [(i, j) for i in range(r) for j in range(r) if i != j]
@@ -545,14 +583,8 @@ class OneColumnWalk(_WalkBase):
             i, j, a = move
         return one_column_step(state, i, j, a, self.p)
 
-    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
-        p = self.p
-        mv = np.array(self.moves, dtype=np.int64)
-        i, j = mv[:, 0:1], mv[:, 1:2]
-        a = mv[:, 2:3] if p > 2 else 1  # over F_2 a move always adds
-        y_i = (codes // p**i) % p
-        y_j = (codes // p**j) % p
-        return codes + ((y_i + a * y_j) % p - y_i) * p**i
+    def _coded(self, move):
+        return move[0], move[1], move[2] if self.p > 2 else 1, 0
 
     def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
         """One state per support size.  Coordinate permutations and scalings
@@ -585,6 +617,7 @@ class PaPraWalk(_WalkBase):
         self.r = r
         self.p = p
         self.m = m
+        self._coords, self._base = r, p ** (2 * m + 1)
         self._init_laziness(laziness)
         self.moves = [
             (i, j, a, side)
@@ -604,16 +637,13 @@ class PaPraWalk(_WalkBase):
         i, j, a, side = move
         return pa_pra_step(state, i, j, a, side)
 
-    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
-        p, hsize = self.p, self.p ** (2 * self.m + 1)
-        i, j, a = np.array([mv[:3] for mv in self.moves], dtype=np.int64).T
-        left = np.array([mv[3] == "L" for mv in self.moves])
-        elements = _digits(codes, hsize, self.r)  # (M, r) element codes
-        digits = _digits(elements, p, 2 * self.m + 1)  # (M, r, 2m+1)
-        g_i = digits[:, i]  # (M, n_moves, 2m+1)
-        power = (a[:, None] * digits[:, j]) % p  # g_j^a = (a v_j, a z_j)
-        new = np.where(left, _h_mul_codes(power, g_i, p), _h_mul_codes(g_i, power, p))
-        return (codes[:, None] + (new - elements[:, i]) * hsize**i).T
+    def _coded(self, move):
+        return move[0], move[1], move[2], move[3] == "L"
+
+    @property
+    def _rule(self) -> Callable:
+        """Built on use: the tables behind it are refused past their budget."""
+        return _pa_pra_rule(self.p, self.m)
 
     def in_omega(self, state) -> bool:
         return (
@@ -656,25 +686,20 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
     K(u, v) = c_{u xor v} / (n-1) with c_w the number of frozen rows equal
     to w.  kind='heisenberg': frozen holds r-1 HeisenbergElement values and
     the kernel averages left and right translation by g_j^a over all j and
-    all exponents a.
+    all exponents a.  Either way K(x, .) is the law of the walk's move rule
+    applied to x with a uniform frozen donor, exponent and side.
     """
     if kind == "transvection":
         if k is None:
             raise ValueError("the transvection fibre needs the row width k")
-        n = len(frozen) + 1
-        if n < 2:
+        if len(frozen) == 0:
             raise ValueError("need at least one frozen row")
-        size = 1 << k
         for zj in frozen:
-            if not 0 <= int(zj) < size:
+            if not 0 <= int(zj) < 1 << k:
                 raise ValueError(f"frozen row {zj} outside F_2^{k}")
-        counts = np.bincount(np.array(frozen, dtype=np.int64), minlength=size).astype(float)
-        # K(u, v) = c_{u xor v}: each entry receives exactly one count
-        u = np.arange(size)
-        mat = counts[u[:, None] ^ u[None, :]]
-        mat /= n - 1
-        return FibreKernel("transvection", i, tuple(int(z) for z in frozen), mat, row_space(k))
-    if kind in ("heisenberg", "pa_pra"):
+        frozen, space = tuple(int(z) for z in frozen), row_space(k)
+        rule, donors, exponents, sides = _xor_rule, frozen, [1], [0]
+    elif kind in ("heisenberg", "pa_pra"):
         if not frozen:
             raise ValueError("need at least one frozen coordinate")
         g0 = frozen[0]
@@ -682,20 +707,15 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
         for gj in frozen:
             if gj.p != p_ or gj.h != g0.h:
                 raise DimensionMismatch(f"elements of H({g0.h},{p_}) and H({gj.h},{gj.p})")
-        space = heisenberg_space(p_, m_)
-        size = space.size
-        x = _digits(space.codes, p_, 2 * m_ + 1)[None]  # (1, size, 2m+1)
-        g = _digits(np.array([encode_element(gj) for gj in frozen]), p_, 2 * m_ + 1)
-        # every power g_j^a = (a v_j, a z_j), a in F_p: (r1 * p, 1, 2m+1)
-        powers = ((np.arange(p_)[:, None, None] * g[None]) % p_).reshape(-1, 1, 2 * m_ + 1)
-        rows = np.arange(size) * size
-        right = rows + _h_mul_codes(x, powers, p_)
-        left = rows + _h_mul_codes(powers, x, p_)
-        counts = np.bincount(np.concatenate([right.ravel(), left.ravel()]), minlength=size * size)
-        mat = counts.reshape(size, size).astype(float)
-        mat /= 2 * len(frozen) * p_
-        return FibreKernel("heisenberg", i, tuple(frozen), mat, space)
-    raise ValueError(f"unknown fibre kind {kind!r}")
+        kind, frozen, space = "heisenberg", tuple(frozen), heisenberg_space(p_, m_)
+        rule, exponents, sides = _pa_pra_rule(p_, m_), range(p_), [0, 1]
+        donors = [encode_element(gj) for gj in frozen]
+    else:
+        raise ValueError(f"unknown fibre kind {kind!r}")
+    y, a, left = (g.ravel() for g in np.meshgrid(donors, exponents, sides, indexing="ij"))
+    x = space.codes[:, None]
+    counts = np.bincount((x * space.size + rule(x, y, a, left)).ravel(), minlength=space.size**2)
+    return FibreKernel(kind, i, frozen, counts.reshape(space.size, space.size) / y.size, space)
 
 
 # ---------------------------------------------------------------------------
@@ -729,15 +749,16 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
         yield i, j, a, left, hold
 
 
-def _drive(cells, r, t_grid, seed, stream, laziness, step, observe, exponents=1, sides=False):
+def _drive(cells, r, t_grid, seed, stream, laziness, rule, observe, exponents=1, sides=False):
     """Run trajectories in place on `cells` and observe them on a time grid.
 
     cells holds trials * r coordinates, trial-major, then one spare that
-    stays zero, along its first axis.  step(tgt, src, a, left) updates
-    coordinates tgt (one per trial) from donors src with exponents a and
-    sides left.  A held step's donor is the spare cell, whose zero makes the
-    update the identity.  observe(t) runs at every grid time, after step t.
-    The moves come from _move_blocks on Philox (seed, stream).
+    stays zero, along its first axis.  A step sets the recipient cells tgt
+    (one per trial) to rule(recipient, donor, exponent, left).  A held
+    step's donor is the spare cell, whose zero (the zero row, or the
+    identity element) makes the rule the identity.  observe(t) runs at every
+    grid time, after step t.  The moves come from _move_blocks on Philox
+    (seed, stream).
     """
     grid = sorted(set(int(t) for t in t_grid))
     if grid and grid[0] < 0:
@@ -754,21 +775,18 @@ def _drive(cells, r, t_grid, seed, stream, laziness, step, observe, exponents=1,
     for i, j, a, left, hold in _move_blocks(rng, steps, offset.size, r, exponents, sides, laziness):
         tgt = i + offset
         src = np.where(hold, spare, j + offset)
-        for row in zip(tgt, src, a, left):
-            step(*row)
+        for tgt_t, src_t, a_t, left_t in zip(tgt, src, a, left):
+            cells.put(tgt_t, rule(cells.take(tgt_t), cells.take(src_t), a_t, left_t))
             t += 1
             if t == next_t:
                 observe(t)
                 next_t = next(due, None)
 
 
-def _xor_step(cells: np.ndarray) -> Callable:
-    """Row addition over F_2 on packed rows: cell tgt ^= cell src."""
-
-    def step(tgt, src, a, left):
-        cells.put(tgt, cells.take(tgt) ^ cells.take(src))
-
-    return step
+def _check_start(start, inside) -> None:
+    """Refuse a start that is not in the walk's state space."""
+    if not inside:
+        raise ValueError(f"start {start!r} is outside the state space")
 
 
 def one_column_batch(
@@ -787,19 +805,12 @@ def one_column_batch(
     All trials share one Philox stream keyed (seed, stream), so the run is
     deterministic in (seed, stream, trials).  The default start is e_1.
     """
+    y0 = np.asarray([1] + [0] * (r - 1) if start is None else start, dtype=np.int64)
+    _check_start(start, y0.shape == (r,) and ((0 <= y0) & (y0 < p)).all() and y0.any())
     cells = np.zeros(trials * r + 1, dtype=np.uint8)
     y = cells[:-1].reshape(trials, r)
-    if start is None:
-        y[:, 0] = 1
-    else:
-        y[:] = np.asarray(start, dtype=np.uint8)[None, :]
-
-    def add_step(tgt, src, a, left):
-        cells.put(tgt, (cells.take(tgt) + a * cells.take(src)) % p)
-
-    # over F_2 a move always adds the donor
-    step = _xor_step(cells) if p == 2 else add_step
-    _drive(cells, r, t_grid, seed, stream, laziness, step, lambda t: stat_fn(t, y),
+    y[:] = y0[None, :]
+    _drive(cells, r, t_grid, seed, stream, laziness, _one_column_rule(p), lambda t: stat_fn(t, y),
            exponents=1 if p == 2 else p)
 
 
@@ -815,39 +826,13 @@ def transvection_batch(
     stream: int = 0,
 ) -> None:
     """Vectorised tuple-walk trajectories on packed int64 rows (trials, n)."""
+    z0 = np.asarray(start, dtype=np.int64)
+    _check_start(start, z0.shape == (n,) and ((0 <= z0) & (z0 < 1 << k)).all()
+                 and rank_bits_batch(z0[None], k)[0] == k)
     cells = np.zeros(trials * n + 1, dtype=np.int64)
     z = cells[:-1].reshape(trials, n)
-    z[:] = np.asarray(start, dtype=np.int64)[None, :]
-    _drive(cells, n, t_grid, seed, stream, laziness, _xor_step(cells), lambda t: stat_fn(t, z))
-
-
-def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Power and two-sided product tables on the element codes of H(p, m).
-
-    With q = p^(2m+1) elements, powers[a*q + j] is the code of g_j^a and
-    products[side*q*q + i*q + j] the code of g_i g_j (side 0, right) or
-    g_j g_i (side 1, left).  Both come from the one law, _h_mul_codes:
-    it fills the p^(2m) x p^(2m) tables of horizontal sums and of the
-    central term omega/2 once, and those broadcast over the central digits,
-    so no (q, q, 2m+1) digit array is built.  The 2q^2 + pq entries are
-    checked against DEFAULT_STATE_BUDGET before any of this runs.
-    """
-    h = 2 * m
-    P, q = p**h, p ** (h + 1)
-    _check_budget(2 * q * q + p * q, DEFAULT_STATE_BUDGET, f"H({p},{m}) product tables", "entries")
-    horizontal = np.zeros((P, h + 1), dtype=np.int16)
-    horizontal[:, :h] = _digits(np.arange(P), p, h)
-    law = _h_mul_codes(horizontal[:, None], horizontal[None, :], p)  # z = t = 0
-    hsum, half_omega = (law % P).astype(np.int16), (law // P).astype(np.int16)
-    z = np.arange(p, dtype=np.int16)
-    # code i = hi + zi * P, so a (q, q) table is (zi, hi, zj, hj)
-    central = (z[:, None, None, None] + z[None, None, :, None] + half_omega[None, :, None, :]) % p
-    right = (central * np.int16(P) + hsum[None, :, None, :]).reshape(q, q)
-    products = np.concatenate([right.ravel(), right.T.ravel()])
-    powers = np.zeros((p, q), dtype=np.int16)  # g^0 is the identity, code 0
-    for a in range(1, p):  # g^a = g^(a-1) g
-        powers[a] = right[powers[a - 1], np.arange(q)]
-    return powers.ravel(), products
+    z[:] = z0[None, :]
+    _drive(cells, n, t_grid, seed, stream, laziness, _xor_rule, lambda t: stat_fn(t, z))
 
 
 def pa_pra_batch(
@@ -865,29 +850,27 @@ def pa_pra_batch(
 ) -> None:
     """Vectorised Heisenberg-tuple trajectories on int16 element codes.
 
-    A step looks up the donor's power and then the product in the tables of
-    _pa_pra_tables.  stat_fn(t, V, Z) sees int16 horizontal parts
+    A step is the rule of _pa_pra_rule: two lookups in the tables of
+    _pa_pra_tables, built (and checked against their budget) first.  The
+    start is reduced mod p.  stat_fn(t, V, Z) sees int16 horizontal parts
     (trials, r, 2m) and central coordinates (trials, r), decoded at grid
     times only.
     """
     h = 2 * m
-    powers, products = _pa_pra_tables(p, m)
-    q = np.int32(p ** (h + 1))
+    rule = _pa_pra_rule(p, m)
+    v0, z0 = np.asarray(start_v, dtype=np.int64) % p, np.asarray(start_z, dtype=np.int64) % p
+    _check_start((start_v, start_z), v0.shape == (r, h) and z0.shape == (r,)
+                 and rank_modp_batch(v0[None], p)[0] == h)
     place = p ** np.arange(h + 1, dtype=np.int64)
-    start = (np.asarray(start_v, dtype=np.int64) % p) @ place[:h] + (np.asarray(start_z) % p) * place[h]
     cells = np.zeros(trials * r + 1, dtype=np.int16)  # the spare holds 0, the identity
     g = cells[:-1].reshape(trials, r)
-    g[:] = start[None]
-
-    def step(tgt, src, a, left):
-        power = powers.take(a * q + cells.take(src))
-        cells.put(tgt, products.take((left * q + cells.take(tgt)) * q + power))
+    g[:] = (v0 @ place[:h] + z0 * place[h])[None]
 
     def observe(t):
         digits = _digits(g, p, h + 1).astype(np.int16)
         stat_fn(t, digits[..., :h], digits[..., h])
 
-    _drive(cells, r, t_grid, seed, stream, laziness, step, observe, exponents=p, sides=True)
+    _drive(cells, r, t_grid, seed, stream, laziness, rule, observe, exponents=p, sides=True)
 
 
 @dataclass
@@ -923,8 +906,7 @@ def simulate(
         raise ValueError("steps must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    if not walk.in_omega(start):
-        raise ValueError(f"start {start!r} is outside the state space")
+    _check_start(start, walk.in_omega(start))
     observers = observers or {}
     grid = sorted({*range(0, steps + 1, record_every), steps})
     times: list[int] = []

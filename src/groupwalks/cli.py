@@ -529,7 +529,7 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     report["zero_extension"] = ext
     if _get(cfg, "exact_check", True):
         t_total = rep.t_mix_cont_upper
-        if t_total is not None and math.isfinite(t_total):
+        if math.isfinite(t_total):
             hk = _sla.expm(t_total * (P - np.eye(space.size)))
             pi = np.full(space.size, 1.0 / space.size)
             exact_tv = 0.5 * float(np.abs(hk - pi[None, :]).sum(axis=1).max())

@@ -183,7 +183,6 @@ def generates(tup: Sequence[HeisenbergElement]) -> bool:
 
 def heisenberg_elements(p: int, m: int) -> Iterator[HeisenbergElement]:
     """All p^{2m+1} elements, in the order of encode_element."""
-    h = 2 * m
     for code in range(p ** (2 * m + 1)):
         yield decode_element(code, p, m)
 

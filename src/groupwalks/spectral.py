@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .chains import philox_generator
 from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _weights_of
 from .errors import BudgetError, ConfigError, ReversibilityError
 
@@ -276,7 +277,7 @@ def lsi_estimate(
     if stochastic and M >= 2 and evs[1] > 1.0 - 1e-13:
         return LsiEstimate(math.inf, vecs[:, 1] / np.sqrt(rho), 0.0, math.inf)
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = philox_generator(seed, 0)
     n_spikes = min(M, max(4, restarts // 4))
     n_gauss = max(restarts - n_spikes, 1)
     F = rng.standard_normal((n_gauss, M))
@@ -638,7 +639,7 @@ def path_comparison_check(
         lam = np.zeros(P.shape[0])
         lam[mask] = lam_g
         return tv_signed(tilde, lam), bound
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    rng = philox_generator(seed, 1)
     cum = np.cumsum(P, axis=1)
     killed = 0
     for _ in range(trials):

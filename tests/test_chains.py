@@ -720,6 +720,39 @@ class TestBatchEngines:
         expect = 0.5 + 0.5 * (9 / 12)
         assert abs(frac - expect) < 0.02
 
+    # each engine checks its start once, as simulate does, before any step
+    @pytest.mark.parametrize("start", [[5, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0]])
+    def test_one_column_start_outside_the_space_refused(self, start):
+        seen = []
+        with pytest.raises(ValueError, match="outside the state space"):
+            one_column_batch(4, 3, 2, [0, 5], seed=0, stat_fn=lambda t, y: seen.append(t), start=start)
+        assert seen == []
+
+    @pytest.mark.parametrize("start", [[7, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 2, 0]])
+    def test_transvection_start_outside_the_space_refused(self, start):
+        seen = []
+        with pytest.raises(ValueError, match="outside the state space"):
+            transvection_batch(4, 2, 2, [0, 5], seed=0, stat_fn=lambda t, z: seen.append(t), start=start)
+        assert seen == []
+
+    @pytest.mark.parametrize("start_v, start_z", [
+        ([[1, 0], [2, 0], [0, 0]], [0, 0, 0]),  # horizontal parts of rank 1
+        ([[1, 0], [0, 1]], [0, 0]),  # two coordinates for r = 3
+        ([[1, 0], [0, 1], [0, 0]], [0, 0]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0]),  # H(3, 1) has 2m = 2 horizontal digits
+    ])
+    def test_pa_pra_start_outside_the_space_refused(self, start_v, start_z):
+        seen = []
+        with pytest.raises(ValueError, match="outside the state space"):
+            pa_pra_batch(3, 3, 1, 2, [0, 5], 0, lambda t, v, z: seen.append(t), start_v, start_z)
+        assert seen == []
+
+    def test_unreduced_pa_pra_start_is_reduced(self):
+        got = []
+        pa_pra_batch(3, 3, 1, 1, [0], 0, lambda t, v, z: got.append((v.copy(), z.copy())),
+                     [[4, 0], [0, -2], [3, 3]], [5, 0, -1])
+        assert got[0][0].tolist() == [[[1, 0], [0, 1], [0, 0]]] and got[0][1].tolist() == [[2, 0, 2]]
+
 
 # ---------------------------------------------------------------------------
 # the trajectory loop against its drawn moves, replayed one state at a time
@@ -890,6 +923,21 @@ class TestPaPraTables:
             pa_pra_batch(2 * m + 1, p, m, 2, [0, 5], 0, lambda t, v, z: None, sv, sz)
         with pytest.raises(BudgetError, match="product tables"):
             chains._pa_pra_tables(p, m)
+
+    def test_move_tables_and_fibre_kernels_pass_the_table_budget(self, monkeypatch):
+        # both apply the PA-PRA rule, so they build the tables and share their budget
+        def fail(*args):
+            raise AssertionError("the group law ran before the budget check")
+
+        monkeypatch.setattr(chains, "_h_mul_codes", fail)
+        p = 17
+        state = (HeisenbergElement(FieldVector([1, 0], p), 0), HeisenbergElement(FieldVector([0, 1], p), 0))
+        code = encode_element(state[0]) + p**3 * encode_element(state[1])
+        space = EnumeratedSpace(np.array([code]), encode=None, decode=None)
+        with pytest.raises(BudgetError, match="product tables"):
+            PaPraWalk(2, p, 1).move_permutations(space)
+        with pytest.raises(BudgetError, match="product tables"):
+            build_fibre_kernel("heisenberg", 0, state[1:])
 
     @pytest.mark.parametrize("p, m", [(13, 1), (3, 3)])
     def test_largest_admitted_tables(self, p, m):

@@ -418,6 +418,17 @@ class TestBurninOccupancy:
         with pytest.raises(ValueError, match="nonnegative"):
             burnin_occupancy(walk, transvection_good_set(4, 2), [-1, 0, 5], trials=3, seed=0)
 
+    @pytest.mark.parametrize("walk, spec, start", [
+        (TransvectionWalk(4, 2), transvection_good_set(4, 2), [1, 1, 0, 0]),
+        (OneColumnWalk(4, 2), transvection_good_set(4, 1), [0, 0, 0, 0]),
+        (PaPraWalk(3, 3, 1), heisenberg_good_set(3, 3, 1, 0.75),
+         ([[1, 0], [1, 0], [0, 0]], [0, 0, 0])),
+    ])
+    def test_start_outside_the_space_refused(self, walk, spec, start):
+        # refused by the engine before any trial runs, as simulate refuses it
+        with pytest.raises(ValueError, match="outside the state space"):
+            burnin_occupancy(walk, spec, [0, 5], trials=10, seed=0, start=start)
+
     def test_pa_pra_occupancy_runs(self):
         walk = PaPraWalk(5, 3, 1, laziness=0.5)
         spec = heisenberg_good_set(5, 3, 1, 0.731)

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from groupwalks import spectral
 from groupwalks.chains import TransvectionWalk, build_fibre_kernel
 from groupwalks.diagnostics import good_mask_rows, transvection_good_set
 from groupwalks.errors import BudgetError, ConfigError, ReversibilityError
@@ -583,6 +584,32 @@ class TestPathComparison:
         per_start = [exit_probability_exact(P, mask, x, s, L) for x in range(P.shape[0])]
         assert eta == pytest.approx(max(per_start))
         assert per_start[worst] == pytest.approx(eta)
+
+
+class TestSeeds:
+    """lsi_estimate draws on Philox stream 0 and path_comparison_check on
+    stream 1 of philox_generator, which takes any integer seed mod 2^64."""
+
+    @staticmethod
+    def _runs(P, mask, seed):
+        est = lsi_estimate(P, restarts=6, steps=30, seed=seed)
+        return est.value, est.witness, path_comparison_check(P, mask, 0, s=3, t=1.0, L=6, trials=200, seed=seed)
+
+    def test_negative_seed(self, small_walk):
+        P, mask = small_walk
+        value, witness, mc = self._runs(P, mask, -1)
+        want = self._runs(P, mask, 2**64 - 1)
+        assert value == want[0] and np.array_equal(witness, want[1]) and mc == want[2]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_nonnegative_seed_keeps_its_draws(self, monkeypatch, small_walk, seed):
+        P, mask = small_walk
+        got = self._runs(P, mask, seed)
+        # the generators built by hand from the key (seed, stream)
+        monkeypatch.setattr(spectral, "philox_generator", lambda s, stream: np.random.Generator(
+            np.random.Philox(key=np.array([s, stream], dtype=np.uint64))))
+        want = self._runs(P, mask, seed)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 # ---------------------------------------------------------------------------
