@@ -29,10 +29,10 @@ Each walk's move is written once, as a rule on per-coordinate codes: new
 recipient = rule(recipient, donor, exponent, left).  The rules are XOR of
 packed F_2 rows (transvections, and the one-column walk at p = 2),
 (x + a y) mod p (the one-column walk at odd p) and two lookups in the
-_pa_pra_tables (PA-PRA).  The move table (and from it the dense kernel and
-the connected components), the trajectory loop _drive and the fibre kernels
-all apply that rule; apply_move and the *_step functions stay the per-state
-definitions they are tested against.
+_pa_pra_tables (PA-PRA).  The move table (and from it the sparse operator,
+the dense kernel and the connected components), the trajectory loop _drive
+and the fibre kernels all apply that rule; apply_move and the *_step
+functions stay the per-state definitions they are tested against.
 
 _drive draws the moves of a block of steps for every trial at once (about
 _BLOCK_CELLS steps x trials: ordered pairs, then exponents, sides and
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 
 from .algebra import FieldVector, _digits, check_prime, rank_bits
 from .errors import BudgetError, DimensionMismatch, InvalidMove
@@ -408,7 +408,12 @@ def _pa_pra_rule(p: int, m: int) -> Callable:
 
 
 class _WalkBase:
-    """Shared kernel plumbing: dense matrices, successor lists, simulation."""
+    """Shared kernel plumbing: kernels, successor lists, simulation.
+
+    The sparse operator, the dense kernel and connectivity (the operator's
+    nonzero pattern, see connected_components) all derive from one move
+    table, move_permutations.
+    """
 
     laziness: float
     moves: list
@@ -474,6 +479,12 @@ class _WalkBase:
         if missing.any():
             raise KeyError(f"code {int(succ[missing][0])} is not in the space")
         return idx
+
+    def operator(self, space: EnumeratedSpace) -> csr_matrix:
+        """Transition matrix on the enumerated space as CSR: each move adds
+        (1 - q) / moves at (x, move(x)), and the laziness q sits on the
+        diagonal."""
+        return _move_operator(self.move_permutations(space), self.laziness)
 
     def dense(self, space: EnumeratedSpace | None = None) -> np.ndarray:
         """Dense transition matrix on the enumerated space."""
@@ -804,7 +815,10 @@ def one_column_batch(
 
     All trials share one Philox stream keyed (seed, stream), so the run is
     deterministic in (seed, stream, trials).  The default start is e_1.
+    p > 256, whose coordinates uint8 cannot hold, is refused.
     """
+    if p > 256:
+        raise ValueError(f"p = {p} exceeds 256, the range of the engine's uint8 cells")
     y0 = np.asarray([1] + [0] * (r - 1) if start is None else start, dtype=np.int64)
     _check_start(start, y0.shape == (r,) and ((0 <= y0) & (y0 < p)).all() and y0.any())
     cells = np.zeros(trials * r + 1, dtype=np.uint8)
@@ -941,20 +955,44 @@ def simulate(
     return Trajectory(seed, traj_id, times, obs, states if keep_states else None)
 
 
-def connected_components(perms: np.ndarray) -> np.ndarray:
-    """Component label per state for the union of the move permutations.
+def _move_operator(perms: np.ndarray, laziness: float) -> csr_matrix:
+    """The kernel that applies a uniform move of `perms` ((moves, M)
+    successor indices) with probability 1 - laziness, as CSR.
 
-    All kernels here contain each move's inverse, so weak connectivity via
-    successor edges equals strong connectivity.  Components are numbered in
-    the order of their smallest state index.
+    Row x holds its moves' successors in move order, then x itself when
+    laziness > 0; sum_duplicates merges moves that reach the same state.
     """
+    n_moves, M = perms.shape
+    lazy = int(laziness > 0)
+    cols = perms.T if not lazy else np.column_stack([perms.T, np.arange(M)])
+    weights = [(1.0 - laziness) / n_moves] * n_moves + [laziness] * lazy
+    mat = csr_matrix(
+        (np.tile(weights, M), cols.astype(np.int32).ravel(),
+         np.arange(M + 1) * (n_moves + lazy)),
+        shape=(M, M),
+    )
+    mat.sum_duplicates()
+    return mat
+
+
+def _weak_components(graph) -> tuple[int, np.ndarray]:
+    """(count, label per state) of the weak components of a CSR kernel's
+    nonzero pattern, numbered in the order of their smallest state index."""
     # imported here: the csgraph package pulls in scipy.sparse.linalg, whose
     # import cost every use of groupwalks would otherwise pay
     from scipy.sparse.csgraph import connected_components as csgraph_components
 
-    M = perms.shape[1]
-    rows = np.broadcast_to(np.arange(M), perms.shape).ravel()
-    graph = coo_matrix((np.ones(rows.size), (rows, perms.ravel())), shape=(M, M)).tocsr()
-    _, labels = csgraph_components(graph, directed=True, connection="weak")
+    count, labels = csgraph_components(graph, directed=True, connection="weak")
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse]
+    return count, np.argsort(np.argsort(first))[inverse]
+
+
+def connected_components(perms: np.ndarray) -> np.ndarray:
+    """Component label per state for the union of the move permutations.
+
+    The labels are the weak components of the walk's operator.  All kernels
+    here contain each move's inverse, so weak connectivity via successor
+    edges equals strong connectivity.  Components are numbered in the order
+    of their smallest state index.
+    """
+    return _weak_components(_move_operator(perms, 0.0))[1]

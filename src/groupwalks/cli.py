@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -28,7 +29,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-from scipy import linalg as _sla
 
 from . import spectral
 from .algebra import FieldVector, _digits
@@ -45,8 +45,10 @@ from .diagnostics import (
     BDParams,
     _default_start_rows,
     _good_mask_of_table,
+    _mixing_run,
     _n_table,
     _s_table,
+    _tv_at,
     bd_crossing_prob,
     bd_hitting_time,
     bd_probs,
@@ -57,12 +59,10 @@ from .diagnostics import (
     heisenberg_good_set,
     hyperplane_gap_floor,
     mc_tv_curve_one_column,
-    mixing_time_exact,
     sample_balanced_frozen_tuples,
     select_constants,
     transvection_good_set,
     tv_counting_lower,
-    worst_tv_curve,
 )
 from .errors import (
     BudgetError,
@@ -340,7 +340,7 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
         evs = spectral.spectrum(P)
         report.update({
             "states": space.size,
-            "spectral_gap": spectral.spectral_gap(P),
+            "spectral_gap": spectral._gap_of(evs),
             "eigenvalues_top": [float(v) for v in evs[: min(16, evs.size)]],
             "eigenvalues_bottom": [float(v) for v in evs[-min(4, evs.size):]],
         })
@@ -392,11 +392,11 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
         space = walk.space(budget=budget)
         if space.size > dense_budget:
             raise BudgetError(f"{space.size} states exceed the dense mixing budget {dense_budget}")
-        P = walk.dense(space)
-        starts = walk.start_representatives(space)
-        tau = mixing_time_exact(P, epsilon, budget=dense_budget, starts=starts)
+        # one pass over the class starts gives tau and the whole curve
+        tau, curve, steps = _mixing_run(walk.operator(space), epsilon, budget=dense_budget,
+                                        starts=walk.start_representatives(space))
         grid = _get_grid(cfg, "t_grid", list(range(0, tau + 1)))
-        curve = worst_tv_curve(P, grid, starts=starts)
+        curve = _tv_at(grid, steps, curve)
         lower = [tv_counting_lower(t, walk.counting_move_bound, space.size) for t in grid]
         report = {
             "mode": "exact",
@@ -530,9 +530,13 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     if _get(cfg, "exact_check", True):
         t_total = rep.t_mix_cont_upper
         if math.isfinite(t_total):
-            hk = _sla.expm(t_total * (P - np.eye(space.size)))
-            pi = np.full(space.size, 1.0 / space.size)
-            exact_tv = 0.5 * float(np.abs(hk - pi[None, :]).sum(axis=1).max())
+            # the kernel is symmetric, so column x of e^{t(P-I)} is the law
+            # from x; S_n classes share TV, so the class starts give the max
+            starts = walk.start_representatives(space)
+            block = np.zeros((space.size, starts.size))
+            block[starts, np.arange(starts.size)] = 1.0
+            hk = spectral.semigroup_evolve(walk.operator(space), block, t_total, mode="function")
+            exact_tv = 0.5 * float(np.abs(hk - 1.0 / space.size).sum(axis=0).max())
             report["exact_tv_at_bound_time"] = exact_tv
             report["tv_bound_dominates"] = bool(rep.tv_bound >= exact_tv - 1e-12)
     _emit_json("pipeline", cfg, report, out_path)
@@ -644,11 +648,16 @@ _DISPATCH = {
 _NON_CONFIG_KEYS = {"command", "config", "out"}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
         _apply_thread_env()
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         overrides = {
             key: val
             for key, val in vars(args).items()

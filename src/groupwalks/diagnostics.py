@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy.sparse import csr_matrix, issparse
 
 from .algebra import LinearFunctional, _digits, check_prime
 from .chains import (
     OneColumnWalk,
     PaPraWalk,
     TransvectionWalk,
+    _weak_components,
     one_column_batch,
     pa_pra_batch,
     philox_generator,
@@ -558,19 +559,24 @@ def _matrix_of(kernel) -> np.ndarray:
     return mat
 
 
-def _refuse_reducible(P: np.ndarray, pi: np.ndarray, epsilon: float) -> None:
+def _operator_of(kernel):
+    """A square kernel: a scipy.sparse one as CSR, anything else as _matrix_of."""
+    mat = getattr(kernel, "matrix", kernel)
+    if not issparse(mat):
+        return _matrix_of(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"kernel must be square, got shape {mat.shape}")
+    return csr_matrix(mat, dtype=float)
+
+
+def _refuse_reducible(P, pi: np.ndarray, epsilon: float) -> None:
     """Raise BudgetError when some closed class keeps worst-start TV above epsilon.
 
-    A weak component C of the kernel's nonzero pattern has no edge leaving
-    it, so a walk started in C stays there and TV(P^t(x, .), pi) >=
-    1 - pi(C) for every t.
+    A weak component C of the kernel's nonzero pattern (P dense or CSR) has
+    no edge leaving it, so a walk started in C stays there and
+    TV(P^t(x, .), pi) >= 1 - pi(C) for every t.
     """
-    # imported here: the csgraph package pulls in scipy.sparse.linalg, whose
-    # import cost every use of groupwalks would otherwise pay
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    count, labels = connected_components(csr_matrix(P), directed=True, connection="weak")
+    count, labels = _weak_components(P if issparse(P) else csr_matrix(P))
     if count == 1:
         return
     floor = 1.0 - float(np.bincount(labels, weights=pi).min())
@@ -583,11 +589,12 @@ def _refuse_reducible(P: np.ndarray, pi: np.ndarray, epsilon: float) -> None:
         )
 
 
-def _worst_tv_steps(P: np.ndarray, pi: np.ndarray, starts) -> Iterator[float]:
+def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
     """Worst TV(P^t(x, .), pi) over the tracked starts x at t = 0, 1, 2, ...
 
     The tracked rows start as P[starts] and advance by A @ P; starts=None
-    tracks every row.
+    tracks every row.  With P in CSR a step costs the operator's nonzeros
+    per start instead of M^2.
     """
     M = P.shape[0]
     idx = np.arange(M) if starts is None else np.asarray(starts, dtype=np.int64)
@@ -596,10 +603,48 @@ def _worst_tv_steps(P: np.ndarray, pi: np.ndarray, starts) -> Iterator[float]:
     A = np.zeros((idx.size, M))
     A[np.arange(idx.size), idx] = 1.0
     yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
-    A = P[idx]
+    A = P[idx].toarray() if issparse(P) else P[idx]
     while True:
         yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
         A = A @ P
+
+
+def _mixing_run(kernel, epsilon, stationary=None, t_max=100_000,
+                budget=DEFAULT_DENSE_BUDGET, starts=None):
+    """(tau, [worst TV at t = 0 .. tau], the live _worst_tv_steps iterator).
+
+    The budget, epsilon and reducibility checks run first, in that order.
+    The iterator continues at t = tau + 1, so _tv_at can extend the curve
+    past tau without repeating a step.
+    """
+    P = _operator_of(kernel)
+    M = P.shape[0]
+    if M > budget:
+        raise BudgetError(f"{M} states exceed the dense mixing budget {budget}")
+    if not 0 < epsilon < 1:
+        raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
+    pi = _weights_of(stationary, M)
+    _refuse_reducible(P, pi, epsilon)
+    steps = _worst_tv_steps(P, pi, starts)
+    curve = []
+    for t, worst in zip(range(t_max + 1), steps):
+        curve.append(worst)
+        if worst <= epsilon:
+            return t, curve, steps
+    raise BudgetError(f"worst-start TV still above {epsilon} after {t_max} steps")
+
+
+def _tv_at(t_grid: Sequence[int], steps: Iterator[float], curve: list) -> np.ndarray:
+    """Worst TV at the sorted distinct grid times.  curve holds the values
+    already drawn from steps (t = 0 .. len(curve) - 1) and is extended in
+    place up to the largest grid time."""
+    grid = sorted(set(int(t) for t in t_grid))
+    if grid and grid[0] < 0:
+        raise ConfigError("grid times must be nonnegative")
+    if not grid:
+        return np.array([])
+    curve.extend(next(steps) for _ in range(len(curve), grid[-1] + 1))
+    return np.array([curve[t] for t in grid])
 
 
 def mixing_time_exact(
@@ -617,21 +662,11 @@ def mixing_time_exact(
     one start per orbit of the kernel's automorphisms (see
     ``start_representatives`` on the walks) gives the same worst case from
     fewer rows; with starts=None the result is bitwise the all-starts one.
-    A kernel whose weak components keep some start farther than epsilon
+    The kernel may be dense or scipy.sparse (see _worst_tv_steps).  A
+    kernel whose weak components keep some start farther than epsilon
     from pi for ever is refused with BudgetError before any product.
     """
-    P = _matrix_of(kernel)
-    M = P.shape[0]
-    if M > budget:
-        raise BudgetError(f"{M} states exceed the dense mixing budget {budget}")
-    if not 0 < epsilon < 1:
-        raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
-    pi = _weights_of(stationary, M)
-    _refuse_reducible(P, pi, epsilon)
-    for t, worst in zip(range(t_max + 1), _worst_tv_steps(P, pi, starts)):
-        if worst <= epsilon:
-            return t
-    raise BudgetError(f"worst-start TV still above {epsilon} after {t_max} steps")
+    return _mixing_run(kernel, epsilon, stationary, t_max, budget, starts)[0]
 
 
 def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None, starts=None) -> np.ndarray:
@@ -639,19 +674,11 @@ def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None, starts=None) 
 
     Only the rows of P^t for ``starts`` are tracked (every state when
     None, which is bitwise the all-starts curve); values are returned in
-    sorted order of the distinct grid times.
+    sorted order of the distinct grid times.  The kernel may be dense or
+    scipy.sparse.
     """
-    P = _matrix_of(kernel)
-    M = P.shape[0]
-    pi = _weights_of(stationary, M)
-    grid = sorted(set(int(t) for t in t_grid))
-    if grid and grid[0] < 0:
-        raise ConfigError("grid times must be nonnegative")
-    if not grid:
-        return np.array([])
-    steps = _worst_tv_steps(P, pi, starts)
-    curve = [next(steps) for _ in range(grid[-1] + 1)]
-    return np.array([curve[t] for t in grid])
+    P = _operator_of(kernel)
+    return _tv_at(t_grid, _worst_tv_steps(P, _weights_of(stationary, P.shape[0]), starts), [])
 
 
 def tv_counting_lower(t: int, move_count: int, omega_size: int) -> float:
@@ -916,19 +943,17 @@ def rate_I(p: int, beta: float) -> float:
 
 
 def rate_J(p: int, a: float, b: float) -> float:
-    """Integral of log((p-1)(1-u)/u) over [a, b], by adaptive quadrature."""
+    """Integral of log((p-1)(1-u)/u) over [a, b], in closed form: the
+    antiderivative is u log(p-1) - u log u - (1-u) log(1-u)."""
     check_prime(p)
     upper = (p - 1) / p
     if not 0.0 < a <= b <= upper:
         raise ConfigError(f"need 0 < a <= b <= {upper}, got a={a}, b={b}")
-    if a == b:
-        return 0.0
-    val, err = integrate.quad(
-        lambda u: math.log((p - 1) * (1 - u) / u), a, b, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    if err > 1e-10:
-        raise InvariantError(f"quadrature error {err} above tolerance")
-    return float(val)
+
+    def antiderivative(u: float) -> float:
+        return u * math.log(p - 1) - u * math.log(u) - (1.0 - u) * math.log1p(-u)
+
+    return antiderivative(b) - antiderivative(a)
 
 
 @dataclass(frozen=True)

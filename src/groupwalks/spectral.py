@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .chains import philox_generator
-from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _weights_of
+from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _weights_of
 from .errors import BudgetError, ConfigError, ReversibilityError
 
 __all__ = [
@@ -126,7 +126,11 @@ def spectrum(op, stationary=None) -> np.ndarray:
 
 def spectral_gap(op, stationary=None) -> float:
     """1 minus the second-largest (signed) eigenvalue; lies in [0, 2]."""
-    evs = spectrum(op, stationary)
+    return _gap_of(spectrum(op, stationary))
+
+
+def _gap_of(evs: np.ndarray) -> float:
+    """spectral_gap from the descending eigenvalues that spectrum returned."""
     if evs.shape[0] < 2:
         raise ValueError("the spectral gap needs at least two states")
     gap = 1.0 - float(evs[1])
@@ -393,15 +397,16 @@ def semigroup_evolve(op, u0, t: float, mode: str = "distribution", tail: float =
     """e^{t(K-I)} applied to u0 by uniformization (Poisson-weighted powers).
 
     mode 'distribution' evolves a row vector (measure), 'function' a column
-    vector.  The series is truncated once the remaining Poisson mass drops
-    below `tail`; for substochastic kernels the evolved mass is
-    nonincreasing in t.
+    vector; u0 may also be a block of such rows (distribution) or columns
+    (function), and the kernel may be scipy.sparse.  The series is
+    truncated once the remaining Poisson mass drops below `tail`; for
+    substochastic kernels the evolved mass is nonincreasing in t.
     """
     if t < 0:
         raise ValueError("the time parameter must be nonnegative")
     if mode not in ("distribution", "function"):
         raise ValueError(f"unknown mode {mode!r}")
-    K = _matrix_of(op)
+    K = _operator_of(op)
     vec = np.array(u0, dtype=float)
     if t == 0:
         return vec
@@ -590,15 +595,21 @@ def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float
 
 
 def worst_exit_probability(op, good_mask, s: int, L: int) -> tuple[float, int]:
-    """Max over starts of the exit probability, with the worst start index."""
+    """Max over starts of the exit probability, with the worst start index.
+
+    The survival probabilities of all starts are P^s applied to K_G^L 1
+    extended by zero off G: s + L matrix-vector products, no matrix power.
+    """
     P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
-    Ps = np.linalg.matrix_power(P, s) if s > 0 else np.eye(P.shape[0])
     surv = np.ones(int(mask.sum()))
     KG = P[np.ix_(mask, mask)]
     for _ in range(L):
         surv = KG @ surv
-    stay = Ps[:, mask] @ surv
+    stay = np.zeros(P.shape[0])
+    stay[mask] = surv
+    for _ in range(s):
+        stay = P @ stay
     eta = 1.0 - stay
     worst = int(np.argmax(eta))
     return float(max(0.0, min(1.0, eta[worst]))), worst

@@ -489,7 +489,11 @@ class TestMoveTables:
         assert np.array_equal(connected_components(perms), _oracle_components(oracle))
         for q in (0.0, 0.25):
             lazy = cls(*args, laziness=q)
-            assert np.array_equal(lazy.dense(space), _oracle_dense(lazy, oracle))
+            dense = lazy.dense(space)
+            assert np.array_equal(dense, _oracle_dense(lazy, oracle))
+            op = lazy.operator(space)
+            assert op.indices.dtype == np.int32 and op.has_canonical_format
+            np.testing.assert_allclose(op.toarray(), dense, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("r,p", [(3, 3), (2, 5)])
     def test_group_table_on_sampled_states(self, r, p):
@@ -727,6 +731,17 @@ class TestBatchEngines:
         with pytest.raises(ValueError, match="outside the state space"):
             one_column_batch(4, 3, 2, [0, 5], seed=0, stat_fn=lambda t, y: seen.append(t), start=start)
         assert seen == []
+
+    def test_one_column_prime_above_the_cell_range_refused(self):
+        # uint8 cells would wrap: the start [256, 0, 0] would be recorded as 0
+        seen = []
+        with pytest.raises(ValueError, match="p = 257 exceeds 256"):
+            one_column_batch(3, 257, 1, [0], 1, lambda t, y: seen.append(y.copy()), start=[256, 0, 0])
+        with pytest.raises(ValueError, match="p = 257 exceeds 256"):
+            simulate(OneColumnWalk(3, 257), (256, 0, 0), 1)
+        assert seen == []
+        one_column_batch(3, 251, 1, [0], 1, lambda t, y: seen.append(y.copy()), start=[250, 0, 0])
+        assert seen[0].tolist() == [[250, 0, 0]]
 
     @pytest.mark.parametrize("start", [[7, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 2, 0]])
     def test_transvection_start_outside_the_space_refused(self, start):

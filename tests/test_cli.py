@@ -9,10 +9,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from groupwalks import cli
-from groupwalks.chains import _WalkBase
-from groupwalks.diagnostics import mc_tv_curve_one_column
+from groupwalks import cli, spectral
+from groupwalks.chains import TransvectionWalk, _WalkBase
+from groupwalks.diagnostics import mc_tv_curve_one_column, worst_tv_curve
 from groupwalks.errors import InvariantError, ReversibilityError
 
 
@@ -78,6 +79,22 @@ class TestJsonPayload:
         )
         assert code == 2
         assert "rerun with eig_budget >= 16848" in err
+
+    def test_spectrum_runs_one_eigensolve(self, capsys, monkeypatch):
+        calls = []
+        solve = spectral.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "spectrum", counted)
+        code, out, _ = run_cli(
+            ["spectrum", "--walk", "one-column", "-r", "4", "-p", "3", "--laziness", "0.25"], capsys
+        )
+        assert code == 0 and len(calls) == 1
+        report = json.loads(out)["report"]
+        assert report["spectral_gap"] == 1.0 - report["eigenvalues_top"][1]
 
     def test_fibres_only_rejected_for_row_walk(self, capsys):
         code, _, err = run_cli(
@@ -218,6 +235,26 @@ class TestMixingCommand:
         assert report["counting_lower"][0] == pytest.approx(1 - 1 / 15)
         assert report["tv"][-1] <= report["epsilon"]
 
+    def test_exact_never_builds_the_dense_kernel(self, capsys, monkeypatch, tmp_path):
+        def no_dense(self, space=None):
+            raise AssertionError("dense kernel built for exact mixing")
+
+        # a user grid reaching past tau continues the same pass
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_grid": [30, 0, 7, 19]}))
+        walk = TransvectionWalk(4, 2, laziness=0.25)
+        expect = worst_tv_curve(walk.dense(), [0, 7, 19, 30])
+        monkeypatch.setattr(_WalkBase, "dense", no_dense)
+        code, out, err = run_cli(
+            ["mixing", "--mode", "exact", "--walk", "transvection", "-n", "4", "-k", "2",
+             "--laziness", "0.25", "--config", str(cfg)], capsys
+        )
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        assert report["times"] == [30, 0, 7, 19]
+        assert 7 < report["mixing_time"] < 30
+        np.testing.assert_allclose(report["tv"], expect, rtol=0, atol=1e-12)
+
     def test_mc_report(self, capsys):
         code, out, _ = run_cli(
             ["mixing", "--mode", "mc", "-r", "8", "--trials", "4000",
@@ -294,6 +331,26 @@ class TestPipelineCommand:
         assert report["burnin_steps"] == 50
         assert report["tv_bound_dominates"] is True
         assert report["exact_tv_at_bound_time"] <= report["tv_bound"]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_exact_tv_matches_matrix_exponential(self, n, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense matrix function called")
+
+        walk = TransvectionWalk(n, 2)
+        P = walk.dense()
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "expm", forbidden)
+            m.setattr(np.linalg, "matrix_power", forbidden)
+            code, out, err = run_cli(
+                ["pipeline", "--walk", "transvection", "-n", str(n), "-k", "2",
+                 "-s", "50", "-L", "30", "--t-star", "25"], capsys
+            )
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        hk = scipy.linalg.expm(report["t_mix_cont_upper"] * (P - np.eye(P.shape[0])))
+        exact = 0.5 * float(np.abs(hk - 1.0 / P.shape[0]).sum(axis=1).max())
+        assert abs(report["exact_tv_at_bound_time"] - exact) < 1e-12
 
     def test_requires_t_star(self, capsys):
         code, _, err = run_cli(
@@ -498,6 +555,41 @@ class TestExitCodes:
         assert code == 2
         assert "2 closed classes of sizes 216, 216" in err
         assert time.perf_counter() - start < 5.0
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        cfg = tmp_path / "mixing.json"
+        cfg.write_text(json.dumps({"mixing": {
+            "mode": "exact", "walk": "transvection", "n": 4, "k": 1, "laziness": 0.5,
+            "t_grid": [0, 3, 20]}}))
+        first = ["spectrum", "--walk", "one-column", "-r", "3", "-p", "3", "--laziness", "0.25"]
+        sequence = [
+            first,
+            ["mixing", "--config", str(cfg)],
+            ["mixing", "--walk", "nosuch"],  # usage error
+            ["spectrum", "--walk", "one-column", "-r", "3", "-p", "3", "--eig-budget", "5"],
+            first,  # the eig budget of the refused call must not carry over
+        ]
+        for argv, code in zip(sequence, [0, 0, 1, 2, 0]):
+            fresh = subprocess.run([sys.executable, "-m", "groupwalks.cli", *argv],
+                                   capture_output=True, text=True, timeout=120)
+            got = run_cli(argv, capsys)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert got[0] == code
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestImportCost:
+    def test_cli_loads_no_quadrature_or_dense_linalg(self):
+        code = ("import sys, groupwalks.cli; "
+                "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestThreadEnvironment:

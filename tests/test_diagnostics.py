@@ -498,6 +498,13 @@ class TestTvAndMixing:
         with pytest.raises(BudgetError, match=r"2 closed classes of sizes 3, 3"):
             mixing_time_exact(block)
 
+    def test_reducible_operator_refused_like_its_dense_kernel(self):
+        walk = PaPraWalk(2, 3, 1, laziness=0.5)
+        space = walk.space()
+        for kernel in (walk.dense(space), walk.operator(space)):
+            with pytest.raises(BudgetError, match=r"2 closed classes of sizes 216, 216"):
+                mixing_time_exact(kernel)
+
     def test_reducible_kernel_within_epsilon_still_runs(self):
         # each start stays in its half, at TV 1/2 from uniform after one step
         block = np.kron(np.eye(2), np.full((2, 2), 0.5))
@@ -688,6 +695,18 @@ class TestRates:
         grid = np.linspace(1 / 3, 1.0, 30)
         vals = [rate_I(3, float(b)) for b in grid]
         assert (np.diff(vals) >= -1e-12).all()
+
+    def test_rate_J_closed_form_matches_quadrature(self):
+        from scipy import integrate
+
+        # the grids of acceptance criterion 8
+        for p in (3, 5, 7):
+            b = (p - 1) / p
+            for beta in np.linspace(1.0 / p + 1e-3, 0.999, 60):
+                a = 1.0 - float(beta)
+                ref, _ = integrate.quad(lambda u: math.log((p - 1) * (1 - u) / u), a, b,
+                                        epsabs=1e-13, epsrel=1e-13, limit=200)
+                assert abs(rate_J(p, a, b) - ref) < 1e-12
 
     def test_rate_J_degenerate_interval(self):
         assert rate_J(3, 0.4, 0.4) == 0.0
@@ -996,6 +1015,25 @@ class TestStartRepresentatives:
         assert np.array_equal(worst_tv_curve(P, grid), expect)
         np.testing.assert_allclose(worst_tv_curve(P, grid, starts=reps), expect, rtol=0, atol=1e-12)
         assert expect[-1] <= 0.25 < expect[-3]
+
+    @pytest.mark.parametrize("q", [0.25, 0.5])
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP)
+    def test_sparse_operator_matches_dense_path(self, cls, args, q):
+        walk = cls(*args, laziness=q)
+        space = walk.space()
+        P, S = walk.dense(space), walk.operator(space)
+        reps = walk.start_representatives(space)
+        tau = mixing_time_exact(P, starts=reps)
+        assert mixing_time_exact(S, starts=reps) == tau
+        grid = [tau + 3, 0, 2, tau, 1]
+        expect = worst_tv_curve(P, grid, starts=reps)
+        np.testing.assert_allclose(worst_tv_curve(S, grid, starts=reps), expect, rtol=0, atol=1e-12)
+        # one pass: tau, then the same iterator continues past it
+        tau_run, curve, steps = diagnostics._mixing_run(S, 0.25, starts=reps)
+        assert tau_run == tau and len(curve) == tau + 1
+        got = diagnostics._tv_at(grid, steps, curve)
+        assert len(curve) == tau + 4
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
     def test_bad_starts_rejected(self):
         P = TransvectionWalk(4, 1).dense()

@@ -577,6 +577,20 @@ class TestPathComparison:
             disc, bound = path_comparison_check(P, mask, x, s=s, t=t, L=L)
             assert disc <= bound + 1e-10
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_worst_exit_matches_matrix_power(self, n):
+        walk = TransvectionWalk(n, 2)
+        space = walk.space()
+        P = walk.dense(space)
+        rows = np.array([space.state_at(i) for i in range(space.size)], dtype=np.int64)
+        mask = good_mask_rows(rows, transvection_good_set(n, 2))
+        s, L = 50, 30
+        surv = np.linalg.matrix_power(P[np.ix_(mask, mask)], L) @ np.ones(int(mask.sum()))
+        eta = 1.0 - np.linalg.matrix_power(P, s)[:, mask] @ surv
+        value, worst = worst_exit_probability(P, mask, s, L)
+        assert worst == int(np.argmax(eta))
+        assert abs(value - min(1.0, float(eta.max()))) < 1e-12
+
     def test_exit_probability_consistency(self, small_walk):
         P, mask = small_walk
         s, L = 3, 8
