@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, CharacteristicError, DimensionMismatch
+from .errors import CharacteristicError, DimensionMismatch, check_budget
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
@@ -400,8 +400,7 @@ def enumerate_functionals(
     """
     check_prime(p)
     count = p**dim
-    if count > budget:
-        raise BudgetError(f"{count} functionals exceed the enumeration budget {budget}")
+    check_budget(count, budget, "functionals", "enumeration")
     for code in range(count):
         if code == 0 and not include_zero:
             continue

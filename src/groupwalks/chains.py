@@ -29,10 +29,11 @@ Each walk's move is written once, as a rule on per-coordinate codes: new
 recipient = rule(recipient, donor, exponent, left).  The rules are XOR of
 packed F_2 rows (transvections, and the one-column walk at p = 2),
 (x + a y) mod p (the one-column walk at odd p) and two lookups in the
-_pa_pra_tables (PA-PRA).  The move table (and from it the sparse operator,
-the dense kernel and the connected components), the trajectory loop _drive
-and the fibre kernels all apply that rule; apply_move and the *_step
-functions stay the per-state definitions they are tested against.
+_pa_pra_tables (PA-PRA).  The move table, the trajectory loop _drive and
+the fibre kernels all apply that rule; apply_move and the *_step functions
+stay the per-state definitions they are tested against.  The move table
+builds the sparse operator, whose toarray() is the dense kernel and whose
+weak components are the connected components.
 
 _drive draws the moves of a block of steps for every trial at once (about
 _BLOCK_CELLS steps x trials: ordered pairs, then exponents, sides and
@@ -51,7 +52,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .algebra import FieldVector, _digits, check_prime, rank_bits
-from .errors import BudgetError, DimensionMismatch, InvalidMove
+from .errors import DimensionMismatch, InvalidMove, check_budget
 from .groups import (
     HeisenbergElement,
     _h_mul_codes,
@@ -150,11 +151,6 @@ class EnumeratedSpace:
         return f"EnumeratedSpace({self.description or 'custom'}, size={self.size})"
 
 
-def _check_budget(count: int, budget: int, what: str, unit: str = "states") -> None:
-    if count > budget:
-        raise BudgetError(f"{what}: {count} {unit} exceed the budget {budget}")
-
-
 def _digit_space(
     codes, base: int, count: int, description: str,
     to_digit: Callable = int, from_digit: Callable = int,
@@ -176,7 +172,7 @@ def _ambient_scan(what: str, ambient: int, budget: int, keep: Callable, expected
     over blocks of _AMBIENT_CHUNK codes, and the number kept must equal the
     count formula `expected`.
     """
-    _check_budget(ambient, budget, f"{what} ambient")
+    check_budget(ambient, budget, f"ambient {what} tuples", "state")
     kept = []
     for lo in range(0, ambient, _AMBIENT_CHUNK):
         block = np.arange(lo, min(lo + _AMBIENT_CHUNK, ambient), dtype=np.int64)
@@ -211,7 +207,7 @@ def one_column_space(r: int, p: int, budget: int = DEFAULT_STATE_BUDGET) -> Enum
     if r < 1:
         raise ValueError("need r >= 1")
     total = p**r
-    _check_budget(total, budget, f"F_{p}^{r} ambient")
+    check_budget(total, budget, f"vectors of F_{p}^{r}", "state")
     codes = np.arange(1, total, dtype=np.int64)
     return _digit_space(codes, p, r, f"F_{p}^{r} \\ 0", to_digit=lambda d: int(d) % p)
 
@@ -378,7 +374,8 @@ def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     h = 2 * m
     P, q = p**h, p ** (h + 1)
-    _check_budget(2 * q * q + p * q, DEFAULT_STATE_BUDGET, f"H({p},{m}) product tables", "entries")
+    check_budget(2 * q * q + p * q, DEFAULT_STATE_BUDGET,
+                 f"entries of the H({p},{m}) product tables", "state")
     horizontal = np.zeros((P, h + 1), dtype=np.int16)
     horizontal[:, :h] = _digits(np.arange(P), p, h)
     law = _h_mul_codes(horizontal[:, None], horizontal[None, :], p)  # z = t = 0
@@ -410,9 +407,9 @@ def _pa_pra_rule(p: int, m: int) -> Callable:
 class _WalkBase:
     """Shared kernel plumbing: kernels, successor lists, simulation.
 
-    The sparse operator, the dense kernel and connectivity (the operator's
-    nonzero pattern, see connected_components) all derive from one move
-    table, move_permutations.
+    One move table, move_permutations, builds the sparse operator; dense()
+    is the operator's toarray(), and connectivity is its nonzero pattern
+    (see connected_components).
     """
 
     laziness: float
@@ -456,24 +453,20 @@ class _WalkBase:
         """
         return np.arange(space.size)
 
-    def _successor_codes(self, codes: np.ndarray) -> np.ndarray:
-        """(n_moves, M) codes of apply_move's results for every move and every
-        state code, in move order: the rule replaces the recipient digit."""
-        tgt, src, a, left = np.array([self._coded(mv) for mv in self.moves], dtype=np.int64).T
-        cols = np.ascontiguousarray(_digits(codes, self._base, self._coords).T)  # (coords, M)
-        old = cols[tgt]
-        delta = self._rule(old, cols[src], a[:, None], left[:, None]) - old
-        delta *= self._base ** tgt[:, None]
-        delta += codes
-        return delta
-
     def move_permutations(self, space: EnumeratedSpace) -> np.ndarray:
         """(n_moves, M) successor state indices; every move is a bijection.
 
+        Row i holds apply_move's results for move i on every state, in move
+        order: the rule replaces the recipient digit of each state code.
         Raises KeyError, as EnumeratedSpace.index_of_code does, when a
         successor code is missing from the space.
         """
-        succ = self._successor_codes(space.codes)
+        tgt, src, a, left = np.array([self._coded(mv) for mv in self.moves], dtype=np.int64).T
+        cols = np.ascontiguousarray(_digits(space.codes, self._base, self._coords).T)  # (coords, M)
+        old = cols[tgt]
+        succ = self._rule(old, cols[src], a[:, None], left[:, None]) - old
+        succ *= self._base ** tgt[:, None]
+        succ += space.codes
         idx = np.searchsorted(space.codes, succ)
         missing = np.take(space.codes, idx, mode="clip") != succ
         if missing.any():
@@ -482,25 +475,14 @@ class _WalkBase:
 
     def operator(self, space: EnumeratedSpace) -> csr_matrix:
         """Transition matrix on the enumerated space as CSR: each move adds
-        (1 - q) / moves at (x, move(x)), and the laziness q sits on the
-        diagonal."""
+        (1 - q) / moves at (x, move(x)), and the laziness q is added to the
+        diagonal last."""
         return _move_operator(self.move_permutations(space), self.laziness)
 
     def dense(self, space: EnumeratedSpace | None = None) -> np.ndarray:
-        """Dense transition matrix on the enumerated space."""
-        if space is None:
-            space = self.space()
-        perms = self.move_permutations(space)
-        M = space.size
-        w = (1.0 - self.laziness) / len(self.moves)
-        rows = np.arange(M)
-        # bincount adds in input order, so the move-major flattening sums each
-        # entry move by move, as a per-move accumulation would
-        flat = (perms + rows * M).ravel()
-        mat = np.bincount(flat, weights=np.full(flat.size, w), minlength=M * M).reshape(M, M)
-        if self.laziness:
-            mat[rows, rows] += self.laziness
-        return mat
+        """Dense transition matrix on the enumerated space (the walk's default
+        space when None): the operator's toarray()."""
+        return self.operator(self.space() if space is None else space).toarray()
 
     def simulate(self, start, steps, seed=0, **kw) -> "Trajectory":
         return simulate(self, start, steps, seed=seed, **kw)
@@ -959,19 +941,24 @@ def _move_operator(perms: np.ndarray, laziness: float) -> csr_matrix:
     """The kernel that applies a uniform move of `perms` ((moves, M)
     successor indices) with probability 1 - laziness, as CSR.
 
-    Row x holds its moves' successors in move order, then x itself when
-    laziness > 0; sum_duplicates merges moves that reach the same state.
+    Row x holds its moves' successors in move order, then x itself with
+    weight 0 when laziness > 0; sum_duplicates merges moves that reach the
+    same state, and q is added to the diagonal after that, so toarray() is
+    bitwise a per-move accumulation of the kernel.
     """
     n_moves, M = perms.shape
     lazy = int(laziness > 0)
     cols = perms.T if not lazy else np.column_stack([perms.T, np.arange(M)])
-    weights = [(1.0 - laziness) / n_moves] * n_moves + [laziness] * lazy
+    weights = [(1.0 - laziness) / n_moves] * n_moves + [0.0] * lazy
     mat = csr_matrix(
         (np.tile(weights, M), cols.astype(np.int32).ravel(),
          np.arange(M + 1) * (n_moves + lazy)),
         shape=(M, M),
     )
     mat.sum_duplicates()
+    if lazy:
+        rows = np.repeat(np.arange(M, dtype=np.int32), np.diff(mat.indptr))
+        mat.data[mat.indices == rows] += laziness
     return mat
 
 

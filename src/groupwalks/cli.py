@@ -42,6 +42,7 @@ from .chains import (
     transvection_batch,
 )
 from .diagnostics import (
+    DEFAULT_DENSE_BUDGET,
     BDParams,
     _default_start_rows,
     _good_mask_of_table,
@@ -70,6 +71,7 @@ from .errors import (
     GroupwalksError,
     InvariantError,
     ReversibilityError,
+    check_budget,
 )
 from .groups import (
     HeisenbergElement,
@@ -79,6 +81,8 @@ from .groups import (
 
 SCHEMA_VERSION = 1
 COMMANDS = ("simulate", "spectrum", "mixing", "birthdeath", "repcheck", "pipeline")
+PIPELINE_BUDGET = 2048  # states: the pipeline's eigensolve on the killed kernel
+CSV_BUDGET = 256  # statistic columns of a simulate CSV
 
 _thread_limiter = None  # keeps a threadpoolctl controller alive for the process
 
@@ -191,7 +195,10 @@ def _get_grid(cfg, key, default=None):
         return None
     if not isinstance(val, (list, tuple)):
         raise ConfigError(f"parameter {key!r} must be a list of times")
-    return [int(t) for t in val]
+    grid = sorted({int(t) for t in val})
+    if grid and grid[0] < 0:
+        raise ConfigError(f"parameter {key!r} must hold nonnegative times, got {grid[0]}")
+    return grid
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
@@ -235,7 +242,6 @@ def _emit_csv(command: str, cfg: dict, header: list[str], rows, out_path: str | 
 # ---------------------------------------------------------------------------
 # walk construction shared by several subcommands
 
-
 def _build_walk(cfg: dict):
     walk = _get(cfg, "walk", required=True)
     laziness = _get_float(cfg, "laziness", 0.0)
@@ -278,8 +284,7 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
     if isinstance(walk, PaPraWalk):
         beta0 = _get_float(cfg, "beta0", 0.75)
         nf = walk.p ** (2 * walk.m) - 1
-        if nf > 256:
-            raise BudgetError(f"{nf} kernel-count columns exceed the CSV budget of 256")
+        check_budget(nf, CSV_BUDGET, "kernel-count columns", "CSV")
         spec = heisenberg_good_set(walk.r, walk.p, walk.m, beta0)
         header = [f"n_xi_{c}" for c in range(1, nf + 1)] + ["support", "in_good"]
         start_v, start_z = canonical_start(walk.r, walk.p, walk.m)
@@ -297,8 +302,7 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
         # over F_2 the one-column walk is the tuple walk with k = 1
         one_column = isinstance(walk, OneColumnWalk)
         n, k = (walk.r, 1) if one_column else (walk.n, walk.k)
-        if (1 << k) - 1 > 256:
-            raise BudgetError(f"{(1 << k) - 1} sign columns exceed the CSV budget of 256")
+        check_budget((1 << k) - 1, CSV_BUDGET, "sign columns", "CSV")
         spec = transvection_good_set(n, k)
         header = [f"s_xi_{c}" for c in range(1, 1 << k)] + ["in_good"]
         if one_column:
@@ -328,14 +332,9 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
         )
     report: dict = {"walk": _get(cfg, "walk")}
     if not fibres_only:
-        budget = _get_int(cfg, "state_budget", 1 << 16, minimum=1)
-        eig_budget = _get_int(cfg, "eig_budget", 4096, minimum=1)
-        space = walk.space(budget=budget)
-        if space.size > eig_budget:
-            raise BudgetError(
-                f"{space.size} states exceed the eigensolve budget {eig_budget}; "
-                f"rerun with eig_budget >= {space.size}"
-            )
+        eig_budget = _get_int(cfg, "eig_budget", DEFAULT_DENSE_BUDGET, minimum=1)
+        space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
+        check_budget(space.size, eig_budget, "states", "eigensolve", "eig_budget")
         P = walk.dense(space)
         evs = spectral.spectrum(P)
         report.update({
@@ -387,11 +386,9 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
     if mode == "exact":
         walk = _build_walk(cfg)
         epsilon = _get_float(cfg, "epsilon", 0.25)
-        budget = _get_int(cfg, "state_budget", 1 << 16, minimum=1)
-        dense_budget = _get_int(cfg, "dense_budget", 4096, minimum=1)
-        space = walk.space(budget=budget)
-        if space.size > dense_budget:
-            raise BudgetError(f"{space.size} states exceed the dense mixing budget {dense_budget}")
+        dense_budget = _get_int(cfg, "dense_budget", DEFAULT_DENSE_BUDGET, minimum=1)
+        space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
+        check_budget(space.size, dense_budget, "states", "dense mixing", "dense_budget")
         # one pass over the class starts gives tau and the whole curve
         tau, curve, steps = _mixing_run(walk.operator(space), epsilon, budget=dense_budget,
                                         starts=walk.start_representatives(space))
@@ -476,12 +473,7 @@ def cmd_repcheck(cfg: dict, out_path: str | None) -> None:
     p = _get_int(cfg, "p", required=True, minimum=3)
     m = _get_int(cfg, "m", 1, minimum=1)
     pair_budget = _get_int(cfg, "pair_budget", 1 << 20, minimum=1)
-    order = p ** (2 * m + 1)
-    if order * order > pair_budget:
-        raise BudgetError(
-            f"{order * order} element pairs exceed the pair budget {pair_budget}; "
-            f"rerun with pair_budget >= {order * order}"
-        )
+    check_budget(p ** (4 * m + 2), pair_budget, "element pairs", "pair", "pair_budget")
     dim_sq_sum, group_order = representation_dimension_check(p, m)
     report = {
         "p": p,
@@ -498,16 +490,13 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     walk = _build_walk(cfg)
     if not isinstance(walk, TransvectionWalk):
         raise ConfigError("the pipeline subcommand currently drives the tuple walk")
-    budget = _get_int(cfg, "state_budget", 1 << 16, minimum=1)
     s_steps = _get_int(cfg, "s", 50, minimum=0)
     L = _get_int(cfg, "L", 30, minimum=1)
     t_star = _get_float(cfg, "t_star", required=True)
-    space = walk.space(budget=budget)
-    if space.size > 2048:
-        raise BudgetError(
-            f"{space.size} states exceed the pipeline eigensolve budget 2048"
-        )
-    P = walk.dense(space)
+    space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
+    check_budget(space.size, PIPELINE_BUDGET, "states", "pipeline eigensolve")
+    op = walk.operator(space)
+    P = op.toarray()
     spec = transvection_good_set(walk.n, walk.k)
     mask = good_mask_rows(_digits(space.codes, 1 << walk.k, walk.n), spec)
     if not mask.any():
@@ -535,7 +524,7 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
             starts = walk.start_representatives(space)
             block = np.zeros((space.size, starts.size))
             block[starts, np.arange(starts.size)] = 1.0
-            hk = spectral.semigroup_evolve(walk.operator(space), block, t_total, mode="function")
+            hk = spectral.semigroup_evolve(op, block, t_total, mode="function")
             exact_tv = 0.5 * float(np.abs(hk - 1.0 / space.size).sum(axis=0).max())
             report["exact_tv_at_bound_time"] = exact_tv
             report["tv_bound_dominates"] = bool(rep.tv_bound >= exact_tv - 1e-12)

@@ -45,6 +45,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     InvariantError,
+    check_budget,
 )
 from .groups import HeisenbergElement
 
@@ -204,10 +205,7 @@ def _kernel_count_threshold(spec: GoodSetSpec) -> int:
 
 def in_good_set(z: Sequence, spec: GoodSetSpec, budget: int = DEFAULT_FUNCTIONAL_BUDGET) -> bool:
     """Exact good-set membership by enumeration of all nonzero functionals."""
-    if spec.functional_count > budget:
-        raise BudgetError(
-            f"{spec.functional_count} functionals exceed the budget {budget}"
-        )
+    check_budget(spec.functional_count, budget, "functionals", "functional")
     if len(z) != spec.n:
         raise DimensionMismatch(f"state has {len(z)} rows, spec expects {spec.n}")
     if spec.kind == "transvection":
@@ -303,11 +301,8 @@ def _compositions(total: int, parts: int, budget: int) -> np.ndarray:
     count * parts with count = C(total + parts - 1, parts - 1), exceed budget.
     """
     count = math.comb(total + parts - 1, parts - 1)
-    if count * parts > budget:
-        raise BudgetError(
-            f"{count} compositions of {total} into {parts} parts "
-            f"({count * parts} table entries) exceed the class budget {budget}"
-        )
+    check_budget(count * parts, budget,
+                 f"table entries ({count} compositions of {total} into {parts} parts)", "class")
     C = np.zeros((1, 0), dtype=np.int64)
     rest = np.array([total], dtype=np.int64)
     for _ in range(parts - 1):
@@ -396,11 +391,8 @@ def good_set_measure(
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
     size = spec.functional_count + 1  # row values
-    if trials * size > budget:
-        raise BudgetError(
-            f"{trials} samples x {size} row values ({trials * size} count entries) "
-            f"exceed the class budget {budget}"
-        )
+    check_budget(trials * size, budget, f"count entries ({trials} samples x {size} row values)",
+                 "class")
     rng = philox_generator(seed)
     if spec.kind == "transvection":
         codes = rng.integers(0, size, size=(trials, spec.n))
@@ -619,8 +611,7 @@ def _mixing_run(kernel, epsilon, stationary=None, t_max=100_000,
     """
     P = _operator_of(kernel)
     M = P.shape[0]
-    if M > budget:
-        raise BudgetError(f"{M} states exceed the dense mixing budget {budget}")
+    check_budget(M, budget, "states", "dense mixing")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
     pi = _weights_of(stationary, M)

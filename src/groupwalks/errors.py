@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the one budget check.
 
 The CLI maps these onto exit codes: configuration problems exit 1,
 budget refusals exit 2, and internal invariant violations exit 3.
@@ -13,6 +13,7 @@ __all__ = [
     "InvalidMove",
     "ReversibilityError",
     "InvariantError",
+    "check_budget",
 ]
 
 
@@ -46,3 +47,15 @@ class ReversibilityError(GroupwalksError, ValueError):
 
 class InvariantError(GroupwalksError, RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def check_budget(count: int, limit: int, what: str, name: str, key: str | None = None) -> None:
+    """Refuse with BudgetError when count exceeds limit.
+
+    Callers check before they allocate what the count measures.  The message
+    reads "<count> <what> exceed the <name> budget <limit>", followed by
+    "; rerun with <key> >= <count>" when a config key sets the limit.
+    """
+    if count > limit:
+        rerun = f"; rerun with {key} >= {count}" if key else ""
+        raise BudgetError(f"{count} {what} exceed the {name} budget {limit}{rerun}")

@@ -1,9 +1,10 @@
-"""Dense spectral and entropy analysis for reversible finite kernels.
+"""Spectral and entropy analysis for reversible finite kernels.
 
-Everything here works on explicit matrices: spectral gaps and Poincaré
-constants through the symmetrized form, Dirichlet forms as
-``<f, (I-K)g>_rho`` (which for substochastic kernels includes the killing
-term), the entropy functional ``H_rho(u) = rho[u log(u / rho(u))]``,
+Everything here works on explicit dense matrices, except semigroup_evolve,
+which also takes a scipy.sparse kernel such as a walk's operator: spectral
+gaps and Poincaré constants through the symmetrized form, Dirichlet forms
+as ``<f, (I-K)g>_rho`` (which for substochastic kernels includes the
+killing term), the entropy functional ``H_rho(u) = rho[u log(u / rho(u))]``,
 numeric log-Sobolev constants by multi-start projected gradient ascent
 (certified lower bounds), killed kernels with their killing rates,
 uniformized continuous-time semigroups, and the confinement pipeline that
@@ -27,7 +28,7 @@ from scipy.special import gammaln, logsumexp
 
 from .chains import philox_generator
 from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _weights_of
-from .errors import BudgetError, ConfigError, ReversibilityError
+from .errors import ConfigError, ReversibilityError, check_budget
 
 __all__ = [
     "SYMMETRY_TOL",
@@ -150,8 +151,7 @@ def fibre_eigenvalues_tr(
     if k < 1:
         raise ValueError("need k >= 1")
     count = 1 << k
-    if count > budget:
-        raise BudgetError(f"2^{k} functionals exceed the budget {budget}")
+    check_budget(count, budget, "functionals", "functional")
     if not frozen:
         raise ValueError("need at least one frozen row")
     out: dict[int, float] = {}
@@ -269,8 +269,7 @@ def lsi_estimate(
     """
     K = _matrix_of(op)
     M = K.shape[0]
-    if M > size_cap:
-        raise BudgetError(f"space size {M} exceeds the optimizer cap {size_cap}")
+    check_budget(M, size_cap, "states", "optimizer")
     rho = _weights_of(stationary, M)
     S = check_reversibility(K, rho)
     # reducibility guard: a nonconstant function with zero Dirichlet energy
@@ -576,6 +575,25 @@ def pipeline_report(
     )
 
 
+def _survival(P: np.ndarray, mask: np.ndarray, L: int) -> np.ndarray:
+    """K_G^L 1: for each state of G, the probability that the next L steps
+    all stay in G."""
+    KG = P[np.ix_(mask, mask)]
+    surv = np.ones(KG.shape[0])
+    for _ in range(L):
+        surv = KG @ surv
+    return surv
+
+
+def _burn_in(P: np.ndarray, x_index: int, s: int) -> np.ndarray:
+    """delta_x P^s, by s vector-matrix products."""
+    alpha = np.zeros(P.shape[0])
+    alpha[x_index] = 1.0
+    for _ in range(s):
+        alpha = alpha @ P
+    return alpha
+
+
 def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float:
     """P_x(exists u in {0..L}: X_{s+u} not in G), computed densely.
 
@@ -583,15 +601,8 @@ def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float
     """
     P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
-    alpha = np.zeros(P.shape[0])
-    alpha[x_index] = 1.0
-    for _ in range(s):
-        alpha = alpha @ P
-    surv = np.ones(int(mask.sum()))
-    KG = P[np.ix_(mask, mask)]
-    for _ in range(L):
-        surv = KG @ surv
-    return float(max(0.0, min(1.0, 1.0 - np.dot(alpha[mask], surv))))
+    surv = np.dot(_burn_in(P, x_index, s)[mask], _survival(P, mask, L))
+    return float(max(0.0, min(1.0, 1.0 - surv)))
 
 
 def worst_exit_probability(op, good_mask, s: int, L: int) -> tuple[float, int]:
@@ -602,12 +613,8 @@ def worst_exit_probability(op, good_mask, s: int, L: int) -> tuple[float, int]:
     """
     P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
-    surv = np.ones(int(mask.sum()))
-    KG = P[np.ix_(mask, mask)]
-    for _ in range(L):
-        surv = KG @ surv
     stay = np.zeros(P.shape[0])
-    stay[mask] = surv
+    stay[mask] = _survival(P, mask, L)
     for _ in range(s):
         stay = P @ stay
     eta = 1.0 - stay
@@ -635,20 +642,12 @@ def path_comparison_check(
     """
     P = _matrix_of(op)
     mask = np.asarray(good_mask, dtype=bool)
-    eta = exit_probability_exact(P, mask, x_index, s, L)
-    bound = eta + poisson_tail_gt(t, L)
+    bound = exit_probability_exact(P, mask, x_index, s, L) + poisson_tail_gt(t, L)
     if trials == 0:
-        alpha = np.zeros(P.shape[0])
-        alpha[x_index] = 1.0
-        for _ in range(s):
-            alpha = alpha @ P
+        alpha = _burn_in(P, x_index, s)
         tilde = semigroup_evolve(P, alpha, t, mode="distribution")
-        KG = P[np.ix_(mask, mask)]
-        lam_g = semigroup_evolve(
-            DenseOperator(KG, flavor="substochastic"), alpha[mask], t, mode="distribution"
-        )
         lam = np.zeros(P.shape[0])
-        lam[mask] = lam_g
+        lam[mask] = semigroup_evolve(killed_kernel(P, mask)[0], alpha[mask], t, mode="distribution")
         return tv_signed(tilde, lam), bound
     rng = philox_generator(seed, 1)
     cum = np.cumsum(P, axis=1)

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from groupwalks import cli, spectral
 from groupwalks.chains import TransvectionWalk, _WalkBase
-from groupwalks.diagnostics import mc_tv_curve_one_column, worst_tv_curve
+from groupwalks.diagnostics import mc_tv_curve_one_column, tv_counting_lower, worst_tv_curve
 from groupwalks.errors import InvariantError, ReversibilityError
 
 
@@ -251,9 +251,35 @@ class TestMixingCommand:
         )
         assert code == 0, err
         report = json.loads(out)["report"]
-        assert report["times"] == [30, 0, 7, 19]
+        assert report["times"] == [0, 7, 19, 30]
         assert 7 < report["mixing_time"] < 30
         np.testing.assert_allclose(report["tv"], expect, rtol=0, atol=1e-12)
+        assert report["counting_lower"] == [
+            tv_counting_lower(t, walk.counting_move_bound, 210) for t in report["times"]]
+
+    def test_mc_user_grid_lines_up(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_grid": [9, 0, 3, 3]}))
+        code, out, err = run_cli(
+            ["mixing", "--mode", "mc", "-r", "6", "--trials", "50", "--seed", "2",
+             "--config", str(cfg)], capsys
+        )
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        assert report["times"] == [0, 3, 9]
+        assert len(report["tv"]) == len(report["tv_exact"]) == 3
+        assert report["counting_lower"] == [tv_counting_lower(t, 31, 63) for t in (0, 3, 9)]
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_negative_grid_time_is_config_error(self, capsys, tmp_path, mode):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_grid": [4, -1]}))
+        code, _, err = run_cli(
+            ["mixing", "--mode", mode, "--walk", "one-column", "-r", "3", "--trials", "10",
+             "--config", str(cfg)], capsys
+        )
+        assert code == 1
+        assert "nonnegative" in err
 
     def test_mc_report(self, capsys):
         code, out, _ = run_cli(
@@ -351,6 +377,22 @@ class TestPipelineCommand:
         hk = scipy.linalg.expm(report["t_mix_cont_upper"] * (P - np.eye(P.shape[0])))
         exact = 0.5 * float(np.abs(hk - 1.0 / P.shape[0]).sum(axis=1).max())
         assert abs(report["exact_tv_at_bound_time"] - exact) < 1e-12
+
+    def test_builds_one_move_table(self, capsys, monkeypatch):
+        calls = []
+        table = _WalkBase.move_permutations
+
+        def counted(self, space):
+            calls.append(1)
+            return table(self, space)
+
+        monkeypatch.setattr(_WalkBase, "move_permutations", counted)
+        code, _, err = run_cli(
+            ["pipeline", "--walk", "transvection", "-n", "4", "-k", "2",
+             "-s", "50", "-L", "30", "--t-star", "25"], capsys
+        )
+        assert code == 0, err
+        assert len(calls) == 1
 
     def test_requires_t_star(self, capsys):
         code, _, err = run_cli(
@@ -543,6 +585,32 @@ class TestExitCodes:
         )
         assert code == 2
         assert "6560 states exceed the dense mixing budget 4096" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--walk", "transvection", "-n", "3", "-k", "2", "--eig-budget", "10"],
+         "42 states exceed the eigensolve budget 10; rerun with eig_budget >= 42"),
+        (["mixing", "--mode", "exact", "--walk", "one-column", "-r", "8", "-p", "3"],
+         "6560 states exceed the dense mixing budget 4096; rerun with dense_budget >= 6560"),
+        (["repcheck", "-p", "3", "-m", "1", "--pair-budget", "100"],
+         "729 element pairs exceed the pair budget 100; rerun with pair_budget >= 729"),
+        (["pipeline", "--walk", "transvection", "-n", "6", "-k", "2", "--t-star", "25"],
+         "3906 states exceed the pipeline eigensolve budget 2048"),
+        (["simulate", "--walk", "transvection", "-n", "9", "-k", "9", "--steps", "1"],
+         "511 sign columns exceed the CSV budget 256"),
+        (["simulate", "--walk", "pa-pra", "-r", "3", "-p", "17", "-m", "1", "--steps", "1"],
+         "288 kernel-count columns exceed the CSV budget 256"),
+    ], ids=["eig_budget", "dense_budget", "pair_budget", "pipeline", "csv-signs", "csv-counts"])
+    def test_budget_gate_refuses_before_building(self, capsys, monkeypatch, argv, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(_WalkBase, "move_permutations", forbidden)
+        for name in ("representation_dimension_check", "one_column_batch",
+                     "transvection_batch", "pa_pra_batch"):
+            monkeypatch.setattr(cli, name, forbidden)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"budget refusal: {message}\n"
 
     def test_reducible_kernel_refused_at_once(self, capsys):
         # V_2(H(3,1)) splits into two determinant classes of 216 states, so
