@@ -35,12 +35,14 @@ stay the per-state definitions they are tested against.  The move table
 builds the sparse operator, whose toarray() is the dense kernel and whose
 weak components are the connected components.
 
-_drive draws the moves of a block of steps for every trial at once (about
-_BLOCK_CELLS steps x trials: ordered pairs, then exponents, sides and
-laziness coins) from the counter-based Philox generator keyed by (seed,
-stream).  The batch engines one_column_batch, transvection_batch and
-pa_pra_batch wrap it, deterministic in (seed, stream, trials); simulate is
-the engine with one trial on stream traj_id.
+A walk's batch method is the one entry point for trajectories: it reads
+the walk's start (its default, validation and cell dtype live in the
+walk's _start_cells) and runs _drive, which draws the moves of a block of
+steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
+pairs, then exponents, sides and laziness coins) from the counter-based
+Philox generator keyed by (seed, stream).  The engines one_column_batch,
+transvection_batch and pa_pra_batch construct the walk and call its batch;
+simulate is batch with one trial on stream traj_id.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .algebra import FieldVector, _digits, check_prime, rank_bits
-from .errors import DimensionMismatch, InvalidMove, check_budget
+from .algebra import _digits, check_prime, rank_bits
+from .errors import ConfigError, DimensionMismatch, InvalidMove, check_budget
 from .groups import (
     HeisenbergElement,
     _h_mul_codes,
@@ -81,6 +83,7 @@ __all__ = [
     "build_fibre_kernel",
     "Trajectory",
     "simulate",
+    "canonical_start",
     "philox_generator",
     "rank_bits_batch",
     "rank_modp_batch",
@@ -405,25 +408,29 @@ def _pa_pra_rule(p: int, m: int) -> Callable:
 
 
 class _WalkBase:
-    """Shared kernel plumbing: kernels, successor lists, simulation.
+    """Shared kernel plumbing: kernels, successor lists, trajectories.
 
     One move table, move_permutations, builds the sparse operator; dense()
     is the operator's toarray(), and connectivity is its nonzero pattern
-    (see connected_components).
+    (see connected_components).  batch is the one place trajectories are
+    set up.
     """
 
     laziness: float
     moves: list
+    _exponents = 1  # exponents a move draws from [0, _exponents); 1 means always 1
+    _sides = False  # whether a move draws a side
 
     def _init_laziness(self, laziness: float) -> None:
-        if not 0.0 <= laziness < 1.0:
-            raise ValueError(f"laziness must lie in [0, 1), got {laziness}")
+        if not 0.0 <= laziness <= 1.0:
+            raise ValueError(f"laziness must lie in [0, 1], got {laziness}")
         self.laziness = float(laziness)
 
     # subclasses provide: apply_move(state, move), in_omega(state),
     # space(budget), counting_move_bound, _coords and _base (the number of
     # digits of a state code and their base), _rule (the move rule on those
-    # digits) and _coded(move), the move as (recipient, donor, exponent, left)
+    # digits), _coded(move), the move as (recipient, donor, exponent, left),
+    # and _start_cells(start), the validated code row of a batch start
 
     def apply_kernel_row(self, state) -> list[tuple[tuple, float]]:
         """Aggregated successor list [(state', prob)]; probabilities sum to 1."""
@@ -431,7 +438,7 @@ class _WalkBase:
             raise ValueError(f"state {state!r} is outside the walk's state space")
         agg: dict = {}
         w = (1.0 - self.laziness) / len(self.moves)
-        for mv in self.moves:
+        for mv in self.moves if w else []:  # at q = 1 no move has weight
             succ = self.apply_move(state, mv)
             agg[succ] = agg.get(succ, 0.0) + w
         if self.laziness:
@@ -484,6 +491,41 @@ class _WalkBase:
         space when None): the operator's toarray()."""
         return self.operator(self.space() if space is None else space).toarray()
 
+    def batch(
+        self,
+        trials: int,
+        t_grid: Sequence[int],
+        seed: int,
+        stat_fn: Callable[[int, np.ndarray], None],
+        start=None,
+        stream: int = 0,
+    ) -> None:
+        """Run `trials` trajectories from one start; stat_fn(t, cells) sees
+        the (trials, coordinates) state codes after step t of each grid time.
+
+        The codes are uint8 coordinates (one-column), packed int64 rows
+        (transvection) or int16 element codes (PA-PRA); start=None is the
+        walk's default start (see _start_cells).  All trials share one
+        Philox stream keyed (seed, stream), so the run is deterministic in
+        (seed, stream, trials).
+        """
+        # the rule first: PA-PRA's tables are refused past their budget before the start is read
+        rule = self._rule
+        row = self._start_cells(start)
+        cells = np.zeros(trials * self._coords + 1, dtype=row.dtype)  # the spare stays 0
+        codes = cells[:-1].reshape(trials, self._coords)
+        codes[:] = row
+        _drive(cells, self._coords, t_grid, seed, stream, self.laziness, rule,
+               lambda t: stat_fn(t, codes), self._exponents, self._sides)
+
+    def _as_start(self, state):
+        """The batch start of a state tuple."""
+        return np.array(state)
+
+    def _state_of(self, codes: list) -> tuple:
+        """The state tuple of one trial's code row."""
+        return tuple(codes)
+
     def simulate(self, start, steps, seed=0, **kw) -> "Trajectory":
         return simulate(self, start, steps, seed=seed, **kw)
 
@@ -523,6 +565,16 @@ class TransvectionWalk(_WalkBase):
         keys = (np.sort(rows, axis=1) << shifts).sum(axis=1)
         return np.sort(np.unique(keys, return_index=True)[1])
 
+    def _start_cells(self, start) -> np.ndarray:
+        """Packed int64 rows; the default is the k basis rows, then zero rows."""
+        if start is None:
+            start = np.zeros(self.n, dtype=np.int64)
+            start[:self.k] = 1 << np.arange(self.k)
+        z0 = np.asarray(start, dtype=np.int64)
+        _check_start(start, z0.shape == (self.n,) and ((0 <= z0) & (z0 < 1 << self.k)).all()
+                     and rank_bits_batch(z0[None], self.k)[0] == self.k)
+        return z0
+
     def in_omega(self, state) -> bool:
         if len(state) != self.n:
             return False
@@ -550,6 +602,7 @@ class OneColumnWalk(_WalkBase):
         self.r = r
         self.p = p
         self._coords, self._base, self._rule = r, p, _one_column_rule(p)
+        self._exponents = 1 if p == 2 else p
         self._init_laziness(laziness)
         if p == 2:
             self.moves = [(i, j) for i in range(r) for j in range(r) if i != j]
@@ -587,6 +640,15 @@ class OneColumnWalk(_WalkBase):
         support = (_digits(space.codes, self.p, self.r) != 0).sum(axis=1)
         return np.sort(np.unique(support, return_index=True)[1])
 
+    def _start_cells(self, start) -> np.ndarray:
+        """uint8 coordinates, so p > 256 is refused; the default is e_1."""
+        if self.p > 256:
+            raise ValueError(f"p = {self.p} exceeds 256, the range of the engine's uint8 cells")
+        y0 = np.asarray([1] + [0] * (self.r - 1) if start is None else start, dtype=np.int64)
+        _check_start(start, y0.shape == (self.r,) and ((0 <= y0) & (y0 < self.p)).all()
+                     and y0.any())
+        return y0.astype(np.uint8)
+
     def in_omega(self, state) -> bool:
         return (
             len(state) == self.r
@@ -607,10 +669,13 @@ class PaPraWalk(_WalkBase):
             raise ValueError("the Heisenberg walk requires odd p")
         if r < 2:
             raise ValueError("the walk needs at least two tuple slots")
+        if m < 1:
+            raise ValueError(f"H(p, m) needs m >= 1, got m={m}")
         self.r = r
         self.p = p
         self.m = m
         self._coords, self._base = r, p ** (2 * m + 1)
+        self._exponents, self._sides = p, True
         self._init_laziness(laziness)
         self.moves = [
             (i, j, a, side)
@@ -637,6 +702,23 @@ class PaPraWalk(_WalkBase):
     def _rule(self) -> Callable:
         """Built on use: the tables behind it are refused past their budget."""
         return _pa_pra_rule(self.p, self.m)
+
+    def _start_cells(self, start) -> np.ndarray:
+        """int16 element codes of start = (horizontal parts (r, 2m), central
+        coordinates (r,)), reduced mod p; the default is canonical_start."""
+        start_v, start_z = canonical_start(self.r, self.p, self.m) if start is None else start
+        p, h = self.p, 2 * self.m
+        v0, z0 = np.asarray(start_v, dtype=np.int64) % p, np.asarray(start_z, dtype=np.int64) % p
+        _check_start(start, v0.shape == (self.r, h) and z0.shape == (self.r,)
+                     and rank_modp_batch(v0[None], p)[0] == h)
+        place = p ** np.arange(h + 1, dtype=np.int64)
+        return (v0 @ place[:h] + z0 * place[h]).astype(np.int16)
+
+    def _as_start(self, state):
+        return [g.v.entries for g in state], [g.z for g in state]
+
+    def _state_of(self, codes: list) -> tuple:
+        return tuple(decode_element(c, self.p, self.m) for c in codes)
 
     def in_omega(self, state) -> bool:
         return (
@@ -782,6 +864,24 @@ def _check_start(start, inside) -> None:
         raise ValueError(f"start {start!r} is outside the state space")
 
 
+def canonical_start(r: int, p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal parts and central coordinates of the canonical tuple.
+
+    The first 2m coordinates carry the symplectic basis vectors, the next
+    one is the central generator, and the rest are identities.  Requires
+    r >= 2m + 1 so the tuple generates.
+    """
+    h = 2 * m
+    if r < h + 1:
+        raise ConfigError(f"canonical tuple needs r >= {h + 1}, got {r}")
+    start_v = np.zeros((r, h), dtype=np.int64)
+    for i in range(h):
+        start_v[i, i] = 1
+    start_z = np.zeros(r, dtype=np.int64)
+    start_z[h] = 1
+    return start_v, start_z
+
+
 def one_column_batch(
     r: int,
     p: int,
@@ -793,21 +893,9 @@ def one_column_batch(
     laziness: float = 0.0,
     stream: int = 0,
 ) -> None:
-    """Vectorised one-column trajectories; stat_fn(t, Y) sees (trials, r) uint8 states.
-
-    All trials share one Philox stream keyed (seed, stream), so the run is
-    deterministic in (seed, stream, trials).  The default start is e_1.
-    p > 256, whose coordinates uint8 cannot hold, is refused.
-    """
-    if p > 256:
-        raise ValueError(f"p = {p} exceeds 256, the range of the engine's uint8 cells")
-    y0 = np.asarray([1] + [0] * (r - 1) if start is None else start, dtype=np.int64)
-    _check_start(start, y0.shape == (r,) and ((0 <= y0) & (y0 < p)).all() and y0.any())
-    cells = np.zeros(trials * r + 1, dtype=np.uint8)
-    y = cells[:-1].reshape(trials, r)
-    y[:] = y0[None, :]
-    _drive(cells, r, t_grid, seed, stream, laziness, _one_column_rule(p), lambda t: stat_fn(t, y),
-           exponents=1 if p == 2 else p)
+    """OneColumnWalk(r, p, laziness).batch: stat_fn(t, Y) sees (trials, r)
+    uint8 states; the default start is e_1."""
+    OneColumnWalk(r, p, laziness).batch(trials, t_grid, seed, stat_fn, start, stream)
 
 
 def transvection_batch(
@@ -821,14 +909,9 @@ def transvection_batch(
     laziness: float = 0.0,
     stream: int = 0,
 ) -> None:
-    """Vectorised tuple-walk trajectories on packed int64 rows (trials, n)."""
-    z0 = np.asarray(start, dtype=np.int64)
-    _check_start(start, z0.shape == (n,) and ((0 <= z0) & (z0 < 1 << k)).all()
-                 and rank_bits_batch(z0[None], k)[0] == k)
-    cells = np.zeros(trials * n + 1, dtype=np.int64)
-    z = cells[:-1].reshape(trials, n)
-    z[:] = z0[None, :]
-    _drive(cells, n, t_grid, seed, stream, laziness, _xor_rule, lambda t: stat_fn(t, z))
+    """TransvectionWalk(n, k, laziness).batch: stat_fn(t, Z) sees packed
+    int64 rows (trials, n)."""
+    TransvectionWalk(n, k, laziness).batch(trials, t_grid, seed, stat_fn, start, stream)
 
 
 def pa_pra_batch(
@@ -844,29 +927,16 @@ def pa_pra_batch(
     laziness: float = 0.0,
     stream: int = 0,
 ) -> None:
-    """Vectorised Heisenberg-tuple trajectories on int16 element codes.
-
-    A step is the rule of _pa_pra_rule: two lookups in the tables of
-    _pa_pra_tables, built (and checked against their budget) first.  The
-    start is reduced mod p.  stat_fn(t, V, Z) sees int16 horizontal parts
-    (trials, r, 2m) and central coordinates (trials, r), decoded at grid
-    times only.
-    """
+    """PaPraWalk(r, p, m, laziness).batch from (start_v, start_z), with the
+    element codes decoded at grid times only: stat_fn(t, V, Z) sees int16
+    horizontal parts (trials, r, 2m) and central coordinates (trials, r)."""
     h = 2 * m
-    rule = _pa_pra_rule(p, m)
-    v0, z0 = np.asarray(start_v, dtype=np.int64) % p, np.asarray(start_z, dtype=np.int64) % p
-    _check_start((start_v, start_z), v0.shape == (r, h) and z0.shape == (r,)
-                 and rank_modp_batch(v0[None], p)[0] == h)
-    place = p ** np.arange(h + 1, dtype=np.int64)
-    cells = np.zeros(trials * r + 1, dtype=np.int16)  # the spare holds 0, the identity
-    g = cells[:-1].reshape(trials, r)
-    g[:] = (v0 @ place[:h] + z0 * place[h])[None]
 
-    def observe(t):
-        digits = _digits(g, p, h + 1).astype(np.int16)
+    def observe(t, codes):
+        digits = _digits(codes, p, h + 1).astype(np.int16)
         stat_fn(t, digits[..., :h], digits[..., h])
 
-    _drive(cells, r, t_grid, seed, stream, laziness, rule, observe, exponents=p, sides=True)
+    PaPraWalk(r, p, m, laziness).batch(trials, t_grid, seed, observe, (start_v, start_z), stream)
 
 
 @dataclass
@@ -892,8 +962,8 @@ def simulate(
 ) -> Trajectory:
     """Run one trajectory of `walk` from `start` for `steps` moves.
 
-    This is the walk's batch engine with one trial on Philox stream
-    (seed, traj_id), so a trajectory is keyed by (seed, traj_id).  States
+    This is walk.batch with one trial on Philox stream (seed, traj_id), so
+    a trajectory is keyed by (seed, traj_id).  States
     are decoded to tuples (HeisenbergElement tuples for PA-PRA) only at the
     recorded times: 0, every time divisible by record_every, and the final
     time.
@@ -916,24 +986,8 @@ def simulate(
         if keep_states:
             states.append(state)
 
-    def stat_rows(t, rows):
-        record(t, tuple(rows[0].tolist()))
-
-    if isinstance(walk, TransvectionWalk):
-        transvection_batch(walk.n, walk.k, 1, grid, seed, stat_rows, np.array(start),
-                           walk.laziness, traj_id)
-    elif isinstance(walk, OneColumnWalk):
-        one_column_batch(walk.r, walk.p, 1, grid, seed, stat_rows, np.array(start),
-                         walk.laziness, traj_id)
-    else:
-        p = walk.p
-
-        def stat(t, v, z):
-            record(t, tuple(HeisenbergElement(FieldVector(vi, p), zi)
-                            for vi, zi in zip(v[0].tolist(), z[0].tolist())))
-
-        pa_pra_batch(walk.r, p, walk.m, 1, grid, seed, stat,
-                     [g.v.entries for g in start], [g.z for g in start], walk.laziness, traj_id)
+    walk.batch(1, grid, seed, lambda t, cells: record(t, walk._state_of(cells[0].tolist())),
+               walk._as_start(start), traj_id)
     return Trajectory(seed, traj_id, times, obs, states if keep_states else None)
 
 
@@ -944,21 +998,25 @@ def _move_operator(perms: np.ndarray, laziness: float) -> csr_matrix:
     Row x holds its moves' successors in move order, then x itself with
     weight 0 when laziness > 0; sum_duplicates merges moves that reach the
     same state, and q is added to the diagonal after that, so toarray() is
-    bitwise a per-move accumulation of the kernel.
+    bitwise a per-move accumulation of the kernel.  Indices and indptr are
+    int32, so more than 2^31 - 1 entries are refused before any is built.
     """
     n_moves, M = perms.shape
     lazy = int(laziness > 0)
+    row_nnz = n_moves + lazy
+    check_budget(M * row_nnz, 2**31 - 1, "operator entries", "int32 index")
     cols = perms.T if not lazy else np.column_stack([perms.T, np.arange(M)])
     weights = [(1.0 - laziness) / n_moves] * n_moves + [0.0] * lazy
     mat = csr_matrix(
         (np.tile(weights, M), cols.astype(np.int32).ravel(),
-         np.arange(M + 1) * (n_moves + lazy)),
+         np.arange(0, M * row_nnz + 1, row_nnz, dtype=np.int32)),
         shape=(M, M),
     )
     mat.sum_duplicates()
     if lazy:
         rows = np.repeat(np.arange(M, dtype=np.int32), np.diff(mat.indptr))
         mat.data[mat.indices == rows] += laziness
+        mat.eliminate_zeros()  # at q = 1 every move weighs 0: the kernel is the identity
     return mat
 
 

@@ -32,29 +32,18 @@ import numpy as np
 
 from . import spectral
 from .algebra import FieldVector, _digits
-from .chains import (
-    OneColumnWalk,
-    PaPraWalk,
-    TransvectionWalk,
-    build_fibre_kernel,
-    one_column_batch,
-    pa_pra_batch,
-    transvection_batch,
-)
+from .chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
 from .diagnostics import (
     DEFAULT_DENSE_BUDGET,
     BDParams,
-    _default_start_rows,
+    _functional_table,
     _good_mask_of_table,
     _mixing_run,
-    _n_table,
-    _s_table,
     _tv_at,
     bd_crossing_prob,
     bd_hitting_time,
     bd_probs,
     bd_rho,
-    canonical_start,
     good_fibre_gap_scan,
     good_mask_rows,
     heisenberg_good_set,
@@ -272,50 +261,32 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
     record_every = _get_int(cfg, "record_every", 1, minimum=1)
     seed = _get_int(cfg, "seed", 0)
     grid = sorted({*range(0, steps + 1, record_every), steps})
-    recorded: list[np.ndarray] = []  # per grid time, (trials, ...) states
-
-    def record(t, state, *_):
-        recorded.append(state.copy())
-
-    def stacked() -> np.ndarray:
-        # trial-major, as the CSV rows are ordered
-        return np.stack(recorded, axis=1).reshape(trials * len(grid), *recorded[0].shape[1:])
-
     if isinstance(walk, PaPraWalk):
-        beta0 = _get_float(cfg, "beta0", 0.75)
         nf = walk.p ** (2 * walk.m) - 1
         check_budget(nf, CSV_BUDGET, "kernel-count columns", "CSV")
-        spec = heisenberg_good_set(walk.r, walk.p, walk.m, beta0)
+        spec = heisenberg_good_set(walk.r, walk.p, walk.m, _get_float(cfg, "beta0", 0.75))
         header = [f"n_xi_{c}" for c in range(1, nf + 1)] + ["support", "in_good"]
-        start_v, start_z = canonical_start(walk.r, walk.p, walk.m)
-        pa_pra_batch(walk.r, walk.p, walk.m, trials, grid, seed, record,
-                     start_v, start_z, walk.laziness)
-        V = stacked()
-        n_tab = _n_table(V, walk.p)
-        support = (V != 0).any(axis=2).sum(axis=1)
-        columns = [n_tab, support, _good_mask_of_table(n_tab, spec)]
     elif isinstance(walk, OneColumnWalk) and walk.p != 2:
-        header = ["support"]
-        one_column_batch(walk.r, walk.p, trials, grid, seed, record, laziness=walk.laziness)
-        columns = [np.count_nonzero(stacked(), axis=1)]
+        spec, header = None, ["support"]
     else:
         # over F_2 the one-column walk is the tuple walk with k = 1
-        one_column = isinstance(walk, OneColumnWalk)
-        n, k = (walk.r, 1) if one_column else (walk.n, walk.k)
+        n, k = (walk.r, 1) if isinstance(walk, OneColumnWalk) else (walk.n, walk.k)
         check_budget((1 << k) - 1, CSV_BUDGET, "sign columns", "CSV")
         spec = transvection_good_set(n, k)
         header = [f"s_xi_{c}" for c in range(1, 1 << k)] + ["in_good"]
-        if one_column:
-            header = ["weight"] + header
-            one_column_batch(n, 2, trials, grid, seed, record, laziness=walk.laziness)
-        else:
-            transvection_batch(n, k, trials, grid, seed, record,
-                               _default_start_rows(n, k), walk.laziness)
-        Z = stacked()
-        s_tab = _s_table(Z, k)
-        columns = [s_tab, _good_mask_of_table(s_tab, spec)]
-        if one_column:
-            columns = [Z.sum(axis=1)] + columns
+    recorded: list[np.ndarray] = []  # per grid time, (trials, coordinates) codes
+    walk.batch(trials, grid, seed, lambda t, cells: recorded.append(cells.copy()))
+    # trial-major, as the CSV rows are ordered
+    cells = np.stack(recorded, axis=1).reshape(trials * len(grid), -1)
+    if spec is None:
+        columns = [np.count_nonzero(cells, axis=1)]
+    else:
+        table = _functional_table(cells, spec)
+        columns = [table, _good_mask_of_table(table, spec)]
+    if isinstance(walk, PaPraWalk):  # support: coordinates with a nonzero horizontal part
+        columns.insert(1, np.count_nonzero(cells % walk.p ** (2 * walk.m), axis=1))
+    elif isinstance(walk, OneColumnWalk) and walk.p == 2:
+        header, columns = ["weight"] + header, [np.count_nonzero(cells, axis=1)] + columns
     ids = np.repeat(np.arange(trials), len(grid))
     times = np.tile(grid, trials)
     table = np.column_stack([ids, times] + columns).astype(np.int64)
@@ -551,29 +522,24 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--seed", type=int, default=None)
 
+    def walk_options(sp, letters):
+        """--walk, the size flags among -n/-k/-r/-p/-m in `letters`, --laziness."""
+        sp.add_argument("--walk", choices=["transvection", "one-column", "pa-pra"])
+        for letter in letters:
+            sp.add_argument(f"-{letter}", type=int, default=None)
+        sp.add_argument("--laziness", type=float, default=None)
+
     sp = sub.add_parser("simulate", help="trajectory CSV with character statistics")
     common(sp)
-    sp.add_argument("--walk", choices=["transvection", "one-column", "pa-pra"])
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("-k", type=int, default=None)
-    sp.add_argument("-r", type=int, default=None)
-    sp.add_argument("-p", type=int, default=None)
-    sp.add_argument("-m", type=int, default=None)
+    walk_options(sp, "nkrpm")
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--record-every", dest="record_every", type=int, default=None)
-    sp.add_argument("--laziness", type=float, default=None)
     sp.add_argument("--beta0", type=float, default=None)
 
     sp = sub.add_parser("spectrum", help="gaps and fibre-gap tables (JSON)")
     common(sp)
-    sp.add_argument("--walk", choices=["transvection", "one-column", "pa-pra"])
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("-k", type=int, default=None)
-    sp.add_argument("-r", type=int, default=None)
-    sp.add_argument("-p", type=int, default=None)
-    sp.add_argument("-m", type=int, default=None)
-    sp.add_argument("--laziness", type=float, default=None)
+    walk_options(sp, "nkrpm")
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--fibre-trials", dest="fibre_trials", type=int, default=None)
     sp.add_argument("--eig-budget", dest="eig_budget", type=int, default=None)
@@ -585,13 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mixing", help="exact mixing times or MC TV curves (JSON)")
     common(sp)
     sp.add_argument("--mode", choices=["exact", "mc"], default=None)
-    sp.add_argument("--walk", choices=["transvection", "one-column", "pa-pra"])
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("-k", type=int, default=None)
-    sp.add_argument("-r", type=int, default=None)
-    sp.add_argument("-p", type=int, default=None)
-    sp.add_argument("-m", type=int, default=None)
-    sp.add_argument("--laziness", type=float, default=None)
+    walk_options(sp, "nkrpm")
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--t-max", dest="t_max", type=int, default=None)
@@ -614,10 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pipeline", help="good-set pipeline report (JSON)")
     common(sp)
-    sp.add_argument("--walk", choices=["transvection", "one-column", "pa-pra"])
-    sp.add_argument("-n", type=int, default=None)
-    sp.add_argument("-k", type=int, default=None)
-    sp.add_argument("--laziness", type=float, default=None)
+    walk_options(sp, "nk")
     sp.add_argument("-s", type=int, default=None)
     sp.add_argument("-L", type=int, default=None)
     sp.add_argument("--t-star", dest="t_star", type=float, default=None)

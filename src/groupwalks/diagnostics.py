@@ -35,10 +35,9 @@ from .chains import (
     PaPraWalk,
     TransvectionWalk,
     _weak_components,
+    canonical_start,
     one_column_batch,
-    pa_pra_batch,
     philox_generator,
-    transvection_batch,
 )
 from .errors import (
     BudgetError,
@@ -224,28 +223,24 @@ def in_good_set(z: Sequence, spec: GoodSetSpec, budget: int = DEFAULT_FUNCTIONAL
     return True
 
 
-def _s_table(Z: np.ndarray, k: int) -> np.ndarray:
-    """Character sums S_xi of packed-row states Z (batch, n): (batch, 2^k - 1),
-    one column per functional code xi = 1, ..., 2^k - 1."""
-    codes = np.arange(1, 1 << k, dtype=Z.dtype)
-    parity = np.bitwise_count(Z[:, :, None] & codes[None, None, :]).astype(np.int64) & 1
-    return Z.shape[1] - 2 * parity.sum(axis=1)
+def _functional_table(cells: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
+    """S_xi (transvection) or N_xi (heisenberg) of states given as (batch, n)
+    cells: (batch, functionals), one column per nonzero functional in code
+    order.
 
-
-def _n_table(V: np.ndarray, p: int) -> np.ndarray:
-    """Kernel counts N_xi of horizontal parts V (batch, r, h): (batch, p^h - 1),
-    one column per nonzero functional in code order.
-
-    xi(v) = 0 depends only on the row value v, so the test runs once per
-    distinct value that occurs and each row looks its answers up; no
-    (batch, r, p^h - 1) integer intermediate is built.
+    Transvection cells are packed rows.  Heisenberg cells are element codes,
+    whose horizontal part is the code mod p^h; xi(v) = 0 depends only on
+    that value, so the test runs once per distinct value that occurs and
+    each row looks its answers up.
     """
-    h = V.shape[2]
-    codes = (np.asarray(V, dtype=np.int64) % p) @ p ** np.arange(h, dtype=np.int64)
-    values, inverse = np.unique(codes, return_inverse=True)
-    xis = _digits(np.arange(1, p**h), p, h)  # (nf, h)
-    zero = (_digits(values, p, h) @ xis.T) % p == 0  # (distinct values, nf)
-    return zero[inverse.reshape(codes.shape)].sum(axis=1)
+    if spec.kind == "transvection":
+        xis = np.arange(1, 1 << spec.k, dtype=cells.dtype)
+        parity = np.bitwise_count(cells[:, :, None] & xis[None, None, :]).astype(np.int64) & 1
+        return cells.shape[1] - 2 * parity.sum(axis=1)
+    p, h = spec.p, spec.h
+    values, inverse = np.unique(np.asarray(cells, dtype=np.int64) % p**h, return_inverse=True)
+    zero = (_digits(values, p, h) @ _digits(np.arange(1, p**h), p, h).T) % p == 0
+    return zero[inverse.reshape(cells.shape)].sum(axis=1)
 
 
 def _good_mask_of_table(table: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
@@ -261,7 +256,7 @@ def good_mask_rows(Z: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
         raise ConfigError("packed-row membership is the transvection form")
     if Z.shape[1] != spec.n:
         raise DimensionMismatch(f"states have {Z.shape[1]} rows, spec expects {spec.n}")
-    return _good_mask_of_table(_s_table(Z, spec.k), spec)
+    return _good_mask_of_table(_functional_table(Z, spec), spec)
 
 
 def good_mask_horizontal(V: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
@@ -272,7 +267,8 @@ def good_mask_horizontal(V: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
         raise DimensionMismatch(
             f"states have shape {V.shape[1:]}, spec expects ({spec.n}, {spec.h})"
         )
-    return _good_mask_of_table(_n_table(V, spec.p), spec)
+    codes = (np.asarray(V, dtype=np.int64) % spec.p) @ spec.p ** np.arange(spec.h, dtype=np.int64)
+    return _good_mask_of_table(_functional_table(codes, spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +313,7 @@ def _compositions(total: int, parts: int, budget: int) -> np.ndarray:
 def _value_table(spec: GoodSetSpec) -> np.ndarray:
     """S_xi (transvection) or N_xi (heisenberg) of each single row value:
     (values, functionals), values in code order."""
-    if spec.kind == "transvection":
-        return _s_table(np.arange(1 << spec.k, dtype=np.int64)[:, None], spec.k)
-    values = _digits(np.arange(spec.p**spec.h, dtype=np.int64), spec.p, spec.h)
-    return _n_table(values[:, None, :], spec.p)
+    return _functional_table(np.arange(spec.functional_count + 1, dtype=np.int64)[:, None], spec)
 
 
 def _class_counts(C: np.ndarray, weights: np.ndarray, spec: GoodSetSpec) -> tuple[int, int, int, int]:
@@ -419,31 +412,6 @@ def good_set_measure(
 # burn-in occupancy
 
 
-def canonical_start(r: int, p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal parts and central coordinates of the canonical tuple.
-
-    The first 2m coordinates carry the symplectic basis vectors, the next
-    one is the central generator, and the rest are identities.  Requires
-    r >= 2m + 1 so the tuple generates.
-    """
-    h = 2 * m
-    if r < h + 1:
-        raise ConfigError(f"canonical tuple needs r >= {h + 1}, got {r}")
-    start_v = np.zeros((r, h), dtype=np.int64)
-    for i in range(h):
-        start_v[i, i] = 1
-    start_z = np.zeros(r, dtype=np.int64)
-    start_z[h] = 1
-    return start_v, start_z
-
-
-def _default_start_rows(n: int, k: int) -> np.ndarray:
-    """Lowest-entropy spanning start: the k basis rows, then zero rows."""
-    rows = np.zeros(n, dtype=np.int64)
-    rows[:k] = 1 << np.arange(k, dtype=np.int64)
-    return rows
-
-
 def burnin_occupancy(
     walk,
     spec: GoodSetSpec,
@@ -456,52 +424,31 @@ def burnin_occupancy(
     """Estimated P(X_t not in G) on a time grid, with Wilson 99% intervals.
 
     ``walk`` is a TransvectionWalk, OneColumnWalk, or PaPraWalk; its
-    laziness is honoured.  Default starts are the worst-case-style states:
-    a weight-one vector, the basis-rows tuple, or the canonical tuple.
+    laziness is honoured, and ``start`` is in the form its batch takes.
+    Default starts are the worst-case-style states: a weight-one vector,
+    the basis-rows tuple, or the canonical tuple.
     """
     grid = sorted(set(int(t) for t in t_grid))
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
-    failures: dict[int, int] = {}
-
-    def rows_stat(t: int, z: np.ndarray) -> None:
-        failures[t] = int((~good_mask_rows(z, spec)).sum())
-
-    if isinstance(walk, OneColumnWalk):
+    if isinstance(walk, PaPraWalk):
+        fits = spec.kind == "heisenberg" and (spec.n, spec.p, spec.m) == (walk.r, walk.p, walk.m)
+    elif isinstance(walk, OneColumnWalk):
         if walk.p != 2:
             raise ConfigError("occupancy tracking uses the sign statistic, so p = 2")
-        if spec.kind != "transvection" or spec.k != 1 or spec.n != walk.r:
-            raise ConfigError("good-set spec does not match the walk")
-        one_column_batch(
-            walk.r, 2, trials, grid, seed, rows_stat,
-            start=start, laziness=walk.laziness, stream=stream,
-        )
+        fits = spec.kind == "transvection" and (spec.n, spec.k) == (walk.r, 1)
     elif isinstance(walk, TransvectionWalk):
-        if spec.kind != "transvection" or spec.k != walk.k or spec.n != walk.n:
-            raise ConfigError("good-set spec does not match the walk")
-        rows = _default_start_rows(walk.n, walk.k) if start is None else np.asarray(start)
-        transvection_batch(
-            walk.n, walk.k, trials, grid, seed, rows_stat,
-            start=rows, laziness=walk.laziness, stream=stream,
-        )
-    elif isinstance(walk, PaPraWalk):
-        if spec.kind != "heisenberg" or spec.n != walk.r or spec.p != walk.p or spec.m != walk.m:
-            raise ConfigError("good-set spec does not match the walk")
-        if start is None:
-            start_v, start_z = canonical_start(walk.r, walk.p, walk.m)
-        else:
-            start_v, start_z = start
-
-        def stat(t: int, v: np.ndarray, z: np.ndarray) -> None:
-            failures[t] = int((~good_mask_horizontal(v, spec)).sum())
-
-        pa_pra_batch(
-            walk.r, walk.p, walk.m, trials, grid, seed, stat,
-            start_v=start_v, start_z=start_z, laziness=walk.laziness, stream=stream,
-        )
+        fits = spec.kind == "transvection" and (spec.n, spec.k) == (walk.n, walk.k)
     else:
         raise ConfigError(f"unsupported walk type {type(walk).__name__}")
+    if not fits:
+        raise ConfigError("good-set spec does not match the walk")
+    failures: dict[int, int] = {}
 
+    def stat(t: int, cells: np.ndarray) -> None:
+        failures[t] = int((~_good_mask_of_table(_functional_table(cells, spec), spec)).sum())
+
+    walk.batch(trials, grid, seed, stat, start, stream)
     times = np.array(grid, dtype=np.int64)
     fail_counts = np.array([failures[t] for t in grid], dtype=np.int64)
     ci = np.array([wilson_interval(int(c), trials) for c in fail_counts])
@@ -1095,7 +1042,7 @@ def good_fibre_gap_scan(n: int, k: int) -> dict:
     if n < 2 or k < 1:
         raise ConfigError("need n >= 2 and k >= 1")
     C = _compositions(n - 1, 1 << k, DEFAULT_CLASS_BUDGET)
-    sgn = _s_table(np.arange(1 << k)[:, None], k)  # [w, xi - 1] = (-1)^{xi . w}
+    sgn = _value_table(transvection_good_set(n, k))  # [w, xi - 1] = (-1)^{xi . w}
     S = C @ sgn  # sign sums of the frozen rows
     # adding row value w back gives sign sums S + sgn[w]
     meets = np.logical_or.reduce([(4 * np.abs(S + row) <= n).all(axis=1) for row in sgn])
@@ -1148,10 +1095,10 @@ def sample_balanced_frozen_tuples(
         raise ConfigError(f"balance level beta={beta} must lie in [1/p, 1)")
     R = r - 1
     h = 2 * m
-    limit = beta * R + 1e-9
+    spec = heisenberg_good_set(R, p, m, beta)
     # any min(R, 2m-1) vectors of F_p^{2m} lie in one hyperplane ker xi
     crowded = min(R, h - 1)
-    if crowded > limit:
+    if crowded > _kernel_count_threshold(spec):
         raise BudgetError(
             f"only 0/{count} balanced tuples after 0 draws: any {crowded} frozen "
             f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * R:g}"
@@ -1168,7 +1115,7 @@ def sample_balanced_frozen_tuples(
         V = rng.integers(0, p, size=(batch, R, h)).astype(np.int64)
         Z = rng.integers(0, p, size=(batch, R)).astype(np.int64)
         drawn += batch
-        ok = (_n_table(V, p) <= limit).all(axis=1)
+        ok = good_mask_horizontal(V, spec)
         idx = np.flatnonzero(ok)
         if idx.size:
             kept_v.append(V[idx])

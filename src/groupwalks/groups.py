@@ -74,8 +74,6 @@ __all__ = [
     "representation_residuals",
 ]
 
-# Dense operator norms switch from full SVD to power iteration above this size.
-SVD_DIM_MAX = 512
 DEFAULT_REP_DIM_BUDGET = 512
 
 
@@ -315,28 +313,11 @@ def representation_dimension_check(p: int, m: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def operator_norm(mat: np.ndarray, iters: int = 200, tol: float = 1e-13) -> float:
-    """Largest singular value; full SVD up to SVD_DIM_MAX, power iteration above."""
+def operator_norm(mat: np.ndarray) -> float:
+    """Largest singular value, by full SVD (exact at every size; matrices
+    here are at most DEFAULT_REP_DIM_BUDGET on a side)."""
     a = np.asarray(mat)
-    n = max(a.shape)
-    if n <= SVD_DIM_MAX:
-        return float(np.linalg.svd(a, compute_uv=False)[0]) if min(a.shape) else 0.0
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    x /= np.linalg.norm(x)
-    last = 0.0
-    for _ in range(iters):
-        y = a @ x
-        x = a.conj().T @ y
-        nrm = np.linalg.norm(x)
-        if nrm == 0:
-            return 0.0
-        x /= nrm
-        val = float(np.sqrt(nrm))
-        if abs(val - last) <= tol * max(1.0, val):
-            return val
-        last = val
-    return last
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if min(a.shape) else 0.0
 
 
 @dataclass(frozen=True)

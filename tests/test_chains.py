@@ -176,6 +176,28 @@ class TestKernelRow:
         with pytest.raises(ValueError):
             PaPraWalk(1, 3, 1)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_heisenberg_rank_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="m >= 1"):
+            PaPraWalk(3, 3, m)
+        with pytest.raises(ValueError, match="m >= 1"):
+            pa_pra_batch(3, 3, m, 2, [0, 5], 0, lambda t, v, z: None,
+                         np.zeros((3, 2 * m if m > 0 else 0)), np.zeros(3))
+
+    def test_laziness_domain(self):
+        # q = 1 is the identity kernel; outside [0, 1] the kernel is not stochastic
+        space = stiefel_space(3, 2)
+        op = TransvectionWalk(3, 2, laziness=1.0).operator(space)
+        assert np.array_equal(op.toarray(), np.eye(space.size))
+        # no zero-weight move entries, so each state is its own component
+        assert op.nnz == space.size and chains._weak_components(op)[0] == space.size
+        assert TransvectionWalk(3, 2, laziness=1.0).apply_kernel_row((1, 2, 0)) == [((1, 2, 0), 1.0)]
+        walks = ((TransvectionWalk, (3, 2)), (OneColumnWalk, (3, 3)), (PaPraWalk, (3, 3, 1)))
+        for cls, args in walks:
+            for q in (-0.25, 1.25):
+                with pytest.raises(ValueError, match=r"laziness must lie in \[0, 1\]"):
+                    cls(*args, laziness=q)
+
     def test_laziness_wraps_the_dense_kernel(self):
         base = TransvectionWalk(3, 2)
         lazy = TransvectionWalk(3, 2, laziness=0.5)
@@ -492,8 +514,17 @@ class TestMoveTables:
             dense = lazy.dense(space)
             assert np.array_equal(dense, _oracle_dense(lazy, oracle))
             op = lazy.operator(space)
-            assert op.indices.dtype == np.int32 and op.has_canonical_format
+            assert op.indices.dtype == op.indptr.dtype == np.int32 and op.has_canonical_format
             assert np.array_equal(op.toarray(), dense)
+
+    def test_operator_past_int32_indices_refused(self):
+        # broadcast views, nothing allocated: 2^31 entries, one past the int32
+        # range, from 1 024 moves or from 1 023 moves and the lazy diagonal
+        perms = np.broadcast_to(np.int64(0), (1024, 1 << 21))
+        for moves, q in ((1024, 0.0), (1023, 0.5)):
+            with pytest.raises(BudgetError,
+                               match="2147483648 operator entries exceed the int32 index budget"):
+                chains._move_operator(perms[:moves], q)
 
     @pytest.mark.parametrize("r,p", [(3, 3), (2, 5)])
     def test_group_table_on_sampled_states(self, r, p):
@@ -761,6 +792,40 @@ class TestBatchEngines:
         with pytest.raises(ValueError, match="outside the state space"):
             pa_pra_batch(3, 3, 1, 2, [0, 5], 0, lambda t, v, z: seen.append(t), start_v, start_z)
         assert seen == []
+
+    # the engines refuse what the walks refuse; F_4 is not Z/4
+    @pytest.mark.parametrize("run, message", [
+        (lambda stat: one_column_batch(3, 4, 2, [0, 5], 0, stat), "modulus 4 is not prime"),
+        (lambda stat: one_column_batch(1, 3, 2, [0, 5], 0, stat), "at least two coordinates"),
+        (lambda stat: transvection_batch(1, 1, 2, [0, 5], 0, stat, start=[1]),
+         "needs at least two rows"),
+    ], ids=["non-prime", "one-coordinate", "one-row"])
+    def test_engines_refuse_what_the_walks_refuse(self, run, message):
+        seen = []
+        with pytest.raises(ValueError, match=message):
+            run(lambda t, cells: seen.append(t))
+        assert seen == []
+
+    @pytest.mark.parametrize("walk, cells", [
+        (OneColumnWalk(4, 3), np.array([1, 0, 0, 0], dtype=np.uint8)),  # e_1
+        (OneColumnWalk(5, 2, laziness=0.5), np.array([1, 0, 0, 0, 0], dtype=np.uint8)),
+        (TransvectionWalk(5, 3), np.array([1, 2, 4, 0, 0], dtype=np.int64)),  # basis rows, zeros
+        # canonical_start: the symplectic basis, the central generator, identities
+        (PaPraWalk(4, 3, 1), np.array([1, 3, 9, 0], dtype=np.int16)),
+        (PaPraWalk(6, 3, 2), np.array([1, 3, 9, 27, 81, 0], dtype=np.int16)),
+    ])
+    def test_default_start_is_observed_first(self, walk, cells):
+        seen = []
+        walk.batch(3, [0, 4], 7, lambda t, c: seen.append((t, c.copy())))
+        assert [t for t, _ in seen] == [0, 4]
+        first = seen[0][1]
+        assert first.dtype == cells.dtype and np.array_equal(first, np.tile(cells, (3, 1)))
+        state = walk._state_of(first[0].tolist())
+        assert walk.in_omega(state)
+        if isinstance(walk, PaPraWalk):
+            sv, sz = chains.canonical_start(walk.r, walk.p, walk.m)
+            assert [list(g.v.entries) for g in state] == sv.tolist()
+            assert [g.z for g in state] == sz.tolist()
 
     def test_unreduced_pa_pra_start_is_reduced(self):
         got = []

@@ -605,9 +605,8 @@ class TestExitCodes:
             raise AssertionError("built before the budget check")
 
         monkeypatch.setattr(_WalkBase, "move_permutations", forbidden)
-        for name in ("representation_dimension_check", "one_column_batch",
-                     "transvection_batch", "pa_pra_batch"):
-            monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setattr(_WalkBase, "batch", forbidden)
+        monkeypatch.setattr(cli, "representation_dimension_check", forbidden)
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err == f"budget refusal: {message}\n"
@@ -648,6 +647,50 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+_COMMON_OPTIONS = {"--config": ("config", None), "--out": ("out", None), "--seed": ("seed", int)}
+_WALK_OPTIONS = {"--walk": ("walk", None), "--laziness": ("laziness", float),
+                 **{f"-{c}": (c, int) for c in "nkrpm"}}
+
+
+def _options(*flags, walk="", **named):
+    """Expected {flag: (dest, type)}: the common flags, --walk and --laziness
+    with the size flags in `walk` when it is set, int flags named by dest,
+    and typed ones given as flag=(dest, type)."""
+    out = dict(_COMMON_OPTIONS)
+    if walk:
+        out.update({f: v for f, v in _WALK_OPTIONS.items() if len(f) > 2 or f[1] in walk})
+    out.update({f: (f.lstrip("-").replace("-", "_"), int) for f in flags})
+    out.update({f"--{k.replace('_', '-')}": v for k, v in named.items()})
+    return out
+
+
+class TestParserOptions:
+    # the walk flags are declared once for four subcommands; each
+    # subcommand's flags, dests and types are pinned here, and every
+    # default is None so that a config file's value survives
+    EXPECTED = {
+        "simulate": _options("--steps", "--trials", "--record-every", walk="nkrpm",
+                             beta0=("beta0", float)),
+        "spectrum": _options("--fibre-trials", "--eig-budget", walk="nkrpm",
+                             beta=("beta", float), fibres_only=("fibres_only", None)),
+        "mixing": _options("--trials", "--t-max", "--points", walk="nkrpm",
+                           mode=("mode", None), epsilon=("epsilon", float)),
+        "birthdeath": _options("-r", "-p", "--target", "--A0", "--A1", epsilon=("epsilon", float)),
+        "repcheck": _options("-p", "-m", "--pair-budget"),
+        "pipeline": _options("-s", "-L", walk="nk", t_star=("t_star", float)),
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_option_set(self, command):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        got = {flag: (a.dest, a.type) for a in actions for flag in a.option_strings}
+        assert got == self.EXPECTED[command]
+        assert all(a.default is None for a in actions)
+        walk = [a for a in actions if a.dest == "walk"]
+        assert all(a.choices == ["transvection", "one-column", "pa-pra"] for a in walk)
 
 
 class TestImportCost:
