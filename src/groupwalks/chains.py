@@ -40,7 +40,12 @@ the walk's start (its default, validation and cell dtype live in the
 walk's _start_cells) and runs _drive, which draws the moves of a block of
 steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
 pairs, then exponents, sides and laziness coins) from the counter-based
-Philox generator keyed by (seed, stream).  The engines one_column_batch,
+Philox generator keyed by (seed, stream).  The steps run on one of two
+layouts: F_2 runs whose state code fits 64 bits, with at least
+_WORD_TRIALS trials, step each trial's code as one uint64 word
+(_word_layout) and unpack it at grid times only; all others step the
+per-coordinate codes in place (_cell_layout).  Either way stat_fn sees the
+same read-only codes.  The engines one_column_batch,
 transvection_batch and pa_pra_batch construct the walk and call its batch;
 simulate is batch with one trial on stream traj_id.
 """
@@ -500,23 +505,37 @@ class _WalkBase:
         start=None,
         stream: int = 0,
     ) -> None:
-        """Run `trials` trajectories from one start; stat_fn(t, cells) sees
+        """Run `trials` trajectories from one start; stat_fn(t, codes) sees
         the (trials, coordinates) state codes after step t of each grid time.
 
         The codes are uint8 coordinates (one-column), packed int64 rows
-        (transvection) or int16 element codes (PA-PRA); start=None is the
-        walk's default start (see _start_cells).  All trials share one
-        Philox stream keyed (seed, stream), so the run is deterministic in
-        (seed, stream, trials).
+        (transvection) or int16 element codes (PA-PRA), as a read-only view;
+        start=None is the walk's default start (see _start_cells).  All
+        trials share one Philox stream keyed (seed, stream), so the run is
+        deterministic in (seed, stream, trials).  F_2 runs (the XOR rule)
+        whose state code fits 64 bits step each trial's code as one packed
+        word when there are at least _WORD_TRIALS trials, and unpack it into
+        the same codes at grid times only; other runs step the codes in
+        place.  Both layouts apply the same draws, so the output does not
+        depend on which one runs.
         """
         # the rule first: PA-PRA's tables are refused past their budget before the start is read
         rule = self._rule
         row = self._start_cells(start)
-        cells = np.zeros(trials * self._coords + 1, dtype=row.dtype)  # the spare stays 0
-        codes = cells[:-1].reshape(trials, self._coords)
-        codes[:] = row
-        _drive(cells, self._coords, t_grid, seed, stream, self.laziness, rule,
-               lambda t: stat_fn(t, codes), self._exponents, self._sides)
+        bits = self._base.bit_length() - 1  # the XOR rule's walks code base 2^bits
+        if rule is _xor_rule and self._coords * bits <= 64 and trials >= _WORD_TRIALS:
+            codes, advance, unpack = _word_layout(row, trials, bits, self.laziness)
+        else:
+            codes, advance, unpack = _cell_layout(row, trials, rule, self.laziness)
+        view = codes.view()
+        view.flags.writeable = False
+
+        def observe(t):
+            unpack()
+            stat_fn(t, view)
+
+        _drive(advance, trials, self._coords, t_grid, seed, stream, self.laziness, observe,
+               self._exponents, self._sides)
 
     def _as_start(self, state):
         """The batch start of a state tuple."""
@@ -566,7 +585,10 @@ class TransvectionWalk(_WalkBase):
         return np.sort(np.unique(keys, return_index=True)[1])
 
     def _start_cells(self, start) -> np.ndarray:
-        """Packed int64 rows; the default is the k basis rows, then zero rows."""
+        """Packed int64 rows, so k > 63 is refused; the default is the k
+        basis rows, then zero rows."""
+        if self.k > 63:
+            raise ValueError(f"k = {self.k} exceeds 63, the row width of the engine's int64 cells")
         if start is None:
             start = np.zeros(self.n, dtype=np.int64)
             start[:self.k] = 1 << np.arange(self.k)
@@ -798,6 +820,10 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
 # ---------------------------------------------------------------------------
 
 _BLOCK_CELLS = 1 << 16  # steps x trials of moves drawn at once
+# F_2 runs with at least this many trials step packed words: the word step
+# has the higher fixed cost, and the two steps break even at 48-64 trials
+# (at 16 trials the word step is about 20% slower, at 1 000 1.3-1.4x faster)
+_WORD_TRIALS = 64
 
 
 def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
@@ -811,12 +837,16 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
     `sides`) and the laziness coins (hold with probability `laziness`).
     The integers are drawn as int32: for ranges below 2^32 Philox's bounded
     32-bit path yields the same values as int64 draws, at half the memory.
+    Pair draw d is the pair (d // (r-1), d % (r-1) + [d % (r-1) >= d // (r-1)]),
+    read from two tables of r(r-1) entries.
     """
+    recipient, donor = np.divmod(np.arange(r * (r - 1), dtype=np.int32), r - 1)
+    donor += donor >= recipient
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
     for done in range(0, steps, per_block):
         shape = (min(per_block, steps - done), trials)
-        i, j = np.divmod(rng.integers(0, r * (r - 1), size=shape, dtype=np.int32), r - 1)
-        j += j >= i
+        pair = rng.integers(0, r * (r - 1), size=shape, dtype=np.int32)
+        i, j = recipient.take(pair), donor.take(pair)
         a = (rng.integers(0, exponents, size=shape, dtype=np.int32) if exponents > 1
              else np.ones(shape, np.int32))
         left = rng.integers(0, 2, size=shape, dtype=np.int32) == 1 if sides else np.zeros(shape, bool)
@@ -824,22 +854,83 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
         yield i, j, a, left, hold
 
 
-def _drive(cells, r, t_grid, seed, stream, laziness, rule, observe, exponents=1, sides=False):
-    """Run trajectories in place on `cells` and observe them on a time grid.
+def _cell_layout(row, trials, rule, laziness):
+    """Trajectories stepped on their codes: (codes, advance, unpack).
 
-    cells holds trials * r coordinates, trial-major, then one spare that
-    stays zero, along its first axis.  A step sets the recipient cells tgt
-    (one per trial) to rule(recipient, donor, exponent, left).  A held
-    step's donor is the spare cell, whose zero (the zero row, or the
-    identity element) makes the rule the identity.  observe(t) runs at every
-    grid time, after step t.  The moves come from _move_blocks on Philox
-    (seed, stream).
+    The cells hold trials * r codes, trial-major, then one spare that stays
+    zero; codes is their (trials, r) view.  advance(i, j, a, left, hold)
+    applies one block of _move_blocks, yielding after each step: a step sets
+    the recipient cells (one per trial) to rule(recipient, donor, exponent,
+    left).  A held step's donor is the spare cell, whose zero (the zero row,
+    or the identity element) makes the rule the identity.  The codes are
+    always current, so unpack does nothing.
+    """
+    r = row.size
+    spare = trials * r
+    cells = np.zeros(spare + 1, dtype=row.dtype)
+    codes = cells[:-1].reshape(trials, r)
+    codes[:] = row
+    offset = np.arange(0, spare, r)
+
+    def advance(i, j, a, left, hold):
+        tgt, src = i + offset, j + offset
+        if laziness > 0:
+            np.copyto(src, spare, where=hold)
+        for tgt_t, src_t, a_t, left_t in zip(tgt, src, a, left):
+            cells.put(tgt_t, rule(cells.take(tgt_t), cells.take(src_t), a_t, left_t))
+            yield
+
+    return codes, advance, lambda: None
+
+
+def _word_layout(row, trials, bits, laziness):
+    """F_2 trajectories stepped as one uint64 word per trial: (codes,
+    advance, unpack).
+
+    The word is the walk's state code: coordinate c sits at bits
+    [c * bits, (c + 1) * bits), the packing of _digit_space.  A step XORs
+    the donor's field into the recipient's, w ^= ((w >> bits j) & mask) <<
+    bits i, four ufuncs over the trials.  A held step shifts by 64, which
+    numpy maps to 0, so it XORs nothing.  unpack writes the words' fields
+    into codes, whose dtype is row's.
+    """
+    r = row.size
+    width, mask = np.uint64(bits), np.uint64((1 << bits) - 1)
+    fields = np.arange(r, dtype=np.uint64) * width
+    words = np.full(trials, np.bitwise_or.reduce(row.astype(np.uint64) << fields), dtype=np.uint64)
+    moved = np.empty_like(words)
+    codes = np.empty((trials, r), dtype=row.dtype)
+
+    def advance(i, j, a, left, hold):
+        into, out_of = i.astype(np.uint64), j.astype(np.uint64)
+        into *= width
+        out_of *= width
+        if laziness > 0:
+            np.copyto(into, 64, where=hold)
+        for into_t, out_of_t in zip(into, out_of):
+            np.right_shift(words, out_of_t, out=moved)
+            np.bitwise_and(moved, mask, out=moved)
+            np.left_shift(moved, into_t, out=moved)
+            np.bitwise_xor(words, moved, out=words)
+            yield
+
+    def unpack():
+        np.bitwise_and(words[:, None] >> fields, mask, out=codes, casting="unsafe")
+
+    return codes, advance, unpack
+
+
+def _drive(advance, trials, r, t_grid, seed, stream, laziness, observe, exponents=1, sides=False):
+    """Run `trials` trajectories on r coordinates and observe them on a time grid.
+
+    The moves come from _move_blocks on Philox (seed, stream), and
+    advance(*block) applies each block's steps in order, yielding after
+    each one (see _cell_layout and _word_layout).  observe(t) runs at every
+    grid time, after step t.
     """
     grid = sorted(set(int(t) for t in t_grid))
     if grid and grid[0] < 0:
         raise ValueError("grid times must be nonnegative")
-    spare = len(cells) - 1
-    offset = np.arange(0, spare, r)
     due = iter(grid)
     t, next_t = 0, next(due, None)
     if next_t == 0:
@@ -847,11 +938,8 @@ def _drive(cells, r, t_grid, seed, stream, laziness, rule, observe, exponents=1,
         next_t = next(due, None)
     rng = philox_generator(seed, stream)
     steps = grid[-1] if grid else 0
-    for i, j, a, left, hold in _move_blocks(rng, steps, offset.size, r, exponents, sides, laziness):
-        tgt = i + offset
-        src = np.where(hold, spare, j + offset)
-        for tgt_t, src_t, a_t, left_t in zip(tgt, src, a, left):
-            cells.put(tgt_t, rule(cells.take(tgt_t), cells.take(src_t), a_t, left_t))
+    for block in _move_blocks(rng, steps, trials, r, exponents, sides, laziness):
+        for _ in advance(*block):
             t += 1
             if t == next_t:
                 observe(t)

@@ -1159,6 +1159,8 @@ def mc_tv_curve_one_column(
     """
     if r < 2 or trials < 1:
         raise ConfigError("need r >= 2 and at least one trial")
+    if r >= 1024:
+        raise ConfigError(f"r = {r}: the weight law C(r, w)/(2^r - 1) overflows a float for r >= 1024")
     denom = float(2**r - 1)
     pi_w = np.array([math.comb(r, w) / denom for w in range(r + 1)])
     pi_w[0] = 0.0

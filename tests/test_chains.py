@@ -774,6 +774,15 @@ class TestBatchEngines:
         one_column_batch(3, 251, 1, [0], 1, lambda t, y: seen.append(y.copy()), start=[250, 0, 0])
         assert seen[0].tolist() == [[250, 0, 0]]
 
+    def test_transvection_rows_past_the_cell_width_refused(self):
+        # int64 cells: the default start's row 1 << 63 would overflow at k = 64
+        seen = []
+        with pytest.raises(ValueError, match="k = 64 exceeds 63"):
+            TransvectionWalk(64, 64).batch(2, [0, 3], 0, lambda t, z: seen.append(t))
+        assert seen == []
+        TransvectionWalk(63, 63).batch(2, [0, 3], 0, lambda t, z: seen.append(z.copy()))
+        assert seen[0][0].tolist() == [1 << c for c in range(63)]
+
     @pytest.mark.parametrize("start", [[7, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 2, 0]])
     def test_transvection_start_outside_the_space_refused(self, start):
         seen = []
@@ -925,6 +934,34 @@ class TestDriverReplay:
         # seven at 3 trials
         monkeypatch.setattr(chains, "_BLOCK_CELLS", 16)
         _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
+        if case in ("transvection", "one-column p=2"):  # the XOR rule: again on packed words
+            monkeypatch.setattr(chains, "_WORD_TRIALS", 1)
+            _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
+
+    @pytest.mark.parametrize("walk, trials, word", [
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS, True),  # 64 bits
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS - 1, False),
+        (OneColumnWalk(65, 2), chains._WORD_TRIALS, False),
+        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, True),
+        (TransvectionWalk(13, 5), chains._WORD_TRIALS, False),  # 65 bits
+        (OneColumnWalk(4, 3), chains._WORD_TRIALS, False),
+        (PaPraWalk(3, 3, 1), chains._WORD_TRIALS, False),
+    ])
+    def test_word_layout_only_for_wide_xor_runs(self, monkeypatch, walk, trials, word):
+        used = []
+        for name in ("_word_layout", "_cell_layout"):
+            layout = getattr(chains, name)
+            monkeypatch.setattr(chains, name, lambda *args, f=layout, n=name: used.append(n) or f(*args))
+        seen = []
+
+        def write(t, codes):
+            seen.append(codes.copy())
+            with pytest.raises(ValueError, match="read-only"):
+                codes[0, 0] = 1
+
+        walk.batch(trials, [0, 3], 5, write)
+        assert used == ["_word_layout" if word else "_cell_layout"]
+        assert len(seen) == 2 and seen[0].shape == (trials, walk._coords)
 
     def test_default_block_boundary(self):
         steps = chains._BLOCK_CELLS // 3 + 50

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from groupwalks import cli, spectral
+from groupwalks import cli, diagnostics, spectral
 from groupwalks.chains import TransvectionWalk, _WalkBase
 from groupwalks.diagnostics import mc_tv_curve_one_column, tv_counting_lower, worst_tv_curve
 from groupwalks.errors import InvariantError, ReversibilityError
@@ -306,6 +306,22 @@ class TestMixingCommand:
         lazy = mc_tv_curve_one_column(8, 200, reports["0.5"]["times"], 1, laziness=0.5)
         assert reports["0.5"]["tv_exact"] == lazy["tv_exact"].tolist()
         assert reports["0.5"]["tv"] != reports["0"]["tv"]
+
+    def test_mc_refuses_r_past_the_float_range(self, capsys, monkeypatch):
+        # C(r, w)/(2^r - 1) overflows a float at r = 1024; nothing may run first
+        code, out, _ = run_cli(["mixing", "--mode", "mc", "-r", "1023", "--trials", "2",
+                                "--t-max", "2", "--points", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["times"] == [0, 1, 2]
+
+        def fail(*args, **kw):
+            raise AssertionError("a trajectory ran before the refusal")
+
+        monkeypatch.setattr(diagnostics, "one_column_batch", fail)
+        for r in ("1024", "1030"):
+            code, _, err = run_cli(["mixing", "--mode", "mc", "-r", r, "--trials", "2"], capsys)
+            assert code == 1
+            assert "config error" in err and "overflows a float for r >= 1024" in err
 
     def test_unknown_mode(self, capsys):
         code, _, err = run_cli(["mixing", "--mode", "weird"], capsys)

@@ -48,10 +48,18 @@ def _pa_pra_states(r, p, m, trials, grid, seed, laziness):
     return run
 
 
-def _simulate_csv(tmp_path, argv):
+def _walk_states(walk, trials, grid, seed):
+    def run():
+        got = {}
+        walk.batch(trials, grid, seed, lambda t, codes: got.__setitem__(t, codes.copy()))
+        return got
+    return run
+
+
+def _simulate_csv(tmp_path, argv, walk="pa-pra"):
     def run():
         out = tmp_path / "traj.csv"
-        assert cli.main(["simulate", "--walk", "pa-pra", *argv, "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--walk", walk, *argv, "--out", str(out)]) == 0
         return out.read_bytes().decode()
     return run
 
@@ -105,6 +113,18 @@ def _cases(tmp_path):
         "simulate pa-pra p=3 m=2": _simulate_csv(tmp_path, ["-r", "6", "-p", "3", "-m", "2", "--steps", "200",
                                                             "--trials", "2", "--record-every", "10",
                                                             "--seed", "35"]),
+        # F_2 runs at the edges of the packed-word layout: 64 bits (one-column
+        # r = 64, transvection n = 32 k = 2) and 65 bits (n = 13 k = 5, pinned
+        # by its states: its good set is almost empty, so burn-in reads 1)
+        "mc_tv_curve one-column r=64": lambda: dg.mc_tv_curve_one_column(
+            64, 200, [0, 40, 150, 400, 900], 36),
+        "burnin transvection n=32 k=2 lazy": _burnin(TransvectionWalk(32, 2, 0.25),
+                                                     dg.transvection_good_set(32, 2),
+                                                     [0, 30, 120, 400], 100, 37),
+        "transvection states n=13 k=5": _walk_states(TransvectionWalk(13, 5), 100, [0, 20, 80, 250], 38),
+        "simulate transvection n=8 k=2": _simulate_csv(tmp_path, ["-n", "8", "-k", "2", "--steps", "300",
+                                                                  "--trials", "80", "--record-every", "10",
+                                                                  "--seed", "39"], walk="transvection"),
     }
 
 
@@ -127,6 +147,8 @@ DIGESTS = {
         "7c1b99f64b755411d0c2015fe720fce478c60d09a19a5c87cb53df2f1428e978",
     "burnin pa-pra r=7 p=5 m=1":
         "e810033a8e439e911ca63a4685dc0176aab04ec6d5c5ceb093dd4533e1810176",
+    "burnin transvection n=32 k=2 lazy":
+        "fae18b52349696fdf34009d3f21aed1d0711db130e2eb28b3297a3adc8345f6d",
     "burnin transvection n=8 k=2":
         "e617d63af0914e0c961253ebd4945b97ced2ced685c03847c467d722b4b9d08c",
     "burnin transvection n=8 k=2 lazy":
@@ -145,6 +167,8 @@ DIGESTS = {
         "bc371b2922a2ca38197d50d97865d33c1420bd82a7c6769e2b1f6dfe70ed07d4",
     "good measure transvection n=8 k=2":
         "9c5ea8b8cf3caad4e1e27db2e4f7a553654294b0c23f8b2bf396b7292432fd6f",
+    "mc_tv_curve one-column r=64":
+        "7b62f9f8b5a17740b7a5ddd064ef03dd0b9a231bdf24c5892cffc249efedc47a",
     "pa_pra_batch r=4 p=13 m=1 lazy":
         "3ee5a9c71fe6f2ac8d80ebbc318c29c725ffb6403467659371577152af9684d3",
     "pa_pra_batch r=8 p=3 m=3":
@@ -155,10 +179,14 @@ DIGESTS = {
         "1fed53e10420490b0a922fb1c1918ea0fb5f97a74f53baad840548cbd9adb355",
     "simulate pa-pra p=5 m=1 lazy":
         "65f8a0820091eef585babeb12692dc799db7a422dda5af21f72357494f64da81",
+    "simulate transvection n=8 k=2":
+        "7bbfac2977c65d9d0a91deead45e77e04fc06f445194de5b25201125395fbf51",
     "support frequencies r=12 p=2":
         "c7da1d7e9235543b9a1fb992260c9a37cb70ca811907117dd3853f5c6bac7f92",
     "support frequencies r=16 p=3":
         "d7feb456543beff63064732922232de4548887a196c8888b7493805a6cc4d42f",
+    "transvection states n=13 k=5":
+        "f7bde01acefecf5a6d3ed6df9137d44b6d04da12a61009d5547f58d9e86651b6",
 }
 
 
