@@ -42,12 +42,13 @@ steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
 pairs, then exponents, sides and laziness coins) from the counter-based
 Philox generator keyed by (seed, stream).  The steps run on one of two
 layouts: F_2 runs whose state code fits 64 bits, with at least
-_WORD_TRIALS trials, step each trial's code as one uint64 word
-(_word_layout) and unpack it at grid times only; all others step the
-per-coordinate codes in place (_cell_layout).  Either way stat_fn sees the
-same read-only codes.  The engines one_column_batch,
-transvection_batch and pa_pra_batch construct the walk and call its batch;
-simulate is batch with one trial on stream traj_id.
+_WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps per grid time,
+step each trial's code as one uint64 word (_word_layout) and unpack it at
+grid times only; all others step the per-coordinate codes in place
+(_cell_layout).  Either way stat_fn sees the same read-only codes.  The
+engines one_column_batch, transvection_batch and pa_pra_batch construct
+the walk and call its batch; simulate is batch with one trial on stream
+traj_id.
 """
 
 from __future__ import annotations
@@ -514,16 +515,21 @@ class _WalkBase:
         trials share one Philox stream keyed (seed, stream), so the run is
         deterministic in (seed, stream, trials).  F_2 runs (the XOR rule)
         whose state code fits 64 bits step each trial's code as one packed
-        word when there are at least _WORD_TRIALS trials, and unpack it into
-        the same codes at grid times only; other runs step the codes in
-        place.  Both layouts apply the same draws, so the output does not
-        depend on which one runs.
+        word when there are at least _WORD_TRIALS trials and
+        _WORD_STEPS_PER_GRID_TIME steps per grid time, and unpack it into the
+        same codes at grid times only; other runs step the codes in place.
+        Both layouts apply the same draws, so the output does not depend on
+        which one runs.
         """
+        grid = sorted(set(int(t) for t in t_grid))
+        if grid and grid[0] < 0:
+            raise ValueError("grid times must be nonnegative")
         # the rule first: PA-PRA's tables are refused past their budget before the start is read
         rule = self._rule
         row = self._start_cells(start)
         bits = self._base.bit_length() - 1  # the XOR rule's walks code base 2^bits
-        if rule is _xor_rule and self._coords * bits <= 64 and trials >= _WORD_TRIALS:
+        sparse = not grid or len(grid) * _WORD_STEPS_PER_GRID_TIME <= grid[-1]
+        if rule is _xor_rule and self._coords * bits <= 64 and trials >= _WORD_TRIALS and sparse:
             codes, advance, unpack = _word_layout(row, trials, bits, self.laziness)
         else:
             codes, advance, unpack = _cell_layout(row, trials, rule, self.laziness)
@@ -534,7 +540,7 @@ class _WalkBase:
             unpack()
             stat_fn(t, view)
 
-        _drive(advance, trials, self._coords, t_grid, seed, stream, self.laziness, observe,
+        _drive(advance, trials, self._coords, grid, seed, stream, self.laziness, observe,
                self._exponents, self._sides)
 
     def _as_start(self, state):
@@ -824,6 +830,11 @@ _BLOCK_CELLS = 1 << 16  # steps x trials of moves drawn at once
 # has the higher fixed cost, and the two steps break even at 48-64 trials
 # (at 16 trials the word step is about 20% slower, at 1 000 1.3-1.4x faster)
 _WORD_TRIALS = 64
+# ... and have at least this many steps per grid time: each grid time
+# unpacks every word.  With a grid time every 4 steps the cells measured
+# 1.05-1.9x faster (16-64 coordinates, 64-3 000 trials); 16-bit codes break
+# even near 6 steps, wider codes only past 32.
+_WORD_STEPS_PER_GRID_TIME = 8
 
 
 def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
@@ -920,17 +931,14 @@ def _word_layout(row, trials, bits, laziness):
     return codes, advance, unpack
 
 
-def _drive(advance, trials, r, t_grid, seed, stream, laziness, observe, exponents=1, sides=False):
+def _drive(advance, trials, r, grid, seed, stream, laziness, observe, exponents=1, sides=False):
     """Run `trials` trajectories on r coordinates and observe them on a time grid.
 
     The moves come from _move_blocks on Philox (seed, stream), and
     advance(*block) applies each block's steps in order, yielding after
     each one (see _cell_layout and _word_layout).  observe(t) runs at every
-    grid time, after step t.
+    time of grid (sorted, distinct and nonnegative), after step t.
     """
-    grid = sorted(set(int(t) for t in t_grid))
-    if grid and grid[0] < 0:
-        raise ValueError("grid times must be nonnegative")
     due = iter(grid)
     t, next_t = 0, next(due, None)
     if next_t == 0:

@@ -48,7 +48,7 @@ from .algebra import (
     half_mod,
     rank,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantError
 
 __all__ = [
     "HeisenbergElement",
@@ -315,9 +315,10 @@ def representation_dimension_check(p: int, m: int) -> tuple[int, int]:
 
 def operator_norm(mat: np.ndarray) -> float:
     """Largest singular value, by full SVD (exact at every size; matrices
-    here are at most DEFAULT_REP_DIM_BUDGET on a side)."""
+    here are at most DEFAULT_REP_DIM_BUDGET on a side).  Of a stack of
+    matrices, the largest over the stack, from one batched SVD."""
     a = np.asarray(mat)
-    return float(np.linalg.svd(a, compute_uv=False)[0]) if min(a.shape) else 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max()) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -344,6 +345,33 @@ class Projection:
         return int(round(float(np.trace(self.matrix).real)))
 
 
+def _fixed_projections(stack: np.ndarray, order: int, tol: float) -> np.ndarray:
+    """Projections (1/order) sum_a U^a for a whole (N, d, d) stack of U.
+
+    Raises ValueError unless every U is order-torsion (U^order = I) and every
+    average is Hermitian and idempotent, all within tol; each check is one
+    batched SVD over the stack.
+    """
+    u = np.asarray(stack, dtype=complex)
+    if u.ndim != 3 or u.shape[1] != u.shape[2]:
+        raise ValueError("operator must be square")
+    eye = np.eye(u.shape[1])
+    powers = np.broadcast_to(eye.astype(complex), u.shape)
+    acc = powers.copy()
+    for _ in range(order - 1):
+        powers = powers @ u
+        acc += powers
+    # powers now holds U^{order-1}; one more multiply gives U^order.
+    if operator_norm(powers @ u - eye) > tol:
+        raise ValueError(f"operator is not {order}-torsion within tolerance {tol}")
+    proj = acc / order
+    if operator_norm(proj - proj.conj().swapaxes(1, 2)) > tol:
+        raise ValueError("projection is not Hermitian within tolerance")
+    if operator_norm(proj @ proj - proj) > tol:
+        raise ValueError("projection is not idempotent within tolerance")
+    return proj
+
+
 def fixed_projection(U: np.ndarray, order: int, tol: float = 1e-10) -> Projection:
     """Orthogonal projection (1/p) sum_a U^a onto the fixed space of U.
 
@@ -351,18 +379,34 @@ def fixed_projection(U: np.ndarray, order: int, tol: float = 1e-10) -> Projectio
     Heisenberg images); raises ValueError otherwise.
     """
     u = np.asarray(U, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim != 2:
         raise ValueError("operator must be square")
-    n = u.shape[0]
-    acc = np.eye(n, dtype=complex)
-    powers = np.eye(n, dtype=complex)
-    for _ in range(order - 1):
-        powers = powers @ u
-        acc += powers
-    # powers now holds U^{order-1}; one more multiply gives U^order.
-    if operator_norm(powers @ u - np.eye(n)) > tol:
-        raise ValueError(f"operator is not {order}-torsion within tolerance {tol}")
-    return Projection(acc / order, tol=tol)
+    return Projection(_fixed_projections(u[None], order, tol)[0], tol=tol)
+
+
+def _pair_norms(stack: np.ndarray, tol: float) -> np.ndarray:
+    """||P_j P_l|| for every ordered pair of an (n, d, d) stack of projections.
+
+    The columns of U_j are the eigenvalue-1 eigenvectors of P_j, zero-padded
+    to the largest rank k (zero columns leave singular values alone).  U_j is
+    an isometry onto P_j's range, so ||P_j P_l|| = ||U_j^H U_l||, and every
+    U_j^H U_l is a k x k block of one Gram product: its modulus when k = 1,
+    else its top singular value from one batched SVD.  Raises InvariantError
+    unless every eigenvalue lies within tol of 0 or 1.
+    """
+    n, d = stack.shape[:2]
+    evals, vecs = np.linalg.eigh(stack)
+    if n and np.minimum(np.abs(evals), np.abs(evals - 1.0)).max() > tol:
+        raise InvariantError(f"a projection has an eigenvalue farther than {tol} from 0 and 1")
+    k = int((evals > 0.5).sum(axis=1).max(initial=0))
+    if k == 0:
+        return np.zeros((n, n))
+    basis = vecs[:, :, d - k:] * (evals[:, None, d - k:] > 0.5)  # eigh sorts ascending
+    rows = basis.transpose(0, 2, 1).reshape(n * k, d)  # row (j, c) is column c of U_j
+    gram = (rows.conj() @ rows.T).reshape(n, k, n, k)
+    if k == 1:
+        return np.abs(gram[:, 0, :, 0])
+    return np.linalg.svd(gram.transpose(0, 2, 1, 3), compute_uv=False)[..., 0]
 
 
 def projection_family_bound(
@@ -379,15 +423,17 @@ def projection_family_bound(
     n = len(mats)
     if n == 0:
         raise ValueError("empty projection family")
-    good = 0
-    for a in mats:
-        for b in mats:
-            if operator_norm(a @ b) <= alpha:
-                good += 1
-    delta = good / (n * n)
+    norms = _pair_norms(np.stack(mats), max(pp.tol for pp in projections))
+    delta = np.count_nonzero(norms <= alpha) / (n * n)
     avg = sum(mats) / n
     lam_max = float(np.linalg.eigvalsh(avg)[-1])
     return delta, lam_max, 1.0 - 0.5 * delta * (1.0 - alpha)
+
+
+# complex entries in each product temporary of representation_residuals.  At
+# p = 5, 2^14 (256 KiB temporaries) ran fastest and raised peak RSS by under
+# 1 MiB; 2^16 ran 1.7x slower, and 2^20 (no cap at p = 5) added 24 MiB.
+_PRODUCT_BLOCK_ENTRIES = 1 << 14
 
 
 def representation_residuals(p: int, m: int) -> list[dict]:
@@ -398,13 +444,21 @@ def representation_residuals(p: int, m: int) -> list[dict]:
     and the worst deviation of ||P_g P_b|| from p^{-1/2} over the ordered
     pairs with omega(g, b) != 0, where P_g = fixed_projection(rho_lam(g), p).
     Element indices are element codes, so the product table and omega come
-    from digit arithmetic; matrix products and singular values are batched
-    over one row of the pair table at a time, keeping memory at O(N d^2).
+    from digit arithmetic.  The products rho(g) rho(b) and rho(b) rho(g) for
+    a block of rows g and every b are one GEMM each, with the block capped
+    at _PRODUCT_BLOCK_ENTRIES entries.  The projections are built and checked
+    as one stack, and the pair norms come from one Gram product of their
+    range bases (_pair_norms): for m = 1 every such range is a line, so no
+    pair needs an SVD.
     """
     elements = list(heisenberg_elements(p, m))
-    digits = _digits(np.arange(len(elements), dtype=np.int64), p, 2 * m + 1)
+    n = len(elements)
+    digits = _digits(np.arange(n, dtype=np.int64), p, 2 * m + 1)
     prod = _h_mul_codes(digits[:, None], digits[None], p)  # (N, N) codes of g b
     omega = _omega_digits(digits[:, None, :-1], digits[None, :, :-1]) % p
+    # omega(g, b) != 0 only between non-central elements
+    moving = np.flatnonzero(digits[:, :-1].any(axis=1))
+    paired = omega[np.ix_(moving, moving)] != 0
     phase = np.array([psi(t, p) for t in range(p)])
     centre = np.arange(p)  # (0, z) has code z p^{2m}
     target = p**-0.5
@@ -412,24 +466,30 @@ def representation_residuals(p: int, m: int) -> list[dict]:
     for lam in range(1, p):
         rep = Representation(p, m, lam)
         mats = np.stack([rep.matrix(g) for g in elements])
-        proj = np.stack([fixed_projection(u, p).matrix for u in mats])
-        eye = np.eye(mats.shape[1])
-        mult_res = comm_res = worst_dev = 0.0
-        for i in range(len(elements)):
-            lhs = mats[i] @ mats  # (N, d, d)
-            mult_res = max(mult_res, float(np.abs(lhs - mats[prod[i]]).max()))
-            twisted = phase[lam * omega[i] % p][:, None, None] * (mats @ mats[i])
-            comm_res = max(comm_res, float(np.abs(lhs - twisted).max()))
-            pairs = np.flatnonzero(omega[i])
-            if pairs.size:
-                norms = np.linalg.svd(proj[i] @ proj[pairs], compute_uv=False)[:, 0]
-                worst_dev = max(worst_dev, float(np.abs(norms - target).max()))
-        unit = np.einsum("nij,nkj->nik", mats, mats.conj()) - eye
-        central = mats[centre * p ** (2 * m)] - phase[lam * centre % p][:, None, None] * eye
+        d = mats.shape[1]
+        proj = _fixed_projections(mats, p, tol=1e-10)
+        norms = _pair_norms(proj[moving], tol=1e-10)[paired]
+        worst_dev = float(np.abs(norms - target).max(initial=0.0))
+        left = mats.reshape(n * d, d)  # row (b, r) is row r of rho(b)
+        right = mats.transpose(1, 0, 2).reshape(d, n * d)  # column (b, s) is column s of rho(b)
+        rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * d * d))
+        mult_res = comm_res = 0.0
+        for lo in range(0, n, rows):
+            block = mats[lo:lo + rows]
+            nb = block.shape[0]
+            # [i, b] = rho(g_i) rho(b) and rho(b) rho(g_i), as views of the GEMM outputs
+            gb = (block.reshape(nb * d, d) @ right).reshape(nb, d, n, d).transpose(0, 2, 1, 3)
+            bg = (left @ block.transpose(1, 0, 2).reshape(d, nb * d)).reshape(n, d, nb, d)
+            bg = bg.transpose(2, 0, 1, 3)
+            mult_res = max(mult_res, float(np.abs(gb - mats[prod[lo:lo + nb]]).max()))
+            twist = phase[lam * omega[lo:lo + nb] % p][:, :, None, None]
+            comm_res = max(comm_res, float(np.abs(gb - twist * bg).max()))
+        unit = np.einsum("nij,nkj->nik", mats, mats.conj()) - np.eye(d)
+        central = mats[centre * p ** (2 * m)] - phase[lam * centre % p][:, None, None] * np.eye(d)
         blocks.append(
             {
                 "lambda": lam,
-                "dimension": mats.shape[1],
+                "dimension": d,
                 "mult_residual": mult_res,
                 "unitarity_residual": float(np.abs(unit).max()),
                 "central_residual": float(np.abs(central).max()),

@@ -936,18 +936,25 @@ class TestDriverReplay:
         _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
         if case in ("transvection", "one-column p=2"):  # the XOR rule: again on packed words
             monkeypatch.setattr(chains, "_WORD_TRIALS", 1)
+            monkeypatch.setattr(chains, "_WORD_STEPS_PER_GRID_TIME", 0)  # words on every-step grids
             _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
 
-    @pytest.mark.parametrize("walk, trials, word", [
-        (OneColumnWalk(64, 2), chains._WORD_TRIALS, True),  # 64 bits
-        (OneColumnWalk(64, 2), chains._WORD_TRIALS - 1, False),
-        (OneColumnWalk(65, 2), chains._WORD_TRIALS, False),
-        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, True),
-        (TransvectionWalk(13, 5), chains._WORD_TRIALS, False),  # 65 bits
-        (OneColumnWalk(4, 3), chains._WORD_TRIALS, False),
-        (PaPraWalk(3, 3, 1), chains._WORD_TRIALS, False),
+    @pytest.mark.parametrize("walk, trials, grid, word", [
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS, [0, 16], True),  # 64 bits
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS - 1, [0, 16], False),
+        (OneColumnWalk(65, 2), chains._WORD_TRIALS, [0, 16], False),
+        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, [0, 16], True),
+        (TransvectionWalk(13, 5), chains._WORD_TRIALS, [0, 16], False),  # 65 bits
+        (OneColumnWalk(4, 3), chains._WORD_TRIALS, [0, 16], False),
+        (PaPraWalk(3, 3, 1), chains._WORD_TRIALS, [0, 16], False),
+        # two grid times in 15 steps: fewer than _WORD_STEPS_PER_GRID_TIME per grid time
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS, [0, 15], False),
+        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, [3, 15], False),
+        # mixing --mode mc's densest default grid, at r = 16: 34 grid times in 355 steps
+        (OneColumnWalk(16, 2), chains._WORD_TRIALS,
+         sorted({0, *np.geomspace(1, int(8 * 16 * np.log(16)) + 1, 40).astype(int)}), True),
     ])
-    def test_word_layout_only_for_wide_xor_runs(self, monkeypatch, walk, trials, word):
+    def test_word_layout_only_for_wide_xor_runs(self, monkeypatch, walk, trials, grid, word):
         used = []
         for name in ("_word_layout", "_cell_layout"):
             layout = getattr(chains, name)
@@ -959,9 +966,9 @@ class TestDriverReplay:
             with pytest.raises(ValueError, match="read-only"):
                 codes[0, 0] = 1
 
-        walk.batch(trials, [0, 3], 5, write)
+        walk.batch(trials, grid, 5, write)
         assert used == ["_word_layout" if word else "_cell_layout"]
-        assert len(seen) == 2 and seen[0].shape == (trials, walk._coords)
+        assert len(seen) == len(grid) and seen[0].shape == (trials, walk._coords)
 
     def test_default_block_boundary(self):
         steps = chains._BLOCK_CELLS // 3 + 50

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from groupwalks.algebra import FieldVector, LinearFunctional, SymplecticForm, _digits
-from groupwalks.errors import CharacteristicError
+from groupwalks import groups
+from groupwalks.errors import CharacteristicError, InvariantError
 from groupwalks.groups import (
     Character,
     HeisenbergElement,
+    Projection,
     Representation,
     build_representation,
     character_value,
@@ -28,7 +30,9 @@ from groupwalks.groups import (
     psi,
     representation_dimension_check,
     representation_residuals,
+    _fixed_projections,
     _h_mul_codes,
+    _pair_norms,
 )
 
 P, M = 3, 1
@@ -436,5 +440,105 @@ def _repcheck_oracle(p, m):
     return blocks
 
 
-def test_representation_residuals_match_per_pair_oracle():
-    assert representation_residuals(3, 1) == _repcheck_oracle(3, 1)
+_EXACT_FIELDS = ("lambda", "dimension", "two_projection_pairs", "two_projection_target")
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1)])
+def test_representation_residuals_match_per_pair_oracle(p, m):
+    # the blocked GEMMs and Gram-product norms round differently from the
+    # per-pair loops, so float residuals agree to 1e-15 rather than exactly
+    got, want = representation_residuals(p, m), _repcheck_oracle(p, m)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key in g:
+            if key in _EXACT_FIELDS:
+                assert g[key] == w[key], key
+            else:
+                assert abs(g[key] - w[key]) <= 1e-15, key
+
+
+def test_representation_residuals_do_not_depend_on_product_blocks(monkeypatch):
+    default = [representation_residuals(p, 1) for p in (3, 5)]
+    monkeypatch.setattr(groups, "_PRODUCT_BLOCK_ENTRIES", 1)  # one row of pairs per block
+    assert [representation_residuals(p, 1) for p in (3, 5)] == default
+
+
+def _moving_projections(p, m, lam):
+    """Fixed-space projections of rho_lam on the non-central elements."""
+    rep = Representation(p, m, lam)
+    mats = np.stack([rep.matrix(g) for g in heisenberg_elements(p, m) if not g.v.is_zero()])
+    return _fixed_projections(mats, p, 1e-10)
+
+
+def _mixed_rank_projections(seed, d=4, count=8):
+    """Projections of every rank 0..d, conjugated by random unitaries."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    projs = []
+    for j in range(count):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, _ = np.linalg.qr(a)
+        diag = np.zeros(d)
+        diag[: j % (d + 1)] = 1.0
+        projs.append(Projection(q @ np.diag(diag) @ q.conj().T))
+    return projs
+
+
+def _assert_pair_norms_match_per_pair_svd(stack):
+    norms = _pair_norms(stack, 1e-10)
+    assert norms.shape == (len(stack), len(stack))
+    for j, a in enumerate(stack):
+        for l, b in enumerate(stack):
+            assert abs(norms[j, l] - operator_norm(a @ b)) <= 1e-14
+
+
+@pytest.mark.parametrize("p, m, lam, stride", [
+    (3, 1, 1, 1), (3, 1, 2, 1), (5, 1, 1, 1), (5, 1, 4, 1),
+    (3, 2, 2, 8),  # rank-3 ranges: 30 of the 240 projections
+])
+def test_pair_norms_match_per_pair_svd(p, m, lam, stride):
+    _assert_pair_norms_match_per_pair_svd(_moving_projections(p, m, lam)[::stride])
+
+
+def test_pair_norms_match_per_pair_svd_on_mixed_ranks():
+    _assert_pair_norms_match_per_pair_svd(np.stack([pp.matrix for pp in _mixed_rank_projections(17)]))
+
+
+def test_pair_norms_refuse_a_non_projection():
+    stack = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.5])]).astype(complex)
+    with pytest.raises(InvariantError, match="eigenvalue"):
+        _pair_norms(stack, 1e-10)
+
+
+def _refusal_text(u):
+    with pytest.raises(ValueError) as exc:
+        fixed_projection(u, 3)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["non-torsion", "non-projection"])
+def test_fixed_projections_refuse_like_fixed_projection(bad):
+    zeta = np.exp(2j * np.pi / 3)
+    if bad == "non-torsion":
+        u = np.diag([1.0, 0.5]).astype(complex)
+    else:  # 3-torsion but not normal: its power average is idempotent, not Hermitian
+        s = np.array([[1.0, 1.0], [0.0, 1.0]])
+        u = s @ np.diag([1.0, zeta]) @ np.linalg.inv(s)
+    good = np.diag([1.0, zeta])
+    text = _refusal_text(u)
+    assert "torsion" in text if bad == "non-torsion" else "Hermitian" in text
+    with pytest.raises(ValueError) as exc:
+        _fixed_projections(np.stack([good, u, good]), 3, 1e-10)
+    assert str(exc.value) == text
+
+
+def test_family_bound_mixed_ranks_matches_per_pair_oracle():
+    projs = _mixed_rank_projections(23, count=10)
+    mats = [pp.matrix for pp in projs]
+    assert sorted({pp.rank for pp in projs}) == [0, 1, 2, 3, 4]
+    for alpha in (0.2, 0.5, 0.8, 0.95):
+        delta, lam_max, bound = projection_family_bound(projs, alpha)
+        good = sum(operator_norm(a @ b) <= alpha for a in mats for b in mats)
+        assert delta == good / len(mats) ** 2
+        assert lam_max == float(np.linalg.eigvalsh(sum(mats) / len(mats))[-1])
+        assert bound == 1.0 - 0.5 * delta * (1.0 - alpha)
