@@ -40,12 +40,15 @@ the walk's start (its default, validation and cell dtype live in the
 walk's _start_cells) and runs _drive, which draws the moves of a block of
 steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
 pairs, then exponents, sides and laziness coins) from the counter-based
-Philox generator keyed by (seed, stream).  The steps run on one of two
-layouts: F_2 runs whose state code fits 64 bits, with at least
-_WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps per grid time,
-step each trial's code as one uint64 word (_word_layout) and unpack it at
-grid times only; all others step the per-coordinate codes in place
-(_cell_layout).  Either way stat_fn sees the same read-only codes.  The
+Philox generator keyed by (seed, stream).  The steps run on one of three
+layouts: runs of 1 to _SCALAR_TRIALS trials step Python int codes in a
+flat list (_scalar_layout), where numpy's fixed cost per call would
+outweigh the work on so few elements; F_2 runs whose state code fits 64
+bits, with at least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME
+steps per grid time, step each trial's code as one uint64 word
+(_word_layout); all others step the per-coordinate codes in numpy cells
+(_cell_layout).  The first two write the codes at grid times only; on
+every layout stat_fn sees the same read-only codes.  The
 engines one_column_batch, transvection_batch and pa_pra_batch construct
 the walk and call its batch; simulate is batch with one trial on stream
 traj_id.
@@ -408,6 +411,15 @@ def _pa_pra_rule(p: int, m: int) -> Callable:
     return lambda x, y, a, left: products.take((left * q + x) * q + powers.take(a * q + y))
 
 
+def _pa_pra_scalar_rule(p: int, m: int) -> Callable:
+    """_pa_pra_rule on Python int codes: the same two lookups, read through
+    memoryviews of the tables, which copy nothing (a list of the 3.5 M
+    entries at p = 11 would hold about 126 MB)."""
+    powers, products = (memoryview(t) for t in _pa_pra_tables(p, m))
+    q = p ** (2 * m + 1)
+    return lambda x, y, a, left: products[(left * q + x) * q + powers[a * q + y]]
+
+
 # ---------------------------------------------------------------------------
 # walk kernels
 # ---------------------------------------------------------------------------
@@ -437,6 +449,12 @@ class _WalkBase:
     # digits of a state code and their base), _rule (the move rule on those
     # digits), _coded(move), the move as (recipient, donor, exponent, left),
     # and _start_cells(start), the validated code row of a batch start
+
+    @property
+    def _scalar_rule(self) -> Callable:
+        """The move rule on Python int codes, for _scalar_layout; the XOR and
+        mod-p rules serve as they are."""
+        return self._rule
 
     def apply_kernel_row(self, state) -> list[tuple[tuple, float]]:
         """Aggregated successor list [(state', prob)]; probabilities sum to 1."""
@@ -513,23 +531,29 @@ class _WalkBase:
         (transvection) or int16 element codes (PA-PRA), as a read-only view;
         start=None is the walk's default start (see _start_cells).  All
         trials share one Philox stream keyed (seed, stream), so the run is
-        deterministic in (seed, stream, trials).  F_2 runs (the XOR rule)
-        whose state code fits 64 bits step each trial's code as one packed
-        word when there are at least _WORD_TRIALS trials and
-        _WORD_STEPS_PER_GRID_TIME steps per grid time, and unpack it into the
-        same codes at grid times only; other runs step the codes in place.
-        Both layouts apply the same draws, so the output does not depend on
-        which one runs.
+        deterministic in (seed, stream, trials).  The steps run on one of
+        three layouts, chosen from the trial count, the rule and the grid:
+        runs of 1 to _SCALAR_TRIALS trials step Python int codes in a list
+        (_scalar_layout); F_2 runs (the XOR rule) whose state code fits 64
+        bits step each trial's code as one packed word when there are at
+        least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps per
+        grid time (_word_layout); all other runs, zero trials included, step
+        the codes in place (_cell_layout).  The scalar and word layouts
+        write the codes at grid times only.  All three apply the same draws,
+        so the output does not depend on which one runs.
         """
         grid = sorted(set(int(t) for t in t_grid))
         if grid and grid[0] < 0:
             raise ValueError("grid times must be nonnegative")
+        scalar = 1 <= trials <= _SCALAR_TRIALS
         # the rule first: PA-PRA's tables are refused past their budget before the start is read
-        rule = self._rule
+        rule = self._scalar_rule if scalar else self._rule
         row = self._start_cells(start)
         bits = self._base.bit_length() - 1  # the XOR rule's walks code base 2^bits
         sparse = not grid or len(grid) * _WORD_STEPS_PER_GRID_TIME <= grid[-1]
-        if rule is _xor_rule and self._coords * bits <= 64 and trials >= _WORD_TRIALS and sparse:
+        if scalar:
+            codes, advance, unpack = _scalar_layout(row, trials, rule, self.laziness)
+        elif rule is _xor_rule and self._coords * bits <= 64 and trials >= _WORD_TRIALS and sparse:
             codes, advance, unpack = _word_layout(row, trials, bits, self.laziness)
         else:
             codes, advance, unpack = _cell_layout(row, trials, rule, self.laziness)
@@ -731,6 +755,10 @@ class PaPraWalk(_WalkBase):
         """Built on use: the tables behind it are refused past their budget."""
         return _pa_pra_rule(self.p, self.m)
 
+    @property
+    def _scalar_rule(self) -> Callable:
+        return _pa_pra_scalar_rule(self.p, self.m)
+
     def _start_cells(self, start) -> np.ndarray:
         """int16 element codes of start = (horizontal parts (r, 2m), central
         coordinates (r,)), reduced mod p; the default is canonical_start."""
@@ -826,6 +854,14 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None
 # ---------------------------------------------------------------------------
 
 _BLOCK_CELLS = 1 << 16  # steps x trials of moves drawn at once
+# Runs of 1 to this many trials step Python ints: per step, numpy's fixed
+# cost of each call on 1-8 elements outweighs a Python loop over the trials.
+# Engine alone with a grid time every 10 steps, the ints were 5-14x faster
+# at 1 trial; at 8, 1.9-2.9x on the mod-p and PA-PRA rules, 1.2-1.4x on an
+# 8-row transvection run and 0.86-1.07x on a 32-coordinate XOR run, whose
+# unpack writes 256 codes per grid time (1.7x with a grid time every 100
+# steps); at 16 the XOR runs were 1.2-1.9x slower.
+_SCALAR_TRIALS = 8
 # F_2 runs with at least this many trials step packed words: the word step
 # has the higher fixed cost, and the two steps break even at 48-64 trials
 # (at 16 trials the word step is about 20% slower, at 1 000 1.3-1.4x faster)
@@ -849,19 +885,22 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
     The integers are drawn as int32: for ranges below 2^32 Philox's bounded
     32-bit path yields the same values as int64 draws, at half the memory.
     Pair draw d is the pair (d // (r-1), d % (r-1) + [d % (r-1) >= d // (r-1)]),
-    read from two tables of r(r-1) entries.
+    read from two tables of r(r-1) entries.  Exponents, sides and coins
+    that are not drawn are slices of read-only constants built once per call.
     """
     recipient, donor = np.divmod(np.arange(r * (r - 1), dtype=np.int32), r - 1)
     donor += donor >= recipient
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
+    full = (min(per_block, steps), trials)
+    ones, falses = np.ones(full, np.int32), np.zeros(full, bool)
+    ones.flags.writeable = falses.flags.writeable = False
     for done in range(0, steps, per_block):
         shape = (min(per_block, steps - done), trials)
         pair = rng.integers(0, r * (r - 1), size=shape, dtype=np.int32)
         i, j = recipient.take(pair), donor.take(pair)
-        a = (rng.integers(0, exponents, size=shape, dtype=np.int32) if exponents > 1
-             else np.ones(shape, np.int32))
-        left = rng.integers(0, 2, size=shape, dtype=np.int32) == 1 if sides else np.zeros(shape, bool)
-        hold = rng.random(shape) < laziness if laziness > 0 else np.zeros(shape, bool)
+        a = rng.integers(0, exponents, size=shape, dtype=np.int32) if exponents > 1 else ones[:shape[0]]
+        left = rng.integers(0, 2, size=shape, dtype=np.int32) == 1 if sides else falses[:shape[0]]
+        hold = rng.random(shape) < laziness if laziness > 0 else falses[:shape[0]]
         yield i, j, a, left, hold
 
 
@@ -894,6 +933,45 @@ def _cell_layout(row, trials, rule, laziness):
     return codes, advance, lambda: None
 
 
+def _scalar_layout(row, trials, rule, laziness):
+    """Trajectories stepped on Python ints: (codes, advance, unpack).
+
+    The cells are one flat list of trials * r int codes, trial-major, then
+    a spare that stays zero, as in _cell_layout, and a step runs the rule
+    on ints, one trial after another: cells[x] = rule(cells[x], cells[y],
+    a, left).  advance converts each block of _move_blocks with
+    ravel().tolist() and walks it in order, step-major.  The lists must be
+    flat: tolist() on a 2-D block builds one small list per step, and that
+    many container allocations set off the cyclic garbage collector, so a
+    1-trial run of 10 000 steps (r = 16, p = 3) took 13-43 ms by seed, against
+    a steady 7 ms on flat lists.  unpack copies the list into codes, whose
+    dtype is row's.
+    """
+    r = row.size
+    spare = trials * r
+    cells = np.tile(row, trials).tolist() + [0]
+    codes = np.empty((trials, r), dtype=row.dtype)
+    flat = codes.reshape(-1)
+    offset = np.arange(0, spare, r)
+
+    def advance(i, j, a, left, hold):
+        tgt, src = i + offset, j + offset
+        if laziness > 0:
+            np.copyto(src, spare, where=hold)
+        done = 0
+        for x, y, a_k, left_k in zip(*(v.ravel().tolist() for v in (tgt, src, a, left))):
+            cells[x] = rule(cells[x], cells[y], a_k, left_k)
+            done += 1
+            if done == trials:
+                done = 0
+                yield
+
+    def unpack():
+        flat[:] = cells[:spare]
+
+    return codes, advance, unpack
+
+
 def _word_layout(row, trials, bits, laziness):
     """F_2 trajectories stepped as one uint64 word per trial: (codes,
     advance, unpack).
@@ -903,7 +981,9 @@ def _word_layout(row, trials, bits, laziness):
     the donor's field into the recipient's, w ^= ((w >> bits j) & mask) <<
     bits i, four ufuncs over the trials.  A held step shifts by 64, which
     numpy maps to 0, so it XORs nothing.  unpack writes the words' fields
-    into codes, whose dtype is row's.
+    into codes, whose dtype is row's; 1-bit fields are the bits of the
+    words' little-endian bytes, which np.unpackbits reads without the
+    (trials, r) uint64 temporary of shifting every field.
     """
     r = row.size
     width, mask = np.uint64(bits), np.uint64((1 << bits) - 1)
@@ -926,7 +1006,11 @@ def _word_layout(row, trials, bits, laziness):
             yield
 
     def unpack():
-        np.bitwise_and(words[:, None] >> fields, mask, out=codes, casting="unsafe")
+        if bits == 1:
+            little = words.astype("<u8", copy=False).view(np.uint8).reshape(trials, 8)
+            codes[:] = np.unpackbits(little, axis=1, count=r, bitorder="little")
+        else:
+            np.bitwise_and(words[:, None] >> fields, mask, out=codes, casting="unsafe")
 
     return codes, advance, unpack
 

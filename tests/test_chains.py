@@ -933,32 +933,44 @@ class TestDriverReplay:
         # 16-cell blocks: 40 steps cross two block boundaries at 1 trial and
         # seven at 3 trials
         monkeypatch.setattr(chains, "_BLOCK_CELLS", 16)
+        _assert_replay_equal(case, trials, list(range(41)), 61, laziness)  # Python ints
+        monkeypatch.setattr(chains, "_SCALAR_TRIALS", 0)  # again on numpy cells
         _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
         if case in ("transvection", "one-column p=2"):  # the XOR rule: again on packed words
             monkeypatch.setattr(chains, "_WORD_TRIALS", 1)
             monkeypatch.setattr(chains, "_WORD_STEPS_PER_GRID_TIME", 0)  # words on every-step grids
             _assert_replay_equal(case, trials, list(range(41)), 61, laziness)
 
-    @pytest.mark.parametrize("walk, trials, grid, word", [
-        (OneColumnWalk(64, 2), chains._WORD_TRIALS, [0, 16], True),  # 64 bits
-        (OneColumnWalk(64, 2), chains._WORD_TRIALS - 1, [0, 16], False),
-        (OneColumnWalk(65, 2), chains._WORD_TRIALS, [0, 16], False),
-        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, [0, 16], True),
-        (TransvectionWalk(13, 5), chains._WORD_TRIALS, [0, 16], False),  # 65 bits
-        (OneColumnWalk(4, 3), chains._WORD_TRIALS, [0, 16], False),
-        (PaPraWalk(3, 3, 1), chains._WORD_TRIALS, [0, 16], False),
+    @pytest.mark.parametrize("walk, trials, grid, layout", [
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS, [0, 16], "word"),  # 64 bits
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS - 1, [0, 16], "cell"),
+        (OneColumnWalk(65, 2), chains._WORD_TRIALS, [0, 16], "cell"),
+        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, [0, 16], "word"),
+        (TransvectionWalk(13, 5), chains._WORD_TRIALS, [0, 16], "cell"),  # 65 bits
+        (OneColumnWalk(4, 3), chains._WORD_TRIALS, [0, 16], "cell"),
+        (PaPraWalk(3, 3, 1), chains._WORD_TRIALS, [0, 16], "cell"),
         # two grid times in 15 steps: fewer than _WORD_STEPS_PER_GRID_TIME per grid time
-        (OneColumnWalk(64, 2), chains._WORD_TRIALS, [0, 15], False),
-        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, [3, 15], False),
+        (OneColumnWalk(64, 2), chains._WORD_TRIALS, [0, 15], "cell"),
+        (TransvectionWalk(32, 2, 0.25), chains._WORD_TRIALS, [3, 15], "cell"),
         # mixing --mode mc's densest default grid, at r = 16: 34 grid times in 355 steps
         (OneColumnWalk(16, 2), chains._WORD_TRIALS,
-         sorted({0, *np.geomspace(1, int(8 * 16 * np.log(16)) + 1, 40).astype(int)}), True),
+         sorted({0, *np.geomspace(1, int(8 * 16 * np.log(16)) + 1, 40).astype(int)}), "word"),
+        # narrow runs step Python ints on every rule, with or without laziness
+        (OneColumnWalk(64, 2), 1, [0, 16], "scalar"),
+        (OneColumnWalk(64, 2), chains._SCALAR_TRIALS, [0, 16], "scalar"),
+        (OneColumnWalk(4, 3, 0.25), chains._SCALAR_TRIALS, [0, 1, 2], "scalar"),
+        (TransvectionWalk(32, 2, 0.25), chains._SCALAR_TRIALS, [0, 16], "scalar"),
+        (PaPraWalk(3, 3, 1, 0.25), chains._SCALAR_TRIALS, [0, 16], "scalar"),
+        (OneColumnWalk(64, 2), chains._SCALAR_TRIALS + 1, [0, 16], "cell"),
+        (OneColumnWalk(4, 3, 0.25), chains._SCALAR_TRIALS + 1, [0, 16], "cell"),
+        (TransvectionWalk(32, 2, 0.25), chains._SCALAR_TRIALS + 1, [0, 16], "cell"),
+        (PaPraWalk(3, 3, 1, 0.25), chains._SCALAR_TRIALS + 1, [0, 16], "cell"),
     ])
-    def test_word_layout_only_for_wide_xor_runs(self, monkeypatch, walk, trials, grid, word):
+    def test_word_layout_only_for_wide_xor_runs(self, monkeypatch, walk, trials, grid, layout):
         used = []
-        for name in ("_word_layout", "_cell_layout"):
-            layout = getattr(chains, name)
-            monkeypatch.setattr(chains, name, lambda *args, f=layout, n=name: used.append(n) or f(*args))
+        for name in ("_word_layout", "_cell_layout", "_scalar_layout"):
+            build = getattr(chains, name)
+            monkeypatch.setattr(chains, name, lambda *args, f=build, n=name: used.append(n) or f(*args))
         seen = []
 
         def write(t, codes):
@@ -967,8 +979,31 @@ class TestDriverReplay:
                 codes[0, 0] = 1
 
         walk.batch(trials, grid, 5, write)
-        assert used == ["_word_layout" if word else "_cell_layout"]
+        assert used == [f"_{layout}_layout"]
         assert len(seen) == len(grid) and seen[0].shape == (trials, walk._coords)
+
+    @pytest.mark.parametrize("walk, dtype", [
+        (OneColumnWalk(4, 3), np.uint8), (TransvectionWalk(4, 2, 0.25), np.int64),
+        (PaPraWalk(3, 3, 1), np.int16),
+    ])
+    def test_zero_trials_observe_empty_codes(self, walk, dtype):
+        seen = []
+        walk.batch(0, [0, 5, 10], 3, lambda t, codes: seen.append((t, codes.shape, codes.dtype)))
+        assert seen == [(t, (0, walk._coords), dtype) for t in (0, 5, 10)]
+
+    @pytest.mark.parametrize("walk", [OneColumnWalk(64, 2), OneColumnWalk(17, 2, 0.25),
+                                      TransvectionWalk(40, 1), TransvectionWalk(21, 3)])
+    def test_word_unpack_equals_cells(self, monkeypatch, walk):
+        # 1-bit fields (np.unpackbits, into uint8 and int64 codes) and 3-bit fields
+        grid, states = [0, 16, 40, 100], {}
+        for word_trials in (chains._WORD_TRIALS, 10**9):
+            monkeypatch.setattr(chains, "_WORD_TRIALS", word_trials)
+            got = states.setdefault(word_trials, [])
+            walk.batch(70, grid, 9, lambda t, codes: got.append(codes.copy()))
+        words, cells = states.values()
+        assert len(words) == len(cells) == len(grid)
+        for w, c in zip(words, cells):
+            assert w.dtype == c.dtype and np.array_equal(w, c)
 
     def test_default_block_boundary(self):
         steps = chains._BLOCK_CELLS // 3 + 50
@@ -980,6 +1015,8 @@ class TestDriverReplay:
         assert [b[0].shape for b in blocks] == [(10, 5000)]
         blocks = list(chains._move_blocks(philox_generator(0), 100_000, 1, 4))
         assert [b[0].shape[0] for b in blocks] == [chains._BLOCK_CELLS, 100_000 - chains._BLOCK_CELLS]
+        # exponents, sides and coins that are not drawn are shared read-only constants
+        assert not any(array.flags.writeable for array in blocks[-1][2:])
 
     @pytest.mark.parametrize("case", sorted(_REPLAY_CASES))
     def test_negative_grid_times_rejected(self, case):
@@ -1070,6 +1107,16 @@ class TestPaPraTables:
         powers, products = chains._pa_pra_tables(p, m)
         i, j = philox_generator(74).integers(0, q, size=(2, 200))
         assert np.array_equal(products[i * q + j], _element_product_oracle(p, m, i, j))
+
+    def test_scalar_rule_equals_array_rule(self):
+        p, m = 3, 1
+        q = p ** (2 * m + 1)
+        x, y, a, left = (g.ravel() for g in np.meshgrid(range(q), range(q), range(p), [0, 1],
+                                                          indexing="ij"))
+        want = chains._pa_pra_rule(p, m)(x, y, a, left)
+        scalar = chains._pa_pra_scalar_rule(p, m)
+        got = [scalar(*move) for move in zip(x.tolist(), y.tolist(), a.tolist(), (left == 1).tolist())]
+        assert got == want.tolist()
 
     def test_held_steps_keep_the_state(self):
         # laziness 1 holds every step: the spare's code 0 is the identity
