@@ -484,6 +484,35 @@ class _WalkBase:
         """
         return np.arange(space.size)
 
+    def symmetries(self, space: EnumeratedSpace) -> np.ndarray:
+        """(m, M) state indices of m commuting involutions that commute with
+        the kernel, for spectral.spectrum's character blocks.
+
+        They are the disjoint coordinate transpositions (0 1), (2 3), ...,
+        which send move (i, j) to (s(i), s(j)) and so commute with the kernel
+        (as in start_representatives), then the walk's value map applied to
+        every coordinate (_value_involution), when it has one.  Each swaps
+        digits of the state code, or maps them, and searchsorted finds the
+        image's index.  Every one is a bijection of the space, so it fixes
+        the uniform law.
+        """
+        digits = _digits(space.codes, self._base, self._coords)
+        images = []
+        for c in range(0, self._coords - 1, 2):
+            swap = np.arange(self._coords)
+            swap[[c, c + 1]] = c + 1, c
+            images.append(digits[:, swap])
+        value = self._value_involution(digits)
+        if value is not None:
+            images.append(value)
+        place = self._base ** np.arange(self._coords, dtype=np.int64)
+        return _indices_of(space, np.stack(images) @ place)
+
+    def _value_involution(self, digits: np.ndarray) -> np.ndarray | None:
+        """An involution of the coordinate values that commutes with the move
+        rule, applied to every coordinate's digit; None when the walk has none."""
+        return None
+
     def move_permutations(self, space: EnumeratedSpace) -> np.ndarray:
         """(n_moves, M) successor state indices; every move is a bijection.
 
@@ -498,11 +527,7 @@ class _WalkBase:
         succ = self._rule(old, cols[src], a[:, None], left[:, None]) - old
         succ *= self._base ** tgt[:, None]
         succ += space.codes
-        idx = np.searchsorted(space.codes, succ)
-        missing = np.take(space.codes, idx, mode="clip") != succ
-        if missing.any():
-            raise KeyError(f"code {int(succ[missing][0])} is not in the space")
-        return idx
+        return _indices_of(space, succ)
 
     def operator(self, space: EnumeratedSpace) -> csr_matrix:
         """Transition matrix on the enumerated space as CSR: each move adds
@@ -614,6 +639,15 @@ class TransvectionWalk(_WalkBase):
         keys = (np.sort(rows, axis=1) << shifts).sum(axis=1)
         return np.sort(np.unique(keys, return_index=True)[1])
 
+    def _value_involution(self, digits):
+        """Swap bits 0 and 1 of every row (k >= 2): a permutation matrix A
+        of GL_k(F_2), so A(z_b + z_a) = A z_b + A z_a and A keeps a tuple
+        spanning.  At k = 1 the only element of GL_1(F_2) is the identity."""
+        if self.k < 2:
+            return None
+        flip = (digits ^ (digits >> 1)) & 1
+        return digits ^ (flip | flip << 1)
+
     def _start_cells(self, start) -> np.ndarray:
         """Packed int64 rows, so k > 63 is refused; the default is the k
         basis rows, then zero rows."""
@@ -692,6 +726,11 @@ class OneColumnWalk(_WalkBase):
         support = (_digits(space.codes, self.p, self.r) != 0).sum(axis=1)
         return np.sort(np.unique(support, return_index=True)[1])
 
+    def _value_involution(self, digits):
+        """y -> -y at odd p: -(y_i + a y_j) = (-y_i) + a (-y_j), so it sends
+        each move to itself.  At p = 2 it is the identity."""
+        return None if self.p == 2 else -digits % self.p
+
     def _start_cells(self, start) -> np.ndarray:
         """uint8 coordinates, so p > 256 is refused; the default is e_1."""
         if self.p > 256:
@@ -758,6 +797,15 @@ class PaPraWalk(_WalkBase):
     @property
     def _scalar_rule(self) -> Callable:
         return _pa_pra_scalar_rule(self.p, self.m)
+
+    def _value_involution(self, digits):
+        """(v, z) -> (-v, z): an automorphism of H(p, m), because
+        omega(-v, -w) = omega(v, w), so it maps g_i g_j^a to the product of
+        the images and each move to itself, and it keeps a tuple generating."""
+        h = 2 * self.m
+        parts = _digits(digits, self.p, h + 1)
+        parts[..., :h] = -parts[..., :h] % self.p
+        return parts @ self.p ** np.arange(h + 1, dtype=np.int64)
 
     def _start_cells(self, start) -> np.ndarray:
         """int16 element codes of start = (horizontal parts (r, 2m), central
@@ -1169,6 +1217,16 @@ def simulate(
     walk.batch(1, grid, seed, lambda t, cells: record(t, walk._state_of(cells[0].tolist())),
                walk._as_start(start), traj_id)
     return Trajectory(seed, traj_id, times, obs, states if keep_states else None)
+
+
+def _indices_of(space: EnumeratedSpace, codes: np.ndarray) -> np.ndarray:
+    """The state index of every code in `codes`; KeyError, as
+    EnumeratedSpace.index_of_code raises, when one is missing from the space."""
+    idx = np.searchsorted(space.codes, codes)
+    missing = np.take(space.codes, idx, mode="clip") != codes
+    if missing.any():
+        raise KeyError(f"code {int(codes[missing][0])} is not in the space")
+    return idx
 
 
 def _move_operator(perms: np.ndarray, laziness: float) -> csr_matrix:

@@ -307,7 +307,7 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
         space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
         check_budget(space.size, eig_budget, "states", "eigensolve", "eig_budget")
         P = walk.dense(space)
-        evs = spectral.spectrum(P)
+        evs = spectral.spectrum(P, symmetries=walk.symmetries(space))
         report.update({
             "states": space.size,
             "spectral_gap": spectral._gap_of(evs),

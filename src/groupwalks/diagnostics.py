@@ -533,7 +533,10 @@ def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
 
     The tracked rows start as P[starts] and advance by A @ P; starts=None
     tracks every row.  With P in CSR a step costs the operator's nonzeros
-    per start instead of M^2.
+    per start instead of M^2: the rows are kept as the columns of an
+    (M, starts) block B and advance by B = P^T @ B, with P^T built once,
+    because A @ P would have scipy build a transposed operator at every
+    step.
     """
     M = P.shape[0]
     idx = np.arange(M) if starts is None else np.asarray(starts, dtype=np.int64)
@@ -542,7 +545,12 @@ def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
     A = np.zeros((idx.size, M))
     A[np.arange(idx.size), idx] = 1.0
     yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
-    A = P[idx].toarray() if issparse(P) else P[idx]
+    if issparse(P):
+        PT, B = csr_matrix(P.T), np.ascontiguousarray(P[idx].toarray().T)
+        while True:
+            yield 0.5 * float(np.abs(B - pi[:, None]).sum(axis=0).max())
+            B = PT @ B
+    A = P[idx]
     while True:
         yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
         A = A @ P
@@ -818,6 +826,9 @@ def embedded_crossing_mc(
     return {"estimate": hits / trials, "hits": hits, "trials": trials}
 
 
+_TALLY_CELLS = 1 << 16  # supports that support_transition_frequencies records before it tallies them
+
+
 def support_transition_frequencies(
     r: int,
     p: int,
@@ -838,17 +849,25 @@ def support_transition_frequencies(
         raise ConfigError("need r >= 2, steps >= 1, chains >= 1")
     per_chain = (steps + chains - 1) // chains
     counts = np.zeros(3 * (r + 1), dtype=np.int64)  # (support, move) flattened
-    supp = np.ones(chains, dtype=np.int64)  # the engine's weight-one start
+    history = [np.ones(chains, dtype=np.int64)]  # the engine's weight-one start
 
-    def tally(t: int, y: np.ndarray) -> None:
-        now = np.count_nonzero(y, axis=1)
-        counts[:] += np.bincount(3 * supp + (now - supp + 1), minlength=counts.size)
-        supp[:] = now
+    def tally() -> None:
+        # all recorded steps at once; the last stays as the next step's predecessor
+        supp = np.stack(history)
+        prev, now = supp[:-1], supp[1:]
+        counts[:] += np.bincount((3 * prev + (now - prev + 1)).ravel(), minlength=counts.size)
+        history[:] = history[-1:]
+
+    def record(t: int, y: np.ndarray) -> None:
+        history.append(np.count_nonzero(y, axis=1))
+        if len(history) * chains >= _TALLY_CELLS:
+            tally()
 
     # over F_2 the engine always adds the donor; a coin of 1/2 makes the
     # multiplier uniform on F_2, the chain of bd_probs
-    one_column_batch(r, p, chains, range(1, per_chain + 1), seed, tally,
+    one_column_batch(r, p, chains, range(1, per_chain + 1), seed, record,
                      laziness=0.5 if p == 2 else 0.0)
+    tally()
     counts = counts.reshape(r + 1, 3)
     visits = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):

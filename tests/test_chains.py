@@ -39,6 +39,7 @@ from groupwalks.groups import (
     h_identity,
     h_pow,
 )
+from test_diagnostics import EXACT_SWEEP
 
 
 def _hel(v0, v1, z, p=3):
@@ -376,6 +377,41 @@ class TestKernelAutomorphisms:
         assert np.array_equal(np.sort(perm), np.arange(space.size))
         assert not np.array_equal(perm, np.arange(space.size))
         assert np.array_equal(P[perm][:, perm], P)
+
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP + [(PaPraWalk, (2, 3, 1))])
+    def test_symmetries_are_commuting_kernel_involutions(self, cls, args, q):
+        walk = cls(*args, laziness=q)
+        space = walk.space()
+        P = walk.dense(space)
+        pi = np.full(space.size, 1.0 / space.size)
+        gens = walk.symmetries(space)
+        assert gens.shape[0] >= 1 and gens.shape[1] == space.size
+        for g in gens:
+            assert np.array_equal(g[g], np.arange(space.size))
+            assert np.array_equal(P[g][:, g], P)
+            assert np.array_equal(pi[g], pi)
+        for g, h in itertools.combinations(gens, 2):
+            assert np.array_equal(g[h], h[g])
+
+    @pytest.mark.parametrize("walk,value_map", [
+        (TransvectionWalk(4, 2), lambda z: ((z & ~3) | (z & 1) << 1 | (z >> 1) & 1)),
+        (TransvectionWalk(3, 1), None),
+        (OneColumnWalk(5, 3), lambda y: -y % 3),
+        (OneColumnWalk(4, 2), None),
+        (PaPraWalk(3, 3, 1), lambda g: HeisenbergElement(-g.v, g.z)),
+    ])
+    def test_symmetries_are_the_documented_maps(self, walk, value_map):
+        """Coordinate transpositions (0 1), (2 3), ..., then the value map on
+        every coordinate, applied to the decoded states."""
+        space = walk.space()
+        states = list(space.states())
+        maps = [lambda x, c=c: x[:c] + (x[c + 1], x[c]) + x[c + 2:]
+                for c in range(0, walk._coords - 1, 2)]
+        if value_map is not None:
+            maps.append(lambda x: tuple(value_map(v) for v in x))
+        expect = np.array([[space.index_of(f(x)) for x in states] for f in maps])
+        assert np.array_equal(walk.symmetries(space), expect)
 
     def test_walk_without_known_automorphisms_keeps_every_start(self):
         walk = PaPraWalk(2, 3, 1)

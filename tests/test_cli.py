@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from groupwalks import cli, diagnostics, spectral
-from groupwalks.chains import TransvectionWalk, _WalkBase
+from groupwalks.chains import OneColumnWalk, TransvectionWalk, _WalkBase
 from groupwalks.diagnostics import mc_tv_curve_one_column, tv_counting_lower, worst_tv_curve
 from groupwalks.errors import InvariantError, ReversibilityError
 
@@ -95,6 +95,25 @@ class TestJsonPayload:
         assert code == 0 and len(calls) == 1
         report = json.loads(out)["report"]
         assert report["spectral_gap"] == 1.0 - report["eigenvalues_top"][1]
+
+    def test_spectrum_solves_character_blocks(self, capsys, monkeypatch):
+        given = []
+        solve = spectral.spectrum
+
+        def recorded(P, *args, **kwargs):
+            given.append(kwargs.get("symmetries", ()))
+            return solve(P, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "spectrum", recorded)
+        code, out, _ = run_cli(
+            ["spectrum", "--walk", "one-column", "-r", "5", "-p", "3", "--laziness", "0.25"], capsys
+        )
+        assert code == 0 and len(given) == 1 and len(given[0]) == 3
+        report = json.loads(out)["report"]
+        assert report["states"] == 242 >= spectral._BLOCK_MIN_STATES
+        dense = np.linalg.eigvalsh(spectral.check_reversibility(OneColumnWalk(5, 3, 0.25).dense()))[::-1]
+        np.testing.assert_allclose(report["eigenvalues_top"], dense[:16], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report["eigenvalues_bottom"], dense[-4:], rtol=0, atol=1e-12)
 
     def test_fibres_only_rejected_for_row_walk(self, capsys):
         code, _, err = run_cli(

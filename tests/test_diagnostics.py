@@ -639,8 +639,11 @@ class TestBirthDeath:
         sd = math.sqrt(exact * (1 - exact) / res["trials"])
         assert abs(res["estimate"] - exact) <= 4 * sd
 
+    @pytest.mark.parametrize("tally_cells", [None, 1, 100])  # tallied at the end, every step, every 7
     @pytest.mark.parametrize("r, p", [(16, 3), (32, 3), (16, 5)])
-    def test_transition_frequencies_match_inline_loop(self, r, p):
+    def test_transition_frequencies_match_inline_loop(self, r, p, tally_cells, monkeypatch):
+        if tally_cells is not None:
+            monkeypatch.setattr(diagnostics, "_TALLY_CELLS", tally_cells)
         got = support_transition_frequencies(r, p, 20_000, seed=5)
         want = _oracle_support_frequencies(r, p, 20_000, seed=5)
         for key in ("counts", "visits", "steps"):

@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.stats
 
 from groupwalks import spectral
-from groupwalks.chains import TransvectionWalk, build_fibre_kernel
+from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
 from groupwalks.diagnostics import good_mask_rows, transvection_good_set
 from groupwalks.errors import BudgetError, ConfigError, ReversibilityError
 from groupwalks.spectral import (
@@ -38,6 +38,7 @@ from groupwalks.spectral import (
     variance,
     worst_exit_probability,
 )
+from test_diagnostics import EXACT_SWEEP
 
 
 def _rng(seed=0):
@@ -100,6 +101,75 @@ class TestSpectralGap:
             pi = S.sum(axis=1) / S.sum()
             g = spectral_gap(P, pi)
             assert 0.0 <= g <= 2.0
+
+
+def _dense_spectrum(P, pi=None):
+    return np.linalg.eigvalsh(check_reversibility(P, pi))[::-1]
+
+
+def _invariant_kernel(gens, seed=0):
+    """A random kernel that commutes with the involutions `gens` and is
+    reversible for its non-uniform law: W averages a symmetric weight matrix
+    over the group, and K is W with its rows normalised.  The weights are
+    integers, so the sums, and the law, are exactly invariant."""
+    M = gens.shape[1]
+    A = _rng(seed).integers(1, 100, (M, M)).astype(float)
+    W = A + A.T
+    for g in gens:
+        W = W + W[g][:, g]
+    return W / W.sum(axis=1, keepdims=True), W.sum(axis=1) / W.sum()
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP + [(PaPraWalk, (2, 3, 1))])
+    def test_blocks_equal_the_dense_spectrum(self, cls, args, q, monkeypatch):
+        walk = cls(*args, laziness=q)
+        space = walk.space()
+        P = walk.dense(space)
+        expect = _dense_spectrum(P)
+        assert np.array_equal(spectrum(P), expect)
+        monkeypatch.setattr(spectral, "_BLOCK_MIN_STATES", 0)
+        got = spectrum(P, symmetries=walk.symmetries(space))
+        assert got.shape == expect.shape
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_below_the_crossover_is_the_dense_solve(self):
+        walk = OneColumnWalk(4, 3, laziness=0.25)
+        space = walk.space()
+        assert space.size < spectral._BLOCK_MIN_STATES
+        P = walk.dense(space)
+        assert np.array_equal(spectrum(P, symmetries=walk.symmetries(space)), _dense_spectrum(P))
+
+    def test_weighted_law_and_fixed_points(self, monkeypatch):
+        """Orbits of sizes 1, 2 and 4, so stabilisers of three sizes, under
+        a non-uniform law."""
+        monkeypatch.setattr(spectral, "_BLOCK_MIN_STATES", 0)
+        gens = np.array([[1, 0, 3, 2, 5, 4, 6, 7, 8, 9, 10, 11],
+                         [2, 3, 0, 1, 4, 5, 7, 6, 9, 8, 10, 11]])
+        K, pi = _invariant_kernel(gens)
+        assert not np.allclose(pi, pi[0])
+        np.testing.assert_allclose(spectrum(K, pi, symmetries=gens), _dense_spectrum(K, pi),
+                                   rtol=0, atol=1e-12)
+
+    def test_asymmetric_kernel_raises_on_the_block_path(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_BLOCK_MIN_STATES", 0)
+        cycle = np.roll(np.eye(8), 1, axis=1)  # x -> x + 1, doubly stochastic
+        half_turn = (np.arange(8) + 4) % 8  # commutes with the cycle
+        with pytest.raises(ReversibilityError):
+            spectrum(cycle, symmetries=[half_turn])
+
+    @pytest.mark.parametrize("gens,pi,error", [
+        ([[1, 2, 0, 3]], None, "commuting involutions"),  # a 3-cycle
+        ([[1, 0, 2, 3], [0, 2, 1, 3]], None, "commuting involutions"),  # (0 1), (1 2)
+        ([[1, 0, 2]], None, "array of state indices"),
+        ([[1, 0, 2, 4]], None, "array of state indices"),
+        ([[1, 0, 2, 3]], [0.1, 0.2, 0.3, 0.4], "not invariant"),
+    ])
+    def test_bad_symmetries_rejected(self, gens, pi, error, monkeypatch):
+        monkeypatch.setattr(spectral, "_BLOCK_MIN_STATES", 0)
+        with pytest.raises(ValueError, match=error):
+            spectrum(_uniform_kernel(4), pi, symmetries=gens)
 
 
 class TestFibreEigenvalues:
