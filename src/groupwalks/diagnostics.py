@@ -725,12 +725,20 @@ def bd_crossing_prob(s: int, A0: int, A1: int, params: BDParams) -> float:
     return numer / denom
 
 
-def _bd_tables(params: BDParams) -> tuple[np.ndarray, np.ndarray]:
-    birth = np.zeros(params.r + 1)
-    death = np.zeros(params.r + 1)
+def _bd_jump_tables(params: BDParams) -> tuple[np.ndarray, np.ndarray]:
+    """Jump-chain tables indexed by support size s in [0, r].
+
+    Returns the up-probabilities B_s / (B_s + D_s) and the log hold factors
+    log1p(-(B_s + D_s)).  B_s + D_s > 0 for every 1 <= s <= r (r >= 2), so
+    only the unreachable s = 0 entry is unset (up 0, log 0).
+    """
+    up = np.zeros(params.r + 1)
+    log_hold = np.zeros(params.r + 1)
     for s in range(1, params.r + 1):
-        birth[s], death[s] = bd_probs(s, params)
-    return birth, death
+        birth, death = bd_probs(s, params)
+        up[s] = birth / (birth + death)
+        log_hold[s] = math.log1p(-(birth + death))
+    return up, log_hold
 
 
 def bd_hitting_mc(
@@ -743,9 +751,18 @@ def bd_hitting_mc(
 ) -> dict:
     """Monte Carlo mean walk steps from s to support >= target.
 
-    Only the unfinished trials are kept, as (state, ids) arrays; each step
-    draws one uniform per unfinished trial, in id order, and moves up when
-    u < B_s, down when B_s <= u < B_s + D_s.
+    Simulates the embedded jump chain and adds each jump's holding time to
+    a per-trial clock.  Only the live trials are kept, as (state, clock,
+    ids) arrays in id order; each iteration draws one ``rng.random((2, n))``
+    block over the n live trials.  Row 0 gives the hold, Geometric(B_s +
+    D_s) by inversion, ``1 + floor(log1p(-u) / log1p(-(B_s + D_s)))``
+    (1 - u lies in (0, 1], so the log is finite); row 1 the direction, up
+    when u < B_s / (B_s + D_s), down otherwise.  A trial leaves when it
+    reaches ``target`` with its clock at most ``max_steps`` (its hitting
+    time is the clock), or when its clock passes ``max_steps`` (unfinished),
+    the same events as stepping the walk one step at a time.  Every
+    iteration adds at least 1 to each live clock, so the loop ends within
+    ``max_steps + 1`` iterations.
     """
     if not 1 <= s <= params.r or not 1 <= target <= params.r:
         raise ConfigError("levels out of range")
@@ -753,29 +770,32 @@ def bd_hitting_mc(
         raise ConfigError(f"need at least one trial, got {trials}")
     if s >= target:
         return {"mean": 0.0, "sem": 0.0, "trials": trials, "unfinished": 0}
-    birth, death = _bd_tables(params)
-    birth_or_death = birth + death
+    up, log_hold = _bd_jump_tables(params)
     if max_steps is None:
         max_steps = int(200 * params.r * math.log(params.r) * params.p) + 1000
     rng = philox_generator(seed)
     state = np.full(trials, s, dtype=np.int64)
+    clock = np.zeros(trials, dtype=np.int64)
     ids = np.arange(trials)
     hit_time = np.zeros(trials, dtype=np.int64)
-    for t in range(1, max_steps + 1):
-        if ids.size == 0:
-            break
-        u = rng.random(ids.size)
-        state += 2 * (u < birth[state]) - (u < birth_or_death[state])
-        reached = state >= target
-        if reached.any():
-            hit_time[ids[reached]] = t
-            state, ids = state[~reached], ids[~reached]
-    finished = np.ones(trials, dtype=bool)
-    finished[ids] = False
-    times = hit_time[finished].astype(float)
+    unfinished = 0
+    while ids.size:
+        u = rng.random((2, ids.size))
+        # the ratio is >= 0, so truncation is the floor
+        clock += 1 + (np.log1p(-u[0]) / log_hold[state]).astype(np.int64)
+        state += 2 * (u[1] < up[state]) - 1
+        late = clock > max_steps
+        reached = (state >= target) & ~late
+        done = reached | late
+        if done.any():
+            hit_time[ids[reached]] = clock[reached]
+            unfinished += int(late.sum())
+            keep = ~done
+            state, clock, ids = state[keep], clock[keep], ids[keep]
+    times = hit_time[hit_time > 0].astype(float)
     mean = float(times.mean()) if times.size else float("nan")
     sem = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else float("nan")
-    return {"mean": mean, "sem": sem, "trials": trials, "unfinished": int(ids.size)}
+    return {"mean": mean, "sem": sem, "trials": trials, "unfinished": unfinished}
 
 
 def embedded_crossing_mc(
@@ -803,12 +823,7 @@ def embedded_crossing_mc(
         return {"estimate": 1.0, "hits": trials, "trials": trials}
     if s == A1:
         return {"estimate": 0.0, "hits": 0, "trials": trials}
-    birth, death = _bd_tables(params)
-    up_prob = np.zeros(params.r + 1)
-    interior = slice(A0, A1 + 1)
-    with np.errstate(invalid="ignore"):
-        tot = birth + death
-        up_prob[interior] = np.where(tot[interior] > 0, birth[interior] / tot[interior], 0.0)
+    up, _ = _bd_jump_tables(params)
     rng = philox_generator(seed)
     state = np.full(trials, s, dtype=np.int64)
     hits = 0
@@ -816,7 +831,7 @@ def embedded_crossing_mc(
         if state.size == 0:
             break
         u = rng.random(state.size)
-        state += 2 * (u < up_prob[state]) - 1
+        state += 2 * (u < up[state]) - 1
         done = (state == A0) | (state == A1)
         if done.any():
             hits += int((state[done] == A0).sum())

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .chains import philox_generator
 from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _weights_of
@@ -445,6 +444,10 @@ def killed_kernel(op, good_mask, stationary=None) -> tuple[DenseOperator, float]
 
 
 def _log_poisson_pmf(t: float, ks: np.ndarray) -> np.ndarray:
+    # imported here: only the Poisson helpers use scipy.special, whose
+    # import (about 0.1 s) most commands would otherwise pay
+    from scipy.special import gammaln
+
     return -t + ks * math.log(t) - gammaln(ks + 1) if t > 0 else np.where(ks == 0, 0.0, -np.inf)
 
 
@@ -456,6 +459,8 @@ def poisson_tail_gt(t: float, L: int) -> float:
         return 1.0
     if t == 0:
         return 0.0
+    from scipy.special import logsumexp
+
     lo = L + 1
     hi = int(max(lo + 64, t + 12.0 * math.sqrt(t) + 64))
     while True:
@@ -476,6 +481,8 @@ def poisson_cdf_lt(t: float, n: float) -> float:
         return 0.0
     if t == 0:
         return 1.0
+    from scipy.special import logsumexp
+
     ks = np.arange(0, top + 1, dtype=float)
     return float(min(np.exp(logsumexp(_log_poisson_pmf(t, ks))), 1.0))
 

@@ -731,7 +731,8 @@ class TestParserOptions:
 class TestImportCost:
     def test_cli_loads_no_quadrature_or_dense_linalg(self):
         code = ("import sys, groupwalks.cli; "
-                "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+                "print([m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.special') "
+                "if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr

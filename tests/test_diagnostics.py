@@ -554,6 +554,65 @@ def _oracle_support_frequencies(r, p, steps, seed, chains=16):
     return {"counts": counts, "visits": counts.sum(axis=1), "steps": per_chain * chains}
 
 
+def _reference_bd_hitting_mc(s, target, params, trials, seed, max_steps=None):
+    """The per-step sampler bd_hitting_mc replaced: one uniform per live trial
+    and walk step, in id order, moving up when u < B_s, down when
+    B_s <= u < B_s + D_s."""
+    if s >= target:
+        return {"mean": 0.0, "sem": 0.0, "trials": trials, "unfinished": 0}
+    birth = np.zeros(params.r + 1)
+    death = np.zeros(params.r + 1)
+    for k in range(1, params.r + 1):
+        birth[k], death[k] = bd_probs(k, params)
+    birth_or_death = birth + death
+    if max_steps is None:
+        max_steps = int(200 * params.r * math.log(params.r) * params.p) + 1000
+    rng = philox_generator(seed)
+    state = np.full(trials, s, dtype=np.int64)
+    ids = np.arange(trials)
+    hit_time = np.zeros(trials, dtype=np.int64)
+    for t in range(1, max_steps + 1):
+        if ids.size == 0:
+            break
+        u = rng.random(ids.size)
+        state += 2 * (u < birth[state]) - (u < birth_or_death[state])
+        reached = state >= target
+        if reached.any():
+            hit_time[ids[reached]] = t
+            state, ids = state[~reached], ids[~reached]
+    finished = np.ones(trials, dtype=bool)
+    finished[ids] = False
+    times = hit_time[finished].astype(float)
+    mean = float(times.mean()) if times.size else float("nan")
+    sem = float(times.std(ddof=1) / math.sqrt(times.size)) if times.size > 1 else float("nan")
+    return {"mean": mean, "sem": sem, "trials": trials, "unfinished": int(ids.size)}
+
+
+def _exact_survival(s, target, params, max_steps):
+    """P_s(T > t) for t = 0..max_steps, from the tridiagonal chain on
+    {1, ..., target - 1} killed when it reaches target."""
+    size = target - 1
+    Q = np.zeros((size, size))
+    for k in range(1, target):
+        birth, death = bd_probs(k, params)
+        Q[k - 1, k - 1] = 1.0 - birth - death
+        if k + 1 < target:
+            Q[k - 1, k] = birth
+        if k > 1:
+            Q[k - 1, k - 2] = death
+    mass = np.zeros(size)
+    mass[s - 1] = 1.0
+    survival = [1.0]
+    for _ in range(max_steps):
+        mass = mass @ Q
+        survival.append(float(mass.sum()))
+    return np.array(survival)
+
+
+BD_SAMPLERS = pytest.mark.parametrize(
+    "sampler", [bd_hitting_mc, _reference_bd_hitting_mc], ids=["jump-chain", "per-step"])
+
+
 class TestBirthDeath:
     def test_probabilities_small_case(self):
         params = BDParams(r=4, p=3)
@@ -624,6 +683,54 @@ class TestBirthDeath:
         res = bd_hitting_mc(1, 4, params, trials=4000, seed=11)
         assert res["unfinished"] == 0
         assert abs(res["mean"] - exact) <= 4 * res["sem"]
+
+    @BD_SAMPLERS
+    def test_unfinished_fraction_matches_survival(self, sampler):
+        params, trials, max_steps = BDParams(r=16, p=3), 4000, 150
+        survival = _exact_survival(1, 12, params, max_steps)
+        res = sampler(1, 12, params, trials, seed=41, max_steps=max_steps)
+        q = survival[-1]
+        assert 0.05 < q < 0.95
+        assert abs(res["unfinished"] - trials * q) <= 5 * math.sqrt(trials * q * (1 - q))
+        # the finished trials' mean is E[T | T <= max_steps]
+        pmf = survival[:-1] - survival[1:]
+        conditional_mean = float(np.arange(1, max_steps + 1) @ pmf) / (1 - q)
+        assert abs(res["mean"] - conditional_mean) <= 5 * res["sem"]
+
+    @BD_SAMPLERS
+    @pytest.mark.parametrize("r, p, s, target", [(12, 2, 1, 8), (32, 2, 2, 20), (16, 3, 3, 10)])
+    def test_mean_matches_formula(self, sampler, r, p, s, target):
+        params = BDParams(r=r, p=p)
+        res = sampler(s, target, params, trials=3000, seed=42)
+        assert res["unfinished"] == 0
+        assert abs(res["mean"] - bd_hitting_time(s, target, params)) <= 5 * res["sem"]
+
+    @BD_SAMPLERS
+    @pytest.mark.parametrize("r, p", [(2, 3), (2, 2), (16, 3), (9, 5)])
+    def test_one_level_up_is_geometric(self, sampler, r, p):
+        # no deaths at s = 1, so T to reach 2 is Geometric(B_1); r = 2 is the
+        # smallest chain, where B_1 = (p - 1) / (2p)
+        params, trials = BDParams(r=r, p=p), 4000
+        birth, _ = bd_probs(1, params)
+        max_steps = math.ceil(1 / birth)  # survival (1 - B_1)^max_steps near 1/e
+        res = sampler(1, 2, params, trials, seed=43)
+        assert res["unfinished"] == 0
+        assert abs(res["mean"] - 1 / birth) <= 5 * res["sem"]
+        assert bd_hitting_time(1, 2, params) == pytest.approx(1 / birth)
+        q = (1 - birth) ** max_steps
+        res = sampler(1, 2, params, trials, seed=44, max_steps=max_steps)
+        assert abs(res["unfinished"] - trials * q) <= 5 * math.sqrt(trials * q * (1 - q))
+
+    @BD_SAMPLERS
+    def test_single_step_budget(self, sampler):
+        params, trials = BDParams(r=6, p=3), 2000
+        birth, _ = bd_probs(1, params)
+        res = sampler(1, 2, params, trials, seed=45, max_steps=1)
+        assert abs(res["unfinished"] - trials * (1 - birth)) <= 5 * math.sqrt(trials * birth * (1 - birth))
+        assert (res["mean"], res["sem"]) == (1.0, 0.0)
+        res = sampler(1, 3, params, trials, seed=46, max_steps=1)
+        assert res["unfinished"] == trials
+        assert math.isnan(res["mean"]) and math.isnan(res["sem"])
 
     def test_no_trials_refused(self):
         params = BDParams(r=6, p=3)

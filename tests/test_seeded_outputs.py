@@ -129,12 +129,14 @@ def _cases(tmp_path):
 
 
 DIGESTS = {
+    # bd_hitting_mc runs the jump chain with geometric holds: two uniforms
+    # per jump instead of one per walk step, so its three digests were re-pinned
     "bd_hitting_mc r=16 p=3":
-        "12237fac0d869530ed6bc41ad907c81420eec88ff978282ef32995da610a7854",
+        "ab1a831026ecd88e405b3cd272e7e36de2db24083b2b20d7f9f24ee6aef7469e",
     "bd_hitting_mc r=32 p=2":
-        "bc9fec77b27e3978360a53b93db2096901ae9002c6d32d1b23fa2fbb908f3bf5",
+        "55f06c6ce0dd9b96f6b307bcbb61389cecdcc5547c4fc8618df596a179a5bf72",
     "bd_hitting_mc unfinished":
-        "59c66694083106270580571ef6dfd7e96eb02db3ba9fd8d4e89747152b306fa8",
+        "fb97e8990bc9b3352cf1919235b624f173c5279d3568b69275f72c1b4e9b2ea8",
     "burnin one-column r=16":
         "bff5a24365bad051137e2368343c017b33c977b2730824143cc0f1a5138c0e97",
     "burnin one-column r=16 lazy":
