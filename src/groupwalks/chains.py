@@ -38,20 +38,20 @@ weak components are the connected components.
 A walk's batch method is the one entry point for trajectories: it reads
 the walk's start (its default, validation and cell dtype live in the
 walk's _start_cells) and runs _drive, which draws the moves of a block of
-steps for every trial at once (about _BLOCK_CELLS steps x trials: ordered
-pairs, then exponents, sides and laziness coins) from the counter-based
-Philox generator keyed by (seed, stream).  The steps run on one of three
-layouts: runs of 1 to _SCALAR_TRIALS trials step Python int codes in a
-flat list (_scalar_layout), where numpy's fixed cost per call would
-outweigh the work on so few elements; F_2 runs whose state code fits 64
-bits, with at least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME
-steps per grid time, step each trial's code as one uint64 word
-(_word_layout); all others step the per-coordinate codes in numpy cells
-(_cell_layout).  The first two write the codes at grid times only; on
-every layout stat_fn sees the same read-only codes.  The
-engines one_column_batch, transvection_batch and pa_pra_batch construct
-the walk and call its batch; simulate is batch with one trial on stream
-traj_id.
+steps for every trial at once (about _BLOCK_CELLS steps x trials: one
+integer code per move, decoded to its pair, exponent and side, then the
+laziness coins) from the counter-based Philox generator keyed by
+(seed, stream).  The steps run on one of three layouts: runs of 1 to
+_SCALAR_TRIALS trials step Python int codes in a flat list
+(_scalar_layout), where numpy's fixed cost per call would outweigh the
+work on so few elements; F_2 runs whose state code fits 64 bits, with at
+least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps per grid
+time, step each trial's code as one uint64 word (_word_layout); all others
+step the per-coordinate codes in numpy cells (_cell_layout).  The first
+two write the codes at grid times only; on every layout stat_fn sees the
+same read-only codes.  The engines one_column_batch, transvection_batch and
+pa_pra_batch construct the walk and call its batch; simulate is batch with
+one trial on stream traj_id.
 """
 
 from __future__ import annotations
@@ -556,7 +556,11 @@ class _WalkBase:
         (transvection) or int16 element codes (PA-PRA), as a read-only view;
         start=None is the walk's default start (see _start_cells).  All
         trials share one Philox stream keyed (seed, stream), so the run is
-        deterministic in (seed, stream, trials).  The steps run on one of
+        deterministic in (seed, stream, trials).  Each block of steps draws
+        one code per move, uniform over (recipient != donor, exponent, side)
+        and uint16 while the walk has at most 2^16 such moves (uint32
+        beyond), decodes it with one divmod and table lookups, and then
+        draws the laziness coins (see _move_blocks).  The steps run on one of
         three layouts, chosen from the trial count, the rule and the grid:
         runs of 1 to _SCALAR_TRIALS trials step Python int codes in a list
         (_scalar_layout); F_2 runs (the XOR rule) whose state code fits 64
@@ -925,29 +929,51 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
     """The moves of `steps` steps of `trials` walks on r coordinates, in blocks.
 
     Yields (recipient, donor, exponent, left, hold) arrays of shape
-    (block, trials), with max(1, _BLOCK_CELLS // trials) steps per block but
-    the last.  Each block draws, in this order: the ordered pairs (uniform,
-    recipient != donor), the exponents (uniform in [0, exponents); all 1 when
-    exponents == 1), the sides (left with probability 1/2; all right unless
-    `sides`) and the laziness coins (hold with probability `laziness`).
-    The integers are drawn as int32: for ranges below 2^32 Philox's bounded
-    32-bit path yields the same values as int64 draws, at half the memory.
-    Pair draw d is the pair (d // (r-1), d % (r-1) + [d % (r-1) >= d // (r-1)]),
-    read from two tables of r(r-1) entries.  Exponents, sides and coins
-    that are not drawn are slices of read-only constants built once per call.
+    (block, trials) and dtypes int32, int32, int32, bool and bool, with
+    max(1, _BLOCK_CELLS // trials) steps per block but the last.
+
+    Each move is one code d, uniform on [0, r(r-1) e s), where e =
+    `exponents` and s = 2 when the walk draws `sides`, else 1.  A block
+    draws all its codes in one rng.integers call, as uint16 when there are
+    at most 2^16 codes and as uint32 otherwise (ValueError past 2^32), and
+    then draws its laziness coins (hold with probability `laziness`).
+    The decode (extra, pair) = divmod(d, r(r-1)) (pair = d when e s = 1)
+    reads the ordered pair (pair // (r-1), pair % (r-1) + [pair % (r-1) >=
+    pair // (r-1)]) from two tables of r(r-1) entries, and the exponent and
+    side, extra = a s + left, from two tables of e s entries (a is 1 when
+    exponents == 1).  The decode is a bijection onto the (recipient !=
+    donor, exponent, side) triples, so each move is uniform over them.
+    Exponents, sides and coins that are not drawn are slices of read-only
+    constants built once per call.
     """
-    recipient, donor = np.divmod(np.arange(r * (r - 1), dtype=np.int32), r - 1)
+    pairs, s = r * (r - 1), 2 if sides else 1
+    extras = exponents * s
+    count = pairs * extras
+    if count > 1 << 32:
+        raise ValueError(f"{count} moves per step exceed the 2^32 codes of one draw")
+    dtype = np.uint16 if count <= 1 << 16 else np.uint32
+    recipient, donor = np.divmod(np.arange(pairs, dtype=np.int32), r - 1)
     donor += donor >= recipient
+    exponent_of, left_of = np.divmod(np.arange(extras, dtype=np.int32), s)
+    left_of = left_of == 1
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
     full = (min(per_block, steps), trials)
     ones, falses = np.ones(full, np.int32), np.zeros(full, bool)
     ones.flags.writeable = falses.flags.writeable = False
     for done in range(0, steps, per_block):
         shape = (min(per_block, steps - done), trials)
-        pair = rng.integers(0, r * (r - 1), size=shape, dtype=np.int32)
+        pair = rng.integers(0, count, size=shape, dtype=dtype)
+        a, left = ones[:shape[0]], falses[:shape[0]]
+        if extras > 1:
+            # divmod by hand: numpy divides unsigned ints by a scalar about
+            # 10x faster than np.divmod, which takes the general path
+            extra = pair // pairs
+            pair -= extra * pairs
+            if exponents > 1:
+                a = exponent_of.take(extra)
+            if sides:
+                left = left_of.take(extra)
         i, j = recipient.take(pair), donor.take(pair)
-        a = rng.integers(0, exponents, size=shape, dtype=np.int32) if exponents > 1 else ones[:shape[0]]
-        left = rng.integers(0, 2, size=shape, dtype=np.int32) == 1 if sides else falses[:shape[0]]
         hold = rng.random(shape) < laziness if laziness > 0 else falses[:shape[0]]
         yield i, j, a, left, hold
 

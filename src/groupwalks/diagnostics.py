@@ -365,8 +365,10 @@ def good_set_measure(
     the entries of the class table, C(n + |values| - 1, |values| - 1) classes
     times |values|, not the ambient size.  ``monte_carlo`` samples iid
     ambient states, estimating the stationary law by rejection to the
-    spanning states, and reports Wilson 99% intervals; each sample is
-    reduced to its value counts, so ``budget`` bounds trials * |values|.
+    spanning states, and reports Wilson 99% intervals.  Each row is one
+    uniform draw of its value code (a packed F_2^k row, or the base-p
+    digits of a horizontal part in F_p^{2m}), and each sample is reduced to
+    its value counts, so ``budget`` bounds trials * |values|.
     """
     if method == "exact":
         total, amb_bad, span, span_bad = _type_counts(spec, budget)
@@ -386,12 +388,7 @@ def good_set_measure(
     size = spec.functional_count + 1  # row values
     check_budget(trials * size, budget, f"count entries ({trials} samples x {size} row values)",
                  "class")
-    rng = philox_generator(seed)
-    if spec.kind == "transvection":
-        codes = rng.integers(0, size, size=(trials, spec.n))
-    else:
-        V = rng.integers(0, spec.p, size=(trials, spec.n, spec.h))
-        codes = V @ spec.p ** np.arange(spec.h, dtype=np.int64)
+    codes = philox_generator(seed).integers(0, size, size=(trials, spec.n))
     trial = np.arange(trials, dtype=np.int64)[:, None] * size
     C = np.bincount((trial + codes).ravel(), minlength=trials * size).reshape(trials, size)
     _, amb_bad, span, span_bad = _class_counts(C, np.ones(trials, dtype=np.int64), spec)

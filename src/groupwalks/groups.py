@@ -430,6 +430,27 @@ def projection_family_bound(
     return delta, lam_max, 1.0 - 0.5 * delta * (1.0 - alpha)
 
 
+def _rep_stack(p: int, m: int, lam: int, digits: np.ndarray) -> np.ndarray:
+    """(N, d, d) stack of rho_lam on elements given by their encode_element
+    digits (N, 2m + 1), from the closed form in the module docstring.
+
+    Row b of rho_lam(w, z) has its one entry in the column of b + w_B, with
+    phase z - omega(w_A, b) - omega(w_A, w_B)/2, read from a p-entry table
+    of psi; the entries equal Representation.matrix's.
+    """
+    d = p**m
+    wa, wb, z = digits[:, 0:2 * m:2], digits[:, 1:2 * m:2], digits[:, -1]
+    labels = _digits(np.arange(d, dtype=np.int64), p, m)[:, ::-1]  # lexicographic b
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    cols = ((labels[None] + wb[:, None]) % p) @ place  # (N, d)
+    base = z - half_mod(p) * (wa * wb).sum(axis=1)
+    phase = (base[:, None] - wa @ labels.T) * lam % p  # (N, d)
+    psi_table = np.array([psi(t, p) for t in range(p)])
+    stack = np.zeros((digits.shape[0], d, d), dtype=complex)
+    np.put_along_axis(stack, cols[:, :, None], psi_table[phase][:, :, None], axis=2)
+    return stack
+
+
 # complex entries in each product temporary of representation_residuals.  At
 # p = 5, 2^14 (256 KiB temporaries) ran fastest and raised peak RSS by under
 # 1 MiB; 2^16 ran 1.7x slower, and 2^20 (no cap at p = 5) added 24 MiB.
@@ -451,8 +472,7 @@ def representation_residuals(p: int, m: int) -> list[dict]:
     range bases (_pair_norms): for m = 1 every such range is a line, so no
     pair needs an SVD.
     """
-    elements = list(heisenberg_elements(p, m))
-    n = len(elements)
+    n = p ** (2 * m + 1)
     digits = _digits(np.arange(n, dtype=np.int64), p, 2 * m + 1)
     prod = _h_mul_codes(digits[:, None], digits[None], p)  # (N, N) codes of g b
     omega = _omega_digits(digits[:, None, :-1], digits[None, :, :-1]) % p
@@ -464,8 +484,7 @@ def representation_residuals(p: int, m: int) -> list[dict]:
     target = p**-0.5
     blocks = []
     for lam in range(1, p):
-        rep = Representation(p, m, lam)
-        mats = np.stack([rep.matrix(g) for g in elements])
+        mats = _rep_stack(p, m, lam, digits)
         d = mats.shape[1]
         proj = _fixed_projections(mats, p, tol=1e-10)
         norms = _pair_norms(proj[moving], tol=1e-10)[paired]

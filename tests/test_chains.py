@@ -1059,30 +1059,86 @@ class TestDriverReplay:
         with pytest.raises(ValueError, match="nonnegative"):
             _engine_states(case, 2, [-1, 0, 5], 0, 0.0)
 
-    @pytest.mark.parametrize("r, exponents, sides, laziness, trials", [
+    # code ranges r(r-1) e s = 2, 36, 560, 4 032 and 27 289 600 (uint32)
+    _DRAW_CASES = [
         (2, 1, False, 0.0, 7), (3, 3, True, 0.0, 5), (8, 5, True, 0.25, 3),
         (64, 1, False, 0.5, 9), (1025, 13, True, 0.0, 4),
-    ])
-    def test_int32_draws_equal_default_dtype_draws(self, monkeypatch, r, exponents, sides,
-                                                   laziness, trials):
-        # Philox's bounded 32-bit path: pair ranges r(r-1) = 2, 6, 56, 4 032
-        # and 1 049 600 (about 2^20), exponent ranges 3, 5 and 13, side range 2
+    ]
+
+    @pytest.mark.parametrize("r, exponents, sides, laziness, trials", _DRAW_CASES)
+    def test_blocks_replay_one_code_per_move(self, monkeypatch, r, exponents, sides,
+                                             laziness, trials):
         monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
-        steps = 50
+        steps, s = 50, 2 if sides else 1
+        count = r * (r - 1) * exponents * s
         rng = philox_generator(71)
         got = list(chains._move_blocks(philox_generator(71), steps, trials, r,
                                        exponents, sides, laziness))
         per_block = max(1, 64 // trials)
         for done, block in zip(range(0, steps, per_block), got):
             shape = (min(per_block, steps - done), trials)
-            i, j = np.divmod(rng.integers(0, r * (r - 1), size=shape), r - 1)
+            code = rng.integers(0, count, size=shape,
+                                dtype=np.uint16 if count <= 1 << 16 else np.uint32)
+            extra, pair = np.divmod(code.astype(np.int64), r * (r - 1))
+            i, j = np.divmod(pair, r - 1)
             j += j >= i
-            a = rng.integers(0, exponents, size=shape) if exponents > 1 else np.ones(shape, np.int64)
-            left = rng.integers(0, 2, size=shape) == 1 if sides else np.zeros(shape, bool)
+            a, side = np.divmod(extra, s)
+            a = a if exponents > 1 else np.ones(shape, np.int64)
             hold = rng.random(shape) < laziness if laziness > 0 else np.zeros(shape, bool)
-            for want, have in zip((i, j, a, left, hold), block):
-                assert np.array_equal(want, have)
+            dtypes = (np.int32, np.int32, np.int32, np.bool_, np.bool_)
+            for want, have, dtype in zip((i, j, a, side == 1, hold), block, dtypes):
+                assert have.dtype == dtype and np.array_equal(want, have)
         assert sum(b[0].shape[0] for b in got) == steps
+
+    @pytest.mark.parametrize("r, exponents, sides", [
+        (2, 1, False), (3, 1, False), (4, 3, False), (3, 1, True), (4, 5, True),
+        (2, 16_384, True), (2, 16_385, True),  # 2^16 codes (uint16) and 2^16 + 4 (uint32)
+    ])
+    def test_codes_decode_to_every_move_once(self, r, exponents, sides):
+        count = r * (r - 1) * exponents * (2 if sides else 1)
+
+        class Enumerating:
+            """Hands out the codes 0, ..., count - 1 in place of a draw."""
+            def integers(self, low, high, size, dtype):
+                assert (low, high, size) == (0, count, (1, count))
+                self.dtype = dtype
+                return np.arange(count, dtype=dtype).reshape(size)
+
+        rng = Enumerating()
+        [(i, j, a, left, hold)] = chains._move_blocks(rng, 1, count, r, exponents, sides)
+        assert rng.dtype == (np.uint16 if count <= 1 << 16 else np.uint32)
+        assert not hold.any()
+        moves = set(zip(i[0].tolist(), j[0].tolist(), a[0].tolist(), left[0].tolist()))
+        exps = range(exponents) if exponents > 1 else [1]
+        assert len(moves) == count
+        assert moves == {(x, y, e, side) for x in range(r) for y in range(r) if x != y
+                         for e in exps for side in ([False, True] if sides else [False])}
+
+    def test_more_than_2_32_codes_refused(self):
+        with pytest.raises(ValueError, match="2\\^32"):
+            next(chains._move_blocks(philox_generator(0), 1, 1, 65_537, 500_000, True))
+
+    @pytest.mark.parametrize("r, exponents, sides, laziness, trials", _DRAW_CASES)
+    def test_one_integers_call_per_block(self, monkeypatch, r, exponents, sides, laziness,
+                                         trials):
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                return self.rng.random(*args, **kwargs)
+
+        rng = Counting(philox_generator(71))
+        blocks = chains._move_blocks(rng, 50, trials, r, exponents, sides, laziness)
+        for made, _ in enumerate(blocks, start=1):
+            assert rng.calls == made
+        assert made == -(-50 // max(1, 64 // trials))
 
 
 def _element_product_oracle(p, m, codes_i, codes_j):

@@ -216,7 +216,8 @@ def _mc_row_oracle(spec, trials, seed):
         good = good_mask_rows(rows, spec)
         spanning = chain_module.rank_bits_batch(rows, spec.k) == spec.k
     else:
-        V = rng.integers(0, spec.p, size=(trials, spec.n, spec.h)).astype(np.int64)
+        # one uniform code per row, whose base-p digits are its horizontal part
+        V = _digits(rng.integers(0, spec.p**spec.h, size=(trials, spec.n)), spec.p, spec.h)
         good = good_mask_horizontal(V, spec)
         spanning = chain_module.rank_modp_batch(V, spec.p) == spec.h
     return int((~good).sum()), int(spanning.sum()), int((spanning & ~good).sum())

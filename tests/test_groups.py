@@ -440,6 +440,16 @@ def _repcheck_oracle(p, m):
     return blocks
 
 
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_rep_stack_equals_per_element_matrices(p, m):
+    digits = _digits(np.arange(p ** (2 * m + 1), dtype=np.int64), p, 2 * m + 1)
+    for lam in range(1, p):
+        rep = Representation(p, m, lam)
+        want = np.stack([rep.matrix(g) for g in heisenberg_elements(p, m)])
+        got = groups._rep_stack(p, m, lam, digits)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 _EXACT_FIELDS = ("lambda", "dimension", "two_projection_pairs", "two_projection_target")
 
 

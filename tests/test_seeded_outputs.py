@@ -130,7 +130,14 @@ def _cases(tmp_path):
 
 DIGESTS = {
     # bd_hitting_mc runs the jump chain with geometric holds: two uniforms
-    # per jump instead of one per walk step, so its three digests were re-pinned
+    # per jump instead of one per walk step, so its three digests were re-pinned.
+    # Each move is one uint16 (or uint32) code, decoded to its pair, exponent
+    # and side, instead of three int32 draws, so every burnin, pa_pra_batch,
+    # simulate, support frequencies, mc_tv_curve and walk-states digest was
+    # re-pinned; so were the Heisenberg good measures, whose rows are one
+    # uniform value code each instead of 2m uniform digits.  The
+    # bd_hitting_mc, embedded_crossing_mc and transvection good-measure
+    # digests draw as before and did not change.
     "bd_hitting_mc r=16 p=3":
         "ab1a831026ecd88e405b3cd272e7e36de2db24083b2b20d7f9f24ee6aef7469e",
     "bd_hitting_mc r=32 p=2":
@@ -138,57 +145,57 @@ DIGESTS = {
     "bd_hitting_mc unfinished":
         "fb97e8990bc9b3352cf1919235b624f173c5279d3568b69275f72c1b4e9b2ea8",
     "burnin one-column r=16":
-        "bff5a24365bad051137e2368343c017b33c977b2730824143cc0f1a5138c0e97",
+        "21a2c12582cf7da0bb05c678c113ddbc4e344fd455b54eeea63abd74fdb32436",
     "burnin one-column r=16 lazy":
-        "fa92281b74d8a110a9779f2443ccd688e231f81999f85220ed698af4f5c8957f",
+        "7a385199dfc20c577c2f30f502d2712dd398eb1d5f786d163f8546d15d2d1f87",
     "burnin pa-pra r=6 p=3 m=1":
-        "b122c7b75f0388a0da91b45ec052a4d1ec968e2bbacb909d01ffb831bd114d72",
+        "873eba127dff959654b94fc94cdc64cba86373b5eba750f951cc825d53f04aec",
     "burnin pa-pra r=6 p=3 m=1 lazy":
-        "9b901fa19821bbe365b086ca2e639f08f2e5373ebfc12883eda7732a9ae70704",
+        "37f8046b2aedad95d432af56b83de017f6ea74ecfaacfe3c91fbc00974813f37",
     "burnin pa-pra r=6 p=3 m=2":
-        "7c1b99f64b755411d0c2015fe720fce478c60d09a19a5c87cb53df2f1428e978",
+        "dd6bb0d4690d1ae66cdddadeba2259cc5b19a94fd561dae2a95c1aa5b312de54",
     "burnin pa-pra r=7 p=5 m=1":
-        "e810033a8e439e911ca63a4685dc0176aab04ec6d5c5ceb093dd4533e1810176",
+        "5507313c3dd780b1c29c9ca7afc2e90ec7112ab0f2e29fd679c017b228842d73",
     "burnin transvection n=32 k=2 lazy":
-        "fae18b52349696fdf34009d3f21aed1d0711db130e2eb28b3297a3adc8345f6d",
+        "c6332f5f57410c48e6fb4307d32bb0906d781069c08b03024788744f0d7f9a81",
     "burnin transvection n=8 k=2":
-        "e617d63af0914e0c961253ebd4945b97ced2ced685c03847c467d722b4b9d08c",
+        "0dca577e8d183bd1315beb66a30bef72d37538876fec91bc152e5591c3fd8163",
     "burnin transvection n=8 k=2 lazy":
-        "fe9b4770f9f9ab36ff6d2845e838a7d4255bc33a7eb86d9de0512f4675bac1a5",
+        "cf40e93ab37b5a25dba6cf8654f5d8bc4e0ae66c88e779ded7092fbe00df57d0",
     "embedded_crossing_mc r=16 p=3":
         "6a49dafc13cb8ce12e3ba5367d4401f8ed372e391b3e19b7fa2116c5fe5da3ea",
     "embedded_crossing_mc r=32 p=2":
         "e204ef665ab0b2b17ea2e5084b23bc1e6baa7b1ada025f7ad8967bd141da2e8d",
     "good measure heisenberg r=4 p=5 m=1":
-        "4dbebb73b1b8bc08cb727c490f3a45a1260c293ee54f2c516d153a6392628a85",
+        "5f17a84ae22fa6576259f0b435c96a9a5e828903db7bd3f98f3a64c380b60b7e",
     "good measure heisenberg r=5 p=3 m=2":
-        "3335f13dfaea8099dd76fee35c8f86434889398274f608de9f2c27ab65d9c209",
+        "dc49e237977e63256aaac7f080aa43b0312c93719877ce7bb452bf4d14945b2e",
     "good measure heisenberg r=6 p=3 m=1":
-        "e8c4ccca3fddd75d3c3554e732b6fadf9aebc1db94687ad832c258d92089d6e1",
+        "8d6a6a950690c7409a40c7df194743320cc5bff5e0a66e38f5fb7320527324a1",
     "good measure transvection n=12 k=3":
         "bc371b2922a2ca38197d50d97865d33c1420bd82a7c6769e2b1f6dfe70ed07d4",
     "good measure transvection n=8 k=2":
         "9c5ea8b8cf3caad4e1e27db2e4f7a553654294b0c23f8b2bf396b7292432fd6f",
     "mc_tv_curve one-column r=64":
-        "7b62f9f8b5a17740b7a5ddd064ef03dd0b9a231bdf24c5892cffc249efedc47a",
+        "3fe8f5ed8fac988d9b7e9aa5f0eba8e9412ce9277dee3828bfbae2aaa3f42152",
     "pa_pra_batch r=4 p=13 m=1 lazy":
-        "3ee5a9c71fe6f2ac8d80ebbc318c29c725ffb6403467659371577152af9684d3",
+        "570ab17f8f60ce4b1938aaf6968cc55c5e59ec02dd2e3906d63d218eba8034aa",
     "pa_pra_batch r=8 p=3 m=3":
-        "8bd66a4b682eba177708eb64ea74aaa5313c9d9233e38c61c12cdcfe74d0f22a",
+        "dae72395965c2288981c3338e8d39ff3d8db4ba80b9c0fe006a270de0673983b",
     "simulate pa-pra p=3 m=1":
-        "a8d2233cf102dcc55059357b31e911afaacc97c7641e71382b69bdd3af26332a",
+        "f77a19342f108b8cc1b39d116da9df74baf9dfef4a75363665ee3f11146d02db",
     "simulate pa-pra p=3 m=2":
-        "1fed53e10420490b0a922fb1c1918ea0fb5f97a74f53baad840548cbd9adb355",
+        "cc8ef114e5de89657dc656a16ad781fae3f41328ccb030295ab5eab82e91d881",
     "simulate pa-pra p=5 m=1 lazy":
-        "65f8a0820091eef585babeb12692dc799db7a422dda5af21f72357494f64da81",
+        "c8dc9695ffee4a4f1d966e6acc5728480f637d1285b37941cbf89b029be585e9",
     "simulate transvection n=8 k=2":
-        "7bbfac2977c65d9d0a91deead45e77e04fc06f445194de5b25201125395fbf51",
+        "3636058d6a7d46182eb4a6e5949f1954fbc0516efd0d9fb1a3cf4964fd154727",
     "support frequencies r=12 p=2":
-        "c7da1d7e9235543b9a1fb992260c9a37cb70ca811907117dd3853f5c6bac7f92",
+        "4f877b93144405f816151c8ef367813c301d1ead16405ca4bb53c2421cfdd9b8",
     "support frequencies r=16 p=3":
-        "d7feb456543beff63064732922232de4548887a196c8888b7493805a6cc4d42f",
+        "c87a902cd362c50bd31680d8d11b0e8ea3116cc37cb1b23cc6232af0618f045c",
     "transvection states n=13 k=5":
-        "f7bde01acefecf5a6d3ed6df9137d44b6d04da12a61009d5547f58d9e86651b6",
+        "d3c5a72c80223da825a07a370d68f63978989ffa5fb28f41f3a1109abe280dc6",
 }
 
 
