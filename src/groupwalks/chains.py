@@ -40,23 +40,26 @@ the walk's start (its default, validation and cell dtype live in the
 walk's _start_cells) and runs _drive, which draws the moves of a block of
 steps for every trial at once (about _BLOCK_CELLS steps x trials: one
 integer code per move, decoded to its pair, exponent and side, then the
-laziness coins) from the counter-based Philox generator keyed by
-(seed, stream).  The steps run on one of three layouts: runs of 1 to
-_SCALAR_TRIALS trials step Python int codes in a flat list
-(_scalar_layout), where numpy's fixed cost per call would outweigh the
-work on so few elements; F_2 runs whose state code fits 64 bits, with at
-least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps per grid
-time, step each trial's code as one uint64 word (_word_layout); all others
-step the per-coordinate codes in numpy cells (_cell_layout).  The first
-two write the codes at grid times only; on every layout stat_fn sees the
-same read-only codes.  The engines one_column_batch, transvection_batch and
-pa_pra_batch construct the walk and call its batch; simulate is batch with
-one trial on stream traj_id.
+laziness coins) from the counter-based Philox generator keyed by (seed,
+stream).  The pair decodes through two tables that the layout supplies:
+the recipient and donor, or their bit shifts in a packed word.  The steps
+run on one of three layouts: runs of 1 to _SCALAR_TRIALS trials step
+Python int codes in a flat list (_scalar_layout), where numpy's fixed cost
+per call would outweigh the work on so few elements; F_2 runs whose state
+code fits 64 bits, with at least _WORD_TRIALS trials and
+_WORD_STEPS_PER_GRID_TIME steps per grid time, step each trial's code as
+one uint64 word (_word_layout); all others step the per-coordinate codes
+in numpy cells (_cell_layout).  The first two write the codes at grid
+times only; on every layout stat_fn sees the same read-only codes.  The
+engines one_column_batch, transvection_batch and pa_pra_batch construct
+the walk and call its batch; simulate is batch with one trial on stream
+traj_id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -554,22 +557,24 @@ class _WalkBase:
 
         The codes are uint8 coordinates (one-column), packed int64 rows
         (transvection) or int16 element codes (PA-PRA), as a read-only view;
-        start=None is the walk's default start (see _start_cells).  All
-        trials share one Philox stream keyed (seed, stream), so the run is
-        deterministic in (seed, stream, trials).  Each block of steps draws
-        one code per move, uniform over (recipient != donor, exponent, side)
-        and uint16 while the walk has at most 2^16 such moves (uint32
-        beyond), decodes it with one divmod and table lookups, and then
-        draws the laziness coins (see _move_blocks).  The steps run on one of
-        three layouts, chosen from the trial count, the rule and the grid:
-        runs of 1 to _SCALAR_TRIALS trials step Python int codes in a list
-        (_scalar_layout); F_2 runs (the XOR rule) whose state code fits 64
-        bits step each trial's code as one packed word when there are at
-        least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps per
-        grid time (_word_layout); all other runs, zero trials included, step
-        the codes in place (_cell_layout).  The scalar and word layouts
-        write the codes at grid times only.  All three apply the same draws,
-        so the output does not depend on which one runs.
+        start=None is the walk's default start (see _start_cells).  All trials
+        share one Philox stream keyed (seed, stream), so the run is
+        deterministic in (seed, stream, trials).  Each block of steps draws one
+        code per move, uniform over (recipient != donor, exponent, side) and
+        uint16 while the walk has at most 2^16 such moves (uint32 beyond),
+        decodes it with one divmod and table lookups, and then draws the
+        laziness coins (see _move_blocks).  Each layout supplies the two
+        pair-code tables its step reads: int32 recipient and donor for the
+        scalar and cell layouts, uint64 bit shifts for the word layout.  The
+        steps run on one of three layouts, chosen from the trial count, the
+        rule and the grid: runs of 1 to _SCALAR_TRIALS trials step Python int
+        codes in a list (_scalar_layout); F_2 runs (the XOR rule) whose state
+        code fits 64 bits step each trial's code as one packed word when there
+        are at least _WORD_TRIALS trials and _WORD_STEPS_PER_GRID_TIME steps
+        per grid time (_word_layout); all other runs, zero trials included,
+        step the codes in place (_cell_layout).  The scalar and word layouts
+        write the codes at grid times only.  All three apply the same draws, so
+        the output does not depend on which one runs.
         """
         grid = sorted(set(int(t) for t in t_grid))
         if grid and grid[0] < 0:
@@ -581,11 +586,12 @@ class _WalkBase:
         bits = self._base.bit_length() - 1  # the XOR rule's walks code base 2^bits
         sparse = not grid or len(grid) * _WORD_STEPS_PER_GRID_TIME <= grid[-1]
         if scalar:
-            codes, advance, unpack = _scalar_layout(row, trials, rule, self.laziness)
+            layout = _scalar_layout(row, trials, rule, self.laziness)
         elif rule is _xor_rule and self._coords * bits <= 64 and trials >= _WORD_TRIALS and sparse:
-            codes, advance, unpack = _word_layout(row, trials, bits, self.laziness)
+            layout = _word_layout(row, trials, bits, self.laziness)
         else:
-            codes, advance, unpack = _cell_layout(row, trials, rule, self.laziness)
+            layout = _cell_layout(row, trials, rule, self.laziness)
+        codes, advance, unpack, operands = layout
         view = codes.view()
         view.flags.writeable = False
 
@@ -593,7 +599,7 @@ class _WalkBase:
             unpack()
             stat_fn(t, view)
 
-        _drive(advance, trials, self._coords, grid, seed, stream, self.laziness, observe,
+        _drive(advance, operands, trials, self._coords, grid, seed, stream, self.laziness, observe,
                self._exponents, self._sides)
 
     def _as_start(self, state):
@@ -620,7 +626,10 @@ class TransvectionWalk(_WalkBase):
         self.k = k
         self._coords, self._base, self._rule = n, 1 << k, _xor_rule
         self._init_laziness(laziness)
-        self.moves = [(a, b) for a in range(n) for b in range(n) if a != b]
+
+    @cached_property
+    def moves(self) -> list:
+        return [(a, b) for a in range(self.n) for b in range(self.n) if a != b]
 
     @property
     def counting_move_bound(self) -> int:
@@ -694,16 +703,11 @@ class OneColumnWalk(_WalkBase):
         self._coords, self._base, self._rule = r, p, _one_column_rule(p)
         self._exponents = 1 if p == 2 else p
         self._init_laziness(laziness)
-        if p == 2:
-            self.moves = [(i, j) for i in range(r) for j in range(r) if i != j]
-        else:
-            self.moves = [
-                (i, j, a)
-                for i in range(r)
-                for j in range(r)
-                if i != j
-                for a in range(p)
-            ]
+
+    @cached_property
+    def moves(self) -> list:
+        pairs = [(i, j) for i in range(self.r) for j in range(self.r) if i != j]
+        return pairs if self.p == 2 else [(i, j, a) for i, j in pairs for a in range(self.p)]
 
     @property
     def counting_move_bound(self) -> int:
@@ -772,12 +776,15 @@ class PaPraWalk(_WalkBase):
         self._coords, self._base = r, p ** (2 * m + 1)
         self._exponents, self._sides = p, True
         self._init_laziness(laziness)
-        self.moves = [
+
+    @cached_property
+    def moves(self) -> list:
+        return [
             (i, j, a, side)
-            for i in range(r)
-            for j in range(r)
+            for i in range(self.r)
+            for j in range(self.r)
             if i != j
-            for a in range(p)
+            for a in range(self.p)
             for side in ("R", "L")
         ]
 
@@ -925,12 +932,24 @@ _WORD_TRIALS = 64
 _WORD_STEPS_PER_GRID_TIME = 8
 
 
-def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
+def _pair_tables(r):
+    """The (recipient, donor) int32 tables of the r(r-1) ordered pairs, indexed
+    by pair code: pair -> (pair // (r-1), pair % (r-1) + [pair % (r-1) >=
+    pair // (r-1)])."""
+    recipient, donor = np.divmod(np.arange(r * (r - 1), dtype=np.int32), r - 1)
+    donor += donor >= recipient
+    return recipient, donor
+
+
+def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0, operands=None):
     """The moves of `steps` steps of `trials` walks on r coordinates, in blocks.
 
     Yields (recipient, donor, exponent, left, hold) arrays of shape
-    (block, trials) and dtypes int32, int32, int32, bool and bool, with
-    max(1, _BLOCK_CELLS // trials) steps per block but the last.
+    (block, trials), with max(1, _BLOCK_CELLS // trials) steps per block
+    but the last.  recipient and donor are read from `operands`, two tables
+    indexed by pair code that the step layout supplies (the int32
+    _pair_tables(r) when None), so they have the tables' dtype; exponent
+    is int32, left and hold are bool.
 
     Each move is one code d, uniform on [0, r(r-1) e s), where e =
     `exponents` and s = 2 when the walk draws `sides`, else 1.  A block
@@ -938,13 +957,12 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
     at most 2^16 codes and as uint32 otherwise (ValueError past 2^32), and
     then draws its laziness coins (hold with probability `laziness`).
     The decode (extra, pair) = divmod(d, r(r-1)) (pair = d when e s = 1)
-    reads the ordered pair (pair // (r-1), pair % (r-1) + [pair % (r-1) >=
-    pair // (r-1)]) from two tables of r(r-1) entries, and the exponent and
-    side, extra = a s + left, from two tables of e s entries (a is 1 when
-    exponents == 1).  The decode is a bijection onto the (recipient !=
-    donor, exponent, side) triples, so each move is uniform over them.
-    Exponents, sides and coins that are not drawn are slices of read-only
-    constants built once per call.
+    casts the pair codes to intp once, for the two operand lookups, and
+    reads the exponent and side, extra = a s + left, from two tables of e s
+    entries (a is 1 when exponents == 1).  The decode is a bijection onto
+    the (recipient != donor, exponent, side) triples, so each move is
+    uniform over them.  Exponents, sides and coins that are not drawn are
+    slices of read-only constants built once per call.
     """
     pairs, s = r * (r - 1), 2 if sides else 1
     extras = exponents * s
@@ -952,8 +970,7 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
     if count > 1 << 32:
         raise ValueError(f"{count} moves per step exceed the 2^32 codes of one draw")
     dtype = np.uint16 if count <= 1 << 16 else np.uint32
-    recipient, donor = np.divmod(np.arange(pairs, dtype=np.int32), r - 1)
-    donor += donor >= recipient
+    recipient, donor = _pair_tables(r) if operands is None else operands
     exponent_of, left_of = np.divmod(np.arange(extras, dtype=np.int32), s)
     left_of = left_of == 1
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
@@ -973,13 +990,16 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0):
                 a = exponent_of.take(extra)
             if sides:
                 left = left_of.take(extra)
+        # one cast for both lookups: take converts other index dtypes on
+        # every call, and into uint64 tables that path is slower still
+        pair = pair.astype(np.intp)
         i, j = recipient.take(pair), donor.take(pair)
         hold = rng.random(shape) < laziness if laziness > 0 else falses[:shape[0]]
         yield i, j, a, left, hold
 
 
 def _cell_layout(row, trials, rule, laziness):
-    """Trajectories stepped on their codes: (codes, advance, unpack).
+    """Trajectories stepped on their codes: (codes, advance, unpack, operands).
 
     The cells hold trials * r codes, trial-major, then one spare that stays
     zero; codes is their (trials, r) view.  advance(i, j, a, left, hold)
@@ -987,7 +1007,8 @@ def _cell_layout(row, trials, rule, laziness):
     the recipient cells (one per trial) to rule(recipient, donor, exponent,
     left).  A held step's donor is the spare cell, whose zero (the zero row,
     or the identity element) makes the rule the identity.  The codes are
-    always current, so unpack does nothing.
+    always current, so unpack does nothing.  The operands are the int32
+    _pair_tables: the step offsets coordinates into cells.
     """
     r = row.size
     spare = trials * r
@@ -1004,11 +1025,11 @@ def _cell_layout(row, trials, rule, laziness):
             cells.put(tgt_t, rule(cells.take(tgt_t), cells.take(src_t), a_t, left_t))
             yield
 
-    return codes, advance, lambda: None
+    return codes, advance, lambda: None, _pair_tables(r)
 
 
 def _scalar_layout(row, trials, rule, laziness):
-    """Trajectories stepped on Python ints: (codes, advance, unpack).
+    """Trajectories stepped on Python ints: (codes, advance, unpack, operands).
 
     The cells are one flat list of trials * r int codes, trial-major, then
     a spare that stays zero, as in _cell_layout, and a step runs the rule
@@ -1019,7 +1040,8 @@ def _scalar_layout(row, trials, rule, laziness):
     many container allocations set off the cyclic garbage collector, so a
     1-trial run of 10 000 steps (r = 16, p = 3) took 13-43 ms by seed, against
     a steady 7 ms on flat lists.  unpack copies the list into codes, whose
-    dtype is row's.
+    dtype is row's.  The operands are the int32 _pair_tables, as in
+    _cell_layout.
     """
     r = row.size
     spare = trials * r
@@ -1043,21 +1065,23 @@ def _scalar_layout(row, trials, rule, laziness):
     def unpack():
         flat[:] = cells[:spare]
 
-    return codes, advance, unpack
+    return codes, advance, unpack, _pair_tables(r)
 
 
 def _word_layout(row, trials, bits, laziness):
     """F_2 trajectories stepped as one uint64 word per trial: (codes,
-    advance, unpack).
+    advance, unpack, operands).
 
     The word is the walk's state code: coordinate c sits at bits
     [c * bits, (c + 1) * bits), the packing of _digit_space.  A step XORs
     the donor's field into the recipient's, w ^= ((w >> bits j) & mask) <<
-    bits i, four ufuncs over the trials.  A held step shifts by 64, which
-    numpy maps to 0, so it XORs nothing.  unpack writes the words' fields
-    into codes, whose dtype is row's; 1-bit fields are the bits of the
-    words' little-endian bytes, which np.unpackbits reads without the
-    (trials, r) uint64 temporary of shifting every field.
+    bits i, four ufuncs over the trials.  The operands are uint64 tables of
+    the shifts bits i and bits j by pair code, so _move_blocks yields the
+    shifts themselves and a block needs no cast or multiply.  A held step
+    shifts by 64, which numpy maps to 0, so it XORs nothing.  unpack writes
+    the words' fields into codes, whose dtype is row's; 1-bit fields are
+    the bits of the words' little-endian bytes, which np.unpackbits reads
+    without the (trials, r) uint64 temporary of shifting every field.
     """
     r = row.size
     width, mask = np.uint64(bits), np.uint64((1 << bits) - 1)
@@ -1065,11 +1089,9 @@ def _word_layout(row, trials, bits, laziness):
     words = np.full(trials, np.bitwise_or.reduce(row.astype(np.uint64) << fields), dtype=np.uint64)
     moved = np.empty_like(words)
     codes = np.empty((trials, r), dtype=row.dtype)
+    operands = tuple(table.astype(np.uint64) * width for table in _pair_tables(r))
 
-    def advance(i, j, a, left, hold):
-        into, out_of = i.astype(np.uint64), j.astype(np.uint64)
-        into *= width
-        out_of *= width
+    def advance(into, out_of, a, left, hold):
         if laziness > 0:
             np.copyto(into, 64, where=hold)
         for into_t, out_of_t in zip(into, out_of):
@@ -1086,14 +1108,16 @@ def _word_layout(row, trials, bits, laziness):
         else:
             np.bitwise_and(words[:, None] >> fields, mask, out=codes, casting="unsafe")
 
-    return codes, advance, unpack
+    return codes, advance, unpack, operands
 
 
-def _drive(advance, trials, r, grid, seed, stream, laziness, observe, exponents=1, sides=False):
+def _drive(advance, operands, trials, r, grid, seed, stream, laziness, observe, exponents=1,
+           sides=False):
     """Run `trials` trajectories on r coordinates and observe them on a time grid.
 
-    The moves come from _move_blocks on Philox (seed, stream), and
-    advance(*block) applies each block's steps in order, yielding after
+    The moves come from _move_blocks on Philox (seed, stream), which reads
+    each move's recipient and donor from the layout's `operands` tables,
+    and advance(*block) applies each block's steps in order, yielding after
     each one (see _cell_layout and _word_layout).  observe(t) runs at every
     time of grid (sorted, distinct and nonnegative), after step t.
     """
@@ -1104,7 +1128,7 @@ def _drive(advance, trials, r, grid, seed, stream, laziness, observe, exponents=
         next_t = next(due, None)
     rng = philox_generator(seed, stream)
     steps = grid[-1] if grid else 0
-    for block in _move_blocks(rng, steps, trials, r, exponents, sides, laziness):
+    for block in _move_blocks(rng, steps, trials, r, exponents, sides, laziness, operands):
         for _ in advance(*block):
             t += 1
             if t == next_t:

@@ -90,6 +90,7 @@ WILSON_Z99 = 2.5758293035489004
 
 DEFAULT_FUNCTIONAL_BUDGET = 1 << 20
 DEFAULT_DENSE_BUDGET = 4096
+DEFAULT_BLOCK_BUDGET = DEFAULT_DENSE_BUDGET**2  # entries of exact mixing's starts x states block
 DEFAULT_CLASS_BUDGET = 1 << 23  # entries of a type-class table, classes * values
 
 
@@ -533,12 +534,15 @@ def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
     per start instead of M^2: the rows are kept as the columns of an
     (M, starts) block B and advance by B = P^T @ B, with P^T built once,
     because A @ P would have scipy build a transposed operator at every
-    step.
+    step.  A block of more than DEFAULT_BLOCK_BUDGET entries is refused with
+    BudgetError before it is allocated.
     """
     M = P.shape[0]
     idx = np.arange(M) if starts is None else np.asarray(starts, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= M:
         raise ConfigError(f"starts must be a nonempty list of state indices below {M}")
+    check_budget(idx.size * M, DEFAULT_BLOCK_BUDGET, f"entries ({idx.size} starts x {M} states)",
+                 "tracked block")
     A = np.zeros((idx.size, M))
     A[np.arange(idx.size), idx] = 1.0
     yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
@@ -607,7 +611,8 @@ def mixing_time_exact(
     fewer rows; with starts=None the result is bitwise the all-starts one.
     The kernel may be dense or scipy.sparse (see _worst_tv_steps).  A
     kernel whose weak components keep some start farther than epsilon
-    from pi for ever is refused with BudgetError before any product.
+    from pi for ever is refused with BudgetError before any product, and so
+    are starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET entries.
     """
     return _mixing_run(kernel, epsilon, stationary, t_max, budget, starts)[0]
 
@@ -618,7 +623,8 @@ def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None, starts=None) 
     Only the rows of P^t for ``starts`` are tracked (every state when
     None, which is bitwise the all-starts curve); values are returned in
     sorted order of the distinct grid times.  The kernel may be dense or
-    scipy.sparse.
+    scipy.sparse; starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET
+    entries are refused with BudgetError.
     """
     P = _operator_of(kernel)
     return _tv_at(t_grid, _worst_tv_steps(P, _weights_of(stationary, P.shape[0]), starts), [])
@@ -1207,15 +1213,23 @@ def mc_tv_curve_one_column(
     w = np.arange(r + 1)
     birth = (1.0 - laziness) * w * (r - w) / (r * (r - 1))
     death = (1.0 - laziness) * w * (w - 1) / (r * (r - 1))
-    law = np.zeros(r + 1)
+    stay, birth_lo, death_hi = 1.0 - birth - death, birth[:-1], death[1:]
+    # law' = law stay + (law birth shifted up) + (law death shifted down),
+    # summed in that order into the other of two buffers; term holds one product
+    law, moved, term = np.zeros(r + 1), np.empty(r + 1), np.empty(r)
     law[1] = 1.0
+    views = [(law, law[:-1], law[1:]), (moved, moved[:-1], moved[1:])]
     tv_exact = []
     for previous, now in zip([0] + grid, grid):
         for _ in range(now - previous):
-            moved = law * (1.0 - birth - death)
-            moved[1:] += (law * birth)[:-1]
-            moved[:-1] += (law * death)[1:]
-            law = moved
+            (law, law_lo, law_hi), (moved, moved_lo, moved_hi) = views
+            np.multiply(law, stay, out=moved)
+            np.multiply(law_lo, birth_lo, out=term)
+            np.add(moved_hi, term, out=moved_hi)
+            np.multiply(law_hi, death_hi, out=term)
+            np.add(moved_lo, term, out=moved_lo)
+            views.reverse()
+        law = views[0][0]
         tv_exact.append(0.5 * float(np.abs(law - pi_w).sum()))
     times = np.array(grid, dtype=np.int64)
     curve = np.array([tv[t] for t in grid])

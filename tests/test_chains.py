@@ -1140,6 +1140,65 @@ class TestDriverReplay:
             assert rng.calls == made
         assert made == -(-50 // max(1, 64 // trials))
 
+    @pytest.mark.parametrize("r", [2, 3, 17, 64])
+    def test_word_operands_are_shifted_pair_tables(self, r):
+        recipient, donor = chains._pair_tables(r)
+        assert recipient.dtype == donor.dtype == np.int32 and recipient.size == r * (r - 1)
+        for bits in range(1, 64 // r + 1):  # every field width whose word fits 64 bits
+            row = np.zeros(r, dtype=np.int64)
+            *_, operands = chains._word_layout(row, 3, bits, 0.0)
+            for table, want in zip(operands, (recipient, donor)):
+                assert table.dtype == np.uint64
+                assert np.array_equal(table, want.astype(np.uint64) * np.uint64(bits))
+
+    @pytest.mark.parametrize("r, bits, laziness", [(3, 5, 0.0), (16, 4, 0.25), (64, 1, 0.5)])
+    def test_blocks_yield_the_supplied_operands(self, monkeypatch, r, bits, laziness):
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
+        *_, operands = chains._word_layout(np.zeros(r, dtype=np.int64), 5, bits, laziness)
+        plain = chains._move_blocks(philox_generator(3), 40, 5, r, laziness=laziness)
+        shifts = chains._move_blocks(philox_generator(3), 40, 5, r, laziness=laziness,
+                                     operands=operands)
+        for (i, j, *rest), (into, out_of, *same) in zip(plain, shifts, strict=True):
+            assert into.dtype == out_of.dtype == np.uint64
+            assert np.array_equal(into, i.astype(np.uint64) * np.uint64(bits))
+            assert np.array_equal(out_of, j.astype(np.uint64) * np.uint64(bits))
+            assert all(np.array_equal(x, y) for x, y in zip(rest, same))
+
+
+class TestMovesOnFirstUse:
+    _WALKS = [
+        (TransvectionWalk, (4, 2), [(a, b) for a in range(4) for b in range(4) if a != b]),
+        (OneColumnWalk, (4, 2), [(i, j) for i in range(4) for j in range(4) if i != j]),
+        (OneColumnWalk, (4, 3), [(i, j, a) for i in range(4) for j in range(4) if i != j
+                                 for a in range(3)]),
+        (PaPraWalk, (3, 3, 1), [(i, j, a, side) for i in range(3) for j in range(3) if i != j
+                                for a in range(3) for side in ("R", "L")]),
+    ]
+
+    @pytest.mark.parametrize("cls, args, moves", _WALKS)
+    def test_batch_leaves_moves_unbuilt(self, cls, args, moves):
+        walk = cls(*args)
+        for trials in (1, chains._SCALAR_TRIALS + 1, chains._WORD_TRIALS):
+            walk.batch(trials, [0, 16], 5, lambda t, codes: None)
+        assert "moves" not in vars(walk)
+        assert walk.moves == moves and "moves" in vars(walk)
+
+    @pytest.mark.parametrize("cls, args", [(TransvectionWalk, (3, 2)), (OneColumnWalk, (3, 3)),
+                                           (PaPraWalk, (2, 3, 1))])
+    def test_kernels_read_the_built_moves(self, cls, args):
+        walk = cls(*args, laziness=0.25)
+        space = walk.space()
+        # move_permutations builds the moves; the oracle reads them after
+        perms = walk.move_permutations(space)
+        assert np.array_equal(perms, _oracle_table(walk, space, range(space.size)))
+        dense = walk.dense(space)
+        for x in (0, space.size // 2, space.size - 1):
+            row = cls(*args, laziness=0.25).apply_kernel_row(space.state_at(x))  # moves unbuilt
+            got = np.zeros(space.size)
+            for state, prob in row:
+                got[space.index_of(state)] = prob
+            assert np.allclose(got, dense[x], rtol=0, atol=1e-15)
+
 
 def _element_product_oracle(p, m, codes_i, codes_j):
     """Element codes of g_i g_j by HeisenbergElement arithmetic."""

@@ -621,6 +621,27 @@ class TestExitCodes:
         assert code == 2
         assert "6560 states exceed the dense mixing budget 4096" in err
 
+    def test_tracked_block_refused_before_it_is_allocated(self, capsys, monkeypatch, tmp_path):
+        # V_3(H(3,1)) keeps all 16 848 states as starts: with the state gate
+        # raised, the 16 848 x 16 848 block (2.1 GiB) must never be allocated
+        class NoBlock:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, shape, *args, **kwargs):
+                if np.prod(shape) > diagnostics.DEFAULT_BLOCK_BUDGET:
+                    raise AssertionError("tracked block allocated before the budget check")
+                return np.zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "np", NoBlock())
+        cfg = tmp_path / "raised.json"
+        cfg.write_text(json.dumps({"mixing": {"dense_budget": 20_000}}))
+        code, _, err = run_cli(["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", "3",
+                                "-p", "3", "-m", "1", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == ("budget refusal: 283855104 entries (16848 starts x 16848 states) exceed "
+                       "the tracked block budget 16777216\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["spectrum", "--walk", "transvection", "-n", "3", "-k", "2", "--eig-budget", "10"],
          "42 states exceed the eigensolve budget 10; rerun with eig_budget >= 42"),

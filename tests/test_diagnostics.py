@@ -1209,6 +1209,28 @@ class TestGrowthAndCurves:
         out = mc_tv_curve_one_column(r, trials=10, t_grid=grid, seed=0, laziness=laziness)
         assert np.abs(out["tv_exact"] - np.array(want)).max() <= 1e-12
 
+    @pytest.mark.parametrize("r", [2, 5, 64])
+    @pytest.mark.parametrize("laziness", [0.0, 0.25, 0.5])
+    def test_mc_tv_exact_bitwise_equals_allocating_loop(self, r, laziness):
+        grid = [*range(0, 30), 31, 100, 101, 1000, 2662]
+        pi_w = np.array([math.comb(r, w) / float(2**r - 1) for w in range(r + 1)])
+        pi_w[0] = 0.0
+        w = np.arange(r + 1)
+        birth = (1.0 - laziness) * w * (r - w) / (r * (r - 1))
+        death = (1.0 - laziness) * w * (w - 1) / (r * (r - 1))
+        law = np.zeros(r + 1)
+        law[1] = 1.0
+        want = []
+        for previous, now in zip([0] + grid, grid):  # the weight chain with a new array per step
+            for _ in range(now - previous):
+                moved = law * (1.0 - birth - death)
+                moved[1:] += (law * birth)[:-1]
+                moved[:-1] += (law * death)[1:]
+                law = moved
+            want.append(0.5 * float(np.abs(law - pi_w).sum()))
+        out = mc_tv_curve_one_column(r, trials=1, t_grid=grid, seed=0, laziness=laziness)
+        assert np.array_equal(out["tv_exact"], np.array(want))
+
     def test_mc_tv_plug_in_within_sampling_error_of_exact(self):
         # |tv - tv_exact| <= D = sum_w |p_hat_w - p_w| / 2, E D <= sum_w sd_w / 2,
         # and D exceeds its mean by x with probability <= exp(-2 N x^2)
