@@ -467,13 +467,12 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
     check_budget(space.size, PIPELINE_BUDGET, "states", "pipeline eigensolve")
     op = walk.operator(space)
-    P = op.toarray()
     spec = transvection_good_set(walk.n, walk.k)
     mask = good_mask_rows(_digits(space.codes, 1 << walk.k, walk.n), spec)
     if not mask.any():
         raise ConfigError("the good set is empty for these parameters")
-    ext = spectral.ambient_lsi_A_for_good_support(P, mask)
-    eta, worst_idx = spectral.worst_exit_probability(P, mask, s_steps, L)
+    ext = spectral.ambient_lsi_A_for_good_support(op, mask)
+    eta, worst_idx = spectral.worst_exit_probability(op, mask, s_steps, L)
     pi_gc = 1.0 - mask.mean()
     rep = spectral.pipeline_report(
         A=ext["A"],

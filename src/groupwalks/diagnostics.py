@@ -526,16 +526,28 @@ def _refuse_reducible(P, pi: np.ndarray, epsilon: float) -> None:
         )
 
 
+def _powers(K, block, mode: str) -> Iterator[np.ndarray]:
+    """block, block K, block K^2, ... in mode 'distribution' (rows are
+    measures), or block, K block, K^2 block, ... in mode 'function'.  K is
+    dense or CSR; a CSR kernel steps measures as the columns of B = K^T B with
+    K^T built once (block @ K rebuilds it every step) and yields the views B.T."""
+    yield block
+    if mode == "distribution" and issparse(K):
+        KT, B = csr_matrix(K.T), block.T
+        while True:
+            B = KT @ B
+            yield B.T
+    while True:
+        block = K @ block if mode == "function" else block @ K
+        yield block
+
+
 def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
     """Worst TV(P^t(x, .), pi) over the tracked starts x at t = 0, 1, 2, ...
 
-    The tracked rows start as P[starts] and advance by A @ P; starts=None
-    tracks every row.  With P in CSR a step costs the operator's nonzeros
-    per start instead of M^2: the rows are kept as the columns of an
-    (M, starts) block B and advance by B = P^T @ B, with P^T built once,
-    because A @ P would have scipy build a transposed operator at every
-    step.  A block of more than DEFAULT_BLOCK_BUDGET entries is refused with
-    BudgetError before it is allocated.
+    The indicator rows of the starts (all states when starts=None) advance
+    by _powers: with P in CSR a step costs nnz(P) per start, not M^2.  A block
+    of more than DEFAULT_BLOCK_BUDGET entries is refused before allocation.
     """
     M = P.shape[0]
     idx = np.arange(M) if starts is None else np.asarray(starts, dtype=np.int64)
@@ -545,16 +557,8 @@ def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
                  "tracked block")
     A = np.zeros((idx.size, M))
     A[np.arange(idx.size), idx] = 1.0
-    yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
-    if issparse(P):
-        PT, B = csr_matrix(P.T), np.ascontiguousarray(P[idx].toarray().T)
-        while True:
-            yield 0.5 * float(np.abs(B - pi[:, None]).sum(axis=0).max())
-            B = PT @ B
-    A = P[idx]
-    while True:
-        yield 0.5 * float(np.abs(A - pi[None, :]).sum(axis=1).max())
-        A = A @ P
+    for laws in _powers(P, A, "distribution"):
+        yield 0.5 * float(np.abs(laws - pi[None, :]).sum(axis=1).max())
 
 
 def _mixing_run(kernel, epsilon, stationary=None, t_max=100_000,

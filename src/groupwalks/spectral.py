@@ -1,7 +1,7 @@
 """Spectral and entropy analysis for reversible finite kernels.
 
-Everything here works on explicit dense matrices, except semigroup_evolve,
-which also takes a scipy.sparse kernel such as a walk's operator: spectral
+Eigensolves take dense matrices; killed kernels, semigroups and exit
+probabilities also take scipy.sparse ones, such as a walk's operator: spectral
 gaps and Poincaré constants through the symmetrized form, Dirichlet forms
 as ``<f, (I-K)g>_rho`` (which for substochastic kernels includes the
 killing term), the entropy functional ``H_rho(u) = rho[u log(u / rho(u))]``,
@@ -19,14 +19,16 @@ confinement times can reach the hundreds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .chains import philox_generator
-from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _weights_of
+from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _powers, _weights_of
 from .errors import ConfigError, DimensionMismatch, ReversibilityError, check_budget
 
 __all__ = [
@@ -425,22 +427,30 @@ def lsi_constant_numeric(op, stationary=None, **kw) -> float:
 
 
 def killed_kernel(op, good_mask, stationary=None) -> tuple[DenseOperator, float]:
-    """Restriction of the kernel to G with killing; returns (K_G, delta_G).
+    """Restriction of a dense or sparse kernel to G with killing: (K_G, delta_G).
 
     delta_G = pi_G(1 - K_G 1) is the average killing rate, which satisfies
     delta_G <= pi(G^c)/pi(G) by reversibility.
     """
-    P = _matrix_of(op)
-    mask = np.asarray(good_mask, dtype=bool)
-    if mask.shape[0] != P.shape[0]:
-        raise ValueError("mask size does not match the kernel")
+    P, mask = _kernel_and_mask(op, good_mask)
     if not mask.any():
         raise ValueError("the retained set G must be nonempty")
     pi = _weights_of(stationary, P.shape[0])
     KG = P[np.ix_(mask, mask)]
+    KG = KG.toarray() if issparse(KG) else KG
     pi_g = pi[mask] / pi[mask].sum()
     delta = float(np.dot(pi_g, 1.0 - KG.sum(axis=1)))
     return DenseOperator(KG, flavor="substochastic"), delta
+
+
+def _kernel_and_mask(op, good_mask) -> tuple:
+    """The kernel as _operator_of gives it, and good_mask as a boolean vector,
+    refused with ValueError unless it has one entry per state."""
+    P = _operator_of(op)
+    mask = np.asarray(good_mask, dtype=bool)
+    if mask.shape != (P.shape[0],):
+        raise ValueError("mask size does not match the kernel")
+    return P, mask
 
 
 def _log_poisson_pmf(t: float, ks: np.ndarray) -> np.ndarray:
@@ -511,13 +521,7 @@ def semigroup_evolve(op, u0, t: float, mode: str = "distribution", tail: float =
     ks = np.arange(0, N + 1, dtype=float)
     with np.errstate(under="ignore"):
         weights = np.exp(_log_poisson_pmf(t, ks))
-    out = weights[0] * vec
-    cur = vec
-    for k in range(1, N + 1):
-        cur = cur @ K if mode == "distribution" else K @ cur
-        if weights[k] > 0:
-            out = out + weights[k] * cur
-    return out
+    return sum(w * cur for w, cur in zip(weights, _powers(K, vec, mode)) if w > 0)
 
 
 def tv_signed(d1, d2) -> float:
@@ -670,49 +674,39 @@ def pipeline_report(
     )
 
 
-def _survival(P: np.ndarray, mask: np.ndarray, L: int) -> np.ndarray:
-    """K_G^L 1: for each state of G, the probability that the next L steps
-    all stay in G."""
-    KG = P[np.ix_(mask, mask)]
-    surv = np.ones(KG.shape[0])
-    for _ in range(L):
-        surv = KG @ surv
-    return surv
+def _exit_probabilities(op, good_mask, s: int, L: int) -> np.ndarray:
+    """P_x(exists u in {0..L}: X_{s+u} not in G) for every start x, as
+    1 - P^s (K_G^L 1 extended by zero off G): s + L kernel-vector products."""
+    P, mask = _kernel_and_mask(op, good_mask)
+    if s < 0 or L < 0:
+        raise ValueError(f"s and L must be nonnegative, got s={s}, L={L}")
+    stay = np.zeros(P.shape[0])
+    stay[mask] = _nth(_powers(P[np.ix_(mask, mask)], np.ones(int(mask.sum())), "function"), L)
+    return 1.0 - _nth(_powers(P, stay, "function"), s)
 
 
-def _burn_in(P: np.ndarray, x_index: int, s: int) -> np.ndarray:
-    """delta_x P^s, by s vector-matrix products."""
-    alpha = np.zeros(P.shape[0])
-    alpha[x_index] = 1.0
-    for _ in range(s):
-        alpha = alpha @ P
-    return alpha
+def _nth(powers, n: int) -> np.ndarray:
+    """The n-th array that a _powers generator yields."""
+    return next(itertools.islice(powers, n, None))
 
 
 def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float:
-    """P_x(exists u in {0..L}: X_{s+u} not in G), computed densely.
-
-    The survival probability is <delta_x P^s restricted to G, K_G^L 1>.
-    """
-    P = _matrix_of(op)
-    mask = np.asarray(good_mask, dtype=bool)
-    surv = np.dot(_burn_in(P, x_index, s)[mask], _survival(P, mask, L))
-    return float(max(0.0, min(1.0, 1.0 - surv)))
+    """P_x(exists u in {0..L}: X_{s+u} not in G), read from the all-starts
+    vector of worst_exit_probability; the kernel may be dense or sparse."""
+    eta = _exit_probabilities(op, good_mask, s, L)
+    if not 0 <= x_index < eta.size:
+        raise ValueError(f"x_index must lie in [0, {eta.size}), got {x_index}")
+    return float(max(0.0, min(1.0, eta[x_index])))
 
 
 def worst_exit_probability(op, good_mask, s: int, L: int) -> tuple[float, int]:
     """Max over starts of the exit probability, with the worst start index.
 
     The survival probabilities of all starts are P^s applied to K_G^L 1
-    extended by zero off G: s + L matrix-vector products, no matrix power.
+    extended by zero off G: s + L products of the kernel, dense or
+    scipy.sparse, with a vector; no matrix power is formed.
     """
-    P = _matrix_of(op)
-    mask = np.asarray(good_mask, dtype=bool)
-    stay = np.zeros(P.shape[0])
-    stay[mask] = _survival(P, mask, L)
-    for _ in range(s):
-        stay = P @ stay
-    eta = 1.0 - stay
+    eta = _exit_probabilities(op, good_mask, s, L)
     worst = int(np.argmax(eta))
     return float(max(0.0, min(1.0, eta[worst]))), worst
 
@@ -729,23 +723,22 @@ def path_comparison_check(
 ) -> tuple[float, float]:
     """Compare burn-in-then-continuous evolution against the killed evolution.
 
-    Exact mode (trials = 0) computes || alpha_s e^{t(P-I)} -
-    (alpha_s restricted to G) e^{t(K_G-I)} ||_TV densely and the bound
-    eta(s, L) + P(Poi(t) > L).  Monte Carlo mode estimates the coupling
-    disagreement probability (an upper bound for the distance) from
-    `trials` coupled trajectories.
+    Exact mode (trials = 0) computes || alpha_s e^{t(P-I)} - (alpha_s
+    restricted to G) e^{t(K_G-I)} ||_TV, alpha_s = delta_x P^s, on a dense or
+    sparse kernel, and the bound eta(s, L) + P(Poi(t) > L).  Monte Carlo mode
+    estimates the coupling disagreement probability (an upper bound for the
+    distance) from `trials` coupled trajectories of a dense kernel.
     """
-    P = _matrix_of(op)
-    mask = np.asarray(good_mask, dtype=bool)
+    P, mask = _kernel_and_mask(op, good_mask)
     bound = exit_probability_exact(P, mask, x_index, s, L) + poisson_tail_gt(t, L)
     if trials == 0:
-        alpha = _burn_in(P, x_index, s)
+        alpha = _nth(_powers(P, np.eye(1, P.shape[0], x_index)[0], "distribution"), s)
         tilde = semigroup_evolve(P, alpha, t, mode="distribution")
         lam = np.zeros(P.shape[0])
         lam[mask] = semigroup_evolve(killed_kernel(P, mask)[0], alpha[mask], t, mode="distribution")
         return tv_signed(tilde, lam), bound
     rng = philox_generator(seed, 1)
-    cum = np.cumsum(P, axis=1)
+    cum = np.cumsum(_matrix_of(P), axis=1)
     killed = 0
     for _ in range(trials):
         x = x_index
@@ -770,10 +763,9 @@ def ambient_lsi_A_for_good_support(op, good_mask, mu=None) -> dict:
     Ent_mu(F^2) <= q pi_G(f^2)(log|G| + log(1/q)) and
     E_P(F, F) = q E_{K_G}(f, f) >= q pi_G(f^2)(1 - lambda_max(K_G)),
     so A = (log|G| + log(1/q)) / (1 - lambda_max(K_G)) works whenever
-    lambda_max < 1.
+    lambda_max < 1.  Of a sparse kernel only K_G is made dense.
     """
-    P = _matrix_of(op)
-    mask = np.asarray(good_mask, dtype=bool)
+    P, mask = _kernel_and_mask(op, good_mask)
     mu_w = _weights_of(mu, P.shape[0])
     q = float(mu_w[mask].sum())
     if q <= 0:

@@ -429,6 +429,29 @@ class TestPipelineCommand:
         assert code == 0, err
         assert len(calls) == 1
 
+    def test_builds_no_dense_kernel(self, capsys, monkeypatch, tmp_path):
+        argv = ["pipeline", "--walk", "transvection", "-n", "5", "-k", "2",
+                "-s", "50", "-L", "30", "--t-star", "25", "--out"]
+        assert cli.main(argv + [str(tmp_path / "want.json")]) == 0
+        walk = TransvectionWalk(5, 2)
+        op = walk.operator(walk.space())
+        assert op.shape[0] == 930
+        toarray = type(op).toarray
+
+        def no_kernel_rows(self, *args, **kwargs):
+            out = toarray(self, *args, **kwargs)
+            assert out.shape[0] != 930, "the 930 x 930 kernel was made dense"
+            return out
+
+        def no_dense(self, space=None):
+            raise AssertionError("the dense kernel was built")
+
+        monkeypatch.setattr(type(op), "toarray", no_kernel_rows)
+        monkeypatch.setattr(_WalkBase, "dense", no_dense)
+        code, _, err = run_cli(argv + [str(tmp_path / "got.json")], capsys)
+        assert code == 0, err
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_requires_t_star(self, capsys):
         code, _, err = run_cli(
             ["pipeline", "--walk", "transvection", "-n", "4", "-k", "2"], capsys

@@ -53,6 +53,17 @@ def _two_state(q):
     return np.array([[1 - q, q], [q, 1 - q]])
 
 
+@pytest.fixture(scope="module", params=[(4, 0.0), (4, 0.25), (5, 0.0), (5, 0.25)],
+                ids=["4", "4-q0.25", "5", "5-q0.25"])
+def stiefel_kernels(request):
+    """(dense P, CSR operator S, transvection good mask) of Stief(n, 2) at laziness q."""
+    n, q = request.param
+    walk = TransvectionWalk(n, 2, laziness=q)
+    space = walk.space()
+    rows = np.array([space.state_at(i) for i in range(space.size)], dtype=np.int64)
+    return walk.dense(space), walk.operator(space), good_mask_rows(rows, transvection_good_set(n, 2))
+
+
 # ---------------------------------------------------------------------------
 # operator flavors
 
@@ -416,6 +427,12 @@ class TestKilledKernel:
             pi_g = float(pi[mask].sum())
             assert delta <= pi_gc / pi_g + 1e-12
 
+    def test_operator_equals_dense(self, stiefel_kernels):
+        P, S, mask = stiefel_kernels
+        (KP, dP), (KS, dS) = killed_kernel(P, mask), killed_kernel(S, mask)
+        assert np.array_equal(KS.matrix, KP.matrix) and dS == dP
+        assert ambient_lsi_A_for_good_support(S, mask) == ambient_lsi_A_for_good_support(P, mask)
+
 
 class TestSemigroup:
     def test_time_zero(self):
@@ -460,6 +477,16 @@ class TestSemigroup:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             semigroup_evolve(np.eye(2), np.array([1.0, 0.0]), -0.5)
+
+    @pytest.mark.parametrize("t", [0.0, 2.5, 30.0])
+    def test_operator_equals_dense(self, stiefel_kernels, t):
+        P, S, mask = stiefel_kernels
+        rows = np.eye(P.shape[0])[:: P.shape[0] // 7]
+        for mode, u0 in (("distribution", rows), ("distribution", rows[1]),
+                         ("function", rows.T), ("function", mask.astype(float))):
+            got = semigroup_evolve(S, u0, t, mode=mode)
+            assert got.shape == u0.shape
+            np.testing.assert_allclose(got, semigroup_evolve(P, u0, t, mode=mode), rtol=0, atol=1e-14)
 
 
 class TestPoissonTails:
@@ -647,19 +674,24 @@ class TestPathComparison:
             disc, bound = path_comparison_check(P, mask, x, s=s, t=t, L=L)
             assert disc <= bound + 1e-10
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_worst_exit_matches_matrix_power(self, n):
-        walk = TransvectionWalk(n, 2)
-        space = walk.space()
-        P = walk.dense(space)
-        rows = np.array([space.state_at(i) for i in range(space.size)], dtype=np.int64)
-        mask = good_mask_rows(rows, transvection_good_set(n, 2))
+    def test_worst_exit_matches_matrix_power(self, stiefel_kernels):
+        P, S, mask = stiefel_kernels
         s, L = 50, 30
         surv = np.linalg.matrix_power(P[np.ix_(mask, mask)], L) @ np.ones(int(mask.sum()))
         eta = 1.0 - np.linalg.matrix_power(P, s)[:, mask] @ surv
         value, worst = worst_exit_probability(P, mask, s, L)
         assert worst == int(np.argmax(eta))
         assert abs(value - min(1.0, float(eta.max()))) < 1e-12
+        assert worst_exit_probability(S, mask, s, L) == (value, worst)
+
+    def test_exit_probability_per_start_on_the_operator(self, stiefel_kernels):
+        P, S, mask = stiefel_kernels
+        s, L = 4, 3
+        got = [exit_probability_exact(S, mask, x, s, L) for x in range(P.shape[0])]
+        want = [exit_probability_exact(P, mask, x, s, L) for x in range(P.shape[0])]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        value, worst = worst_exit_probability(S, mask, s, L)
+        assert got[worst] == value == max(got)
 
     def test_exit_probability_consistency(self, small_walk):
         P, mask = small_walk
@@ -668,6 +700,39 @@ class TestPathComparison:
         per_start = [exit_probability_exact(P, mask, x, s, L) for x in range(P.shape[0])]
         assert eta == pytest.approx(max(per_start))
         assert per_start[worst] == pytest.approx(eta)
+
+
+_EXIT_CALLS = {
+    "worst": lambda P, mask, s, L: worst_exit_probability(P, mask, s, L),
+    "at-start": lambda P, mask, s, L: exit_probability_exact(P, mask, 0, s, L),
+}
+
+
+class TestExitProbabilityInputs:
+    @pytest.mark.parametrize("call", _EXIT_CALLS.values(), ids=_EXIT_CALLS.keys())
+    def test_short_mask_refused(self, small_walk, call):
+        P, mask = small_walk
+        with pytest.raises(ValueError, match="mask size does not match the kernel"):
+            call(P, mask[:-1], 2, 3)
+
+    @pytest.mark.parametrize("x", [-1, 42])
+    def test_start_out_of_range_refused(self, small_walk, x):
+        P, mask = small_walk
+        assert P.shape[0] == 42
+        with pytest.raises(ValueError, match="x_index"):
+            exit_probability_exact(P, mask, x, 2, 3)
+
+    @pytest.mark.parametrize("call", _EXIT_CALLS.values(), ids=_EXIT_CALLS.keys())
+    def test_negative_burn_in_refused(self, small_walk, call):
+        P, mask = small_walk
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(P, mask, -3, 2)
+
+    @pytest.mark.parametrize("call", _EXIT_CALLS.values(), ids=_EXIT_CALLS.keys())
+    def test_negative_window_refused(self, small_walk, call):
+        P, mask = small_walk
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(P, mask, 2, -1)
 
 
 class TestSeeds:
