@@ -29,11 +29,13 @@ Each walk's move is written once, as a rule on per-coordinate codes: new
 recipient = rule(recipient, donor, exponent, left).  The rules are XOR of
 packed F_2 rows (transvections, and the one-column walk at p = 2),
 (x + a y) mod p (the one-column walk at odd p) and two lookups in the
-_pa_pra_tables (PA-PRA).  The move table, the trajectory loop _drive and
-the fibre kernels all apply that rule; apply_move and the *_step functions
-stay the per-state definitions they are tested against.  The move table
-builds the sparse operator, whose toarray() is the dense kernel and whose
-weak components are the connected components.
+_pa_pra_tables (PA-PRA), built once for the last (p, m) used.  The move
+table, the trajectory loop _drive and the fibre kernels all apply that
+rule; a fibre kernel takes the frozen coordinates as codes, so it builds no
+state objects.  apply_move and the *_step functions stay the per-state
+definitions they are tested against.  The move table builds the sparse
+operator, whose toarray() is the dense kernel and whose weak components
+are the connected components.
 
 A walk's batch method is the one entry point for trajectories: it reads
 the walk's start (its default, validation and cell dtype live in the
@@ -59,14 +61,14 @@ traj_id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .algebra import _digits, check_prime, rank_bits
-from .errors import ConfigError, DimensionMismatch, InvalidMove, check_budget
+from .errors import ConfigError, InvalidMove, check_budget
 from .groups import (
     HeisenbergElement,
     _h_mul_codes,
@@ -83,8 +85,6 @@ __all__ = [
     "stiefel_space",
     "one_column_space",
     "heisenberg_tuple_space",
-    "row_space",
-    "heisenberg_space",
     "TransvectionWalk",
     "OneColumnWalk",
     "PaPraWalk",
@@ -251,23 +251,6 @@ def heisenberg_tuple_space(
                         lambda c: decode_element(c, p, m))
 
 
-def row_space(k: int) -> EnumeratedSpace:
-    """The full fibre alphabet F_2^k (all 2^k rows)."""
-    codes = np.arange(1 << k, dtype=np.int64)
-    return EnumeratedSpace(codes, encode=lambda u: int(u), decode=lambda c: int(c), description=f"F_2^{k}")
-
-
-def heisenberg_space(p: int, m: int) -> EnumeratedSpace:
-    """The full group H(p, m) as a fibre alphabet, ordered by element code."""
-    codes = np.arange(p ** (2 * m + 1), dtype=np.int64)
-    return EnumeratedSpace(
-        codes,
-        encode=encode_element,
-        decode=lambda c: decode_element(c, p, m),
-        description=f"H({p},{m})",
-    )
-
-
 # ---------------------------------------------------------------------------
 # batched exact linear algebra (used by enumeration filters and invariants)
 # ---------------------------------------------------------------------------
@@ -376,8 +359,11 @@ def _one_column_rule(p: int) -> Callable:
     return lambda x, y, a, left: (x + a * y) % p
 
 
+@lru_cache(maxsize=1)
 def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Power and two-sided product tables on the element codes of H(p, m).
+    """Power and two-sided product tables on the element codes of H(p, m),
+    read-only and kept for the last (p, m) built, so the array and scalar
+    rules, a walk's moves and every fibre kernel of one run share one build.
 
     With q = p^(2m+1) elements, powers[a*q + j] is the code of g_j^a and
     products[side*q*q + i*q + j] the code of g_i g_j (side 0, right) or
@@ -385,7 +371,8 @@ def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     it fills the p^(2m) x p^(2m) tables of horizontal sums and of the
     central term omega/2 once, and those broadcast over the central digits,
     so no (q, q, 2m+1) digit array is built.  The 2q^2 + pq entries are
-    checked against DEFAULT_STATE_BUDGET before any of this runs.
+    checked against DEFAULT_STATE_BUDGET before any of this runs; a refusal
+    raises, so it is not kept and is checked again on the next call.
     """
     h = 2 * m
     P, q = p**h, p ** (h + 1)
@@ -403,7 +390,9 @@ def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     powers = np.zeros((p, q), dtype=np.int16)  # g^0 is the identity, code 0
     for a in range(1, p):  # g^a = g^(a-1) g
         powers[a] = right[powers[a - 1], np.arange(q)]
-    return powers.ravel(), products
+    powers = powers.ravel()
+    powers.flags.writeable = products.flags.writeable = False
+    return powers, products
 
 
 def _pa_pra_rule(p: int, m: int) -> Callable:
@@ -856,56 +845,50 @@ class PaPraWalk(_WalkBase):
 
 @dataclass
 class FibreKernel:
-    """Transition law of one tuple coordinate with the others frozen."""
+    """Transition law of one tuple coordinate with the others frozen; the
+    matrix is indexed by the coordinate's code."""
 
     kind: str
     i: int
     frozen: tuple
     matrix: np.ndarray
-    space: EnumeratedSpace
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
 
 
-def build_fibre_kernel(kind: str, i: int, frozen: Sequence, k: int | None = None) -> FibreKernel:
-    """Fibre kernel at coordinate i given the frozen coordinates.
+def build_fibre_kernel(kind: str, i: int, frozen: Sequence[int], k: int | None = None,
+                       p: int | None = None, m: int | None = None) -> FibreKernel:
+    """Fibre kernel at coordinate i given the codes of the frozen coordinates.
 
-    kind='transvection': frozen holds the n-1 packed rows z_j (j != i) and
-    k is the row width in bits; the kernel on F_2^k is
-    K(u, v) = c_{u xor v} / (n-1) with c_w the number of frozen rows equal
-    to w.  kind='heisenberg': frozen holds r-1 HeisenbergElement values and
-    the kernel averages left and right translation by g_j^a over all j and
-    all exponents a.  Either way K(x, .) is the law of the walk's move rule
+    kind='transvection': frozen holds the packed rows z_j (j != i) of F_2^k
+    and k is the row width; K(u, v) = c_{u xor v} / len(frozen) with c_w the
+    number of frozen rows equal to w.  Any number of rows is allowed, fewer
+    than k included.  kind='heisenberg': frozen holds element codes of
+    H(p, m) (v digits, then z, as encode_element writes them) and K averages
+    left and right translation by g_j^a over all frozen g_j and all
+    exponents a.  Either way K(x, .) is the law of the walk's move rule
     applied to x with a uniform frozen donor, exponent and side.
     """
     if kind == "transvection":
         if k is None:
             raise ValueError("the transvection fibre needs the row width k")
-        if len(frozen) == 0:
-            raise ValueError("need at least one frozen row")
-        for zj in frozen:
-            if not 0 <= int(zj) < 1 << k:
-                raise ValueError(f"frozen row {zj} outside F_2^{k}")
-        frozen, space = tuple(int(z) for z in frozen), row_space(k)
-        rule, donors, exponents, sides = _xor_rule, frozen, [1], [0]
-    elif kind in ("heisenberg", "pa_pra"):
-        if not frozen:
-            raise ValueError("need at least one frozen coordinate")
-        g0 = frozen[0]
-        p_, m_ = g0.p, g0.h // 2
-        for gj in frozen:
-            if gj.p != p_ or gj.h != g0.h:
-                raise DimensionMismatch(f"elements of H({g0.h},{p_}) and H({gj.h},{gj.p})")
-        kind, frozen, space = "heisenberg", tuple(frozen), heisenberg_space(p_, m_)
-        rule, exponents, sides = _pa_pra_rule(p_, m_), range(p_), [0, 1]
-        donors = [encode_element(gj) for gj in frozen]
+        size, rule, exponents, sides = 1 << k, _xor_rule, [1], [0]
+    elif kind == "heisenberg":
+        if p is None or m is None:
+            raise ValueError("the Heisenberg fibre needs the group H(p, m)")
+        size, rule, exponents, sides = p ** (2 * m + 1), _pa_pra_rule(p, m), range(p), [0, 1]
     else:
         raise ValueError(f"unknown fibre kind {kind!r}")
-    y, a, left = (g.ravel() for g in np.meshgrid(donors, exponents, sides, indexing="ij"))
-    x = space.codes[:, None]
-    counts = np.bincount((x * space.size + rule(x, y, a, left)).ravel(), minlength=space.size**2)
-    return FibreKernel(kind, i, frozen, counts.reshape(space.size, space.size) / y.size, space)
+    frozen = tuple(int(c) for c in frozen)
+    if not frozen:
+        raise ValueError("need at least one frozen coordinate")
+    if not all(0 <= c < size for c in frozen):
+        raise ValueError(f"frozen codes {frozen} outside the {kind} fibre's {size} letters")
+    y, a, left = (g.ravel() for g in np.meshgrid(frozen, exponents, sides, indexing="ij"))
+    x = np.arange(size)[:, None]
+    counts = np.bincount((x * size + rule(x, y, a, left)).ravel(), minlength=size**2)
+    return FibreKernel(kind, i, frozen, counts.reshape(size, size) / y.size)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import spectral
-from .algebra import FieldVector, _digits
+from .algebra import _digits
 from .chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
 from .diagnostics import (
     DEFAULT_DENSE_BUDGET,
@@ -62,11 +62,7 @@ from .errors import (
     ReversibilityError,
     check_budget,
 )
-from .groups import (
-    HeisenbergElement,
-    representation_dimension_check,
-    representation_residuals,
-)
+from .groups import representation_dimension_check, representation_residuals
 
 SCHEMA_VERSION = 1
 COMMANDS = ("simulate", "spectrum", "mixing", "birthdeath", "repcheck", "pipeline")
@@ -332,16 +328,11 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
         sample = sample_balanced_frozen_tuples(
             walk.r, walk.p, walk.m, beta, fibre_trials, seed
         )
-        gaps = []
-        for t in range(fibre_trials):
-            elems = tuple(
-                HeisenbergElement(
-                    FieldVector(list(sample["V"][t][j]), walk.p), int(sample["Z"][t][j])
-                )
-                for j in range(walk.r - 1)
-            )
-            fk = build_fibre_kernel("heisenberg", 0, elems)
-            gaps.append(spectral.spectral_gap(fk.matrix))
+        # element codes of every frozen coordinate: v digits, then z
+        place = walk.p ** np.arange(2 * walk.m + 1, dtype=np.int64)
+        codes = sample["V"] @ place[:-1] + sample["Z"] * place[-1]
+        gaps = [spectral.spectral_gap(build_fibre_kernel("heisenberg", 0, row, p=walk.p, m=walk.m))
+                for row in codes]
         report["balanced_fibres"] = {
             "beta": beta,
             "trials": fibre_trials,

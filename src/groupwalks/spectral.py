@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import issparse
+from scipy.sparse import csr_matrix, issparse
 
 from .chains import philox_generator
 from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _powers, _weights_of
@@ -727,7 +727,7 @@ def path_comparison_check(
     restricted to G) e^{t(K_G-I)} ||_TV, alpha_s = delta_x P^s, on a dense or
     sparse kernel, and the bound eta(s, L) + P(Poi(t) > L).  Monte Carlo mode
     estimates the coupling disagreement probability (an upper bound for the
-    distance) from `trials` coupled trajectories of a dense kernel.
+    distance) from `trials` coupled trajectories of the same kernel.
     """
     P, mask = _kernel_and_mask(op, good_mask)
     bound = exit_probability_exact(P, mask, x_index, s, L) + poisson_tail_gt(t, L)
@@ -738,18 +738,27 @@ def path_comparison_check(
         lam[mask] = semigroup_evolve(killed_kernel(P, mask)[0], alpha[mask], t, mode="distribution")
         return tv_signed(tilde, lam), bound
     rng = philox_generator(seed, 1)
-    cum = np.cumsum(_matrix_of(P), axis=1)
+    # each row's nonzero columns in order and its own running sums over them,
+    # which are the dense row's cumsum at those columns: both forms step alike
+    S = csr_matrix(P, copy=True)
+    S.sum_duplicates()
+    rows = [(S.indices[a:b], np.cumsum(S.data[a:b])) for a, b in zip(S.indptr[:-1], S.indptr[1:])]
+
+    def step(x):
+        cols, cum = rows[x]
+        return int(cols[min(np.searchsorted(cum, rng.random()), cols.size - 1)])
+
     killed = 0
     for _ in range(trials):
         x = x_index
         for _ in range(s):
-            x = int(np.searchsorted(cum[x], rng.random()))
+            x = step(x)
         if not mask[x]:
             killed += 1
             continue
         jumps = int(rng.poisson(t))
         for _ in range(jumps):
-            x = int(np.searchsorted(cum[x], rng.random()))
+            x = step(x)
             if not mask[x]:
                 killed += 1
                 break

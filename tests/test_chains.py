@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupwalks.algebra import FieldVector, rank_bits
-from groupwalks import chains
+from groupwalks import chains, cli
 from groupwalks.chains import (
     EnumeratedSpace,
     OneColumnWalk,
@@ -15,7 +15,6 @@ from groupwalks.chains import (
     TransvectionWalk,
     build_fibre_kernel,
     connected_components,
-    heisenberg_space,
     heisenberg_tuple_space,
     one_column_batch,
     one_column_space,
@@ -239,8 +238,8 @@ class TestFibreKernels:
             assert np.abs(fk.matrix - fk.matrix.T).max() < 1e-12
 
     def test_group_fibre_rows_sum_and_symmetry(self):
-        frozen = (_hel(1, 0, 0), _hel(0, 1, 0), _hel(1, 1, 2))
-        fk = build_fibre_kernel("heisenberg", 1, frozen)
+        frozen = [encode_element(g) for g in (_hel(1, 0, 0), _hel(0, 1, 0), _hel(1, 1, 2))]
+        fk = build_fibre_kernel("heisenberg", 1, frozen, p=3, m=1)
         assert fk.matrix.shape == (27, 27)
         assert np.abs(fk.matrix.sum(axis=1) - 1).max() < 1e-12
         assert np.abs(fk.matrix - fk.matrix.T).max() < 1e-12
@@ -255,18 +254,27 @@ class TestFibreKernels:
                 for _ in range(r1)
             )))
         for p, m, frozen in cases:
-            fk = build_fibre_kernel("heisenberg", 0, frozen)
-            space = heisenberg_space(p, m)
-            expect = np.zeros((space.size, space.size))
+            fk = build_fibre_kernel("heisenberg", 0, [encode_element(g) for g in frozen], p=p, m=m)
+            q = p ** (2 * m + 1)
+            expect = np.zeros((q, q))
             for gj in frozen:
                 for a in range(p):
                     ga = h_pow(gj, a)
-                    for xi in range(space.size):
-                        x = space.state_at(xi)
-                        expect[xi, space.index_of(x * ga)] += 1
-                        expect[xi, space.index_of(ga * x)] += 1
+                    for xi in range(q):
+                        x = decode_element(xi, p, m)
+                        expect[xi, encode_element(x * ga)] += 1
+                        expect[xi, encode_element(ga * x)] += 1
             expect /= 2 * len(frozen) * p
             assert np.array_equal(fk.matrix, expect), (p, m)
+
+    @pytest.mark.parametrize("kind, frozen, group", [
+        ("transvection", (1, 8), {"k": 3}), ("transvection", (-1,), {"k": 3}),
+        ("heisenberg", (0, 27), {"p": 3, "m": 1}), ("heisenberg", (), {"p": 3, "m": 1}),
+        ("heisenberg", (1, 3), {}), ("transvection", (1,), {}), ("pa_pra", (1,), {"p": 3, "m": 1}),
+    ])
+    def test_fibre_inputs_refused(self, kind, frozen, group):
+        with pytest.raises(ValueError):
+            build_fibre_kernel(kind, 0, frozen, **group)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,6 +1214,15 @@ def _element_product_oracle(p, m, codes_i, codes_j):
                      for i, j in zip(codes_i, codes_j)])
 
 
+@pytest.fixture
+def fresh_tables():
+    """An empty _pa_pra_tables memo, so a test that counts or forbids table
+    builds sees the same builds whatever ran before it."""
+    chains._pa_pra_tables.cache_clear()
+    yield
+    chains._pa_pra_tables.cache_clear()
+
+
 class TestPaPraTables:
     @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2)])
     def test_tables_follow_the_group_law(self, p, m):
@@ -1225,7 +1242,7 @@ class TestPaPraTables:
             assert np.array_equal(powers[a * q:(a + 1) * q], want)
 
     @pytest.mark.parametrize("p, m", [(17, 1), (19, 1), (5, 2), (5, 3)])
-    def test_table_budget_refused_before_the_law_runs(self, monkeypatch, p, m):
+    def test_table_budget_refused_before_the_law_runs(self, monkeypatch, fresh_tables, p, m):
         def fail(*args):
             raise AssertionError("the group law ran before the budget check")
 
@@ -1236,7 +1253,7 @@ class TestPaPraTables:
         with pytest.raises(BudgetError, match="product tables"):
             chains._pa_pra_tables(p, m)
 
-    def test_move_tables_and_fibre_kernels_pass_the_table_budget(self, monkeypatch):
+    def test_move_tables_and_fibre_kernels_pass_the_table_budget(self, monkeypatch, fresh_tables):
         # both apply the PA-PRA rule, so they build the tables and share their budget
         def fail(*args):
             raise AssertionError("the group law ran before the budget check")
@@ -1249,7 +1266,41 @@ class TestPaPraTables:
         with pytest.raises(BudgetError, match="product tables"):
             PaPraWalk(2, p, 1).move_permutations(space)
         with pytest.raises(BudgetError, match="product tables"):
-            build_fibre_kernel("heisenberg", 0, state[1:])
+            build_fibre_kernel("heisenberg", 0, [encode_element(state[1])], p=p, m=1)
+
+    def test_refusal_is_checked_again(self, monkeypatch, fresh_tables):
+        # a refused (p, m) is not memoised: the second call is refused again,
+        # still before the group law runs, and leaves the last build in place
+        tables = chains._pa_pra_tables(3, 1)
+
+        def fail(*args):
+            raise AssertionError("the group law ran before the budget check")
+
+        monkeypatch.setattr(chains, "_h_mul_codes", fail)
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="product tables"):
+                chains._pa_pra_tables(17, 1)
+        assert chains._pa_pra_tables(3, 1) is tables
+
+    def test_tables_are_built_once_and_read_only(self, fresh_tables):
+        powers, products = chains._pa_pra_tables(5, 1)
+        assert chains._pa_pra_tables(5, 1)[0] is powers
+        for table in (powers, products):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    def test_fifty_fibre_spectrum_builds_the_tables_once(self, monkeypatch, fresh_tables, tmp_path):
+        law = chains._h_mul_codes
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return law(*args)
+
+        monkeypatch.setattr(chains, "_h_mul_codes", counted)
+        assert cli.main(["spectrum", "--walk", "pa-pra", "-r", "8", "-p", "3", "-m", "1", "--fibres-only",
+                         "--fibre-trials", "50", "--out", str(tmp_path / "fibres.json")]) == 0
+        assert calls == [3]
 
     @pytest.mark.parametrize("p, m", [(13, 1), (3, 3)])
     def test_largest_admitted_tables(self, p, m):

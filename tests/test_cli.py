@@ -12,9 +12,11 @@ import pytest
 import scipy.linalg
 
 from groupwalks import cli, diagnostics, spectral
+from groupwalks.algebra import FieldVector
 from groupwalks.chains import OneColumnWalk, TransvectionWalk, _WalkBase
 from groupwalks.diagnostics import mc_tv_curve_one_column, tv_counting_lower, worst_tv_curve
 from groupwalks.errors import InvariantError, ReversibilityError
+from groupwalks.groups import HeisenbergElement
 
 
 def run_cli(args, capsys):
@@ -72,6 +74,24 @@ class TestJsonPayload:
         bf = report["balanced_fibres"]
         assert set(bf) == {"beta", "trials", "acceptance", "min_gap", "gap_floor"}
         assert bf["min_gap"] >= bf["gap_floor"]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fibre_loop_builds_no_boundary_objects(self, capsys, monkeypatch, m):
+        # the fibres are built on element codes: no FieldVector or
+        # HeisenbergElement is made between the sample and the report
+        argv = ["spectrum", "--walk", "pa-pra", "-r", "16", "-p", "3", "-m", str(m),
+                "--fibre-trials", "3", "--fibres-only", "--seed", "5"]
+        code, want, err = run_cli(argv, capsys)
+        assert code == 0, err
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a boundary object was built")
+
+        monkeypatch.setattr(HeisenbergElement, "__post_init__", fail)
+        monkeypatch.setattr(FieldVector, "__init__", fail)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert out == want
 
     def test_spectrum_group_walk_eigensolve_refusal(self, capsys):
         code, _, err = run_cli(

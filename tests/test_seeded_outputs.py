@@ -64,6 +64,14 @@ def _simulate_csv(tmp_path, argv, walk="pa-pra"):
     return run
 
 
+def _fibres_json(tmp_path, argv):
+    def run():
+        out = tmp_path / "fibres.json"
+        assert cli.main(["spectrum", "--walk", "pa-pra", "--fibres-only", *argv, "--out", str(out)]) == 0
+        return out.read_bytes().decode()
+    return run
+
+
 def _cases(tmp_path):
     ts16 = dg.transvection_good_set(16, 1)
     return {
@@ -125,6 +133,18 @@ def _cases(tmp_path):
         "simulate transvection n=8 k=2": _simulate_csv(tmp_path, ["-n", "8", "-k", "2", "--steps", "300",
                                                                   "--trials", "80", "--record-every", "10",
                                                                   "--seed", "39"], walk="transvection"),
+        # the balanced-fibre report: the fibres workload's three configs, a
+        # longer loop and one m = 2 group
+        "spectrum fibres r=8 p=3": _fibres_json(tmp_path, ["-r", "8", "-p", "3", "-m", "1",
+                                                           "--fibre-trials", "2", "--seed", "40"]),
+        "spectrum fibres r=16 p=3": _fibres_json(tmp_path, ["-r", "16", "-p", "3", "-m", "1",
+                                                            "--fibre-trials", "2", "--seed", "41"]),
+        "spectrum fibres r=8 p=5": _fibres_json(tmp_path, ["-r", "8", "-p", "5", "-m", "1",
+                                                           "--fibre-trials", "1", "--seed", "42"]),
+        "spectrum fibres r=16 p=3 200 trials": _fibres_json(tmp_path, ["-r", "16", "-p", "3", "-m", "1",
+                                                                       "--fibre-trials", "200", "--seed", "43"]),
+        "spectrum fibres r=16 p=3 m=2": _fibres_json(tmp_path, ["-r", "16", "-p", "3", "-m", "2",
+                                                                "--fibre-trials", "3", "--seed", "44"]),
     }
 
 
@@ -190,6 +210,18 @@ DIGESTS = {
         "c8dc9695ffee4a4f1d966e6acc5728480f637d1285b37941cbf89b029be585e9",
     "simulate transvection n=8 k=2":
         "3636058d6a7d46182eb4a6e5949f1954fbc0516efd0d9fb1a3cf4964fd154727",
+    # pinned while the fibre kernels were still built from HeisenbergElement
+    # objects, so the code-row builder is checked byte for byte against them
+    "spectrum fibres r=16 p=3":
+        "b636b6bd4fa6d8cb37a266bf92f205e78d4bfb62d1747dd70c282aa352a44d80",
+    "spectrum fibres r=16 p=3 200 trials":
+        "46f96195afbded484d020dc8bb956182590d8174a2c791bd917232efbe1a1151",
+    "spectrum fibres r=16 p=3 m=2":
+        "869a5437dc49278c57e7083cbf350ab1961bc884bef1aebcbb5e5586e0f16838",
+    "spectrum fibres r=8 p=3":
+        "4bd111333be72f7b24616d4f39436c382a3d6f01bfbadd8ce61b594d61fbf44b",
+    "spectrum fibres r=8 p=5":
+        "b4991385c785186059c156098eec9bb0ad6424aff9d07ac7e68ba4125c42315e",
     "support frequencies r=12 p=2":
         "4f877b93144405f816151c8ef367813c301d1ead16405ca4bb53c2421cfdd9b8",
     "support frequencies r=16 p=3":

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from scipy.sparse import csr_matrix
 
 from groupwalks import spectral
 from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
@@ -646,6 +647,26 @@ def small_walk():
     return P, mask
 
 
+def _coupled_killed_fraction(P, mask, x_index, s, t, trials, seed):
+    """path_comparison_check's Monte Carlo estimate by inverse CDF on the
+    dense rows' cumsums, drawn from Philox stream 1."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    cum = np.cumsum(P, axis=1)
+    killed = 0
+    for _ in range(trials):
+        x = x_index
+        for _ in range(s):
+            x = int(np.searchsorted(cum[x], rng.random()))
+        alive = bool(mask[x])
+        for _ in range(int(rng.poisson(t)) if alive else 0):
+            x = int(np.searchsorted(cum[x], rng.random()))
+            if not mask[x]:
+                alive = False
+                break
+        killed += not alive
+    return killed / trials
+
+
 class TestPathComparison:
     def test_full_space_no_discrepancy(self, small_walk):
         P, _ = small_walk
@@ -673,6 +694,18 @@ class TestPathComparison:
             x = int(rng.integers(P.shape[0]))
             disc, bound = path_comparison_check(P, mask, x, s=s, t=t, L=L)
             assert disc <= bound + 1e-10
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_monte_carlo_on_the_operator(self, small_walk, stiefel_kernels, seed):
+        # the operator and the dense kernel draw the same trajectories, and
+        # those of the dense kernel are the inverse-CDF steps on its row cumsums
+        P, S, mask = stiefel_kernels
+        Q, good = small_walk
+        for dense, op, keep in ((Q, csr_matrix(Q), good), (P, S, mask)):
+            x = int(np.flatnonzero(keep)[0])
+            want = path_comparison_check(dense, keep, x, s=3, t=1.5, L=6, trials=300, seed=seed)
+            assert path_comparison_check(op, keep, x, s=3, t=1.5, L=6, trials=300, seed=seed) == want
+            assert want[0] == _coupled_killed_fraction(dense, keep, x, 3, 1.5, 300, seed)
 
     def test_worst_exit_matches_matrix_power(self, stiefel_kernels):
         P, S, mask = stiefel_kernels
