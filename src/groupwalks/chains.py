@@ -1,19 +1,20 @@
 """State spaces and Markov kernels for coordinate-replacement walks.
 
-Three reversible walks share one interface:
+Three reversible walks share one interface.  Every move is a tuple
+(i, j, a, left): recipient i, donor j != i, exponent a and side.
 
 * TransvectionWalk — states are n-tuples of rows in F_2^k whose rows span
-  F_2^k; a move (a, b) with a != b replaces row b by row_b + row_a.  The
+  F_2^k; a move replaces row i by row_i + row_j (a = 1, no side).  The
   kernel averages over all n(n-1) ordered pairs.
 * OneColumnWalk — states are nonzero vectors in F_p^r.  For odd p a move
-  (i, j, a) replaces Y_i by Y_i + a Y_j with a uniform in F_p (a = 0 is a
-  hold); over F_2 the walk is the coordinate projection of the tuple walk
-  and a move (i, j) always adds, so there is no exponent.
+  replaces Y_i by Y_i + a Y_j with a uniform in F_p (a = 0 is a hold);
+  over F_2 the walk is the coordinate projection of the tuple walk and a
+  move always adds (a = 1).
 * PaPraWalk — states are r-tuples of Heisenberg group elements that
-  generate H; a move (i, j, a, side) replaces g_i by g_i g_j^a (right) or
-  g_j^a g_i (left), averaging over both sides, all exponents a in F_p and
-  all ordered pairs.  Horizontal parts evolve exactly as the p-ary
-  one-column walk on each coordinate functional.
+  generate H; a move replaces g_i by g_i g_j^a (right) or g_j^a g_i
+  (left), averaging over both sides, all exponents a in F_p and all
+  ordered pairs.  Horizontal parts evolve exactly as the p-ary one-column
+  walk on each coordinate functional.
 
 Every move is invertible by another move of the same kernel, so all three
 kernels are doubly stochastic and reversible with respect to the uniform
@@ -25,6 +26,9 @@ Heisenberg tuples).  Exhaustive enumerations pack states into integers, one
 digit per coordinate, and order the space by that code, so a given walk
 always lists its states, and hence its kernels, in the same order.
 
+A walk's moves are its move codes, and _decode is their one definition:
+the engines decode the codes they draw, and _WalkBase derives moves (in
+code order), move_permutations and counting_move_bound from every code.
 Each walk's move is written once, as a rule on per-coordinate codes: new
 recipient = rule(recipient, donor, exponent, left).  The rules are XOR of
 packed F_2 rows (transvections, and the one-column walk at p = 2),
@@ -427,7 +431,6 @@ class _WalkBase:
     """
 
     laziness: float
-    moves: list
     _exponents = 1  # exponents a move draws from [0, _exponents); 1 means always 1
     _sides = False  # whether a move draws a side
 
@@ -436,11 +439,24 @@ class _WalkBase:
             raise ValueError(f"laziness must lie in [0, 1], got {laziness}")
         self.laziness = float(laziness)
 
-    # subclasses provide: apply_move(state, move), in_omega(state),
-    # space(budget), counting_move_bound, _coords and _base (the number of
+    # subclasses provide: apply_move(state, move) for a move of `moves`,
+    # in_omega(state), space(budget), _coords and _base (the number of
     # digits of a state code and their base), _rule (the move rule on those
-    # digits), _coded(move), the move as (recipient, donor, exponent, left),
-    # and _start_cells(start), the validated code row of a batch start
+    # digits), _exponents and _sides when the walk draws them, and
+    # _start_cells(start), the validated code row of a batch start
+
+    @cached_property
+    def moves(self) -> list:
+        """The moves (recipient, donor, exponent, left) in code order: move d
+        is _decode of code d, the move the engines apply when they draw d."""
+        return list(zip(*(v.tolist() for v in _decode(self._coords, self._exponents, self._sides))))
+
+    @property
+    def counting_move_bound(self) -> int:
+        """Distinct one-step outcomes including a hold, 1 + r(r-1)(e - [e > 1]) s
+        in _decode's terms: a move with exponent 0 (drawn when e > 1) holds."""
+        e, r = self._exponents, self._coords
+        return 1 + r * (r - 1) * (e - (e > 1)) * (2 if self._sides else 1)
 
     @property
     def _scalar_rule(self) -> Callable:
@@ -513,7 +529,8 @@ class _WalkBase:
         Raises KeyError, as EnumeratedSpace.index_of_code does, when a
         successor code is missing from the space.
         """
-        tgt, src, a, left = np.array([self._coded(mv) for mv in self.moves], dtype=np.int64).T
+        tgt, src, a, left = (v.astype(np.int64) for v in _decode(self._coords, self._exponents,
+                                                                  self._sides))
         cols = np.ascontiguousarray(_digits(space.codes, self._base, self._coords).T)  # (coords, M)
         old = cols[tgt]
         succ = self._rule(old, cols[src], a[:, None], left[:, None]) - old
@@ -599,9 +616,6 @@ class _WalkBase:
         """The state tuple of one trial's code row."""
         return tuple(codes)
 
-    def simulate(self, start, steps, seed=0, **kw) -> "Trajectory":
-        return simulate(self, start, steps, seed=seed, **kw)
-
 
 class TransvectionWalk(_WalkBase):
     """Row-addition walk on spanning n-tuples of rows in F_2^k."""
@@ -616,21 +630,9 @@ class TransvectionWalk(_WalkBase):
         self._coords, self._base, self._rule = n, 1 << k, _xor_rule
         self._init_laziness(laziness)
 
-    @cached_property
-    def moves(self) -> list:
-        return [(a, b) for a in range(self.n) for b in range(self.n) if a != b]
-
-    @property
-    def counting_move_bound(self) -> int:
-        """Distinct one-step outcomes including a hold: 1 + n(n-1)."""
-        return 1 + self.n * (self.n - 1)
-
     def apply_move(self, state, move):
-        a, b = move
-        return transvection_step(state, a, b)
-
-    def _coded(self, move):
-        return move[1], move[0], 1, 0
+        recipient, donor, _, _ = move
+        return transvection_step(state, donor, recipient)
 
     def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
         """One state per S_n class: a row permutation sends move (a, b) to
@@ -693,27 +695,9 @@ class OneColumnWalk(_WalkBase):
         self._exponents = 1 if p == 2 else p
         self._init_laziness(laziness)
 
-    @cached_property
-    def moves(self) -> list:
-        pairs = [(i, j) for i in range(self.r) for j in range(self.r) if i != j]
-        return pairs if self.p == 2 else [(i, j, a) for i, j in pairs for a in range(self.p)]
-
-    @property
-    def counting_move_bound(self) -> int:
-        if self.p == 2:
-            return 1 + self.r * (self.r - 1)
-        return 1 + self.r * (self.r - 1) * (self.p - 1)
-
     def apply_move(self, state, move):
-        if self.p == 2:
-            i, j = move
-            a = 1
-        else:
-            i, j, a = move
+        i, j, a, _ = move
         return one_column_step(state, i, j, a, self.p)
-
-    def _coded(self, move):
-        return move[0], move[1], move[2] if self.p > 2 else 1, 0
 
     def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
         """One state per support size.  Coordinate permutations and scalings
@@ -766,28 +750,9 @@ class PaPraWalk(_WalkBase):
         self._exponents, self._sides = p, True
         self._init_laziness(laziness)
 
-    @cached_property
-    def moves(self) -> list:
-        return [
-            (i, j, a, side)
-            for i in range(self.r)
-            for j in range(self.r)
-            if i != j
-            for a in range(self.p)
-            for side in ("R", "L")
-        ]
-
-    @property
-    def counting_move_bound(self) -> int:
-        """1 + 2 p r (r-1), counting every (pair, exponent, side) outcome."""
-        return 1 + 2 * self.p * self.r * (self.r - 1)
-
     def apply_move(self, state, move):
-        i, j, a, side = move
-        return pa_pra_step(state, i, j, a, side)
-
-    def _coded(self, move):
-        return move[0], move[1], move[2], move[3] == "L"
+        i, j, a, left = move
+        return pa_pra_step(state, i, j, a, "L" if left else "R")
 
     @property
     def _rule(self) -> Callable:
@@ -924,61 +889,61 @@ def _pair_tables(r):
     return recipient, donor
 
 
+def _decode(r, exponents=1, sides=False, codes=None, operands=None):
+    """(recipient, donor, exponent, left) of move codes, the one definition
+    of a walk's moves: a code d in [0, r(r-1) e s), where e = `exponents`
+    and s = 2 when the walk draws `sides`, else 1, is (extra, pair) =
+    divmod(d, r(r-1)) with extra = a s + left, a bijection onto the
+    (recipient != donor, exponent, side) triples.  codes=None decodes every
+    code in order; given codes are overwritten by their pair codes.  The
+    pair reads recipient and donor from `operands`, two tables indexed by
+    pair code (the int32 _pair_tables(r) when None), so they have the
+    tables' dtype; exponent is int32 (1 when exponents == 1), left is bool,
+    and the ones not drawn are read-only broadcast constants.
+    """
+    pairs, s = r * (r - 1), 2 if sides else 1
+    extras = exponents * s
+    codes = np.arange(pairs * extras) if codes is None else codes
+    recipient, donor = _pair_tables(r) if operands is None else operands
+    a, left = np.broadcast_to(np.int32(1), codes.shape), np.broadcast_to(False, codes.shape)
+    if extras > 1:
+        # divmod by hand: numpy divides unsigned ints by a scalar about
+        # 10x faster than np.divmod, which takes the general path
+        extra = codes // pairs
+        codes -= extra * pairs
+        exponent_of, left_of = np.divmod(np.arange(extras, dtype=np.int32), s)
+        if exponents > 1:
+            a = exponent_of.take(extra)
+        if sides:
+            left = (left_of == 1).take(extra)
+    # one cast for both lookups: take converts other index dtypes on
+    # every call, and into uint64 tables that path is slower still
+    pair = codes.astype(np.intp)
+    return recipient.take(pair), donor.take(pair), a, left
+
+
 def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0, operands=None):
     """The moves of `steps` steps of `trials` walks on r coordinates, in blocks.
 
     Yields (recipient, donor, exponent, left, hold) arrays of shape
     (block, trials), with max(1, _BLOCK_CELLS // trials) steps per block
-    but the last.  recipient and donor are read from `operands`, two tables
-    indexed by pair code that the step layout supplies (the int32
-    _pair_tables(r) when None), so they have the tables' dtype; exponent
-    is int32, left and hold are bool.
-
-    Each move is one code d, uniform on [0, r(r-1) e s), where e =
-    `exponents` and s = 2 when the walk draws `sides`, else 1.  A block
-    draws all its codes in one rng.integers call, as uint16 when there are
-    at most 2^16 codes and as uint32 otherwise (ValueError past 2^32), and
-    then draws its laziness coins (hold with probability `laziness`).
-    The decode (extra, pair) = divmod(d, r(r-1)) (pair = d when e s = 1)
-    casts the pair codes to intp once, for the two operand lookups, and
-    reads the exponent and side, extra = a s + left, from two tables of e s
-    entries (a is 1 when exponents == 1).  The decode is a bijection onto
-    the (recipient != donor, exponent, side) triples, so each move is
-    uniform over them.  Exponents, sides and coins that are not drawn are
-    slices of read-only constants built once per call.
+    but the last.  A block draws one code per move, uniform on the
+    r(r-1) e s codes of _decode, in one rng.integers call, as uint16 when
+    there are at most 2^16 codes and as uint32 otherwise (ValueError past
+    2^32), then its laziness coins (hold, bool, with probability
+    `laziness`; a read-only constant when 0), and decodes the codes with
+    `operands`.
     """
-    pairs, s = r * (r - 1), 2 if sides else 1
-    extras = exponents * s
-    count = pairs * extras
+    count = r * (r - 1) * exponents * (2 if sides else 1)
     if count > 1 << 32:
         raise ValueError(f"{count} moves per step exceed the 2^32 codes of one draw")
     dtype = np.uint16 if count <= 1 << 16 else np.uint32
-    recipient, donor = _pair_tables(r) if operands is None else operands
-    exponent_of, left_of = np.divmod(np.arange(extras, dtype=np.int32), s)
-    left_of = left_of == 1
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
-    full = (min(per_block, steps), trials)
-    ones, falses = np.ones(full, np.int32), np.zeros(full, bool)
-    ones.flags.writeable = falses.flags.writeable = False
     for done in range(0, steps, per_block):
         shape = (min(per_block, steps - done), trials)
-        pair = rng.integers(0, count, size=shape, dtype=dtype)
-        a, left = ones[:shape[0]], falses[:shape[0]]
-        if extras > 1:
-            # divmod by hand: numpy divides unsigned ints by a scalar about
-            # 10x faster than np.divmod, which takes the general path
-            extra = pair // pairs
-            pair -= extra * pairs
-            if exponents > 1:
-                a = exponent_of.take(extra)
-            if sides:
-                left = left_of.take(extra)
-        # one cast for both lookups: take converts other index dtypes on
-        # every call, and into uint64 tables that path is slower still
-        pair = pair.astype(np.intp)
-        i, j = recipient.take(pair), donor.take(pair)
-        hold = rng.random(shape) < laziness if laziness > 0 else falses[:shape[0]]
-        yield i, j, a, left, hold
+        codes = rng.integers(0, count, size=shape, dtype=dtype)
+        hold = rng.random(shape) < laziness if laziness > 0 else np.broadcast_to(False, shape)
+        yield (*_decode(r, exponents, sides, codes, operands), hold)
 
 
 def _cell_layout(row, trials, rule, laziness):

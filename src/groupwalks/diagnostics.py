@@ -449,7 +449,7 @@ def burnin_occupancy(
     walk.batch(trials, grid, seed, stat, start, stream)
     times = np.array(grid, dtype=np.int64)
     fail_counts = np.array([failures[t] for t in grid], dtype=np.int64)
-    ci = np.array([wilson_interval(int(c), trials) for c in fail_counts])
+    ci = np.array([wilson_interval(int(c), trials) for c in fail_counts]).reshape(-1, 2)
     return {
         "times": times,
         "failure": fail_counts / trials,
@@ -1134,6 +1134,8 @@ def sample_balanced_frozen_tuples(
         raise ConfigError("need odd p, m >= 1, r >= 2")
     if not 1.0 / p <= beta < 1.0:
         raise ConfigError(f"balance level beta={beta} must lie in [1/p, 1)")
+    if count < 1:
+        raise ConfigError(f"need at least one tuple, got count={count}")
     R = r - 1
     h = 2 * m
     spec = heisenberg_good_set(R, p, m, beta)

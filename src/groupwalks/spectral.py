@@ -729,6 +729,8 @@ def path_comparison_check(
     estimates the coupling disagreement probability (an upper bound for the
     distance) from `trials` coupled trajectories of the same kernel.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     P, mask = _kernel_and_mask(op, good_mask)
     bound = exit_probability_exact(P, mask, x_index, s, L) + poisson_tail_gt(t, L)
     if trials == 0:

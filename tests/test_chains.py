@@ -210,7 +210,8 @@ class TestKernelRow:
         assert TransvectionWalk(5, 2).counting_move_bound == 1 + 20
         assert OneColumnWalk(5, 2).counting_move_bound == 1 + 20
         assert OneColumnWalk(5, 3).counting_move_bound == 1 + 40
-        assert PaPraWalk(4, 3, 1).counting_move_bound == 1 + 2 * 3 * 12
+        # 2 * 12 of PA-PRA's 72 moves have exponent 0, which is the hold
+        assert PaPraWalk(4, 3, 1).counting_move_bound == 1 + 2 * 2 * 12
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +970,18 @@ def _assert_replay_equal(case, trials, grid, seed, laziness):
             assert np.array_equal(got[t], np.array(want[t]))
 
 
+class _Enumerating:
+    """Hands out the codes 0, ..., count - 1 in place of a draw."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size) == (0, self.count, (1, self.count))
+        self.dtype = dtype
+        return np.arange(self.count, dtype=dtype).reshape(size)
+
+
 class TestDriverReplay:
     @pytest.mark.parametrize("case", sorted(_REPLAY_CASES))
     @pytest.mark.parametrize("laziness", [0.0, 0.25])
@@ -1104,15 +1117,7 @@ class TestDriverReplay:
     ])
     def test_codes_decode_to_every_move_once(self, r, exponents, sides):
         count = r * (r - 1) * exponents * (2 if sides else 1)
-
-        class Enumerating:
-            """Hands out the codes 0, ..., count - 1 in place of a draw."""
-            def integers(self, low, high, size, dtype):
-                assert (low, high, size) == (0, count, (1, count))
-                self.dtype = dtype
-                return np.arange(count, dtype=dtype).reshape(size)
-
-        rng = Enumerating()
+        rng = _Enumerating(count)
         [(i, j, a, left, hold)] = chains._move_blocks(rng, 1, count, r, exponents, sides)
         assert rng.dtype == (np.uint16 if count <= 1 << 16 else np.uint32)
         assert not hold.any()
@@ -1173,14 +1178,18 @@ class TestDriverReplay:
             assert all(np.array_equal(x, y) for x, y in zip(rest, same))
 
 
+def _pairs(r):
+    return [(i, j) for i in range(r) for j in range(r) if i != j]
+
+
 class TestMovesOnFirstUse:
+    # (recipient, donor, exponent, left) in code order: pair fastest, then side, then exponent
     _WALKS = [
-        (TransvectionWalk, (4, 2), [(a, b) for a in range(4) for b in range(4) if a != b]),
-        (OneColumnWalk, (4, 2), [(i, j) for i in range(4) for j in range(4) if i != j]),
-        (OneColumnWalk, (4, 3), [(i, j, a) for i in range(4) for j in range(4) if i != j
-                                 for a in range(3)]),
-        (PaPraWalk, (3, 3, 1), [(i, j, a, side) for i in range(3) for j in range(3) if i != j
-                                for a in range(3) for side in ("R", "L")]),
+        (TransvectionWalk, (4, 2), [(i, j, 1, False) for i, j in _pairs(4)]),
+        (OneColumnWalk, (4, 2), [(i, j, 1, False) for i, j in _pairs(4)]),
+        (OneColumnWalk, (4, 3), [(i, j, a, False) for a in range(3) for i, j in _pairs(4)]),
+        (PaPraWalk, (3, 3, 1), [(i, j, a, left) for a in range(3) for left in (False, True)
+                                for i, j in _pairs(3)]),
     ]
 
     @pytest.mark.parametrize("cls, args, moves", _WALKS)
@@ -1191,12 +1200,37 @@ class TestMovesOnFirstUse:
         assert "moves" not in vars(walk)
         assert walk.moves == moves and "moves" in vars(walk)
 
+    @pytest.mark.parametrize("cls, args, moves", _WALKS)
+    def test_moves_are_the_engines_decode(self, cls, args, moves):
+        walk = cls(*args)
+        count = len(walk.moves)
+        [(i, j, a, left, hold)] = chains._move_blocks(_Enumerating(count), 1, count, walk._coords,
+                                                      walk._exponents, walk._sides)
+        assert walk.moves == list(zip(i[0].tolist(), j[0].tolist(), a[0].tolist(),
+                                      left[0].tolist()))
+
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP + [(PaPraWalk, (2, 3, 1))])
+    def test_counting_bound_covers_every_successor_set(self, cls, args):
+        walk = cls(*args)
+        space = walk.space()
+        perms = walk.move_permutations(space)
+        with_hold = np.vstack([perms, np.arange(space.size)])
+        distinct = max(len(set(column)) for column in with_hold.T.tolist())
+        assert distinct <= walk.counting_move_bound
+
+    def test_pa_pra_exponent_zero_moves_hold(self):
+        walk = PaPraWalk(2, 3, 1)
+        perms = walk.move_permutations(walk.space())
+        zero = [k for k, (_, _, a, _) in enumerate(walk.moves) if a == 0]
+        assert len(zero) == 2 * 1 * 2 and perms.shape == (12, 432)  # r(r-1) pairs x 2 sides
+        assert np.array_equal(perms[zero], np.broadcast_to(np.arange(432), (4, 432)))
+
     @pytest.mark.parametrize("cls, args", [(TransvectionWalk, (3, 2)), (OneColumnWalk, (3, 3)),
                                            (PaPraWalk, (2, 3, 1))])
     def test_kernels_read_the_built_moves(self, cls, args):
         walk = cls(*args, laziness=0.25)
         space = walk.space()
-        # move_permutations builds the moves; the oracle reads them after
+        # move_permutations decodes every code itself; the oracle reads the moves list
         perms = walk.move_permutations(space)
         assert np.array_equal(perms, _oracle_table(walk, space, range(space.size)))
         dense = walk.dense(space)

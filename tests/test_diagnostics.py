@@ -414,6 +414,13 @@ class TestBurninOccupancy:
         with pytest.raises(ConfigError):
             burnin_occupancy(walk, transvection_good_set(6, 1), [0], trials=10, seed=0)
 
+    def test_empty_grid_gives_empty_arrays(self):
+        out = burnin_occupancy(TransvectionWalk(4, 2), transvection_good_set(4, 2), [],
+                               trials=3, seed=0)
+        for key in ("times", "failure", "failure_counts", "ci_low", "ci_high"):
+            assert out[key].shape == (0,)
+        assert out["trials"] == 3
+
     def test_negative_grid_time_rejected(self):
         walk = TransvectionWalk(4, 2)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -1017,6 +1024,11 @@ class TestBalancedSampling:
             sample_balanced_frozen_tuples(8, 3, 1, 0.2, 10, 0)
         with pytest.raises(ConfigError):
             sample_balanced_frozen_tuples(8, 3, 1, 1.0, 10, 0)
+
+    def test_no_tuples_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "philox_generator", None)
+        with pytest.raises(ConfigError, match="count=0"):
+            sample_balanced_frozen_tuples(8, 3, 1, 0.5, 0, 0)
 
     @pytest.mark.parametrize("r,m,beta", [(2, 1, 0.5), (3, 2, 0.9), (4, 2, 0.5)])
     def test_infeasible_level_refused_before_drawing(self, monkeypatch, r, m, beta):

@@ -674,6 +674,12 @@ class TestPathComparison:
         disc, bound = path_comparison_check(P, mask, 0, s=5, t=2.0, L=10)
         assert disc == pytest.approx(0.0, abs=1e-12)
 
+    def test_negative_trials_refused(self, small_walk):
+        # -4 trials used to return a discrepancy of -0.0, which reads as a pass
+        P, mask = small_walk
+        with pytest.raises(ValueError, match="trials must be nonnegative"):
+            path_comparison_check(P, mask, 0, s=5, t=2.0, L=10, trials=-4)
+
     def test_zero_time_discrepancy_is_exit_mass(self, small_walk):
         P, mask = small_walk
         s = 4
