@@ -22,6 +22,7 @@ Boundary comparisons for the transvection good set use exact integers
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -31,6 +32,7 @@ from scipy.sparse import csr_matrix, issparse
 
 from .algebra import LinearFunctional, _digits, check_prime
 from .chains import (
+    DEFAULT_STATE_BUDGET,
     OneColumnWalk,
     PaPraWalk,
     TransvectionWalk,
@@ -224,24 +226,39 @@ def in_good_set(z: Sequence, spec: GoodSetSpec, budget: int = DEFAULT_FUNCTIONAL
     return True
 
 
-def _functional_table(cells: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
-    """S_xi (transvection) or N_xi (heisenberg) of states given as (batch, n)
-    cells: (batch, functionals), one column per nonzero functional in code
-    order.
+def _checked(cells, top: int) -> np.ndarray:
+    """cells as an integer array with every entry in [0, top), else a ValueError."""
+    cells = np.asarray(cells)
+    if cells.dtype.kind not in "iu" or (cells.size and not 0 <= cells.min() <= cells.max() < top):
+        raise DimensionMismatch(f"cells must be integers in [0, {top}), got {cells.dtype} cells")
+    return cells
 
-    Transvection cells are packed rows.  Heisenberg cells are element codes,
-    whose horizontal part is the code mod p^h; xi(v) = 0 depends only on
-    that value, so the test runs once per distinct value that occurs and
-    each row looks its answers up.
+
+def _functional_table(cells: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
+    """S_xi (transvection) or N_xi (heisenberg) of (batch, n) cells: (batch,
+    functionals), one column per nonzero functional in code order.
+
+    Cells are packed rows in [0, 2^k) or element codes in [0, p^(h+1)), whose
+    row value is the code mod p^h; others are refused.  Each entry sums the rows'
+    _value_table entries over the smaller of the alphabet (counts @ table) and n.
     """
-    if spec.kind == "transvection":
-        xis = np.arange(1, 1 << spec.k, dtype=cells.dtype)
-        parity = np.bitwise_count(cells[:, :, None] & xis[None, None, :]).astype(np.int64) & 1
-        return cells.shape[1] - 2 * parity.sum(axis=1)
-    p, h = spec.p, spec.h
-    values, inverse = np.unique(np.asarray(cells, dtype=np.int64) % p**h, return_inverse=True)
-    zero = (_digits(values, p, h) @ _digits(np.arange(1, p**h), p, h).T) % p == 0
-    return zero[inverse.reshape(cells.shape)].sum(axis=1)
+    table = _value_table(spec)
+    size = table.shape[0]
+    values = _checked(cells, size if spec.kind == "transvection" else size * spec.p)
+    if values.size and values.max() >= size:  # element codes: keep the horizontal part
+        values = values % size
+    batch, n = values.shape
+    if size == 2:  # a two-letter alphabet's counts are (n - w, w), w the row sum
+        w = values.sum(axis=1, dtype=np.int64)[:, None]
+        return (n - w) * table[0] + w * table[1]
+    if size <= n:
+        offset = np.arange(batch, dtype=np.int64)[:, None] * size
+        counts = np.bincount((offset + values).ravel(), minlength=batch * size)
+        return counts.reshape(batch, size) @ table
+    out = table[values[:, 0]]
+    for c in range(1, n):
+        out += table[values[:, c]]
+    return out
 
 
 def _good_mask_of_table(table: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
@@ -255,20 +272,22 @@ def good_mask_rows(Z: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
     """Vectorised membership for packed-row states Z of shape (batch, n)."""
     if spec.kind != "transvection":
         raise ConfigError("packed-row membership is the transvection form")
-    if Z.shape[1] != spec.n:
-        raise DimensionMismatch(f"states have {Z.shape[1]} rows, spec expects {spec.n}")
+    if np.shape(Z)[1] != spec.n:
+        raise DimensionMismatch(f"states have {np.shape(Z)[1]} rows, spec expects {spec.n}")
     return _good_mask_of_table(_functional_table(Z, spec), spec)
 
 
 def good_mask_horizontal(V: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
-    """Vectorised membership from horizontal parts V of shape (batch, r, h)."""
+    """Vectorised membership from horizontal parts V, (batch, r, h) digits in [0, p), low first."""
     if spec.kind != "heisenberg":
         raise ConfigError("horizontal-part membership is the balanced-kernel form")
-    if V.shape[1] != spec.n or V.shape[2] != spec.h:
-        raise DimensionMismatch(
-            f"states have shape {V.shape[1:]}, spec expects ({spec.n}, {spec.h})"
-        )
-    codes = (np.asarray(V, dtype=np.int64) % spec.p) @ spec.p ** np.arange(spec.h, dtype=np.int64)
+    if np.shape(V)[1:] != (spec.n, spec.h):
+        raise DimensionMismatch(f"states have shape {np.shape(V)[1:]}, "
+                                f"spec expects ({spec.n}, {spec.h})")
+    V = _checked(V, spec.p)
+    codes = V[..., -1].astype(np.int64)
+    for j in range(spec.h - 2, -1, -1):
+        codes = codes * spec.p + V[..., j]
     return _good_mask_of_table(_functional_table(codes, spec), spec)
 
 
@@ -311,10 +330,21 @@ def _compositions(total: int, parts: int, budget: int) -> np.ndarray:
     return np.column_stack([C, rest])
 
 
+@functools.lru_cache(maxsize=16)
 def _value_table(spec: GoodSetSpec) -> np.ndarray:
-    """S_xi (transvection) or N_xi (heisenberg) of each single row value:
-    (values, functionals), values in code order."""
-    return _functional_table(np.arange(spec.functional_count + 1, dtype=np.int64)[:, None], spec)
+    """S_xi or N_xi of one row of each value, (values, functionals) in code order:
+    the 2^k x (2^k - 1) signs (-1)^{xi . w} or the p^h x (p^h - 1) kernel hits
+    [xi(v) = 0].  The one definition of both; cached (16 specs), read-only and
+    refused with BudgetError past DEFAULT_STATE_BUDGET entries."""
+    w = np.arange(spec.functional_count + 1, dtype=np.int64)
+    check_budget(w.size * (w.size - 1), DEFAULT_STATE_BUDGET, "value-table entries", "state")
+    if spec.kind == "transvection":
+        table = 1 - 2 * (np.bitwise_count(w[:, None] & w[1:]) & 1).astype(np.int64)
+    else:
+        digits = _digits(w, spec.p, spec.h)
+        table = ((digits @ digits[1:].T) % spec.p == 0).astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _class_counts(C: np.ndarray, weights: np.ndarray, spec: GoodSetSpec) -> tuple[int, int, int, int]:
@@ -1121,13 +1151,13 @@ def sample_balanced_frozen_tuples(
     """Rejection-sample frozen (r-1)-tuples whose horizontal law is balanced.
 
     The empirical measure of the horizontal parts must give every
-    hyperplane ker xi mass at most beta, i.e. at most beta*(r-1) of the
-    frozen coordinates may lie in any kernel (the zero vector counts in
-    every one).  Since any min(r-1, 2m-1) frozen parts lie in one
-    hyperplane, a level with min(r-1, 2m-1) > beta*(r-1) is refused with
-    BudgetError before any draw.  Returns stacked horizontal parts
-    (count, R, 2m) and central parts (count, R) of accepted tuples, plus
-    the acceptance rate.
+    hyperplane ker xi mass at most beta: at most beta*(r-1) frozen parts in
+    any kernel (the zero vector lies in every one), tested on value counts.
+    A level with min(r-1, 2m-1) > beta*(r-1), which any min(r-1, 2m-1) parts
+    in one hyperplane exceed, and batches of max(1024, 4*count) tuples over
+    DEFAULT_STATE_BUDGET drawn entries are refused with BudgetError before
+    any draw.  Returns horizontal parts (count, R, 2m), central parts
+    (count, R), the acceptance rate and the draws.
     """
     check_prime(p)
     if p == 2 or m < 1 or r < 2:
@@ -1146,17 +1176,17 @@ def sample_balanced_frozen_tuples(
             f"only 0/{count} balanced tuples after 0 draws: any {crowded} frozen "
             f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * R:g}"
         )
+    batch = max(1024, 4 * count)
+    check_budget(batch * R * (h + 1), DEFAULT_STATE_BUDGET,
+                 f"drawn entries ({batch} tuples x {R} coordinates x {h + 1} digits)", "state")
     rng = philox_generator(seed)
     kept_v, kept_z = [], []
     accepted = drawn = 0
-    batch = max(1024, 4 * count)
     while accepted < count:
         if drawn >= max_draws:
-            raise BudgetError(
-                f"only {accepted}/{count} balanced tuples after {drawn} draws"
-            )
-        V = rng.integers(0, p, size=(batch, R, h)).astype(np.int64)
-        Z = rng.integers(0, p, size=(batch, R)).astype(np.int64)
+            raise BudgetError(f"only {accepted}/{count} balanced tuples after {drawn} draws")
+        V = rng.integers(0, p, size=(batch, R, h))
+        Z = rng.integers(0, p, size=(batch, R))
         drawn += batch
         ok = good_mask_horizontal(V, spec)
         idx = np.flatnonzero(ok)
@@ -1164,11 +1194,9 @@ def sample_balanced_frozen_tuples(
             kept_v.append(V[idx])
             kept_z.append(Z[idx])
             accepted += idx.size
-    V_out = np.concatenate(kept_v)[:count]
-    Z_out = np.concatenate(kept_z)[:count]
     return {
-        "V": V_out,
-        "Z": Z_out,
+        "V": np.concatenate(kept_v)[:count],
+        "Z": np.concatenate(kept_z)[:count],
         "acceptance": accepted / drawn,
         "draws": drawn,
     }

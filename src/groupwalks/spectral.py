@@ -356,6 +356,8 @@ def lsi_estimate(
     witness, so the result is a lower bound on the true supremum up to an
     evaluation noise floor of about 1e-7 set by the Dirichlet-energy guard.
     """
+    if restarts < 0 or steps < 0:
+        raise ConfigError(f"restarts and steps must be nonnegative, got {restarts} and {steps}")
     K = _matrix_of(op)
     M = K.shape[0]
     check_budget(M, size_cap, "states", "optimizer")

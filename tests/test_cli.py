@@ -698,7 +698,14 @@ class TestExitCodes:
          "511 sign columns exceed the CSV budget 256"),
         (["simulate", "--walk", "pa-pra", "-r", "3", "-p", "17", "-m", "1", "--steps", "1"],
          "288 kernel-count columns exceed the CSV budget 256"),
-    ], ids=["eig_budget", "dense_budget", "pair_budget", "pipeline", "csv-signs", "csv-counts"])
+        (["spectrum", "--walk", "pa-pra", "-r", "16", "-p", "3", "-m", "1", "--fibres-only",
+          "--fibre-trials", "100000"],
+         "18000000 drawn entries (400000 tuples x 15 coordinates x 3 digits) exceed the state "
+         "budget 16777216"),
+        (["spectrum", "--walk", "pa-pra", "-r", "8", "-p", "11", "-m", "2", "--fibres-only"],
+         "214344240 value-table entries exceed the state budget 16777216"),
+    ], ids=["eig_budget", "dense_budget", "pair_budget", "pipeline", "csv-signs", "csv-counts",
+            "fibre-draws", "value-table"])
     def test_budget_gate_refuses_before_building(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("built before the budget check")

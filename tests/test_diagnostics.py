@@ -183,6 +183,91 @@ class TestGoodSet:
             heisenberg_good_set(4, 3, 1, 1.5)
 
 
+# specs on both sides of the contraction rule: value counts when the value
+# alphabet is at most n, one table lookup per row when it is larger
+VALUE_COUNT_SPECS = [
+    transvection_good_set(8, 1),
+    transvection_good_set(12, 3),
+    transvection_good_set(6, 3),  # 8 values > 6 rows
+    heisenberg_good_set(6, 3, 1, 0.5),  # 9 values > 6 rows
+    heisenberg_good_set(12, 3, 1, 0.5),
+    heisenberg_good_set(7, 5, 1, 0.5),
+    heisenberg_good_set(6, 3, 2, 0.7),
+]
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-{spec.n}-{spec.k or (spec.p, spec.m)}"
+
+
+class TestValueCountMembership:
+    @pytest.mark.parametrize("spec", VALUE_COUNT_SPECS, ids=_spec_id)
+    def test_membership_matches_oracle(self, spec):
+        rng = _rng(21)
+        if spec.kind == "transvection":
+            rows = rng.integers(0, 1 << spec.k, size=(300, spec.n))
+            mask = good_mask_rows(rows, spec)
+            oracle = [in_good_set(tuple(row), spec) for row in rows]
+        else:
+            V = rng.integers(0, spec.p, size=(150, spec.n, spec.h))
+            mask = good_mask_horizontal(V, spec)
+            oracle = [in_good_set([HeisenbergElement(FieldVector(tuple(map(int, v)), spec.p), 0)
+                                   for v in row], spec) for row in V]
+        assert mask.tolist() == oracle
+
+    @pytest.mark.parametrize("spec", VALUE_COUNT_SPECS, ids=_spec_id)
+    def test_table_matches_statistics(self, spec):
+        size = spec.functional_count + 1
+        if spec.kind == "transvection":
+            rows = _rng(22).integers(0, size, size=(10, spec.n)).astype(np.uint8)
+            expected = [[s_xi(row, c, spec.k) for c in range(1, size)] for row in rows]
+        else:
+            # element codes carry the central coordinate above the horizontal part
+            rows = _rng(22).integers(0, size * spec.p, size=(10, spec.n)).astype(np.int16)
+            xis = [LinearFunctional(FieldVector(tuple(map(int, c)), spec.p))
+                   for c in _digits(np.arange(1, size), spec.p, spec.h)]
+            expected = [[n_xi([HeisenbergElement(FieldVector(tuple(map(int, v)), spec.p), 0)
+                               for v in _digits(row.astype(np.int64) % size, spec.p, spec.h)], xi)
+                         for xi in xis] for row in rows]
+        assert diagnostics._functional_table(rows, spec).tolist() == expected
+
+    def test_value_table_is_cached_and_read_only(self):
+        for spec in (transvection_good_set(6, 2), heisenberg_good_set(6, 3, 1, 0.5)):
+            table = diagnostics._value_table(spec)
+            assert diagnostics._value_table(spec) is table
+            assert table.shape == (spec.functional_count + 1, spec.functional_count)
+            with pytest.raises(ValueError):
+                table[0, 0] = 7
+
+    def test_oversized_value_table_refused(self):
+        # 2^13 x (2^13 - 1) and 11^4 x (11^4 - 1) entries: refused, never built or cached
+        for spec in (transvection_good_set(4, 13), heisenberg_good_set(8, 11, 2, 0.75)):
+            with pytest.raises(BudgetError, match="value-table entries exceed the state budget"):
+                diagnostics._value_table(spec)
+
+    @pytest.mark.parametrize("rows", [
+        [[5, 6, 7, 4]],  # high bits past k = 2 used to be dropped, reading [1, 2, 3, 0]
+        [[1, -3, 2, 0]],
+        [[1.0, 2.0, 3.0, 0.0]],
+    ])
+    def test_rows_outside_the_alphabet_refused(self, rows):
+        with pytest.raises(ValueError, match=r"integers in \[0, 4\)"):
+            good_mask_rows(rows, transvection_good_set(4, 2))
+
+    @pytest.mark.parametrize("value", [1.7, 3, -1])
+    def test_horizontal_digits_outside_the_field_refused(self, value):
+        V = np.zeros((2, 4, 2), dtype=type(value))
+        V[1, 2, 0] = value
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            good_mask_horizontal(V, heisenberg_good_set(4, 3, 1, 0.5))
+
+    @pytest.mark.parametrize("code", [27, -1])
+    def test_element_codes_outside_the_group_refused(self, code):
+        spec = heisenberg_good_set(3, 3, 1, 0.5)
+        with pytest.raises(ValueError, match=r"integers in \[0, 27\)"):
+            diagnostics._functional_table(np.array([[0, 1, code]]), spec)
+
+
 def _scan_counts(spec):
     """Exact (ambient, ambient_bad, spanning, spanning_bad) by a chunked scan of
     every ambient tuple; the oracle for the type-class counts."""
@@ -1046,6 +1131,15 @@ class TestBalancedSampling:
         out = sample_balanced_frozen_tuples(*args)
         assert out["draws"] == 1024
         assert hashlib.sha256(out["V"].tobytes() + out["Z"].tobytes()).hexdigest() == digest
+
+    def test_oversized_batch_refused_before_drawing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("drew tuples before the budget check")
+
+        monkeypatch.setattr(diagnostics, "philox_generator", fail)
+        # a batch of 400 000 tuples of 15 coordinates, 3 digits each
+        with pytest.raises(BudgetError, match="18000000 drawn entries .* state budget 16777216"):
+            sample_balanced_frozen_tuples(16, 3, 1, 0.5, 100_000, 0)
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetError):

@@ -392,6 +392,12 @@ class TestLsiNumeric:
         P = np.eye(4)
         assert lsi_constant_numeric(P) == math.inf
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": -2}, {"steps": -1}])
+    def test_negative_restarts_or_steps_refused(self, kwargs):
+        walk = TransvectionWalk(3, 2)
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            lsi_estimate(walk.dense(walk.space()), **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # killed kernels and semigroups

@@ -1,0 +1,77 @@
+"""Run the end-to-end benchmark on two checkouts and record per-metric medians.
+
+    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH.json
+
+In each checkout this runs ``python3 perfbench/run.py --workload W --seed S
+--seconds 15 --trace 0`` for every workload and seed, interleaving the two
+checkouts and swapping which runs first from seed to seed, so that slow
+spells of the machine hit both, and reads the last JSON line each run
+prints.  The output holds, per workload and metric, the median over seeds
+of each checkout and their ratio, the failed job counts, and the ``env``
+line of the first run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("exact", "fibres", "mc-wide", "mc-narrow")
+SEEDS = (901, 902, 903)
+SECONDS = 15.0
+
+
+def run(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
+    """(last JSON line, env line) of one benchmark run in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    return json.loads(lines[-1]), env
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args()
+    sides = {"parent": args.parent, "change": args.change}
+    env: dict = {}
+    report: dict = {}
+    for workload in WORKLOADS:
+        values: dict = {side: {} for side in sides}
+        failed = {side: 0 for side in sides}
+        for i, seed in enumerate(SEEDS):
+            for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
+                result, run_env = run(sides[side], workload, seed)
+                env = env or run_env
+                failed[side] += result["failed"]
+                for name, metric in result["metrics"].items():
+                    values[side].setdefault(name, []).append(metric["value"])
+                print(f"{workload} seed={seed} {side}: " + " ".join(
+                    f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()), flush=True)
+        medians = {side: {k: statistics.median(v) for k, v in values[side].items()}
+                   for side in sides}
+        report[workload] = {
+            "metrics": {
+                name: {"parent": medians["parent"][name], "change": medians["change"][name],
+                       "ratio": medians["change"][name] / medians["parent"][name]}
+                for name in medians["parent"]
+            },
+            "failed": failed,
+        }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump({"seeds": list(SEEDS), "seconds": SECONDS, "env": env,
+                   "workloads": report}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
