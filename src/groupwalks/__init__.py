@@ -2,8 +2,8 @@
 
 The package splits into six layers:
 
-* :mod:`groupwalks.algebra` — F_p scalars/vectors, bit-packed F_2 rows,
-  linear functionals, the standard alternating form, and exact ranks;
+* :mod:`groupwalks.algebra` — F_p scalars/vectors, linear functionals,
+  the standard alternating form, and exact ranks (also of bit-packed F_2 rows);
 * :mod:`groupwalks.groups` — Heisenberg group elements, characters,
   irreducible representations, and projection norms;
 * :mod:`groupwalks.chains` — the three walk kernels (row-addition tuples,

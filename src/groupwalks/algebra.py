@@ -1,8 +1,7 @@
 """Exact arithmetic over prime fields F_p.
 
-Scalars carry their modulus and refuse mixed-modulus arithmetic.  Vectors
-over F_2 are bit-packed into Python ints so that addition is a single XOR;
-vectors over odd p store one entry per coordinate.  On top of these sit
+Scalars carry their modulus and refuse mixed-modulus arithmetic; vectors
+store one reduced entry per coordinate for every prime p.  On top of these sit
 linear functionals xi (with xi(v) = sum_i xi_i v_i mod p), the standard
 alternating form on F_p^{2m},
 
@@ -76,6 +75,16 @@ def _digits(codes: np.ndarray, base: int, count: int) -> np.ndarray:
     return (codes[..., None] // base ** np.arange(count, dtype=np.int64)) % base
 
 
+def _pack(digits: np.ndarray, base: int) -> np.ndarray:
+    """int64 codes of base-`base` digits on the last axis, least significant
+    first: the inverse of _digits, by Horner's rule."""
+    codes = digits[..., -1].astype(np.int64)
+    for c in range(digits.shape[-1] - 2, -1, -1):
+        codes *= base
+        codes += digits[..., c]
+    return codes
+
+
 @dataclass(frozen=True)
 class FieldScalar:
     """An element of F_p, stored as a reduced representative in [0, p)."""
@@ -134,27 +143,20 @@ class FieldScalar:
 
 
 class FieldVector:
-    """A vector in F_p^dim.
+    """A vector in F_p^dim, kept as a tuple of entries reduced mod p.
 
-    Over F_2 the entries are packed into one int (coordinate i is bit i),
-    so addition is XOR; over odd p a tuple of reduced entries is kept.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  Over F_2, `bits` and `from_bits`
+    convert to and from the packed int whose bit i is coordinate i.
     """
 
-    __slots__ = ("p", "dim", "_key")
+    __slots__ = ("p", "dim", "entries")
 
     def __init__(self, entries: Iterable[int], p: int):
         check_prime(p)
         ent = tuple(int(e) % p for e in entries)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", len(ent))
-        if p == 2:
-            bits = 0
-            for i, e in enumerate(ent):
-                bits |= e << i
-            object.__setattr__(self, "_key", bits)
-        else:
-            object.__setattr__(self, "_key", ent)
+        object.__setattr__(self, "entries", ent)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FieldVector is immutable")
@@ -168,23 +170,13 @@ class FieldVector:
         """F_2 vector from a packed bit pattern (coordinate i = bit i)."""
         if bits < 0 or bits >> dim:
             raise ValueError(f"bit pattern {bits} does not fit in {dim} coordinates")
-        v = cls.__new__(cls)
-        object.__setattr__(v, "p", 2)
-        object.__setattr__(v, "dim", dim)
-        object.__setattr__(v, "_key", bits)
-        return v
+        return cls(((bits >> i) & 1 for i in range(dim)), 2)
 
     @property
     def bits(self) -> int:
         if self.p != 2:
             raise CharacteristicError("bit view only exists over F_2")
-        return self._key
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        if self.p == 2:
-            return tuple((self._key >> i) & 1 for i in range(self.dim))
-        return self._key
+        return sum(e << i for i, e in enumerate(self.entries))
 
     def _check_same(self, other: "FieldVector") -> None:
         if not isinstance(other, FieldVector):
@@ -196,40 +188,25 @@ class FieldVector:
 
     def __add__(self, other: "FieldVector") -> "FieldVector":
         self._check_same(other)
-        if self.p == 2:
-            return FieldVector.from_bits(self._key ^ other._key, self.dim)
-        return FieldVector(
-            (a + b for a, b in zip(self._key, other._key)), self.p
-        )
+        return FieldVector((a + b for a, b in zip(self.entries, other.entries)), self.p)
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
         self._check_same(other)
-        if self.p == 2:
-            return FieldVector.from_bits(self._key ^ other._key, self.dim)
-        return FieldVector(
-            (a - b for a, b in zip(self._key, other._key)), self.p
-        )
+        return FieldVector((a - b for a, b in zip(self.entries, other.entries)), self.p)
 
     def __neg__(self) -> "FieldVector":
-        if self.p == 2:
-            return self
-        return FieldVector((-a for a in self._key), self.p)
+        return FieldVector((-a for a in self.entries), self.p)
 
     def scale(self, a: int) -> "FieldVector":
-        a = int(a) % self.p
-        if self.p == 2:
-            return self if a else FieldVector.zero(self.dim, 2)
-        return FieldVector((a * e for e in self._key), self.p)
+        return FieldVector((int(a) * e for e in self.entries), self.p)
 
     def is_zero(self) -> bool:
-        return self._key == 0 if self.p == 2 else all(e == 0 for e in self._key)
+        return not any(self.entries)
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.dim:
             raise IndexError(i)
-        if self.p == 2:
-            return (self._key >> i) & 1
-        return self._key[i]
+        return self.entries[i]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
@@ -241,12 +218,11 @@ class FieldVector:
         return (
             isinstance(other, FieldVector)
             and self.p == other.p
-            and self.dim == other.dim
-            and self._key == other._key
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.dim, self._key))
+        return hash((self.p, self.entries))
 
     def __repr__(self) -> str:
         return f"FieldVector({list(self.entries)}, p={self.p})"
@@ -282,8 +258,6 @@ def rank(vectors: Sequence[FieldVector], dim: int | None = None, p: int | None =
         raise DimensionMismatch(f"declared p={p} but vectors live over F_{p0}")
     if dim is not None and dim != d0:
         raise DimensionMismatch(f"declared dim={dim} but vectors have dim {d0}")
-    if p0 == 2:
-        return rank_bits([v.bits for v in vecs], d0)
     # textbook elimination mod p
     mat = [list(v.entries) for v in vecs]
     r = 0
@@ -332,8 +306,6 @@ def eval_functional(xi: LinearFunctional, v: FieldVector) -> FieldScalar:
         raise DimensionMismatch(
             f"functional on ({c.dim},{c.p}) applied to vector of ({v.dim},{v.p})"
         )
-    if c.p == 2:
-        return FieldScalar((c.bits & v.bits).bit_count() & 1, 2)
     total = 0
     for a, b in zip(c.entries, v.entries):
         total += a * b

@@ -71,7 +71,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .algebra import _digits, check_prime, rank_bits
+from .algebra import _digits, _pack, check_prime, rank_bits
 from .errors import ConfigError, InvalidMove, check_budget
 from .groups import (
     HeisenbergElement,
@@ -513,8 +513,7 @@ class _WalkBase:
         value = self._value_involution(digits)
         if value is not None:
             images.append(value)
-        place = self._base ** np.arange(self._coords, dtype=np.int64)
-        return _indices_of(space, np.stack(images) @ place)
+        return _indices_of(space, _pack(np.stack(images), self._base))
 
     def _value_involution(self, digits: np.ndarray) -> np.ndarray | None:
         """An involution of the coordinate values that commutes with the move
@@ -638,9 +637,8 @@ class TransvectionWalk(_WalkBase):
         """One state per S_n class: a row permutation sends move (a, b) to
         (s(a), s(b)), so it commutes with the kernel; the class key is the
         packed tuple of sorted rows, and the smallest index represents it."""
-        shifts = np.arange(self.n, dtype=np.int64) * self.k
         rows = _digits(space.codes, 1 << self.k, self.n)
-        keys = (np.sort(rows, axis=1) << shifts).sum(axis=1)
+        keys = _pack(np.sort(rows, axis=1), 1 << self.k)
         return np.sort(np.unique(keys, return_index=True)[1])
 
     def _value_involution(self, digits):
@@ -770,7 +768,7 @@ class PaPraWalk(_WalkBase):
         h = 2 * self.m
         parts = _digits(digits, self.p, h + 1)
         parts[..., :h] = -parts[..., :h] % self.p
-        return parts @ self.p ** np.arange(h + 1, dtype=np.int64)
+        return _pack(parts, self.p)
 
     def _start_cells(self, start) -> np.ndarray:
         """int16 element codes of start = (horizontal parts (r, 2m), central
@@ -780,8 +778,7 @@ class PaPraWalk(_WalkBase):
         v0, z0 = np.asarray(start_v, dtype=np.int64) % p, np.asarray(start_z, dtype=np.int64) % p
         _check_start(start, v0.shape == (self.r, h) and z0.shape == (self.r,)
                      and rank_modp_batch(v0[None], p)[0] == h)
-        place = p ** np.arange(h + 1, dtype=np.int64)
-        return (v0 @ place[:h] + z0 * place[h]).astype(np.int16)
+        return _pack(np.column_stack([v0, z0]), p).astype(np.int16)
 
     def _as_start(self, state):
         return [g.v.entries for g in state], [g.z for g in state]

@@ -31,7 +31,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import spectral
-from .algebra import _digits
+from .algebra import _digits, _pack
 from .chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
 from .diagnostics import (
     DEFAULT_DENSE_BUDGET,
@@ -329,8 +329,7 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
             walk.r, walk.p, walk.m, beta, fibre_trials, seed
         )
         # element codes of every frozen coordinate: v digits, then z
-        place = walk.p ** np.arange(2 * walk.m + 1, dtype=np.int64)
-        codes = sample["V"] @ place[:-1] + sample["Z"] * place[-1]
+        codes = _pack(np.concatenate([sample["V"], sample["Z"][..., None]], axis=-1), walk.p)
         gaps = [spectral.spectral_gap(build_fibre_kernel("heisenberg", 0, row, p=walk.p, m=walk.m))
                 for row in codes]
         report["balanced_fibres"] = {
@@ -419,7 +418,9 @@ def cmd_birthdeath(cfg: dict, out_path: str | None) -> None:
     report: dict = {"r": r, "p": p, "table": table, "target": target, "hitting": hitting}
     a0 = _get_int(cfg, "A0")
     a1 = _get_int(cfg, "A1")
-    if a0 is not None and a1 is not None:
+    if (a0 is None) != (a1 is None):
+        raise ConfigError("the crossing table needs both A0 and A1")
+    if a0 is not None:
         report["crossing"] = [
             {"s": s, "prob_down_first": bd_crossing_prob(s, a0, a1, params)}
             for s in range(a0, a1 + 1)
@@ -477,18 +478,17 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     report["eta_worst_start"] = int(worst_idx)
     report["burnin_steps"] = s_steps
     report["zero_extension"] = ext
-    if _get(cfg, "exact_check", True):
-        t_total = rep.t_mix_cont_upper
-        if math.isfinite(t_total):
-            # the kernel is symmetric, so column x of e^{t(P-I)} is the law
-            # from x; S_n classes share TV, so the class starts give the max
-            starts = walk.start_representatives(space)
-            block = np.zeros((space.size, starts.size))
-            block[starts, np.arange(starts.size)] = 1.0
-            hk = spectral.semigroup_evolve(op, block, t_total, mode="function")
-            exact_tv = 0.5 * float(np.abs(hk - 1.0 / space.size).sum(axis=0).max())
-            report["exact_tv_at_bound_time"] = exact_tv
-            report["tv_bound_dominates"] = bool(rep.tv_bound >= exact_tv - 1e-12)
+    t_total = rep.t_mix_cont_upper
+    if math.isfinite(t_total):
+        # the kernel is symmetric, so column x of e^{t(P-I)} is the law
+        # from x; S_n classes share TV, so the class starts give the max
+        starts = walk.start_representatives(space)
+        block = np.zeros((space.size, starts.size))
+        block[starts, np.arange(starts.size)] = 1.0
+        hk = spectral.semigroup_evolve(op, block, t_total, mode="function")
+        exact_tv = 0.5 * float(np.abs(hk - 1.0 / space.size).sum(axis=0).max())
+        report["exact_tv_at_bound_time"] = exact_tv
+        report["tv_bound_dominates"] = bool(rep.tv_bound >= exact_tv - 1e-12)
     _emit_json("pipeline", cfg, report, out_path)
 
 

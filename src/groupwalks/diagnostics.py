@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
-from .algebra import LinearFunctional, _digits, check_prime
+from .algebra import LinearFunctional, _digits, _pack, check_prime
 from .chains import (
     DEFAULT_STATE_BUDGET,
     OneColumnWalk,
@@ -285,10 +285,7 @@ def good_mask_horizontal(V: np.ndarray, spec: GoodSetSpec) -> np.ndarray:
         raise DimensionMismatch(f"states have shape {np.shape(V)[1:]}, "
                                 f"spec expects ({spec.n}, {spec.h})")
     V = _checked(V, spec.p)
-    codes = V[..., -1].astype(np.int64)
-    for j in range(spec.h - 2, -1, -1):
-        codes = codes * spec.p + V[..., j]
-    return _good_mask_of_table(_functional_table(codes, spec), spec)
+    return _good_mask_of_table(_functional_table(_pack(V, spec.p), spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +515,20 @@ def tv_exact(d1, d2) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def _matrix_of(kernel) -> np.ndarray:
-    """A square float matrix, unwrapping objects that carry one as `.matrix`."""
-    mat = np.asarray(getattr(kernel, "matrix", kernel), dtype=float)
+def _operator_of(kernel):
+    """A square float kernel, unwrapping objects that carry one as `.matrix`:
+    a scipy.sparse one as CSR, anything else as an ndarray."""
+    mat = getattr(kernel, "matrix", kernel)
+    mat = csr_matrix(mat, dtype=float) if issparse(mat) else np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {mat.shape}")
     return mat
 
 
-def _operator_of(kernel):
-    """A square kernel: a scipy.sparse one as CSR, anything else as _matrix_of."""
-    mat = getattr(kernel, "matrix", kernel)
-    if not issparse(mat):
-        return _matrix_of(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"kernel must be square, got shape {mat.shape}")
-    return csr_matrix(mat, dtype=float)
+def _matrix_of(kernel) -> np.ndarray:
+    """_operator_of's kernel as a dense ndarray."""
+    mat = _operator_of(kernel)
+    return mat.toarray() if issparse(mat) else mat
 
 
 def _refuse_reducible(P, pi: np.ndarray, epsilon: float) -> None:

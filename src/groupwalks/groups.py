@@ -44,6 +44,7 @@ from .algebra import (
     LinearFunctional,
     SymplecticForm,
     _digits,
+    _pack,
     check_prime,
     half_mod,
     rank,
@@ -108,9 +109,6 @@ class HeisenbergElement:
     def inverse(self) -> "HeisenbergElement":
         return h_inv(self)
 
-    def is_identity(self) -> bool:
-        return self.z == 0 and self.v.is_zero()
-
     def __repr__(self) -> str:
         return f"H{self.p}({list(self.v.entries)}, {self.z})"
 
@@ -147,9 +145,8 @@ def _h_mul_codes(g: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
     """
     v, z = g[..., :-1], g[..., -1]
     w, t = k[..., :-1], k[..., -1]
-    place = p ** np.arange(v.shape[-1] + 1, dtype=np.int64)
-    horizontal = (((v + w) % p) * place[:-1]).sum(axis=-1)
-    return horizontal + ((z + t + half_mod(p) * _omega_digits(v, w)) % p) * place[-1]
+    central = (z + t + half_mod(p) * _omega_digits(v, w)) % p
+    return _pack(np.concatenate([(v + w) % p, central[..., None]], axis=-1), p)
 
 
 def h_pow(g: HeisenbergElement, a: int) -> HeisenbergElement:

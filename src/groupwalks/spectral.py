@@ -499,13 +499,13 @@ def poisson_cdf_lt(t: float, n: float) -> float:
     return float(min(np.exp(logsumexp(_log_poisson_pmf(t, ks))), 1.0))
 
 
-def semigroup_evolve(op, u0, t: float, mode: str = "distribution", tail: float = 1e-12):
+def semigroup_evolve(op, u0, t: float, mode: str = "distribution"):
     """e^{t(K-I)} applied to u0 by uniformization (Poisson-weighted powers).
 
     mode 'distribution' evolves a row vector (measure), 'function' a column
     vector; u0 may also be a block of such rows (distribution) or columns
     (function), and the kernel may be scipy.sparse.  The series is
-    truncated once the remaining Poisson mass drops below `tail`; for
+    truncated at an order N with P(Poi(t) > N) < 1e-12; for
     substochastic kernels the evolved mass is nonincreasing in t.
     """
     if t < 0:
@@ -516,9 +516,8 @@ def semigroup_evolve(op, u0, t: float, mode: str = "distribution", tail: float =
     vec = np.array(u0, dtype=float)
     if t == 0:
         return vec
-    # choose the truncation order: smallest N with P(Poi(t) > N) < tail
     N = int(t + 10.0 * math.sqrt(t) + 20)
-    while poisson_tail_gt(t, N) >= tail:
+    while poisson_tail_gt(t, N) >= 1e-12:
         N = int(N * 1.5) + 16
     ks = np.arange(0, N + 1, dtype=float)
     with np.errstate(under="ignore"):

@@ -10,6 +10,8 @@ from groupwalks.algebra import (
     FieldVector,
     LinearFunctional,
     SymplecticForm,
+    _digits,
+    _pack,
     check_prime,
     enumerate_functionals,
     eval_functional,
@@ -78,6 +80,20 @@ class TestFieldVector:
             v = FieldVector.from_bits(bits, 4)
             assert v.bits == bits
             assert v.entries == tuple((bits >> i) & 1 for i in range(4))
+            assert v == FieldVector(v.entries, 2) and hash(v) == hash(FieldVector(v.entries, 2))
+        for bad in (-1, 16):
+            with pytest.raises(ValueError):
+                FieldVector.from_bits(bad, 4)
+        with pytest.raises(CharacteristicError):
+            FieldVector([1, 2], 3).bits
+
+    def test_pack_inverts_digits(self):
+        rng = _rng(5)
+        for base, count in ((2, 1), (3, 4), (8, 5), (125, 3)):
+            codes = rng.integers(0, base**count, (7, 3))
+            digits = _digits(codes, base, count)
+            packed = _pack(digits, base)
+            assert packed.dtype == np.int64 and np.array_equal(packed, codes)
 
     def test_addition_is_xor_over_f2(self):
         u = FieldVector.from_bits(0b0110, 4)

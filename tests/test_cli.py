@@ -397,6 +397,17 @@ class TestBirthdeathCommand:
         assert "constants" not in report
         assert report["target"] == 4
 
+    @pytest.mark.parametrize("given", [["--A0", "2"], ["--A1", "5"], {"A0": 2}, {"A1": 5}])
+    def test_one_crossing_level_is_config_error(self, capsys, tmp_path, given):
+        argv = ["birthdeath", "-r", "8", "-p", "3"]
+        if isinstance(given, dict):
+            cfg = tmp_path / "bd.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        code, out, err = run_cli(argv + given, capsys)
+        assert code == 1 and out == ""
+        assert "config error" in err and "A0 and A1" in err
+
 
 class TestPipelineCommand:
     def test_small_tuple_walk(self, capsys):

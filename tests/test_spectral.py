@@ -146,6 +146,30 @@ class TestSymmetryBlocks:
         assert got.shape == expect.shape
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_sparse_operator_gives_the_dense_spectrum(self, n):
+        walk = TransvectionWalk(n, 2, laziness=0.25)
+        space = walk.space()
+        gens = walk.symmetries(space)
+        assert np.array_equal(spectrum(walk.operator(space), symmetries=gens),
+                              spectrum(walk.dense(space), symmetries=gens))
+
+    def test_kernel_consumers_take_the_sparse_operator(self):
+        walk = TransvectionWalk(3, 2, laziness=0.25)
+        space = walk.space()
+        f = np.arange(space.size, dtype=float)
+        calls = [
+            spectral_gap,
+            check_reversibility,
+            gap_lsi_bound,
+            lambda K: dirichlet_form(K, None, f),
+            lambda K: lsi_estimate(K, restarts=2, steps=20).value,
+            lambda K: entropy_decay_check(K, None, 0.5 + f / f.sum(), [0.5, 2.0], 10.0,
+                                          check_hypothesis=False),
+        ]
+        for call in calls:
+            np.testing.assert_equal(call(walk.operator(space)), call(walk.dense(space)))
+
     def test_below_the_crossover_is_the_dense_solve(self):
         walk = OneColumnWalk(4, 3, laziness=0.25)
         space = walk.space()
