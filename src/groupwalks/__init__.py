@@ -51,7 +51,6 @@ from .groups import (
 )
 from .chains import (
     EnumeratedSpace,
-    FibreKernel,
     OneColumnWalk,
     PaPraWalk,
     Trajectory,
@@ -64,7 +63,6 @@ from .chains import (
     stiefel_space,
 )
 from .spectral import (
-    DenseOperator,
     PipelineReport,
     dirichlet_form,
     entropy,

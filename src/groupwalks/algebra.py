@@ -229,10 +229,16 @@ class FieldVector:
 
 
 def rank_bits(rows: Sequence[int], width: int | None = None) -> int:
-    """Rank over F_2 of rows given as packed ints (bitsets)."""
+    """Rank over F_2 of rows given as packed ints (bitsets).
+
+    Given a width, a row with a bit at or above it (a negative row
+    included) is refused with DimensionMismatch.
+    """
     pivots: list[int] = []
     for row in rows:
         r = int(row)
+        if width is not None and r >> width:
+            raise DimensionMismatch(f"row {r} does not fit in {width} bits")
         for pv in pivots:
             low = pv & -pv
             if r & low:

@@ -95,7 +95,6 @@ __all__ = [
     "transvection_step",
     "one_column_step",
     "pa_pra_step",
-    "FibreKernel",
     "build_fibre_kernel",
     "Trajectory",
     "simulate",
@@ -805,28 +804,16 @@ class PaPraWalk(_WalkBase):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FibreKernel:
-    """Transition law of one tuple coordinate with the others frozen; the
-    matrix is indexed by the coordinate's code."""
+def build_fibre_kernel(kind: str, frozen: Sequence[int], k: int | None = None,
+                       p: int | None = None, m: int | None = None) -> np.ndarray:
+    """Transition law of one tuple coordinate given the codes of the frozen
+    coordinates, as a read-only (size, size) array indexed by that
+    coordinate's code.
 
-    kind: str
-    i: int
-    frozen: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-
-
-def build_fibre_kernel(kind: str, i: int, frozen: Sequence[int], k: int | None = None,
-                       p: int | None = None, m: int | None = None) -> FibreKernel:
-    """Fibre kernel at coordinate i given the codes of the frozen coordinates.
-
-    kind='transvection': frozen holds the packed rows z_j (j != i) of F_2^k
-    and k is the row width; K(u, v) = c_{u xor v} / len(frozen) with c_w the
-    number of frozen rows equal to w.  Any number of rows is allowed, fewer
-    than k included.  kind='heisenberg': frozen holds element codes of
+    kind='transvection': frozen holds the other coordinates' packed rows z_j
+    of F_2^k and k is the row width; K(u, v) = c_{u xor v} / len(frozen) with
+    c_w the number of frozen rows equal to w.  Any number of rows is allowed,
+    fewer than k included.  kind='heisenberg': frozen holds element codes of
     H(p, m) (v digits, then z, as encode_element writes them) and K averages
     left and right translation by g_j^a over all frozen g_j and all
     exponents a.  Either way K(x, .) is the law of the walk's move rule
@@ -850,7 +837,9 @@ def build_fibre_kernel(kind: str, i: int, frozen: Sequence[int], k: int | None =
     y, a, left = (g.ravel() for g in np.meshgrid(frozen, exponents, sides, indexing="ij"))
     x = np.arange(size)[:, None]
     counts = np.bincount((x * size + rule(x, y, a, left)).ravel(), minlength=size**2)
-    return FibreKernel(kind, i, frozen, counts.reshape(size, size) / y.size)
+    K = counts.reshape(size, size) / y.size
+    K.flags.writeable = False
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
         )
         # element codes of every frozen coordinate: v digits, then z
         codes = _pack(np.concatenate([sample["V"], sample["Z"][..., None]], axis=-1), walk.p)
-        gaps = [spectral.spectral_gap(build_fibre_kernel("heisenberg", 0, row, p=walk.p, m=walk.m))
+        gaps = [spectral.spectral_gap(build_fibre_kernel("heisenberg", row, p=walk.p, m=walk.m))
                 for row in codes]
         report["balanced_fibres"] = {
             "beta": beta,

@@ -23,12 +23,13 @@ Boundary comparisons for the transvection good set use exact integers
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix, diags, issparse
 
 from .algebra import LinearFunctional, _digits, _pack, check_prime
 from .chains import (
@@ -516,10 +517,9 @@ def tv_exact(d1, d2) -> float:
 
 
 def _operator_of(kernel):
-    """A square float kernel, unwrapping objects that carry one as `.matrix`:
-    a scipy.sparse one as CSR, anything else as an ndarray."""
-    mat = getattr(kernel, "matrix", kernel)
-    mat = csr_matrix(mat, dtype=float) if issparse(mat) else np.asarray(mat, dtype=float)
+    """A square float kernel: a scipy.sparse one as CSR, anything else as an
+    ndarray."""
+    mat = csr_matrix(kernel, dtype=float) if issparse(kernel) else np.asarray(kernel, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"kernel must be square, got shape {mat.shape}")
     return mat
@@ -565,6 +565,11 @@ def _powers(K, block, mode: str) -> Iterator[np.ndarray]:
     while True:
         block = K @ block if mode == "function" else block @ K
         yield block
+
+
+def _nth(powers, n: int) -> np.ndarray:
+    """The n-th array that a _powers generator yields."""
+    return next(itertools.islice(powers, n, None))
 
 
 def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
@@ -1149,10 +1154,11 @@ def sample_balanced_frozen_tuples(
     hyperplane ker xi mass at most beta: at most beta*(r-1) frozen parts in
     any kernel (the zero vector lies in every one), tested on value counts.
     A level with min(r-1, 2m-1) > beta*(r-1), which any min(r-1, 2m-1) parts
-    in one hyperplane exceed, and batches of max(1024, 4*count) tuples over
-    DEFAULT_STATE_BUDGET drawn entries are refused with BudgetError before
-    any draw.  Returns horizontal parts (count, R, 2m), central parts
-    (count, R), the acceptance rate and the draws.
+    in one hyperplane exceed, is refused with ConfigError, and batches of
+    max(1024, 4*count) tuples over DEFAULT_STATE_BUDGET drawn entries with
+    BudgetError, both before any draw.  Returns horizontal parts
+    (count, R, 2m), central parts (count, R), the acceptance rate and the
+    draws.
     """
     check_prime(p)
     if p == 2 or m < 1 or r < 2:
@@ -1167,8 +1173,8 @@ def sample_balanced_frozen_tuples(
     # any min(R, 2m-1) vectors of F_p^{2m} lie in one hyperplane ker xi
     crowded = min(R, h - 1)
     if crowded > _kernel_count_threshold(spec):
-        raise BudgetError(
-            f"only 0/{count} balanced tuples after 0 draws: any {crowded} frozen "
+        raise ConfigError(
+            f"no tuple is balanced at beta={beta} for r={r}: any {crowded} frozen "
             f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * R:g}"
         )
     batch = max(1024, 4 * count)
@@ -1242,24 +1248,11 @@ def mc_tv_curve_one_column(
     w = np.arange(r + 1)
     birth = (1.0 - laziness) * w * (r - w) / (r * (r - 1))
     death = (1.0 - laziness) * w * (w - 1) / (r * (r - 1))
-    stay, birth_lo, death_hi = 1.0 - birth - death, birth[:-1], death[1:]
-    # law' = law stay + (law birth shifted up) + (law death shifted down),
-    # summed in that order into the other of two buffers; term holds one product
-    law, moved, term = np.zeros(r + 1), np.empty(r + 1), np.empty(r)
-    law[1] = 1.0
-    views = [(law, law[:-1], law[1:]), (moved, moved[:-1], moved[1:])]
-    tv_exact = []
-    for previous, now in zip([0] + grid, grid):
-        for _ in range(now - previous):
-            (law, law_lo, law_hi), (moved, moved_lo, moved_hi) = views
-            np.multiply(law, stay, out=moved)
-            np.multiply(law_lo, birth_lo, out=term)
-            np.add(moved_hi, term, out=moved_hi)
-            np.multiply(law_hi, death_hi, out=term)
-            np.add(moved_lo, term, out=moved_lo)
-            views.reverse()
-        law = views[0][0]
-        tv_exact.append(0.5 * float(np.abs(law - pi_w).sum()))
+    K = diags([birth[:-1], 1.0 - birth - death, death[1:]], [1, 0, -1], format="csr")
+    laws = _powers(K, np.eye(1, r + 1, 1)[0], "distribution")
+    # _nth skips to each grid time in turn, so every law is drawn once
+    tv_exact = [0.5 * float(np.abs(_nth(laws, now - previous - 1) - pi_w).sum())
+                for previous, now in zip([-1] + grid, grid)]
     times = np.array(grid, dtype=np.int64)
     curve = np.array([tv[t] for t in grid])
     crossing = float("nan")

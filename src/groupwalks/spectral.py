@@ -19,7 +19,6 @@ confinement times can reach the hundreds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -28,13 +27,13 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from .chains import philox_generator
-from .diagnostics import DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _operator_of, _powers, _weights_of
+from .diagnostics import (DEFAULT_FUNCTIONAL_BUDGET, _matrix_of, _nth, _operator_of, _powers,
+                          _weights_of)
 from .errors import ConfigError, DimensionMismatch, ReversibilityError, check_budget
 
 __all__ = [
     "SYMMETRY_TOL",
     "DEFAULT_LSI_SIZE_CAP",
-    "DenseOperator",
     "check_reversibility",
     "spectrum",
     "spectral_gap",
@@ -65,38 +64,6 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 DEFAULT_LSI_SIZE_CAP = 64
-
-
-class DenseOperator:
-    """Immutable real dense kernel with a declared flavor.
-
-    flavor 'stochastic' enforces row sums 1 (+-1e-12) and nonnegativity,
-    'substochastic' enforces nonnegativity and row sums <= 1 + 1e-12.
-    """
-
-    def __init__(self, matrix, flavor: str = "stochastic", tol: float = 1e-12):
-        mat = np.array(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator must be square, got shape {mat.shape}")
-        if flavor not in ("stochastic", "substochastic"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        if mat.min() < -tol:
-            raise ValueError(f"negative entry {mat.min()} in a {flavor} kernel")
-        sums = mat.sum(axis=1)
-        if flavor == "stochastic" and np.abs(sums - 1.0).max() > tol:
-            raise ValueError(f"row sums deviate from 1 by {np.abs(sums - 1.0).max():.3e}")
-        if flavor == "substochastic" and sums.max() > 1.0 + tol:
-            raise ValueError(f"row sum {sums.max()} exceeds 1 in substochastic kernel")
-        mat.flags.writeable = False
-        self.matrix = mat
-        self.flavor = flavor
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DenseOperator({self.flavor}, size={self.size})"
 
 
 def check_reversibility(op, stationary=None, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -428,11 +395,13 @@ def lsi_constant_numeric(op, stationary=None, **kw) -> float:
     return lsi_estimate(op, stationary, **kw).value
 
 
-def killed_kernel(op, good_mask, stationary=None) -> tuple[DenseOperator, float]:
+def killed_kernel(op, good_mask, stationary=None) -> tuple[np.ndarray, float]:
     """Restriction of a dense or sparse kernel to G with killing: (K_G, delta_G).
 
-    delta_G = pi_G(1 - K_G 1) is the average killing rate, which satisfies
-    delta_G <= pi(G^c)/pi(G) by reversibility.
+    K_G is a read-only dense array.  delta_G = pi_G(1 - K_G 1) is the
+    average killing rate, which satisfies delta_G <= pi(G^c)/pi(G) by
+    reversibility.  A K_G with an entry below -1e-12 or a row sum above
+    1 + 1e-12 is refused with ValueError.
     """
     P, mask = _kernel_and_mask(op, good_mask)
     if not mask.any():
@@ -440,9 +409,14 @@ def killed_kernel(op, good_mask, stationary=None) -> tuple[DenseOperator, float]
     pi = _weights_of(stationary, P.shape[0])
     KG = P[np.ix_(mask, mask)]
     KG = KG.toarray() if issparse(KG) else KG
+    sums = KG.sum(axis=1)
+    if KG.min() < -1e-12 or sums.max() > 1.0 + 1e-12:
+        raise ValueError(f"the killed kernel is not substochastic: least entry {KG.min()}, "
+                         f"largest row sum {sums.max()}")
+    KG.flags.writeable = False
     pi_g = pi[mask] / pi[mask].sum()
-    delta = float(np.dot(pi_g, 1.0 - KG.sum(axis=1)))
-    return DenseOperator(KG, flavor="substochastic"), delta
+    delta = float(np.dot(pi_g, 1.0 - sums))
+    return KG, delta
 
 
 def _kernel_and_mask(op, good_mask) -> tuple:
@@ -684,11 +658,6 @@ def _exit_probabilities(op, good_mask, s: int, L: int) -> np.ndarray:
     stay = np.zeros(P.shape[0])
     stay[mask] = _nth(_powers(P[np.ix_(mask, mask)], np.ones(int(mask.sum())), "function"), L)
     return 1.0 - _nth(_powers(P, stay, "function"), s)
-
-
-def _nth(powers, n: int) -> np.ndarray:
-    """The n-th array that a _powers generator yields."""
-    return next(itertools.islice(powers, n, None))
 
 
 def exit_probability_exact(op, good_mask, x_index: int, s: int, L: int) -> float:

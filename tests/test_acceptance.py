@@ -151,7 +151,7 @@ def test_criterion_02_fibre_eigenvalue_formula():
         formula = np.sort(
             np.fromiter(spectral.fibre_eigenvalues_tr(0, frozen, k).values(), float)
         )
-        K = build_fibre_kernel("transvection", 0, frozen, k=k).matrix
+        K = build_fibre_kernel("transvection", frozen, k=k)
         dense = np.sort(np.linalg.eigvalsh(K))
         worst = max(worst, float(np.abs(formula - dense).max()))
     _criterion(
@@ -289,7 +289,7 @@ def test_criterion_06_heisenberg_fibre_gap():
         assert codes.shape == (1000, r - 1)
         gmin = 1.0
         for row in codes:
-            K = build_fibre_kernel("heisenberg", 0, row, p=3, m=1).matrix
+            K = build_fibre_kernel("heisenberg", row, p=3, m=1)
             gmin = min(gmin, spectral.spectral_gap(K))
         ok = ok and gmin >= gamma
         parts.append(f"r={r}: min gap {gmin:.6f} over 10^3 tuples")

@@ -195,6 +195,13 @@ class TestRank:
             vs = [FieldVector.from_bits(b, k) for b in rows]
             assert rank_bits(rows, k) == rank(vs)
 
+    def test_rank_bits_refuses_rows_wider_than_width(self):
+        assert rank_bits([0b111, 0b100]) == 2
+        assert rank_bits([0b111, 0b100], 3) == 2
+        for rows, width in (([0b111, 0b100], 1), ([0b1000], 3), ([-1], 3)):
+            with pytest.raises(DimensionMismatch, match="does not fit"):
+                rank_bits(rows, width)
+
 
 # ---------------------------------------------------------------------------
 # functionals

@@ -220,30 +220,30 @@ class TestKernelRow:
 
 class TestFibreKernels:
     def test_two_value_fibre_matrix(self):
-        fk = build_fibre_kernel("transvection", 0, (1, 0), k=1)
-        assert np.abs(fk.matrix - 0.5 * np.ones((2, 2))).max() < 1e-15
-        evs = np.sort(np.linalg.eigvalsh(fk.matrix))
+        fk = build_fibre_kernel("transvection", (1, 0), k=1)
+        assert np.abs(fk - 0.5 * np.ones((2, 2))).max() < 1e-15
+        evs = np.sort(np.linalg.eigvalsh(fk))
         assert evs == pytest.approx([0.0, 1.0])
 
     def test_zero_frozen_rows_give_identity(self):
-        fk = build_fibre_kernel("transvection", 2, (0, 0, 0), k=2)
-        assert np.abs(fk.matrices if hasattr(fk, "matrices") else fk.matrix - np.eye(4)).max() == 0
+        fk = build_fibre_kernel("transvection", (0, 0, 0), k=2)
+        assert np.abs(fk - np.eye(4)).max() == 0
 
     def test_doubly_stochastic_and_symmetric(self):
         rng = philox_generator(6)
         for _ in range(20):
             frozen = tuple(int(x) for x in rng.integers(0, 8, 6))
-            fk = build_fibre_kernel("transvection", 0, frozen, k=3)
-            assert np.abs(fk.matrix.sum(axis=0) - 1).max() < 1e-12
-            assert np.abs(fk.matrix.sum(axis=1) - 1).max() < 1e-12
-            assert np.abs(fk.matrix - fk.matrix.T).max() < 1e-12
+            fk = build_fibre_kernel("transvection", frozen, k=3)
+            assert np.abs(fk.sum(axis=0) - 1).max() < 1e-12
+            assert np.abs(fk.sum(axis=1) - 1).max() < 1e-12
+            assert np.abs(fk - fk.T).max() < 1e-12
 
     def test_group_fibre_rows_sum_and_symmetry(self):
         frozen = [encode_element(g) for g in (_hel(1, 0, 0), _hel(0, 1, 0), _hel(1, 1, 2))]
-        fk = build_fibre_kernel("heisenberg", 1, frozen, p=3, m=1)
-        assert fk.matrix.shape == (27, 27)
-        assert np.abs(fk.matrix.sum(axis=1) - 1).max() < 1e-12
-        assert np.abs(fk.matrix - fk.matrix.T).max() < 1e-12
+        fk = build_fibre_kernel("heisenberg", frozen, p=3, m=1)
+        assert fk.shape == (27, 27) and not fk.flags.writeable
+        assert np.abs(fk.sum(axis=1) - 1).max() < 1e-12
+        assert np.abs(fk - fk.T).max() < 1e-12
 
     def test_group_fibre_matches_direct_averaging(self):
         # exact equality with the h_mul loop: every entry is a count over 2 r1 p
@@ -255,7 +255,7 @@ class TestFibreKernels:
                 for _ in range(r1)
             )))
         for p, m, frozen in cases:
-            fk = build_fibre_kernel("heisenberg", 0, [encode_element(g) for g in frozen], p=p, m=m)
+            fk = build_fibre_kernel("heisenberg", [encode_element(g) for g in frozen], p=p, m=m)
             q = p ** (2 * m + 1)
             expect = np.zeros((q, q))
             for gj in frozen:
@@ -266,7 +266,7 @@ class TestFibreKernels:
                         expect[xi, encode_element(x * ga)] += 1
                         expect[xi, encode_element(ga * x)] += 1
             expect /= 2 * len(frozen) * p
-            assert np.array_equal(fk.matrix, expect), (p, m)
+            assert np.array_equal(fk, expect), (p, m)
 
     @pytest.mark.parametrize("kind, frozen, group", [
         ("transvection", (1, 8), {"k": 3}), ("transvection", (-1,), {"k": 3}),
@@ -275,7 +275,7 @@ class TestFibreKernels:
     ])
     def test_fibre_inputs_refused(self, kind, frozen, group):
         with pytest.raises(ValueError):
-            build_fibre_kernel(kind, 0, frozen, **group)
+            build_fibre_kernel(kind, frozen, **group)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,10 @@ class TestSpaces:
             if rank_bits(z, 2) == 2
         )
         assert count == 42
+
+    @pytest.mark.parametrize("state", [(0b100, 0b01, 0b10), (-1, 0b01, 0b10), (1, 2)])
+    def test_rows_outside_the_space_are_not_in_omega(self, state):
+        assert TransvectionWalk(3, 2).in_omega(state) is False
 
     def test_single_column_space_size(self):
         assert stiefel_space(5, 1).size == 31
@@ -1300,7 +1304,7 @@ class TestPaPraTables:
         with pytest.raises(BudgetError, match="product tables"):
             PaPraWalk(2, p, 1).move_permutations(space)
         with pytest.raises(BudgetError, match="product tables"):
-            build_fibre_kernel("heisenberg", 0, [encode_element(state[1])], p=p, m=1)
+            build_fibre_kernel("heisenberg", [encode_element(state[1])], p=p, m=1)
 
     def test_refusal_is_checked_again(self, monkeypatch, fresh_tables):
         # a refused (p, m) is not memoised: the second call is refused again,

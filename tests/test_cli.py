@@ -728,6 +728,15 @@ class TestExitCodes:
         assert code == 2
         assert err == f"budget refusal: {message}\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--fibres-only"]])
+    def test_unreachable_balance_level_is_config_error(self, capsys, extra):
+        # r = 2 leaves one frozen part, which always lies in some hyperplane
+        code, _, err = run_cli(["spectrum", "--walk", "pa-pra", "-r", "2", "-p", "3", "-m", "1",
+                                *extra], capsys)
+        assert code == 1
+        assert err == ("config error: no tuple is balanced at beta=0.5 for r=2: any 1 frozen "
+                       "horizontal parts lie in one hyperplane, above beta*(r-1) = 0.5\n")
+
     def test_reducible_kernel_refused_at_once(self, capsys):
         # V_2(H(3,1)) splits into two determinant classes of 216 states, so
         # worst-start TV never drops below 1/2

@@ -13,7 +13,6 @@ from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_
 from groupwalks.diagnostics import good_mask_rows, transvection_good_set
 from groupwalks.errors import BudgetError, ConfigError, ReversibilityError
 from groupwalks.spectral import (
-    DenseOperator,
     ambient_lsi_A_for_good_support,
     check_reversibility,
     dirichlet_form,
@@ -66,24 +65,6 @@ def stiefel_kernels(request):
 
 
 # ---------------------------------------------------------------------------
-# operator flavors
-
-
-class TestDenseOperator:
-    def test_flavors_check_their_rows(self):
-        assert DenseOperator(_two_state(0.3)).flavor == "stochastic"
-        assert DenseOperator(0.5 * _two_state(0.3), flavor="substochastic").size == 2
-        with pytest.raises(ValueError, match="row sums"):
-            DenseOperator(0.5 * _two_state(0.3))
-        with pytest.raises(ValueError, match="exceeds 1"):
-            DenseOperator(2 * _two_state(0.3), flavor="substochastic")
-
-    def test_general_flavor_refused(self):
-        with pytest.raises(ValueError, match="unknown flavor 'general'"):
-            DenseOperator(_two_state(0.3), flavor="general")
-
-
-# ---------------------------------------------------------------------------
 # gaps and eigenvalues
 
 
@@ -95,8 +76,8 @@ class TestSpectralGap:
         assert spectral_gap(np.eye(5)) == pytest.approx(0.0)
 
     def test_cancelling_fibre(self):
-        fk = build_fibre_kernel("transvection", 0, (1, 0), k=1)
-        assert spectral_gap(fk.matrix) == pytest.approx(1.0)
+        fk = build_fibre_kernel("transvection", (1, 0), k=1)
+        assert spectral_gap(fk) == pytest.approx(1.0)
 
     def test_non_reversible_rejected(self):
         P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -224,8 +205,8 @@ class TestFibreEigenvalues:
             k = int(rng.integers(1, 4))
             frozen = tuple(int(x) for x in rng.integers(0, 1 << k, n - 1))
             evs = fibre_eigenvalues_tr(0, frozen, k=k)
-            fk = build_fibre_kernel("transvection", 0, frozen, k=k)
-            dense = np.sort(np.linalg.eigvalsh(fk.matrix))
+            fk = build_fibre_kernel("transvection", frozen, k=k)
+            dense = np.sort(np.linalg.eigvalsh(fk))
             formula = np.sort(np.array([evs[x] for x in range(1 << k)]))
             assert np.abs(dense - formula).max() < 1e-10
 
@@ -431,8 +412,15 @@ class TestKilledKernel:
     def test_full_space(self):
         P = _two_state(0.3)
         K, delta = killed_kernel(P, np.array([True, True]))
-        assert np.array_equal(K.matrix, P)
+        assert np.array_equal(K, P) and not K.flags.writeable
         assert delta == pytest.approx(0.0)
+
+    def test_substochastic_rows_checked(self):
+        K, delta = killed_kernel(0.5 * _two_state(0.3), np.array([True, True]))
+        assert K.shape == (2, 2) and delta == pytest.approx(0.5)
+        for P in (2 * _two_state(0.3), np.array([[0.5, -0.1], [0.2, 0.3]])):
+            with pytest.raises(ValueError, match="not substochastic"):
+                killed_kernel(P, np.array([True, True]))
 
     def test_single_state(self):
         P = _two_state(0.3)
@@ -461,7 +449,7 @@ class TestKilledKernel:
     def test_operator_equals_dense(self, stiefel_kernels):
         P, S, mask = stiefel_kernels
         (KP, dP), (KS, dS) = killed_kernel(P, mask), killed_kernel(S, mask)
-        assert np.array_equal(KS.matrix, KP.matrix) and dS == dP
+        assert np.array_equal(KS, KP) and dS == dP
         assert ambient_lsi_A_for_good_support(S, mask) == ambient_lsi_A_for_good_support(P, mask)
 
 
@@ -500,8 +488,7 @@ class TestSemigroup:
         u0[0] = 1.0
         last = 1.0
         for t in np.linspace(0.0, 12.0, 13):
-            mass = float(semigroup_evolve(DenseOperator(K, flavor="substochastic"),
-                                          u0, float(t), mode="distribution").sum())
+            mass = float(semigroup_evolve(K, u0, float(t), mode="distribution").sum())
             assert mass <= last + 1e-12
             last = mass
 
