@@ -2,10 +2,10 @@
 
 The package splits into six layers:
 
-* :mod:`groupwalks.algebra` — F_p scalars/vectors, linear functionals,
-  the standard alternating form, and exact ranks (also of bit-packed F_2 rows);
-* :mod:`groupwalks.groups` — Heisenberg group elements, characters,
-  irreducible representations, and projection norms;
+* :mod:`groupwalks.algebra` — F_p vectors, linear functionals, the
+  standard alternating form, and exact ranks (also of bit-packed F_2 rows);
+* :mod:`groupwalks.groups` — Heisenberg group elements, the representations
+  rho_lam, and projection norms;
 * :mod:`groupwalks.chains` — the three walk kernels (row-addition tuples,
   one-column updates, power-averaged generator replacement), enumerated
   state spaces, fibre kernels, and vectorised trajectory engines;
@@ -29,20 +29,16 @@ from .errors import (
     ReversibilityError,
 )
 from .algebra import (
-    FieldScalar,
     FieldVector,
     LinearFunctional,
     SymplecticForm,
-    enumerate_functionals,
     rank,
     rank_bits,
 )
 from .groups import (
     HeisenbergElement,
     Representation,
-    build_representation,
     fixed_projection,
-    h_commutator,
     h_identity,
     heisenberg_elements,
     operator_norm,
@@ -70,7 +66,6 @@ from .spectral import (
     fibre_eigenvalues_tr,
     gap_lsi_bound,
     killed_kernel,
-    lsi_constant_numeric,
     path_comparison_check,
     pipeline_report,
     poincare_constant,

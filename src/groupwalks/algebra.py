@@ -1,9 +1,9 @@
 """Exact arithmetic over prime fields F_p.
 
-Scalars carry their modulus and refuse mixed-modulus arithmetic; vectors
-store one reduced entry per coordinate for every prime p.  On top of these sit
-linear functionals xi (with xi(v) = sum_i xi_i v_i mod p), the standard
-alternating form on F_p^{2m},
+Vectors store one reduced entry per coordinate for every prime p and refuse
+mixed-modulus arithmetic; scalars are plain ints in [0, p).  On top of the
+vectors sit linear functionals xi (with xi(v) = sum_i xi_i v_i mod p), the
+standard alternating form on F_p^{2m},
 
     omega(v, w) = sum_q ( v_{2q} w_{2q+1} - v_{2q+1} w_{2q} ),
 
@@ -18,11 +18,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CharacteristicError, DimensionMismatch, check_budget
+from .errors import CharacteristicError, DimensionMismatch
 
 __all__ = [
-    "DEFAULT_ENUM_BUDGET",
-    "FieldScalar",
     "FieldVector",
     "LinearFunctional",
     "SymplecticForm",
@@ -30,12 +28,7 @@ __all__ = [
     "half_mod",
     "rank",
     "rank_bits",
-    "eval_functional",
-    "symplectic_eval",
-    "enumerate_functionals",
 ]
-
-DEFAULT_ENUM_BUDGET = 1 << 24
 
 # Largest modulus the trial-division primality check will certify.
 _PRIME_CHECK_MAX = 1 << 20
@@ -83,63 +76,6 @@ def _pack(digits: np.ndarray, base: int) -> np.ndarray:
         codes *= base
         codes += digits[..., c]
     return codes
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """An element of F_p, stored as a reduced representative in [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldScalar):
-            if other.p != self.p:
-                raise DimensionMismatch(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldScalar((self.value + v) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldScalar((self.value - v) % self.p, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldScalar((self.value * v) % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldScalar(-self.value % self.p, self.p)
-
-    def inverse(self) -> "FieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldScalar(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"F{self.p}({self.value})"
 
 
 class FieldVector:
@@ -302,20 +238,16 @@ class LinearFunctional:
         return self.coeffs.is_zero()
 
     def __call__(self, v: FieldVector) -> int:
-        return int(eval_functional(self, v))
-
-
-def eval_functional(xi: LinearFunctional, v: FieldVector) -> FieldScalar:
-    """Evaluate xi(v) = sum_i xi_i v_i mod p."""
-    c = xi.coeffs
-    if v.p != c.p or v.dim != c.dim:
-        raise DimensionMismatch(
-            f"functional on ({c.dim},{c.p}) applied to vector of ({v.dim},{v.p})"
-        )
-    total = 0
-    for a, b in zip(c.entries, v.entries):
-        total += a * b
-    return FieldScalar(total % c.p, c.p)
+        """xi(v) = sum_i xi_i v_i mod p."""
+        c = self.coeffs
+        if v.p != c.p or v.dim != c.dim:
+            raise DimensionMismatch(
+                f"functional on ({c.dim},{c.p}) applied to vector of ({v.dim},{v.p})"
+            )
+        total = 0
+        for a, b in zip(c.entries, v.entries):
+            total += a * b
+        return total % c.p
 
 
 @dataclass(frozen=True)
@@ -339,52 +271,15 @@ class SymplecticForm:
     def m(self) -> int:
         return self.h // 2
 
-    def eval(self, v: FieldVector, w: FieldVector) -> FieldScalar:
-        return symplectic_eval(self, v, w)
-
-    def gram(self) -> list[list[int]]:
-        """Gram matrix J with J[i][j] = omega(e_i, e_j)."""
-        g = [[0] * self.h for _ in range(self.h)]
+    def eval(self, v: FieldVector, w: FieldVector) -> int:
+        """omega(v, w) = sum_q v_{2q} w_{2q+1} - v_{2q+1} w_{2q}  (mod p)."""
+        if v.p != self.p or w.p != self.p or v.dim != self.h or w.dim != self.h:
+            raise DimensionMismatch(
+                f"form on ({self.h},{self.p}) applied to ({v.dim},{v.p}) and ({w.dim},{w.p})"
+            )
+        a = v.entries
+        b = w.entries
+        total = 0
         for q in range(self.m):
-            g[2 * q][2 * q + 1] = 1
-            g[2 * q + 1][2 * q] = self.p - 1
-        return g
-
-
-def symplectic_eval(form: SymplecticForm, v: FieldVector, w: FieldVector) -> FieldScalar:
-    """omega(v, w) = sum_q v_{2q} w_{2q+1} - v_{2q+1} w_{2q}  (mod p)."""
-    if v.p != form.p or w.p != form.p or v.dim != form.h or w.dim != form.h:
-        raise DimensionMismatch(
-            f"form on ({form.h},{form.p}) applied to ({v.dim},{v.p}) and ({w.dim},{w.p})"
-        )
-    a = v.entries
-    b = w.entries
-    total = 0
-    for q in range(form.m):
-        total += a[2 * q] * b[2 * q + 1] - a[2 * q + 1] * b[2 * q]
-    return FieldScalar(total % form.p, form.p)
-
-
-def enumerate_functionals(
-    dim: int,
-    p: int,
-    include_zero: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Iterator[LinearFunctional]:
-    """Yield every functional on F_p^dim (p^dim of them), in base-p counter order.
-
-    Coordinate 0 of the coefficient vector is the fastest-varying digit.
-    Raises BudgetError when p^dim exceeds the budget.
-    """
-    check_prime(p)
-    count = p**dim
-    check_budget(count, budget, "functionals", "enumeration")
-    for code in range(count):
-        if code == 0 and not include_zero:
-            continue
-        digits = []
-        c = code
-        for _ in range(dim):
-            digits.append(c % p)
-            c //= p
-        yield LinearFunctional(FieldVector(digits, p))
+            total += a[2 * q] * b[2 * q + 1] - a[2 * q + 1] * b[2 * q]
+        return total % self.p

@@ -1,4 +1,4 @@
-"""Character statistics, good sets, and chain diagnostics.
+"""Statistics of character sums, good sets, and chain diagnostics.
 
 This module measures what the walks of :mod:`groupwalks.chains` actually do:
 
@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags, issparse

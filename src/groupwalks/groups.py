@@ -17,7 +17,8 @@ The irreducible representations are the p^{2m} one-dimensional characters
 chi_xi(v, z) = psi(xi(v)) together with, for each lam in F_p^x, one
 representation rho_lam of dimension p^m on which the center acts by
 rho_lam(0, z) = psi(lam z) I, where psi(t) = exp(2 pi i t / p).  The
-dimension count p^{2m} + (p-1) p^{2m} = p^{2m+1} = |H| is exact.
+dimension count p^{2m} + (p-1) p^{2m} = p^{2m+1} = |H| is exact
+(representation_dimension_check); only the rho_lam are built here.
 
 rho_lam is realised on functions on the coset space of K = A x F_p, where
 A is the span of the first vector of each symplectic pair and B the span
@@ -35,13 +36,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .algebra import (
     FieldVector,
-    LinearFunctional,
     SymplecticForm,
     _digits,
     _pack,
@@ -57,16 +57,12 @@ __all__ = [
     "h_mul",
     "h_pow",
     "h_inv",
-    "h_commutator",
     "generates",
     "heisenberg_elements",
     "encode_element",
     "decode_element",
     "psi",
-    "Character",
-    "character_value",
     "Representation",
-    "build_representation",
     "representation_dimension_check",
     "operator_norm",
     "Projection",
@@ -159,13 +155,6 @@ def h_inv(g: HeisenbergElement) -> HeisenbergElement:
     return HeisenbergElement(-g.v, -g.z % g.p)
 
 
-def h_commutator(g: HeisenbergElement, k: HeisenbergElement) -> HeisenbergElement:
-    """[g, k] = g k g^-1 k^-1 = (0, omega(v, w))."""
-    _same_group(g, k)
-    form = SymplecticForm(g.h, g.p)
-    return HeisenbergElement(FieldVector.zero(g.h, g.p), int(form.eval(g.v, k.v)))
-
-
 def generates(tup: Sequence[HeisenbergElement]) -> bool:
     """True when the tuple generates H, i.e. the horizontal parts span F_p^{2m}."""
     if not tup:
@@ -203,31 +192,13 @@ def decode_element(code: int, p: int, m: int) -> HeisenbergElement:
 
 
 # ---------------------------------------------------------------------------
-# characters and representations
+# the additive character and the representations rho_lam
 # ---------------------------------------------------------------------------
 
 
 def psi(t: int, p: int) -> complex:
     """The standard additive character exp(2 pi i t / p)."""
     return cmath.exp(2j * cmath.pi * (int(t) % p) / p)
-
-
-@dataclass(frozen=True)
-class Character:
-    """One-dimensional representation chi_xi(v, z) = psi(xi(v)); trivial on the center."""
-
-    xi: LinearFunctional
-
-
-def character_value(chi: Character, g) -> complex:
-    """chi_xi applied to a HeisenbergElement, or directly to a horizontal FieldVector.
-
-    Accepting a bare vector covers the characteristic-two analogue
-    chi_xi(u) = (-1)^{xi(u)} used by the row-addition walk.
-    """
-    v = g.v if isinstance(g, HeisenbergElement) else g
-    val = int(chi.xi(v))
-    return psi(val, chi.xi.p)
 
 
 class Representation:
@@ -280,19 +251,6 @@ class Representation:
         mat.flags.writeable = False
         self._cache[code] = mat
         return mat
-
-    def matrices_json(self, elements: Iterable[HeisenbergElement]) -> list:
-        """Matrices as nested lists of [re, im] pairs, in the given element order."""
-        out = []
-        for g in elements:
-            mat = self.matrix(g)
-            out.append([[[float(x.real), float(x.imag)] for x in row] for row in mat])
-        return out
-
-
-def build_representation(p: int, m: int, lam: int, budget: int = DEFAULT_REP_DIM_BUDGET) -> Representation:
-    """Construct rho_lam; raises ValueError for lam outside F_p^x or oversized p^m."""
-    return Representation(p, m, lam, budget=budget)
 
 
 def representation_dimension_check(p: int, m: int) -> tuple[int, int]:

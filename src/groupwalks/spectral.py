@@ -45,7 +45,6 @@ __all__ = [
     "gap_lsi_bound",
     "LsiEstimate",
     "lsi_estimate",
-    "lsi_constant_numeric",
     "killed_kernel",
     "semigroup_evolve",
     "poisson_tail_gt",
@@ -325,9 +324,10 @@ def lsi_estimate(
     """
     if restarts < 0 or steps < 0:
         raise ConfigError(f"restarts and steps must be nonnegative, got {restarts} and {steps}")
-    K = _matrix_of(op)
+    K = _operator_of(op)
     M = K.shape[0]
     check_budget(M, size_cap, "states", "optimizer")
+    K = _matrix_of(K)
     rho = _weights_of(stationary, M)
     S = check_reversibility(K, rho)
     # reducibility guard: a nonconstant function with zero Dirichlet energy
@@ -388,11 +388,6 @@ def lsi_estimate(
                 best_val, best_f = float(r[0]), f
                 best_ent, best_dir = float(e[0]), float(d[0])
     return LsiEstimate(best_val, best_f, best_dir, best_ent)
-
-
-def lsi_constant_numeric(op, stationary=None, **kw) -> float:
-    """Float view of lsi_estimate (the certified lower-bound value)."""
-    return lsi_estimate(op, stationary, **kw).value
 
 
 def killed_kernel(op, good_mask, stationary=None) -> tuple[np.ndarray, float]:
@@ -507,7 +502,7 @@ def tv_signed(d1, d2) -> float:
     distance (lambda = 0 against any probability gives 1).
     """
     a = _weights_of(d1)
-    b = _weights_of(d2)
+    b = _weights_of(d2, a.size)
     nu = a - b
     return float(max(nu[nu > 0].sum() if (nu > 0).any() else 0.0,
                      -nu[nu < 0].sum() if (nu < 0).any() else 0.0))
@@ -521,7 +516,7 @@ def subprob_tv_bound(lam, rho) -> tuple[float, float]:
     rho.
     """
     l = _weights_of(lam)
-    r = _weights_of(rho)
+    r = _weights_of(rho, l.size)
     if ((l > 1e-15) & (r <= 0)).any():
         raise ValueError("the subprobability charges a null set of the reference law")
     u = np.where(r > 0, l / np.where(r > 0, r, 1.0), 0.0)
@@ -547,6 +542,8 @@ def entropy_decay_check(
     constant; the report carries a numeric lower bound on that constant and
     flags the hypothesis instead of silently passing.
     """
+    if not A > 0:
+        raise ConfigError(f"the LSI constant A must be positive, got {A}")
     K = _matrix_of(killed_op)
     r = _weights_of(rho, K.shape[0])
     u0 = np.asarray(u0, dtype=float)
@@ -576,7 +573,7 @@ def entropy_decay_check(
         "points": points,
     }
     if check_hypothesis:
-        numeric = lsi_constant_numeric(K, r, restarts=32, steps=2000, seed=seed)
+        numeric = lsi_estimate(K, r, restarts=32, steps=2000, seed=seed).value
         report["numeric_lsi_lower"] = numeric
         report["hypothesis_ok"] = bool(numeric <= A * (1.0 + 1e-9))
     return report

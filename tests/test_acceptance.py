@@ -49,7 +49,7 @@ from groupwalks.diagnostics import (
     tv_counting_lower,
 )
 from groupwalks.groups import (
-    build_representation,
+    Representation,
     fixed_projection,
     heisenberg_elements,
     psi,
@@ -203,7 +203,7 @@ def heisenberg_reps():
         Z = np.array([int(g.z) for g in elems])
         omega = (V[:, 0, None] * V[None, :, 1] - V[:, 1, None] * V[None, :, 0]) % p
         mats = {
-            lam: np.stack([build_representation(p, 1, lam).matrix(g) for g in elems])
+            lam: np.stack([Representation(p, 1, lam).matrix(g) for g in elems])
             for lam in range(1, p)
         }
         data[p] = {

@@ -1,25 +1,21 @@
-"""Heisenberg arithmetic, generation, characters, representations, projections."""
+"""Heisenberg arithmetic, generation, representations, projections."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from groupwalks.algebra import FieldVector, LinearFunctional, SymplecticForm, _digits
+from groupwalks.algebra import FieldVector, SymplecticForm, _digits
 from groupwalks import groups
 from groupwalks.errors import CharacteristicError, InvariantError
 from groupwalks.groups import (
-    Character,
     HeisenbergElement,
     Projection,
     Representation,
-    build_representation,
-    character_value,
     decode_element,
     encode_element,
     fixed_projection,
     generates,
-    h_commutator,
     h_identity,
     h_inv,
     h_mul,
@@ -41,6 +37,11 @@ H_ALL = list(heisenberg_elements(P, M))
 
 def _el(v0, v1, z, p=P):
     return HeisenbergElement(FieldVector([v0, v1], p), z)
+
+
+def _commutator(g, k):
+    """[g, k] = g k g^-1 k^-1, from the group law alone."""
+    return h_mul(h_mul(g, k), h_mul(h_inv(g), h_inv(k)))
 
 
 def _mult_table(p=P, m=M):
@@ -115,18 +116,18 @@ class TestGroupLaw:
         form = SymplecticForm(2, P)
         for g in H_ALL[:9]:
             for k in H_ALL:
-                c = h_commutator(g, k)
+                c = _commutator(g, k)
                 assert c.v.is_zero()
-                assert c.z == int(form.eval(g.v, k.v))
+                assert c.z == form.eval(g.v, k.v)
 
     def test_commuting_pair_and_self_commutator(self):
         g = _el(1, 0, 1)
         k = _el(2, 0, 2)  # parallel horizontal parts commute
-        assert h_commutator(g, k) == h_identity(P, M)
-        assert h_commutator(g, g) == h_identity(P, M)
+        assert _commutator(g, k) == h_identity(P, M)
+        assert _commutator(g, g) == h_identity(P, M)
 
     def test_central_example(self):
-        c = h_commutator(_el(1, 0, 0), _el(0, 1, 0))
+        c = _commutator(_el(1, 0, 0), _el(0, 1, 0))
         assert c == _el(0, 0, 1)
 
     def test_characteristic_two_rejected(self):
@@ -198,46 +199,12 @@ class TestGenerates:
 
 
 # ---------------------------------------------------------------------------
-# characters
-
-
-class TestCharacters:
-    def test_trivial_functional(self):
-        chi = Character(LinearFunctional(FieldVector([0, 0], P)))
-        for g in H_ALL:
-            assert character_value(chi, g) == 1
-
-    def test_cube_root_value(self):
-        chi = Character(LinearFunctional(FieldVector([1, 0], P)))
-        g = _el(1, 0, 2)
-        assert abs(character_value(chi, g) - np.exp(2j * np.pi / 3)) < 1e-14
-
-    def test_sign_character_over_f2(self):
-        chi = Character(LinearFunctional(FieldVector([1, 1], 2)))
-        assert character_value(chi, FieldVector([1, 0], 2)) == pytest.approx(-1)
-        assert character_value(chi, FieldVector([1, 1], 2)) == pytest.approx(1)
-
-    def test_trivial_on_center(self):
-        chi = Character(LinearFunctional(FieldVector([1, 2], P)))
-        for z in range(P):
-            assert character_value(chi, _el(0, 0, z)) == 1
-
-    def test_multiplicative_on_the_group(self):
-        chi = Character(LinearFunctional(FieldVector([2, 1], P)))
-        for g in H_ALL[:9]:
-            for k in H_ALL:
-                lhs = character_value(chi, h_mul(g, k))
-                rhs = character_value(chi, g) * character_value(chi, k)
-                assert abs(lhs - rhs) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # representations
 
 
 @pytest.fixture(scope="module", params=[1, 2])
 def rep3(request):
-    return build_representation(P, M, request.param)
+    return Representation(P, M, request.param)
 
 
 class TestRepresentation:
@@ -277,7 +244,7 @@ class TestRepresentation:
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
-            build_representation(P, M, 0)
+            Representation(P, M, 0)
 
     def test_dimension_budget(self):
         with pytest.raises(Exception):
@@ -288,12 +255,6 @@ class TestRepresentation:
         assert dim_sq_sum == order == 27
         dim_sq_sum5, order5 = representation_dimension_check(5, 1)
         assert dim_sq_sum5 == order5 == 125
-
-    def test_json_export_shape(self, rep3):
-        data = rep3.matrices_json(H_ALL[:2])
-        assert len(data) == 2
-        first = np.array(data[0])
-        assert first.shape == (3, 3, 2)  # [re, im] pairs
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +274,7 @@ class TestProjections:
         assert proj.rank == 1
 
     def test_hermitian_idempotent(self):
-        rep = build_representation(P, M, 1)
+        rep = Representation(P, M, 1)
         for g in H_ALL[::5]:
             proj = fixed_projection(rep.matrix(g), P)
             mat = proj.matrix
@@ -327,7 +288,7 @@ class TestProjections:
             fixed_projection(np.diag([1.0, 0.5]), 3)
 
     def test_pair_norm_hits_inverse_sqrt_p(self):
-        rep = build_representation(P, M, 1)
+        rep = Representation(P, M, 1)
         form = SymplecticForm(2, P)
         target = P**-0.5
         checked = 0
@@ -342,7 +303,7 @@ class TestProjections:
         assert checked > 0
 
     def test_pair_norm_bound_under_nontrivial_twist_p5(self):
-        rep = build_representation(5, 1, 2)
+        rep = Representation(5, 1, 2)
         form = SymplecticForm(2, 5)
         target = 5**-0.5
         els = [
@@ -358,7 +319,7 @@ class TestProjections:
                 assert operator_norm(pu @ pv) <= target + 1e-10
 
     def test_family_average_bound(self):
-        rep = build_representation(P, M, 1)
+        rep = Representation(P, M, 1)
         projs = [fixed_projection(rep.matrix(g), P) for g in H_ALL[::3]]
         delta, lam_max, bound = projection_family_bound(projs, alpha=P**-0.5 + 1e-9)
         assert 0.0 < delta <= 1.0

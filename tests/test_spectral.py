@@ -11,7 +11,7 @@ from scipy.sparse import csr_matrix
 from groupwalks import spectral
 from groupwalks.chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
 from groupwalks.diagnostics import good_mask_rows, transvection_good_set
-from groupwalks.errors import BudgetError, ConfigError, ReversibilityError
+from groupwalks.errors import BudgetError, ConfigError, DimensionMismatch, ReversibilityError
 from groupwalks.spectral import (
     ambient_lsi_A_for_good_support,
     check_reversibility,
@@ -22,7 +22,6 @@ from groupwalks.spectral import (
     fibre_eigenvalues_tr,
     gap_lsi_bound,
     killed_kernel,
-    lsi_constant_numeric,
     lsi_estimate,
     path_comparison_check,
     pipeline_report,
@@ -368,7 +367,7 @@ class TestLsiNumeric:
             if var > 1e-15:
                 best = max(best, ent / var)
         assert best == pytest.approx(2.0, abs=1e-5)
-        got = lsi_constant_numeric(K)
+        got = lsi_estimate(K).value
         assert got == pytest.approx(2.0, abs=1e-4)
 
     def test_certificate_is_a_real_ratio(self):
@@ -385,17 +384,26 @@ class TestLsiNumeric:
     def test_laziness_doubles_the_constant(self):
         P = _uniform_kernel(4)
         Q = 0.5 * (np.eye(4) + P)
-        a = lsi_constant_numeric(P, seed=3)
-        b = lsi_constant_numeric(Q, seed=3)
+        a = lsi_estimate(P, seed=3).value
+        b = lsi_estimate(Q, seed=3).value
         assert b == pytest.approx(2 * a, rel=0.05)
 
     def test_size_cap(self):
         with pytest.raises(BudgetError):
-            lsi_constant_numeric(_uniform_kernel(8), size_cap=4)
+            lsi_estimate(_uniform_kernel(8), size_cap=4)
+
+    def test_size_cap_refuses_before_densifying(self, monkeypatch):
+        def densify(self, *args, **kwargs):
+            raise AssertionError("a refused kernel was densified")
+
+        K = csr_matrix(_uniform_kernel(65))
+        monkeypatch.setattr(csr_matrix, "toarray", densify)
+        with pytest.raises(BudgetError):
+            lsi_estimate(K)
 
     def test_reducible_chain_reports_infinity(self):
         P = np.eye(4)
-        assert lsi_constant_numeric(P) == math.inf
+        assert lsi_estimate(P).value == math.inf
 
     @pytest.mark.parametrize("kwargs", [{"restarts": -2}, {"steps": -1}])
     def test_negative_restarts_or_steps_refused(self, kwargs):
@@ -556,6 +564,10 @@ class TestSubprobTv:
         with pytest.raises(ValueError):
             subprob_tv_bound(lam, rho)
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            subprob_tv_bound([0.5, 0.5], [1.0])
+
 
 class TestEntropyDecay:
     def test_stationary_density_stays_flat(self):
@@ -603,6 +615,15 @@ class TestEntropyDecay:
             report = entropy_decay_check(KG, rho_g, u0, t_grid, A=ext["A"],
                                          check_hypothesis=False)
             assert report["violations"] == 0
+
+    @pytest.mark.parametrize("A", [-1.0, 0.0, math.nan])
+    def test_nonpositive_A_refused(self, A):
+        with pytest.raises(ConfigError, match="must be positive"):
+            entropy_decay_check(_uniform_kernel(2), None, np.ones(2), [1.0], A=A)
+
+    def test_infinite_A_allowed(self):
+        report = entropy_decay_check(_uniform_kernel(2), None, np.ones(2), [1.0], A=math.inf)
+        assert report["A"] == math.inf and report["hypothesis_ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -860,9 +881,8 @@ class TestZeroExtension:
             assert ext["good_size"] == int(mask.sum())
             assert ext["good_mass"] == pytest.approx(mask.mean())
             KG, _ = killed_kernel(P, mask, pi)
-            killed_lsi = lsi_constant_numeric(KG, pi[mask] / pi[mask].sum(),
-                                              restarts=24, steps=2000,
-                                              size_cap=4096)
+            killed_lsi = lsi_estimate(KG, pi[mask] / pi[mask].sum(), restarts=24,
+                                      steps=2000, size_cap=4096).value
             assert killed_lsi <= ext["A"] * (1 + 1e-9)
 
     def test_spectrum_sorted_descending(self):
@@ -876,3 +896,5 @@ class TestZeroExtension:
         b = np.array([0.0, 0.5, 0.5])
         assert tv_signed(a, b) == pytest.approx(0.5)
         assert tv_signed(a, a) == 0.0
+        with pytest.raises(DimensionMismatch):
+            tv_signed([0.5, 0.5], [1.0])
