@@ -184,11 +184,8 @@ def rank_bits(rows: Sequence[int], width: int | None = None) -> int:
     return len(pivots)
 
 
-def rank(vectors: Sequence[FieldVector], dim: int | None = None, p: int | None = None) -> int:
-    """Rank of the span of the given vectors, by Gaussian elimination.
-
-    dim/p are only needed to disambiguate the empty family (rank 0).
-    """
+def rank(vectors: Sequence[FieldVector]) -> int:
+    """Rank of the span of the given vectors (0 for none), by Gaussian elimination."""
     vecs = list(vectors)
     if not vecs:
         return 0
@@ -196,10 +193,6 @@ def rank(vectors: Sequence[FieldVector], dim: int | None = None, p: int | None =
     for v in vecs[1:]:
         if v.p != p0 or v.dim != d0:
             raise DimensionMismatch("vectors of mixed shape")
-    if p is not None and p != p0:
-        raise DimensionMismatch(f"declared p={p} but vectors live over F_{p0}")
-    if dim is not None and dim != d0:
-        raise DimensionMismatch(f"declared dim={dim} but vectors have dim {d0}")
     # textbook elimination mod p
     mat = [list(v.entries) for v in vecs]
     r = 0

@@ -150,10 +150,7 @@ class EnumeratedSpace:
         return self.size
 
     def index_of_code(self, code: int) -> int:
-        pos = int(np.searchsorted(self.codes, code))
-        if pos >= self.size or self.codes[pos] != code:
-            raise KeyError(f"code {code} is not in the space")
-        return pos
+        return int(_indices_of(self, np.array([code]))[0])
 
     def index_of(self, state) -> int:
         return self.index_of_code(self.encode(state))
@@ -1103,11 +1100,10 @@ def one_column_batch(
     stat_fn: Callable[[int, np.ndarray], None],
     start: np.ndarray | None = None,
     laziness: float = 0.0,
-    stream: int = 0,
 ) -> None:
     """OneColumnWalk(r, p, laziness).batch: stat_fn(t, Y) sees (trials, r)
     uint8 states; the default start is e_1."""
-    OneColumnWalk(r, p, laziness).batch(trials, t_grid, seed, stat_fn, start, stream)
+    OneColumnWalk(r, p, laziness).batch(trials, t_grid, seed, stat_fn, start)
 
 
 def transvection_batch(
@@ -1119,11 +1115,10 @@ def transvection_batch(
     stat_fn: Callable[[int, np.ndarray], None],
     start: np.ndarray,
     laziness: float = 0.0,
-    stream: int = 0,
 ) -> None:
     """TransvectionWalk(n, k, laziness).batch: stat_fn(t, Z) sees packed
     int64 rows (trials, n)."""
-    TransvectionWalk(n, k, laziness).batch(trials, t_grid, seed, stat_fn, start, stream)
+    TransvectionWalk(n, k, laziness).batch(trials, t_grid, seed, stat_fn, start)
 
 
 def pa_pra_batch(
@@ -1137,7 +1132,6 @@ def pa_pra_batch(
     start_v: np.ndarray,
     start_z: np.ndarray,
     laziness: float = 0.0,
-    stream: int = 0,
 ) -> None:
     """PaPraWalk(r, p, m, laziness).batch from (start_v, start_z), with the
     element codes decoded at grid times only: stat_fn(t, V, Z) sees int16
@@ -1148,7 +1142,7 @@ def pa_pra_batch(
         digits = _digits(codes, p, h + 1).astype(np.int16)
         stat_fn(t, digits[..., :h], digits[..., h])
 
-    PaPraWalk(r, p, m, laziness).batch(trials, t_grid, seed, observe, (start_v, start_z), stream)
+    PaPraWalk(r, p, m, laziness).batch(trials, t_grid, seed, observe, (start_v, start_z))
 
 
 @dataclass
@@ -1207,7 +1201,9 @@ def _indices_of(space: EnumeratedSpace, codes: np.ndarray) -> np.ndarray:
     """The state index of every code in `codes`; KeyError, as
     EnumeratedSpace.index_of_code raises, when one is missing from the space."""
     idx = np.searchsorted(space.codes, codes)
-    missing = np.take(space.codes, idx, mode="clip") != codes
+    # np.take cannot clip into an empty space, where every code is missing
+    missing = (np.take(space.codes, idx, mode="clip") != codes if space.size
+               else np.ones(codes.shape, dtype=bool))
     if missing.any():
         raise KeyError(f"code {int(codes[missing][0])} is not in the space")
     return idx

@@ -10,9 +10,8 @@ same configuration are byte-identical.
 Exit codes: 0 success, 1 configuration error, 2 budget refusal, 3 internal
 invariant violation or any other unexpected exception (``MemoryError``,
 ``LinAlgError``, ...), reported as one ``internal error: <Type>: <message>``
-line on stderr; an interrupt is not caught.  The environment variable
-``GROUPWALKS_THREADS`` limits BLAS thread pools when ``threadpoolctl`` is
-available.
+line on stderr; an interrupt is not caught.  BLAS threads follow the
+usual ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` environment variables.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -35,6 +33,7 @@ from .algebra import _digits, _pack
 from .chains import OneColumnWalk, PaPraWalk, TransvectionWalk, build_fibre_kernel
 from .diagnostics import (
     DEFAULT_DENSE_BUDGET,
+    TV_STEP_CAP,
     BDParams,
     _functional_table,
     _good_mask_of_table,
@@ -68,26 +67,6 @@ SCHEMA_VERSION = 1
 COMMANDS = ("simulate", "spectrum", "mixing", "birthdeath", "repcheck", "pipeline")
 PIPELINE_BUDGET = 2048  # states: the pipeline's eigensolve on the killed kernel
 CSV_BUDGET = 256  # statistic columns of a simulate CSV
-
-_thread_limiter = None  # keeps a threadpoolctl controller alive for the process
-
-
-def _apply_thread_env() -> None:
-    global _thread_limiter
-    raw = os.environ.get("GROUPWALKS_THREADS")
-    if not raw:
-        return
-    try:
-        count = int(raw)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"GROUPWALKS_THREADS must be a positive integer, got {raw!r}")
-    try:
-        import threadpoolctl
-    except ImportError:
-        return
-    _thread_limiter = threadpoolctl.threadpool_limits(limits=count)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +329,14 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
         dense_budget = _get_int(cfg, "dense_budget", DEFAULT_DENSE_BUDGET, minimum=1)
         space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
         check_budget(space.size, dense_budget, "states", "dense mixing", "dense_budget")
+        grid = _get_grid(cfg, "t_grid")
+        if grid:  # _tv_at refuses it too, but only after the tau search
+            check_budget(grid[-1], TV_STEP_CAP, "steps", "TV grid")
         # one pass over the class starts gives tau and the whole curve
         tau, curve, steps = _mixing_run(walk.operator(space), epsilon, budget=dense_budget,
                                         starts=walk.start_representatives(space))
-        grid = _get_grid(cfg, "t_grid", list(range(0, tau + 1)))
+        if grid is None:
+            grid = list(range(0, tau + 1))
         curve = _tv_at(grid, steps, curve)
         lower = [tv_counting_lower(t, walk.counting_move_bound, space.size) for t in grid]
         report = {
@@ -592,7 +575,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_env()
         args = _parser().parse_args(argv)
         overrides = {
             key: val

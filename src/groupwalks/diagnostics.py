@@ -95,6 +95,7 @@ DEFAULT_FUNCTIONAL_BUDGET = 1 << 20
 DEFAULT_DENSE_BUDGET = 4096
 DEFAULT_BLOCK_BUDGET = DEFAULT_DENSE_BUDGET**2  # entries of exact mixing's starts x states block
 DEFAULT_CLASS_BUDGET = 1 << 23  # entries of a type-class table, classes * values
+TV_STEP_CAP = 100_000  # steps: the exact tau search's cap and the largest TV grid time
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,6 @@ def burnin_occupancy(
     trials: int,
     seed: int,
     start=None,
-    stream: int = 0,
 ) -> dict:
     """Estimated P(X_t not in G) on a time grid, with Wilson 99% intervals.
 
@@ -474,7 +474,7 @@ def burnin_occupancy(
     def stat(t: int, cells: np.ndarray) -> None:
         failures[t] = int((~_good_mask_of_table(_functional_table(cells, spec), spec)).sum())
 
-    walk.batch(trials, grid, seed, stat, start, stream)
+    walk.batch(trials, grid, seed, stat, start)
     times = np.array(grid, dtype=np.int64)
     fail_counts = np.array([failures[t] for t in grid], dtype=np.int64)
     ci = np.array([wilson_interval(int(c), trials) for c in fail_counts]).reshape(-1, 2)
@@ -531,17 +531,18 @@ def _matrix_of(kernel) -> np.ndarray:
     return mat.toarray() if issparse(mat) else mat
 
 
-def _refuse_reducible(P, pi: np.ndarray, epsilon: float) -> None:
+def _refuse_reducible(P, epsilon: float) -> None:
     """Raise BudgetError when some closed class keeps worst-start TV above epsilon.
 
     A weak component C of the kernel's nonzero pattern (P dense or CSR) has
     no edge leaving it, so a walk started in C stays there and
-    TV(P^t(x, .), pi) >= 1 - pi(C) for every t.
+    TV(P^t(x, .), pi) >= 1 - pi(C) for every t, pi uniform.
     """
     count, labels = _weak_components(P if issparse(P) else csr_matrix(P))
     if count == 1:
         return
-    floor = 1.0 - float(np.bincount(labels, weights=pi).min())
+    M = labels.size
+    floor = 1.0 - float(np.bincount(labels, weights=np.full(M, 1.0 / M)).min())
     if floor > epsilon:
         sizes = np.sort(np.bincount(labels))[::-1].tolist()
         shown = ", ".join(map(str, sizes[:10])) + (", ..." if count > 10 else "")
@@ -572,8 +573,8 @@ def _nth(powers, n: int) -> np.ndarray:
     return next(itertools.islice(powers, n, None))
 
 
-def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
-    """Worst TV(P^t(x, .), pi) over the tracked starts x at t = 0, 1, 2, ...
+def _worst_tv_steps(P, starts) -> Iterator[float]:
+    """Worst TV(P^t(x, .), uniform) over the tracked starts x at t = 0, 1, 2, ...
 
     The indicator rows of the starts (all states when starts=None) advance
     by _powers: with P in CSR a step costs nnz(P) per start, not M^2.  A block
@@ -588,11 +589,10 @@ def _worst_tv_steps(P, pi: np.ndarray, starts) -> Iterator[float]:
     A = np.zeros((idx.size, M))
     A[np.arange(idx.size), idx] = 1.0
     for laws in _powers(P, A, "distribution"):
-        yield 0.5 * float(np.abs(laws - pi[None, :]).sum(axis=1).max())
+        yield 0.5 * float(np.abs(laws - 1.0 / M).sum(axis=1).max())
 
 
-def _mixing_run(kernel, epsilon, stationary=None, t_max=100_000,
-                budget=DEFAULT_DENSE_BUDGET, starts=None):
+def _mixing_run(kernel, epsilon, t_max=TV_STEP_CAP, budget=DEFAULT_DENSE_BUDGET, starts=None):
     """(tau, [worst TV at t = 0 .. tau], the live _worst_tv_steps iterator).
 
     The budget, epsilon and reducibility checks run first, in that order.
@@ -604,9 +604,8 @@ def _mixing_run(kernel, epsilon, stationary=None, t_max=100_000,
     check_budget(M, budget, "states", "dense mixing")
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
-    pi = _weights_of(stationary, M)
-    _refuse_reducible(P, pi, epsilon)
-    steps = _worst_tv_steps(P, pi, starts)
+    _refuse_reducible(P, epsilon)
+    steps = _worst_tv_steps(P, starts)
     curve = []
     for t, worst in zip(range(t_max + 1), steps):
         curve.append(worst)
@@ -618,12 +617,14 @@ def _mixing_run(kernel, epsilon, stationary=None, t_max=100_000,
 def _tv_at(t_grid: Sequence[int], steps: Iterator[float], curve: list) -> np.ndarray:
     """Worst TV at the sorted distinct grid times.  curve holds the values
     already drawn from steps (t = 0 .. len(curve) - 1) and is extended in
-    place up to the largest grid time."""
+    place up to the largest grid time; one above TV_STEP_CAP is refused
+    before any step."""
     grid = sorted(set(int(t) for t in t_grid))
     if grid and grid[0] < 0:
         raise ConfigError("grid times must be nonnegative")
     if not grid:
         return np.array([])
+    check_budget(grid[-1], TV_STEP_CAP, "steps", "TV grid")
     curve.extend(next(steps) for _ in range(len(curve), grid[-1] + 1))
     return np.array([curve[t] for t in grid])
 
@@ -631,12 +632,10 @@ def _tv_at(t_grid: Sequence[int], steps: Iterator[float], curve: list) -> np.nda
 def mixing_time_exact(
     kernel,
     epsilon: float = 0.25,
-    stationary=None,
-    t_max: int = 100_000,
-    budget: int = DEFAULT_DENSE_BUDGET,
+    t_max: int = TV_STEP_CAP,
     starts=None,
 ) -> int:
-    """Smallest t with worst-start TV(P^t(x, .), pi) <= epsilon, exactly.
+    """Smallest t with worst-start TV(P^t(x, .), uniform) <= epsilon, exactly.
 
     The rows of P^t for the start indices ``starts`` (every state when
     None) are iterated and the worst row TV evaluated per step.  Passing
@@ -648,20 +647,20 @@ def mixing_time_exact(
     from pi for ever is refused with BudgetError before any product, and so
     are starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET entries.
     """
-    return _mixing_run(kernel, epsilon, stationary, t_max, budget, starts)[0]
+    return _mixing_run(kernel, epsilon, t_max, starts=starts)[0]
 
 
-def worst_tv_curve(kernel, t_grid: Sequence[int], stationary=None, starts=None) -> np.ndarray:
-    """Worst-start exact TV at each grid time, by iterating the kernel.
+def worst_tv_curve(kernel, t_grid: Sequence[int], starts=None) -> np.ndarray:
+    """Worst-start exact TV from uniform at each grid time, by iterating the kernel.
 
     Only the rows of P^t for ``starts`` are tracked (every state when
     None, which is bitwise the all-starts curve); values are returned in
     sorted order of the distinct grid times.  The kernel may be dense or
     scipy.sparse; starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET
-    entries are refused with BudgetError.
+    entries are refused with BudgetError, and so is a grid time above
+    TV_STEP_CAP.
     """
-    P = _operator_of(kernel)
-    return _tv_at(t_grid, _worst_tv_steps(P, _weights_of(stationary, P.shape[0]), starts), [])
+    return _tv_at(t_grid, _worst_tv_steps(_operator_of(kernel), starts), [])
 
 
 def tv_counting_lower(t: int, move_count: int, omega_size: int) -> float:

@@ -99,12 +99,6 @@ class HeisenbergElement:
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         return h_mul(self, other)
 
-    def __pow__(self, a: int) -> "HeisenbergElement":
-        return h_pow(self, a)
-
-    def inverse(self) -> "HeisenbergElement":
-        return h_inv(self)
-
     def __repr__(self) -> str:
         return f"H{self.p}({list(self.v.entries)}, {self.z})"
 
@@ -327,16 +321,16 @@ def _fixed_projections(stack: np.ndarray, order: int, tol: float) -> np.ndarray:
     return proj
 
 
-def fixed_projection(U: np.ndarray, order: int, tol: float = 1e-10) -> Projection:
+def fixed_projection(U: np.ndarray, order: int) -> Projection:
     """Orthogonal projection (1/p) sum_a U^a onto the fixed space of U.
 
-    Requires U^order = I within tolerance (order = p for non-identity
+    Requires U^order = I within 1e-10 (order = p for non-identity
     Heisenberg images); raises ValueError otherwise.
     """
     u = np.asarray(U, dtype=complex)
     if u.ndim != 2:
         raise ValueError("operator must be square")
-    return Projection(_fixed_projections(u[None], order, tol)[0], tol=tol)
+    return Projection(_fixed_projections(u[None], order, 1e-10)[0])
 
 
 def _pair_norms(stack: np.ndarray, tol: float) -> np.ndarray:

@@ -65,10 +65,10 @@ SYMMETRY_TOL = 1e-12
 DEFAULT_LSI_SIZE_CAP = 64
 
 
-def check_reversibility(op, stationary=None, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def check_reversibility(op, stationary=None) -> np.ndarray:
     """Return the symmetrized form D^{1/2} K D^{-1/2} of a reversible kernel.
 
-    Asymmetry above `tol` raises ReversibilityError; smaller asymmetry is
+    Asymmetry above SYMMETRY_TOL raises ReversibilityError; smaller asymmetry is
     averaged away, which keeps eigensolvers on the self-adjoint path
     without masking construction bugs.
     """
@@ -79,7 +79,7 @@ def check_reversibility(op, stationary=None, tol: float = SYMMETRY_TOL) -> np.nd
     s = np.sqrt(rho)
     S = (s[:, None] * K) / s[None, :]
     asym = float(np.abs(S - S.T).max())
-    if asym > tol:
+    if asym > SYMMETRY_TOL:
         raise ReversibilityError(
             f"kernel is not reversible for the given law (asymmetry {asym:.3e})"
         )
@@ -193,9 +193,7 @@ def _gap_of(evs: np.ndarray) -> float:
     return min(max(gap, 0.0), 2.0)
 
 
-def fibre_eigenvalues_tr(
-    i: int, frozen: Sequence[int], k: int, budget: int = DEFAULT_FUNCTIONAL_BUDGET
-) -> dict[int, float]:
+def fibre_eigenvalues_tr(i: int, frozen: Sequence[int], k: int) -> dict[int, float]:
     """Eigenvalues of the row fibre kernel at coordinate i, indexed by functional.
 
     The fibre kernel K_i(u, v) = c_{u xor v}/(n-1) is diagonalized by the
@@ -206,7 +204,7 @@ def fibre_eigenvalues_tr(
     if k < 1:
         raise ValueError("need k >= 1")
     count = 1 << k
-    check_budget(count, budget, "functionals", "functional")
+    check_budget(count, DEFAULT_FUNCTIONAL_BUDGET, "functionals", "functional")
     if not frozen:
         raise ValueError("need at least one frozen row")
     out: dict[int, float] = {}
@@ -537,7 +535,8 @@ def entropy_decay_check(
 ) -> dict:
     """Verify H(u_t) <= e^{-t/A} H(u_0) + A delta rho(u_0)(1 - e^{-t/A}).
 
-    u_t evolves the density u0 by the killed semigroup.  The decay bound is
+    u_t evolves the density u0 by the killed semigroup.  At A = inf the
+    right side is its limit H(u_0) + delta rho(u_0) t.  The decay bound is
     only guaranteed when A dominates the killed kernel's log-Sobolev
     constant; the report carries a numeric lower bound on that constant and
     flags the hypothesis instead of silently passing.
@@ -557,7 +556,10 @@ def entropy_decay_check(
         ut = semigroup_evolve(K, u0, float(t), mode="function")
         lhs = entropy(r, ut)
         decay = math.exp(-float(t) / A)
-        rhs = decay * h0 + A * delta * m0 * (1.0 - decay)
+        if math.isinf(A):
+            rhs = h0 + delta * m0 * float(t)
+        else:
+            rhs = decay * h0 + A * delta * m0 * (1.0 - decay)
         slack = lhs - rhs
         max_slack = max(max_slack, slack)
         if slack > 1e-10:

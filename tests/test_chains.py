@@ -319,6 +319,17 @@ class TestSpaces:
             for i in range(0, space.size, 7):
                 assert space.index_of(space.state_at(i)) == i
 
+    def test_missing_code_raises_key_error(self):
+        space = stiefel_space(3, 2)
+        for code in (-1, int(space.codes[-1]) + 1, 1 << 40):
+            with pytest.raises(KeyError, match=f"code {code} is not in the space"):
+                space.index_of_code(code)
+        # the group walk on one coordinate has no generating tuple
+        empty = heisenberg_tuple_space(1, 3, 1)
+        assert empty.size == 0
+        with pytest.raises(KeyError, match="code 0 is not in the space"):
+            empty.index_of_code(0)
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             stiefel_space(12, 12, budget=1000)

@@ -296,6 +296,21 @@ class TestMixingCommand:
         assert report["counting_lower"] == [
             tv_counting_lower(t, walk.counting_move_bound, 210) for t in report["times"]]
 
+    def test_grid_time_past_the_step_cap_refused_before_any_step(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        def no_steps(*args):
+            raise AssertionError("a TV step was taken")
+
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"t_grid": [0, diagnostics.TV_STEP_CAP + 1]}))
+        monkeypatch.setattr(diagnostics, "_worst_tv_steps", no_steps)
+        code, _, err = run_cli(
+            ["mixing", "--mode", "exact", "--walk", "transvection", "-n", "4", "-k", "1",
+             "--config", str(cfg)], capsys
+        )
+        assert code == 2, err
+        assert f"{diagnostics.TV_STEP_CAP + 1} steps exceed the TV grid budget" in err
+
     def test_mc_user_grid_lines_up(self, capsys, tmp_path):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"t_grid": [9, 0, 3, 3]}))
@@ -829,36 +844,13 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-
-class TestThreadEnvironment:
-    def test_valid_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROUPWALKS_THREADS", "2")
-        code, out, _ = run_cli(
-            ["spectrum", "--walk", "transvection", "-n", "3", "-k", "1"], capsys
-        )
-        assert code == 0
-
-    def test_invalid_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROUPWALKS_THREADS", "abc")
-        code, _, err = run_cli(
-            ["spectrum", "--walk", "transvection", "-n", "3", "-k", "1"], capsys
-        )
-        assert code == 1
-        assert "GROUPWALKS_THREADS" in err
-
-    def test_zero_limit_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROUPWALKS_THREADS", "0")
-        code, _, _ = run_cli(
-            ["spectrum", "--walk", "transvection", "-n", "3", "-k", "1"], capsys
-        )
-        assert code == 1
-
-    def test_empty_is_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROUPWALKS_THREADS", "")
-        code, _, _ = run_cli(
-            ["spectrum", "--walk", "transvection", "-n", "3", "-k", "1"], capsys
-        )
-        assert code == 0
+    def test_package_root_loads_no_submodule(self):
+        code = ("import sys, groupwalks; "
+                "print(sorted(m for m in sys.modules if m.startswith('groupwalks.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConsoleScript:

@@ -1255,6 +1255,11 @@ class TestStartRepresentatives:
             with pytest.raises(ConfigError):
                 worst_tv_curve(P, [0, 1], starts=starts)
 
+    def test_grid_time_past_the_step_cap_refused(self):
+        P = TransvectionWalk(4, 1).dense()
+        with pytest.raises(BudgetError, match="steps exceed the TV grid budget 100000"):
+            worst_tv_curve(P, [0, diagnostics.TV_STEP_CAP + 1])
+
 
 class TestCanonicalStart:
     def test_shape_and_content(self):

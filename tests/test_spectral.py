@@ -625,6 +625,18 @@ class TestEntropyDecay:
         report = entropy_decay_check(_uniform_kernel(2), None, np.ones(2), [1.0], A=math.inf)
         assert report["A"] == math.inf and report["hypothesis_ok"]
 
+    def test_infinite_A_uses_the_limit_bound(self):
+        # as A -> inf, A (1 - e^{-t/A}) -> t: the bound is H(u0) + delta m0 t, not inf * 0
+        K = np.array([[0.3, 0.2], [0.2, 0.3]])
+        report = entropy_decay_check(K, None, np.array([1.5, 0.5]), [1, 5], A=math.inf,
+                                     check_hypothesis=False)
+        slacks = []
+        for pt in report["points"]:
+            limit = report["entropy0"] + report["delta"] * report["mass0"] * pt["t"]
+            assert math.isfinite(pt["rhs"]) and pt["rhs"] == pytest.approx(limit, rel=1e-12)
+            slacks.append(pt["lhs"] - pt["rhs"])
+        assert report["max_slack"] == max(slacks)
+
 
 # ---------------------------------------------------------------------------
 # pipeline quantities
