@@ -276,6 +276,22 @@ def rank_bits_batch(rows: np.ndarray, k: int) -> np.ndarray:
     return ranks
 
 
+def _gl_images(k: int) -> np.ndarray:
+    """(|GL_k(F_2)|, 2^k) value tables: row g sends each packed row v to vA
+    for one invertible A.  Candidates are all k-tuples of nonzero images of
+    the basis rows, the full-rank ones are kept, and the candidate count
+    times 2^k, which bounds both arrays, is checked before either exists."""
+    size = 1 << k
+    check_budget((size - 1) ** k * size, DEFAULT_STATE_BUDGET,
+                 f"GL_{k}(F_2) candidate image entries", "state")
+    basis = _digits(np.arange((size - 1) ** k), size - 1, k) + 1  # images of bits 0 .. k-1
+    basis = basis[rank_bits_batch(basis, k) == k]
+    images = np.zeros((basis.shape[0], size), dtype=np.int64)
+    for i in range(k):  # a value with top bit i: the image of the lower bits XOR bit i's
+        images[:, 1 << i:2 << i] = images[:, :1 << i] ^ basis[:, i:i + 1]
+    return images
+
+
 def rank_modp_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p per instance; mats is (N, rows, dim) with entries in [0, p)."""
     work = np.array(mats, dtype=np.int64, copy=True) % p
@@ -630,12 +646,21 @@ class TransvectionWalk(_WalkBase):
         return transvection_step(state, donor, recipient)
 
     def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
-        """One state per S_n class: a row permutation sends move (a, b) to
-        (s(a), s(b)), so it commutes with the kernel; the class key is the
-        packed tuple of sorted rows, and the smallest index represents it."""
-        rows = _digits(space.codes, 1 << self.k, self.n)
-        keys = _pack(np.sort(rows, axis=1), 1 << self.k)
-        return np.sort(np.unique(keys, return_index=True)[1])
+        """One state per S_n x GL_k(F_2) orbit.  A row permutation sends move
+        (a, b) to (s(a), s(b)), and a column operation z -> zA is linear, so
+        A(z_b + z_a) = A z_b + A z_a: both commute with the kernel and fix
+        the uniform law.  The S_n key is the packed tuple of sorted rows; the
+        orbit key is the least S_n key of a class's images under the
+        _gl_images value maps, and the smallest index represents each orbit."""
+        base, images = 1 << self.k, _gl_images(self.k)
+        keys, first = np.unique(_pack(np.sort(_digits(space.codes, base, self.n), axis=1), base),
+                                return_index=True)
+        classes = _digits(keys, base, self.n)  # the sorted rows of each S_n class
+        orbit = keys.copy()
+        for image in images:
+            np.minimum(orbit, _pack(np.sort(image[classes], axis=1), base), out=orbit)
+        order = np.argsort(first)
+        return np.sort(first[order][np.unique(orbit[order], return_index=True)[1]])
 
     def _value_involution(self, digits):
         """Swap bits 0 and 1 of every row (k >= 2): a permutation matrix A

@@ -52,6 +52,7 @@ from .diagnostics import (
     select_constants,
     transvection_good_set,
     tv_counting_lower,
+    unbalanced_reason,
 )
 from .errors import (
     BudgetError,
@@ -304,20 +305,24 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
         beta = _get_float(cfg, "beta", 0.5)
         fibre_trials = _get_int(cfg, "fibre_trials", 100, minimum=1)
         seed = _get_int(cfg, "seed", 0)
-        sample = sample_balanced_frozen_tuples(
-            walk.r, walk.p, walk.m, beta, fibre_trials, seed
-        )
-        # element codes of every frozen coordinate: v digits, then z
-        codes = _pack(np.concatenate([sample["V"], sample["Z"][..., None]], axis=-1), walk.p)
-        gaps = [spectral.spectral_gap(build_fibre_kernel("heisenberg", row, p=walk.p, m=walk.m))
-                for row in codes]
-        report["balanced_fibres"] = {
-            "beta": beta,
-            "trials": fibre_trials,
-            "acceptance": sample["acceptance"],
-            "min_gap": float(min(gaps)),
-            "gap_floor": hyperplane_gap_floor(walk.p, beta),
-        }
+        unreachable = unbalanced_reason(walk.r, walk.p, walk.m, beta)
+        if unreachable and not fibres_only:  # the ambient spectrum stands alone
+            report["balanced_fibres_unreachable"] = unreachable
+        else:  # with --fibres-only the sampler refuses an unreachable level
+            sample = sample_balanced_frozen_tuples(
+                walk.r, walk.p, walk.m, beta, fibre_trials, seed
+            )
+            # element codes of every frozen coordinate: v digits, then z
+            codes = _pack(np.concatenate([sample["V"], sample["Z"][..., None]], axis=-1), walk.p)
+            gaps = [spectral.spectral_gap(build_fibre_kernel("heisenberg", row, p=walk.p, m=walk.m))
+                    for row in codes]
+            report["balanced_fibres"] = {
+                "beta": beta,
+                "trials": fibre_trials,
+                "acceptance": sample["acceptance"],
+                "min_gap": float(min(gaps)),
+                "gap_floor": hyperplane_gap_floor(walk.p, beta),
+            }
     _emit_json("spectrum", cfg, report, out_path)
 
 
@@ -464,7 +469,7 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     t_total = rep.t_mix_cont_upper
     if math.isfinite(t_total):
         # the kernel is symmetric, so column x of e^{t(P-I)} is the law
-        # from x; S_n classes share TV, so the class starts give the max
+        # from x; S_n x GL_k(F_2) orbits share TV, so the orbit starts give the max
         starts = walk.start_representatives(space)
         block = np.zeros((space.size, starts.size))
         block[starts, np.arange(starts.size)] = 1.0

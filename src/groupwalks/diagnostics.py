@@ -80,6 +80,7 @@ __all__ = [
     "support_transition_frequencies",
     "good_fibre_gap_scan",
     "hyperplane_gap_floor",
+    "unbalanced_reason",
     "sample_balanced_frozen_tuples",
     "rate_I",
     "rate_J",
@@ -1138,6 +1139,23 @@ def hyperplane_gap_floor(p: int, beta: float) -> float:
     return min(1.0 - beta, 0.5 * (1.0 - beta) ** 2 * (1.0 - p**-0.5))
 
 
+def unbalanced_reason(r: int, p: int, m: int, beta: float) -> str | None:
+    """Why no frozen (r-1)-tuple over H(p, m) is balanced at beta, or None
+    when some can be: any min(r-1, 2m-1) vectors of F_p^{2m} lie in one
+    hyperplane ker xi, so that many frozen parts must fit under beta*(r-1).
+    Refuses p, m, r or beta outside the sampler's range with ConfigError."""
+    check_prime(p)
+    if p == 2 or m < 1 or r < 2:
+        raise ConfigError("need odd p, m >= 1, r >= 2")
+    if not 1.0 / p <= beta < 1.0:
+        raise ConfigError(f"balance level beta={beta} must lie in [1/p, 1)")
+    crowded = min(r - 1, 2 * m - 1)
+    if crowded <= _kernel_count_threshold(heisenberg_good_set(r - 1, p, m, beta)):
+        return None
+    return (f"no tuple is balanced at beta={beta} for r={r}: any {crowded} frozen "
+            f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * (r - 1):g}")
+
+
 def sample_balanced_frozen_tuples(
     r: int,
     p: int,
@@ -1152,30 +1170,20 @@ def sample_balanced_frozen_tuples(
     The empirical measure of the horizontal parts must give every
     hyperplane ker xi mass at most beta: at most beta*(r-1) frozen parts in
     any kernel (the zero vector lies in every one), tested on value counts.
-    A level with min(r-1, 2m-1) > beta*(r-1), which any min(r-1, 2m-1) parts
-    in one hyperplane exceed, is refused with ConfigError, and batches of
-    max(1024, 4*count) tuples over DEFAULT_STATE_BUDGET drawn entries with
-    BudgetError, both before any draw.  Returns horizontal parts
-    (count, R, 2m), central parts (count, R), the acceptance rate and the
-    draws.
+    A level for which unbalanced_reason gives a reason is refused with
+    ConfigError, and batches of max(1024, 4*count) tuples over
+    DEFAULT_STATE_BUDGET drawn entries with BudgetError, both before any
+    draw.  Returns horizontal parts (count, R, 2m), central parts
+    (count, R), the acceptance rate and the draws.
     """
-    check_prime(p)
-    if p == 2 or m < 1 or r < 2:
-        raise ConfigError("need odd p, m >= 1, r >= 2")
-    if not 1.0 / p <= beta < 1.0:
-        raise ConfigError(f"balance level beta={beta} must lie in [1/p, 1)")
+    unreachable = unbalanced_reason(r, p, m, beta)
     if count < 1:
         raise ConfigError(f"need at least one tuple, got count={count}")
+    if unreachable:
+        raise ConfigError(unreachable)
     R = r - 1
     h = 2 * m
     spec = heisenberg_good_set(R, p, m, beta)
-    # any min(R, 2m-1) vectors of F_p^{2m} lie in one hyperplane ker xi
-    crowded = min(R, h - 1)
-    if crowded > _kernel_count_threshold(spec):
-        raise ConfigError(
-            f"no tuple is balanced at beta={beta} for r={r}: any {crowded} frozen "
-            f"horizontal parts lie in one hyperplane, above beta*(r-1) = {beta * R:g}"
-        )
     batch = max(1024, 4 * count)
     check_budget(batch * R * (h + 1), DEFAULT_STATE_BUDGET,
                  f"drawn entries ({batch} tuples x {R} coordinates x {h + 1} digits)", "state")

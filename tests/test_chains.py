@@ -437,6 +437,44 @@ class TestKernelAutomorphisms:
         expect = np.array([[space.index_of(f(x)) for x in states] for f in maps])
         assert np.array_equal(walk.symmetries(space), expect)
 
+    @pytest.mark.parametrize("n,k", [args for cls, args in EXACT_SWEEP if cls is TransvectionWalk]
+                             + [(3, 2), (4, 3)])
+    def test_row_and_column_generators_commute_with_the_operator(self, n, k):
+        """S[pi][:, pi] == S exactly for the row transposition (0 1) and for
+        generators of GL_k(F_2): the bit swap (0 1), the bit cycle and the
+        transvection adding bit 0 to bit 1 (none at k = 1)."""
+        walk = TransvectionWalk(n, k, laziness=0.25)
+        space = walk.space()
+        S = walk.operator(space)
+        states = list(space.states())
+        row_maps = [lambda z: (z[1], z[0]) + z[2:]]
+        if k >= 2:
+            bit_maps = [lambda v: v & ~3 | (v & 1) << 1 | v >> 1 & 1,
+                        lambda v: (v << 1 | v >> (k - 1)) & ((1 << k) - 1),
+                        lambda v: v ^ (v & 1) << 1]
+            row_maps += [lambda z, f=f: tuple(f(v) for v in z) for f in bit_maps]
+        for g in row_maps:
+            pi = np.array([space.index_of(g(z)) for z in states])
+            assert sorted(pi) == list(range(space.size))
+            assert (S[pi][:, pi] != S).nnz == 0
+
+    @pytest.mark.parametrize("k,limit,message", [
+        (3, 2743, "2744 GL_3(F_2) candidate image entries exceed the state budget 2743"),
+        (5, chains.DEFAULT_STATE_BUDGET,
+         "916132832 GL_5(F_2) candidate image entries exceed the state budget 16777216"),
+    ])
+    def test_gl_table_refused_before_it_is_built(self, monkeypatch, k, limit, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built before the budget check")
+
+        space = stiefel_space(3, 3)  # never read: the table is refused first
+        monkeypatch.setattr(chains, "DEFAULT_STATE_BUDGET", limit)
+        monkeypatch.setattr(chains, "_digits", forbidden)
+        monkeypatch.setattr(chains, "rank_bits_batch", forbidden)
+        with pytest.raises(BudgetError) as err:
+            TransvectionWalk(k, k).start_representatives(space)
+        assert str(err.value) == message
+
     def test_walk_without_known_automorphisms_keeps_every_start(self):
         walk = PaPraWalk(2, 3, 1)
         space = walk.space()

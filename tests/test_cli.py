@@ -745,12 +745,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra", [[], ["--fibres-only"]])
     def test_unreachable_balance_level_is_config_error(self, capsys, extra):
-        # r = 2 leaves one frozen part, which always lies in some hyperplane
-        code, _, err = run_cli(["spectrum", "--walk", "pa-pra", "-r", "2", "-p", "3", "-m", "1",
-                                *extra], capsys)
-        assert code == 1
-        assert err == ("config error: no tuple is balanced at beta=0.5 for r=2: any 1 frozen "
-                       "horizontal parts lie in one hyperplane, above beta*(r-1) = 0.5\n")
+        """r = 2 leaves one frozen part, which always lies in some hyperplane.
+        With --fibres-only that is a config error; otherwise the ambient
+        spectrum runs and the reason stands in for the fibre table."""
+        code, out, err = run_cli(["spectrum", "--walk", "pa-pra", "-r", "2", "-p", "3", "-m", "1",
+                                  *extra], capsys)
+        reason = ("no tuple is balanced at beta=0.5 for r=2: any 1 frozen horizontal parts lie "
+                  "in one hyperplane, above beta*(r-1) = 0.5")
+        if extra:
+            assert (code, out, err) == (1, "", f"config error: {reason}\n")
+            return
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["balanced_fibres_unreachable"] == reason
+        assert "balanced_fibres" not in report
+        # V_2(H(3,1)) splits into two determinant classes, so 1 is a double eigenvalue
+        assert report["spectral_gap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_reducible_kernel_refused_at_once(self, capsys):
         # V_2(H(3,1)) splits into two determinant classes of 216 states, so

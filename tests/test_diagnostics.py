@@ -1,7 +1,10 @@
 """Good sets, occupancy, mixing-time tables, birth-death analysis, and rates."""
 
+import functools
 import hashlib
+import itertools
 import math
+import operator
 import time
 
 import numpy as np
@@ -46,6 +49,7 @@ from groupwalks.diagnostics import (
     transvection_good_set,
     tv_counting_lower,
     tv_exact,
+    unbalanced_reason,
     wilson_interval,
     worst_tv_curve,
 )
@@ -1116,8 +1120,9 @@ class TestBalancedSampling:
     def test_infeasible_level_refused_before_drawing(self, monkeypatch, r, m, beta):
         # any min(r-1, 2m-1) horizontal parts share a hyperplane
         monkeypatch.setattr(diagnostics, "philox_generator", None)
-        with pytest.raises(ConfigError, match="no tuple is balanced"):
+        with pytest.raises(ConfigError, match="no tuple is balanced") as err:
             sample_balanced_frozen_tuples(r, 3, m, beta, 10, 0)
+        assert str(err.value) == unbalanced_reason(r, 3, m, beta)
 
     @pytest.mark.parametrize("args,digest", [
         ((8, 3, 1, 0.5, 50, 3), "87d28863584008bf0de848afce7bc28dc4f007041a63dc1128e3d6ea807c6a12"),
@@ -1125,6 +1130,7 @@ class TestBalancedSampling:
         ((5, 3, 2, 0.75, 20, 4), "ba49fda3ca4fec31c44fd1d76f038025c7cdf71f948f9f41c9dfef206fc9a2ee"),
     ])
     def test_feasible_draws_unchanged(self, args, digest):
+        assert unbalanced_reason(*args[:4]) is None
         out = sample_balanced_frozen_tuples(*args)
         assert out["draws"] == 1024
         assert hashlib.sha256(out["V"].tobytes() + out["Z"].tobytes()).hexdigest() == digest
@@ -1186,12 +1192,39 @@ def _oracle_worst_tv_curve(P, t_grid):
     return np.array([out[t] for t in grid])
 
 
+def _gl_maps(k):
+    """Every z -> zA with A an invertible k x k matrix over F_2, as a map of
+    packed rows: the k-tuples of images of bits 0 .. k-1 whose linear
+    extension is one-to-one on all 2^k rows."""
+    def extend(images):
+        return [functools.reduce(operator.xor, (images[i] for i in range(k) if v >> i & 1), 0)
+                for v in range(1 << k)]
+
+    tables = [extend(images) for images in itertools.product(range(1 << k), repeat=k)]
+    return [table for table in tables if len(set(table)) == 1 << k]
+
+
+def _sn_keys(space):
+    """S_n class of each state: its sorted rows."""
+    return [tuple(sorted(z)) for z in space.states()]
+
+
 def _class_keys(walk, space):
-    """Class of each state, from the decoded states: sorted rows for the
-    row walk, support size for the one-column walk."""
+    """Class of each state, from the decoded states: the least sorted image
+    under every invertible column operation for the row walk (its S_n x
+    GL_k(F_2) orbit), support size for the one-column walk."""
     if isinstance(walk, TransvectionWalk):
-        return [tuple(sorted(z)) for z in space.states()]
+        maps = _gl_maps(walk.k)
+        return [min(tuple(sorted(table[v] for v in z)) for table in maps) for z in space.states()]
     return [sum(1 for y in z if y) for z in space.states()]
+
+
+def _first_of_each(keys):
+    """The smallest index holding each distinct key, sorted."""
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return np.array(sorted(first.values()))
 
 
 class TestStartRepresentatives:
@@ -1248,6 +1281,31 @@ class TestStartRepresentatives:
         got = diagnostics._tv_at(grid, steps, curve)
         assert len(curve) == tau + 4
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k,sn_classes,orbits", [
+        (4, 1, 4, 4), (5, 1, 5, 5), (3, 2, 10, 3), (4, 2, 22, 6), (5, 2, 40, 10), (6, 2, 65, 16),
+        (4, 3, 147, 4), (5, 3, 476, 10),
+    ])
+    def test_orbit_counts(self, n, k, sn_classes, orbits):
+        walk = TransvectionWalk(n, k)
+        space = walk.space()
+        reps = walk.start_representatives(space)
+        assert len(set(_sn_keys(space))) == sn_classes
+        assert reps.size == orbits
+        if n * k <= 12:  # the plain-Python orbit keys of Stief(5,3) take seconds
+            assert np.array_equal(reps, _first_of_each(_class_keys(walk, space)))
+
+    @pytest.mark.parametrize("n,k", [(6, 2), (4, 3)])
+    def test_orbit_tau_equals_all_starts_and_sn_tau(self, n, k):
+        walk = TransvectionWalk(n, k)
+        space = walk.space()
+        S = walk.operator(space)
+        tau = mixing_time_exact(S, starts=walk.start_representatives(space))
+        assert mixing_time_exact(S, starts=_first_of_each(_sn_keys(space))) == tau
+        # every start's TV is nonincreasing in t, so the all-starts tau is the
+        # largest tau of any block of starts; blocks keep the tracked rows small
+        blocks = np.array_split(np.arange(space.size), 4)
+        assert max(mixing_time_exact(S, starts=block) for block in blocks) == tau
 
     def test_bad_starts_rejected(self):
         P = TransvectionWalk(4, 1).dense()
