@@ -38,6 +38,7 @@ from .diagnostics import (
     _functional_table,
     _good_mask_of_table,
     _mixing_run,
+    _start_laws,
     _tv_at,
     bd_crossing_prob,
     bd_hitting_time,
@@ -74,26 +75,18 @@ CSV_BUDGET = 256  # statistic columns of a simulate CSV
 # configuration plumbing
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars and arrays for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _numpy_value(obj):
+    """json.dumps hook: numpy arrays as lists, numpy scalars as Python ones."""
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def config_hash(cfg: dict) -> str:
     """Short content hash of the effective configuration."""
-    canon = json.dumps(_jsonify(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=_numpy_value)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -174,15 +167,15 @@ def _emit_text(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _envelope(command: str, cfg: dict, **body) -> str:
+    """The JSON text of an artifact: schema, command, config and its hash, then body."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, "config": cfg,
+               "config_hash": config_hash(cfg), **body}
+    return json.dumps(payload, sort_keys=True, indent=2, default=_numpy_value) + "\n"
+
+
 def _emit_json(command: str, cfg: dict, report: dict, out_path: str | None) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": _jsonify(cfg),
-        "config_hash": config_hash(cfg),
-        "report": _jsonify(report),
-    }
-    _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+    _emit_text(_envelope(command, cfg, report=report), out_path)
 
 
 def _emit_csv(command: str, cfg: dict, header: list[str], rows, out_path: str | None) -> None:
@@ -193,15 +186,8 @@ def _emit_csv(command: str, cfg: dict, header: list[str], rows, out_path: str | 
         writer.writerow(row)
     _emit_text(buf.getvalue(), out_path)
     if out_path:
-        meta = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "config": _jsonify(cfg),
-            "config_hash": config_hash(cfg),
-            "columns": header,
-        }
         with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+            fh.write(_envelope(command, cfg, columns=header))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +323,10 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
         grid = _get_grid(cfg, "t_grid")
         if grid:  # _tv_at refuses it too, but only after the tau search
             check_budget(grid[-1], TV_STEP_CAP, "steps", "TV grid")
-        # one pass over the class starts gives tau and the whole curve
-        tau, curve, steps = _mixing_run(walk.operator(space), epsilon, budget=dense_budget,
-                                        starts=walk.start_representatives(space))
+        # the GL table and tracked-block gates refuse before the operator is built;
+        # one pass over the orbit starts gives tau and the whole curve
+        laws = _start_laws(space.size, walk.start_representatives(space))
+        tau, curve, steps = _mixing_run(walk.operator(space), epsilon, laws)
         if grid is None:
             grid = list(range(0, tau + 1))
         curve = _tv_at(grid, steps, curve)
@@ -470,9 +457,7 @@ def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     if math.isfinite(t_total):
         # the kernel is symmetric, so column x of e^{t(P-I)} is the law
         # from x; S_n x GL_k(F_2) orbits share TV, so the orbit starts give the max
-        starts = walk.start_representatives(space)
-        block = np.zeros((space.size, starts.size))
-        block[starts, np.arange(starts.size)] = 1.0
+        block = _start_laws(space.size, walk.start_representatives(space)).T
         hk = spectral.semigroup_evolve(op, block, t_total, mode="function")
         exact_tv = 0.5 * float(np.abs(hk - 1.0 / space.size).sum(axis=0).max())
         report["exact_tv_at_bound_time"] = exact_tv

@@ -574,39 +574,43 @@ def _nth(powers, n: int) -> np.ndarray:
     return next(itertools.islice(powers, n, None))
 
 
-def _worst_tv_steps(P, starts) -> Iterator[float]:
-    """Worst TV(P^t(x, .), uniform) over the tracked starts x at t = 0, 1, 2, ...
-
-    The indicator rows of the starts (all states when starts=None) advance
-    by _powers: with P in CSR a step costs nnz(P) per start, not M^2.  A block
-    of more than DEFAULT_BLOCK_BUDGET entries is refused before allocation.
-    """
-    M = P.shape[0]
+def _start_laws(M: int, starts=None) -> np.ndarray:
+    """Indicator rows of the tracked starts among M states (all of them when
+    starts=None).  A block of more than DEFAULT_BLOCK_BUDGET entries is
+    refused before allocation; with starts=None that is M <= 4096."""
     idx = np.arange(M) if starts is None else np.asarray(starts, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= M:
         raise ConfigError(f"starts must be a nonempty list of state indices below {M}")
     check_budget(idx.size * M, DEFAULT_BLOCK_BUDGET, f"entries ({idx.size} starts x {M} states)",
                  "tracked block")
-    A = np.zeros((idx.size, M))
-    A[np.arange(idx.size), idx] = 1.0
-    for laws in _powers(P, A, "distribution"):
-        yield 0.5 * float(np.abs(laws - 1.0 / M).sum(axis=1).max())
+    laws = np.zeros((idx.size, M))
+    laws[np.arange(idx.size), idx] = 1.0
+    return laws
 
 
-def _mixing_run(kernel, epsilon, t_max=TV_STEP_CAP, budget=DEFAULT_DENSE_BUDGET, starts=None):
-    """(tau, [worst TV at t = 0 .. tau], the live _worst_tv_steps iterator).
+def _worst_tv_steps(P, laws: np.ndarray) -> Iterator[float]:
+    """Worst TV(law P^t, uniform) over the rows of laws at t = 0, 1, 2, ...
 
-    The budget, epsilon and reducibility checks run first, in that order.
-    The iterator continues at t = tau + 1, so _tv_at can extend the curve
-    past tau without repeating a step.
+    The rows advance by _powers: with P in CSR a step costs nnz(P) per row,
+    not M^2.
     """
-    P = _operator_of(kernel)
     M = P.shape[0]
-    check_budget(M, budget, "states", "dense mixing")
+    for block in _powers(P, laws, "distribution"):
+        yield 0.5 * float(np.abs(block - 1.0 / M).sum(axis=1).max())
+
+
+def _mixing_run(P, epsilon, laws, t_max=TV_STEP_CAP):
+    """(tau, [worst TV at t = 0 .. tau], the live _worst_tv_steps iterator)
+    for the operator P (as _operator_of returns it) from the rows of laws.
+
+    The epsilon and reducibility checks run before any step.  The iterator
+    continues at t = tau + 1, so _tv_at can extend the curve past tau
+    without repeating a step.
+    """
     if not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must lie in (0,1), got {epsilon}")
     _refuse_reducible(P, epsilon)
-    steps = _worst_tv_steps(P, starts)
+    steps = _worst_tv_steps(P, laws)
     curve = []
     for t, worst in zip(range(t_max + 1), steps):
         curve.append(worst)
@@ -648,7 +652,8 @@ def mixing_time_exact(
     from pi for ever is refused with BudgetError before any product, and so
     are starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET entries.
     """
-    return _mixing_run(kernel, epsilon, t_max, starts=starts)[0]
+    P = _operator_of(kernel)
+    return _mixing_run(P, epsilon, _start_laws(P.shape[0], starts), t_max)[0]
 
 
 def worst_tv_curve(kernel, t_grid: Sequence[int], starts=None) -> np.ndarray:
@@ -661,7 +666,8 @@ def worst_tv_curve(kernel, t_grid: Sequence[int], starts=None) -> np.ndarray:
     entries are refused with BudgetError, and so is a grid time above
     TV_STEP_CAP.
     """
-    return _tv_at(t_grid, _worst_tv_steps(_operator_of(kernel), starts), [])
+    P = _operator_of(kernel)
+    return _tv_at(t_grid, _worst_tv_steps(P, _start_laws(P.shape[0], starts)), [])
 
 
 def tv_counting_lower(t: int, move_count: int, omega_size: int) -> float:

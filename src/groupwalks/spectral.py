@@ -73,12 +73,21 @@ def check_reversibility(op, stationary=None) -> np.ndarray:
     without masking construction bugs.
     """
     K = _matrix_of(op)
-    rho = _weights_of(stationary, K.shape[0])
+    s = np.sqrt(_positive_law(stationary, K.shape[0]))
+    return _symmetrized((s[:, None] * K) / s[None, :])
+
+
+def _positive_law(stationary, M: int) -> np.ndarray:
+    """_weights_of's law on M states; a zero or negative weight raises ValueError."""
+    rho = _weights_of(stationary, M)
     if rho.min() <= 0:
         raise ValueError("the stationary law must be strictly positive")
-    s = np.sqrt(rho)
-    S = (s[:, None] * K) / s[None, :]
-    asym = float(np.abs(S - S.T).max())
+    return rho
+
+
+def _symmetrized(S: np.ndarray) -> np.ndarray:
+    """(S + S^T) / 2; asymmetry above SYMMETRY_TOL raises ReversibilityError."""
+    asym = float(np.abs(S - S.T).max(initial=0.0))
     if asym > SYMMETRY_TOL:
         raise ReversibilityError(
             f"kernel is not reversible for the given law (asymmetry {asym:.3e})"
@@ -123,9 +132,7 @@ def spectrum(op, stationary=None, symmetries=()) -> np.ndarray:
     K = _matrix_of(op)
     if len(symmetries) == 0 or K.shape[0] < _BLOCK_MIN_STATES:
         return np.linalg.eigvalsh(check_reversibility(K, stationary))[::-1]
-    rho = _weights_of(stationary, K.shape[0])
-    if rho.min() <= 0:
-        raise ValueError("the stationary law must be strictly positive")
+    rho = _positive_law(stationary, K.shape[0])
     gens = np.asarray(symmetries, dtype=np.int64)
     return np.sort(np.concatenate(_block_eigenvalues(K, rho, gens)))[::-1]
 
@@ -170,13 +177,7 @@ def _block_eigenvalues(K: np.ndarray, rho: np.ndarray, gens: np.ndarray) -> list
     C *= scale / root
     evs = []
     for s, keep in enumerate(used):
-        B = C[:, s][np.ix_(keep, keep)]
-        asym = float(np.abs(B - B.T).max(initial=0.0))
-        if asym > SYMMETRY_TOL:
-            raise ReversibilityError(
-                f"kernel is not reversible for the given law (asymmetry {asym:.3e})"
-            )
-        evs.append(np.linalg.eigvalsh((B + B.T) / 2.0))
+        evs.append(np.linalg.eigvalsh(_symmetrized(C[:, s][np.ix_(keep, keep)])))
     return evs
 
 

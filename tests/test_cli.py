@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from groupwalks import cli, diagnostics, spectral
+from groupwalks import chains, cli, diagnostics, spectral
 from groupwalks.algebra import FieldVector
 from groupwalks.chains import OneColumnWalk, TransvectionWalk, _WalkBase
 from groupwalks.diagnostics import mc_tv_curve_one_column, tv_counting_lower, worst_tv_curve
@@ -28,6 +28,10 @@ def run_cli(args, capsys):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _no_move_table(self, space):
+    raise AssertionError("move table built before the budget check")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +162,22 @@ class TestJsonPayload:
         h2 = cli.config_hash({"walk": "transvection", "k": 1, "n": 4})
         assert h1 == h2
         assert h1 != cli.config_hash({"n": 5, "k": 1, "walk": "transvection"})
+
+    def test_numpy_values_written_as_pinned_bytes(self, tmp_path):
+        report = {"count": np.int64(7), "values": (np.float64(0.5), np.float64("nan")),
+                  "flag": np.bool_(True), "grid": np.arange(4).reshape(2, 2)}
+        out = tmp_path / "report.json"
+        cli._emit_json("mixing", {"walk": "transvection", "n": np.int64(4)}, report, str(out))
+        assert out.read_bytes() == (
+            b'{\n  "command": "mixing",\n  "config": {\n    "n": 4,\n    "walk": "transvection"\n'
+            b'  },\n  "config_hash": "115322a29248",\n  "report": {\n    "count": 7,\n'
+            b'    "flag": true,\n    "grid": [\n      [\n        0,\n        1\n      ],\n'
+            b'      [\n        2,\n        3\n      ]\n    ],\n    "values": [\n      0.5,\n'
+            b'      NaN\n    ]\n  },\n  "schema_version": 1\n}\n'
+        )
+        assert cli.config_hash({"walk": "transvection", "n": 4}) == "115322a29248"
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli._emit_json("mixing", {}, {"x": object()}, str(out))
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +730,26 @@ class TestExitCodes:
         assert code == 2
         assert err == ("budget refusal: 283855104 entries (16848 starts x 16848 states) exceed "
                        "the tracked block budget 16777216\n")
+
+    def test_tracked_block_refused_before_the_move_table(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(_WalkBase, "move_permutations", _no_move_table)
+        cfg = tmp_path / "raised.json"
+        cfg.write_text(json.dumps({"mixing": {"dense_budget": 20_000}}))
+        code, _, err = run_cli(["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", "3",
+                                "-p", "3", "-m", "1", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err == ("budget refusal: 283855104 entries (16848 starts x 16848 states) exceed "
+                       "the tracked block budget 16777216\n")
+
+    def test_gl_table_refused_before_the_move_table(self, capsys, monkeypatch):
+        # Stief(4,3) has 7^3 x 8 = 2744 GL_3(F_2) candidate image entries
+        monkeypatch.setattr(chains, "DEFAULT_STATE_BUDGET", 2000)
+        monkeypatch.setattr(_WalkBase, "move_permutations", _no_move_table)
+        code, _, err = run_cli(["mixing", "--mode", "exact", "--walk", "transvection", "-n", "4",
+                                "-k", "3"], capsys)
+        assert code == 2
+        assert err == ("budget refusal: 2744 GL_3(F_2) candidate image entries exceed the state "
+                       "budget 2000\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["spectrum", "--walk", "transvection", "-n", "3", "-k", "2", "--eig-budget", "10"],

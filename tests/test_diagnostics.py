@@ -1276,7 +1276,8 @@ class TestStartRepresentatives:
         expect = worst_tv_curve(P, grid, starts=reps)
         np.testing.assert_allclose(worst_tv_curve(S, grid, starts=reps), expect, rtol=0, atol=1e-12)
         # one pass: tau, then the same iterator continues past it
-        tau_run, curve, steps = diagnostics._mixing_run(S, 0.25, starts=reps)
+        laws = diagnostics._start_laws(space.size, reps)
+        tau_run, curve, steps = diagnostics._mixing_run(S, 0.25, laws)
         assert tau_run == tau and len(curve) == tau + 1
         got = diagnostics._tv_at(grid, steps, curve)
         assert len(curve) == tau + 4
@@ -1312,6 +1313,19 @@ class TestStartRepresentatives:
         for starts in ([], [-1], [15], [[0, 1]]):
             with pytest.raises(ConfigError):
                 worst_tv_curve(P, [0, 1], starts=starts)
+
+    def test_tracked_block_is_the_only_size_gate(self):
+        # F_3^8 \ 0 has 6560 states, past 4096: the all-starts block of 6560^2
+        # entries is refused, but the 9 support-size starts fit in 2^24 entries
+        walk = OneColumnWalk(8, 3, laziness=0.25)
+        space = walk.space()
+        S = walk.operator(space)
+        with pytest.raises(BudgetError, match=r"43033600 entries \(6560 starts x 6560 states\)"):
+            mixing_time_exact(S)
+        reps = walk.start_representatives(space)
+        tau = mixing_time_exact(S, starts=reps)
+        before, at = worst_tv_curve(S, [tau - 1, tau], starts=reps)
+        assert before > 0.25 >= at
 
     def test_grid_time_past_the_step_cap_refused(self):
         P = TransvectionWalk(4, 1).dense()

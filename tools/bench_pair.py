@@ -8,13 +8,18 @@ checkouts and swapping which runs first from seed to seed, so that slow
 spells of the machine hit both, and reads the last JSON line each run
 prints.  The output holds, per workload and metric, the median over seeds
 of each checkout and their ratio, the failed job counts, and the ``env``
-line of the first run.
+line of the first run.  It also holds, as ``regressions``, one line per
+end-to-end metric of BENCHMARK.json whose change median is worse than the
+parent's by more than the metric's relative bound, and one per workload
+where the change failed more jobs; the script prints them and exits 1 when
+there is any.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -22,6 +27,7 @@ import sys
 WORKLOADS = ("exact", "fibres", "mc-wide", "mc-narrow")
 SEEDS = (901, 902, 903)
 SECONDS = 15.0
+BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
@@ -33,6 +39,24 @@ def run(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     return json.loads(lines[-1]), env
+
+
+def regressions(report: dict, benchmark: dict) -> list[str]:
+    """The lines of the module docstring's ``regressions`` for a per-workload report."""
+    found = []
+    for workload, entry in report.items():
+        for metric in benchmark["end_to_end"]:
+            m = entry["metrics"].get(metric["name"])
+            if m is None:
+                continue
+            worse = m["ratio"] - 1.0 if metric["better"] == "lower" else 1.0 - m["ratio"]
+            if worse > metric["bound"]:
+                found.append(f"{workload} {metric['name']}: {m['parent']:.4g} -> {m['change']:.4g}"
+                             f" ({worse:.1%} worse, bound {metric['bound']:.0%})")
+        if entry["failed"]["change"] > entry["failed"]["parent"]:
+            found.append(f"{workload} failed jobs: {entry['failed']['parent']} -> "
+                         f"{entry['failed']['change']}")
+    return found
 
 
 def main() -> int:
@@ -66,11 +90,14 @@ def main() -> int:
             },
             "failed": failed,
         }
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        found = regressions(report, json.load(fh))
+    print("regressions: " + ("; ".join(found) if found else "none"), flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"seeds": list(SEEDS), "seconds": SECONDS, "env": env,
-                   "workloads": report}, fh, indent=1, sort_keys=True)
+                   "workloads": report, "regressions": found}, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 0
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
