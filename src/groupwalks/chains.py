@@ -124,7 +124,13 @@ def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 class EnumeratedSpace:
-    """A finite state space enumerated by sorted packed-integer codes."""
+    """A finite state space enumerated by sorted, nonnegative packed-integer
+    codes.
+
+    Codes map to state indices through _index_table, built on first use: an
+    int32 array with one entry per code up to the largest (-1 for codes not
+    in the space), so looking codes up is one take.
+    """
 
     def __init__(
         self,
@@ -136,11 +142,27 @@ class EnumeratedSpace:
         codes = np.asarray(codes, dtype=np.int64)
         if np.any(np.diff(codes) <= 0):
             raise ValueError("space codes must be strictly increasing")
+        if codes.size and codes[0] < 0:
+            raise ValueError("space codes must be nonnegative")
         codes.flags.writeable = False
         self.codes = codes
         self.encode = encode
         self.decode = decode
         self.description = description
+
+    @cached_property
+    def _index_table(self) -> np.ndarray:
+        """Read-only int32 state index of every code in [0, largest code],
+        -1 where a code is not in the space.  Its length is checked against
+        DEFAULT_STATE_BUDGET before it is allocated; every built-in space's
+        codes lie below the ambient range its enumeration scanned, so at
+        default budgets they fit."""
+        length = int(self.codes[-1]) + 1 if self.size else 0
+        check_budget(length, DEFAULT_STATE_BUDGET, "code-index table entries", "state")
+        table = np.full(length, -1, dtype=np.int32)
+        table[self.codes] = np.arange(self.size, dtype=np.int32)
+        table.flags.writeable = False
+        return table
 
     @property
     def size(self) -> int:
@@ -512,9 +534,9 @@ class _WalkBase:
         which send move (i, j) to (s(i), s(j)) and so commute with the kernel
         (as in start_representatives), then the walk's value map applied to
         every coordinate (_value_involution), when it has one.  Each swaps
-        digits of the state code, or maps them, and searchsorted finds the
-        image's index.  Every one is a bijection of the space, so it fixes
-        the uniform law.
+        digits of the state code, or maps them, and the space's _index_table
+        finds the image's index.  Every one is a bijection of the space, so
+        it fixes the uniform law.
         """
         digits = _digits(space.codes, self._base, self._coords)
         images = []
@@ -1223,43 +1245,67 @@ def simulate(
 
 
 def _indices_of(space: EnumeratedSpace, codes: np.ndarray) -> np.ndarray:
-    """The state index of every code in `codes`; KeyError, as
-    EnumeratedSpace.index_of_code raises, when one is missing from the space."""
-    idx = np.searchsorted(space.codes, codes)
-    # np.take cannot clip into an empty space, where every code is missing
-    missing = (np.take(space.codes, idx, mode="clip") != codes if space.size
-               else np.ones(codes.shape, dtype=bool))
-    if missing.any():
-        raise KeyError(f"code {int(codes[missing][0])} is not in the space")
-    return idx
+    """The int64 state index of every code in `codes`, one take from the
+    space's _index_table; KeyError, as EnumeratedSpace.index_of_code raises,
+    for the first code (in C order) that is negative, past the table or not
+    in the space."""
+    table = space._index_table
+    if not codes.size:
+        return np.zeros(codes.shape, dtype=np.int64)
+    if codes.min() >= 0 and codes.max() < table.size:
+        idx = table.take(codes)
+        if idx.min() >= 0:
+            return idx.astype(np.int64)
+    missing = codes[~np.isin(codes, space.codes)]
+    raise KeyError(f"code {int(missing[0])} is not in the space")
 
 
 def _move_operator(perms: np.ndarray, laziness: float) -> csr_matrix:
     """The kernel that applies a uniform move of `perms` ((moves, M)
     successor indices) with probability 1 - laziness, as CSR.
 
-    Row x holds its moves' successors in move order, then x itself with
-    weight 0 when laziness > 0; sum_duplicates merges moves that reach the
-    same state, and q is added to the diagonal after that, so toarray() is
-    bitwise a per-move accumulation of the kernel.  Indices and indptr are
-    int32, so more than 2^31 - 1 entries are refused before any is built.
+    Row x lists its moves' successors, then x itself when laziness > 0, and
+    is sorted once; each run of equal columns is one entry.  A run of c
+    moves weighs s[c], where s[1] = w and s[c] = s[c - 1] + w for
+    w = (1 - q) / moves: the sequential sums sum_duplicates would make, so
+    toarray() is bitwise a per-move accumulation of the kernel.  The
+    diagonal's own slot counts for no move, q is added to it afterwards,
+    and at q = 1 the zero move entries are dropped.  Indices and indptr
+    are int32, so more than 2^31 - 1 entries are refused before any is
+    built.
     """
     n_moves, M = perms.shape
     lazy = int(laziness > 0)
     row_nnz = n_moves + lazy
     check_budget(M * row_nnz, 2**31 - 1, "operator entries", "int32 index")
-    cols = perms.T if not lazy else np.column_stack([perms.T, np.arange(M)])
-    weights = [(1.0 - laziness) / n_moves] * n_moves + [0.0] * lazy
-    mat = csr_matrix(
-        (np.tile(weights, M), cols.astype(np.int32).ravel(),
-         np.arange(0, M * row_nnz + 1, row_nnz, dtype=np.int32)),
-        shape=(M, M),
-    )
-    mat.sum_duplicates()
+    sums = np.zeros(row_nnz + 1)  # s[c] for c moves, and a spare slot for a lazy diagonal run
+    np.cumsum(np.full(n_moves, (1.0 - laziness) / n_moves), out=sums[1:n_moves + 1])
+    table = np.empty((M, row_nnz), dtype=np.int32)
+    table[:, :n_moves] = perms.T
     if lazy:
-        rows = np.repeat(np.arange(M, dtype=np.int32), np.diff(mat.indptr))
-        mat.data[mat.indices == rows] += laziness
-        mat.eliminate_zeros()  # at q = 1 every move weighs 0: the kernel is the identity
+        table[:, n_moves] = np.arange(M, dtype=np.int32)
+    table.sort(axis=1)
+    flat = table.ravel()
+    first = np.empty(flat.size, dtype=bool)  # where a run of equal columns starts
+    first[1:] = flat[1:] != flat[:-1]
+    first[::row_nnz] = True
+    starts = np.flatnonzero(first)
+    indices = flat[starts]
+    runs = np.count_nonzero(first.reshape(M, row_nnz), axis=1)
+    indptr = np.zeros(M + 1, dtype=np.int32)
+    np.cumsum(runs, out=indptr[1:])
+    counts = np.empty_like(starts)  # run lengths
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = flat.size - starts[-1:]
+    data = sums[counts]
+    diagonal = np.flatnonzero(indices == np.repeat(np.arange(M, dtype=np.int32), runs))
+    data[diagonal] = sums[counts[diagonal] - lazy] + laziness
+    kept = data != 0  # at q = 1 every move weighs 0: the kernel is the identity
+    if not kept.all():
+        indptr = np.concatenate([[0], np.cumsum(kept)]).astype(np.int32)[indptr]
+        indices, data = indices[kept], data[kept]
+    mat = csr_matrix((data, indices, indptr), shape=(M, M))
+    mat.has_canonical_format = True
     return mat
 
 

@@ -35,13 +35,13 @@ from .diagnostics import (
     DEFAULT_DENSE_BUDGET,
     TV_STEP_CAP,
     BDParams,
+    _bd_crossing_probs,
+    _bd_hitting_times,
     _functional_table,
     _good_mask_of_table,
     _mixing_run,
     _start_laws,
     _tv_at,
-    bd_crossing_prob,
-    bd_hitting_time,
     bd_probs,
     bd_rho,
     good_fibre_gap_scan,
@@ -386,9 +386,10 @@ def cmd_birthdeath(cfg: dict, out_path: str | None) -> None:
             row["rho"] = bd_rho(s, params)
         table.append(row)
     target = _get_int(cfg, "target", r)
+    # a table with no rows (target < 1, A1 < A0) checks no levels
     hitting = [
-        {"s": s, "expected_steps": bd_hitting_time(s, target, params)}
-        for s in range(1, target + 1)
+        {"s": s, "expected_steps": steps}
+        for s, steps in enumerate(_bd_hitting_times(target, params) if target >= 1 else [], 1)
     ]
     report: dict = {"r": r, "p": p, "table": table, "target": target, "hitting": hitting}
     a0 = _get_int(cfg, "A0")
@@ -397,8 +398,8 @@ def cmd_birthdeath(cfg: dict, out_path: str | None) -> None:
         raise ConfigError("the crossing table needs both A0 and A1")
     if a0 is not None:
         report["crossing"] = [
-            {"s": s, "prob_down_first": bd_crossing_prob(s, a0, a1, params)}
-            for s in range(a0, a1 + 1)
+            {"s": s, "prob_down_first": prob}
+            for s, prob in enumerate(_bd_crossing_probs(a0, a1, params) if a0 <= a1 else [], a0)
         ]
     epsilon = _get_float(cfg, "epsilon")
     if epsilon is not None:

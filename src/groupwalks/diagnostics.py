@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -726,46 +727,62 @@ def bd_rho(s: int, params: BDParams) -> float:
     return (s - 1) / ((params.p - 1) * (params.r - s))
 
 
-def bd_hitting_time(s: int, target: int, params: BDParams) -> float:
-    """Expected number of walk steps to first reach support size >= target.
-
-    Uses the one-step ladder recursion d_k = 1/B_k + rho_k d_{k-1} (with
-    d_0 = 0 and the empty product equal to 1), then sums the ladder from s.
-    """
-    r = params.r
-    if not 1 <= s <= r or not 1 <= target <= r:
-        raise ConfigError(f"levels must lie in [1, {r}], got s={s}, target={target}")
-    if s >= target:
-        return 0.0
-    d_prev = 0.0
-    total = 0.0
+def _bd_ladder(target: int, params: BDParams) -> list[float]:
+    """[d_0, ..., d_{target-1}] of the one-step ladder d_k = 1/B_k + rho_k d_{k-1},
+    with d_0 = 0 and the empty product equal to 1."""
+    ladder = [0.0]
     for k in range(1, target):
         birth, _ = bd_probs(k, params)
-        d_k = 1.0 / birth + (bd_rho(k, params) * d_prev if k > 1 else 0.0)
-        if k >= s:
-            total += d_k
-        d_prev = d_k
-    return total
+        ladder.append(1.0 / birth + (bd_rho(k, params) * ladder[-1] if k > 1 else 0.0))
+    return ladder
 
 
-def bd_crossing_prob(s: int, A0: int, A1: int, params: BDParams) -> float:
-    """P_s(hit A0 before A1) for the support chain, A0 <= s <= A1.
+def _check_levels(s: int, target: int, r: int) -> None:
+    if not 1 <= s <= r or not 1 <= target <= r:
+        raise ConfigError(f"levels must lie in [1, {r}], got s={s}, target={target}")
 
-    Standard ratio of partial products of rho_m; identical for the walk
-    and its embedded jump chain since holding does not reorder hits.
-    """
-    r = params.r
-    if not 1 <= A0 < A1 <= r:
-        raise ConfigError(f"need 1 <= A0 < A1 <= {r}, got A0={A0}, A1={A1}")
-    if not A0 <= s <= A1:
-        raise ConfigError(f"start {s} outside [{A0}, {A1}]")
+
+def bd_hitting_time(s: int, target: int, params: BDParams) -> float:
+    """Expected number of walk steps to first reach support size >= target:
+    the ladder d_s + ... + d_{target-1} of _bd_ladder, added left to right
+    from 0.0 (0 when s >= target)."""
+    _check_levels(s, target, params.r)
+    return functools.reduce(operator.add, _bd_ladder(target, params)[s:], 0.0)
+
+
+def _bd_hitting_times(target: int, params: BDParams) -> list[float]:
+    """bd_hitting_time(s, target, params) for s = 1, ..., target, bitwise,
+    from one ladder."""
+    _check_levels(1, target, params.r)
+    ladder = _bd_ladder(target, params)
+    return [functools.reduce(operator.add, ladder[s:], 0.0) for s in range(1, target + 1)]
+
+
+def _bd_crossing_probs(A0: int, A1: int, params: BDParams) -> list[float]:
+    """bd_crossing_prob(s, A0, A1, params) for s = A0, ..., A1, bitwise, from
+    one array of the partial products 1, rho_{A0+1}, rho_{A0+1} rho_{A0+2},
+    ... of levels A0, ..., A1 - 1."""
+    if not 1 <= A0 < A1 <= params.r:
+        raise ConfigError(f"need 1 <= A0 < A1 <= {params.r}, got A0={A0}, A1={A1}")
     prods = np.empty(A1 - A0, dtype=float)
     prods[0] = 1.0
     for idx, mlev in enumerate(range(A0 + 1, A1), start=1):
         prods[idx] = prods[idx - 1] * bd_rho(mlev, params)
     denom = float(prods.sum())
-    numer = float(prods[s - A0 :].sum())
-    return numer / denom
+    return [float(prods[s - A0 :].sum()) / denom for s in range(A0, A1 + 1)]
+
+
+def bd_crossing_prob(s: int, A0: int, A1: int, params: BDParams) -> float:
+    """P_s(hit A0 before A1) for the support chain, A0 <= s <= A1.
+
+    Standard ratio of partial products of rho_m (_bd_crossing_probs);
+    identical for the walk and its embedded jump chain since holding does
+    not reorder hits.
+    """
+    probs = _bd_crossing_probs(A0, A1, params)
+    if not A0 <= s <= A1:
+        raise ConfigError(f"start {s} outside [{A0}, {A1}]")
+    return probs[s - A0]
 
 
 def _bd_jump_tables(params: BDParams) -> tuple[np.ndarray, np.ndarray]:

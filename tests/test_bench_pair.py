@@ -84,3 +84,69 @@ def test_higher_is_better_metrics_regress_downwards(bench_pair):
     assert bench_pair.regressions(report(0.95), benchmark) == []
     assert bench_pair.regressions(report(0.8), benchmark) == [
         "w rate: 10 -> 8 (20.0% worse, bound 10%)"]
+
+
+def _claim_main(bench_pair, monkeypatch, tmp_path, change_p90, seeds, claim="exact:job_p90_s"):
+    """main() with --seeds and --claim; on exact the parent's job_p90_s
+    reads 10, 11, ... ms over the seeds, and the change's what change_p90(i)
+    gives for the i-th seed."""
+    calls = []
+
+    def run(checkout, workload, seed):
+        i = seeds.index(seed)
+        calls.append((checkout, seed))
+        if workload != "exact":
+            return {"failed": 0, "metrics": PARENT}, {}
+        p90 = change_p90(i) if checkout == "C" else 0.010 + 0.001 * i
+        return {"failed": 0, "metrics": {**PARENT, **_metrics(job_p90_s=p90)}}, {}
+
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(bench_pair, "run", run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--parent", "P", "--change", "C", "--out", str(out),
+        "--seeds", *map(str, seeds), "--claim", claim])
+    code = bench_pair.main()
+    assert len(calls) == 2 * len(bench_pair.WORKLOADS) * len(seeds)
+    # pairs alternate which side runs first
+    assert [c for c, _ in calls[:4]] == ["P", "C", "C", "P"]
+    return code, json.loads(out.read_text())
+
+
+def test_claim_holds_with_nine_wins_in_ten_and_a_wide_gap(bench_pair, monkeypatch, tmp_path,
+                                                            capsys):
+    seeds = list(range(1, 11))
+    # twice as fast on nine seeds, slower on the last one
+    code, result = _claim_main(bench_pair, monkeypatch, tmp_path,
+                               lambda i: 0.1 if i == 9 else 0.5 * (0.010 + 0.001 * i), seeds)
+    claim = result["claim"]
+    assert code == 0 and result["seeds"] == seeds and result["regressions"] == []
+    assert claim["workload"] == "exact" and claim["metric"] == "job_p90_s"
+    assert claim["pairs"] == 10 and claim["wins"] == 9 and claim["holds"]
+    assert claim["parent_median"] == pytest.approx(0.0145)
+    assert claim["change_median"] == pytest.approx(0.00725)
+    # exclusive quartiles of 10, 11, ..., 19 ms: 11.75 and 17.25 ms
+    assert claim["parent_quartile_distance"] == pytest.approx(0.0055)
+    assert '"holds": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change_p90,seeds", [
+    (lambda i: 0.1 if i >= 8 else 0.5 * (0.010 + 0.001 * i), list(range(1, 11))),  # 8 wins
+    (lambda i: 0.8 * (0.010 + 0.001 * i), list(range(1, 11))),  # gap inside the quartiles
+    (lambda i: 0.5 * (0.010 + 0.001 * i), list(range(1, 10))),  # nine pairs only
+    (lambda i: 0.010 + 0.001 * i, list(range(1, 11))),  # ties win nothing
+], ids=["8-wins", "narrow-gap", "9-pairs", "ties"])
+def test_claim_fails_and_exits_1(bench_pair, monkeypatch, tmp_path, change_p90, seeds):
+    code, result = _claim_main(bench_pair, monkeypatch, tmp_path, change_p90, seeds)
+    assert code == 1 and result["regressions"] == [] and not result["claim"]["holds"]
+
+
+def test_claim_needs_a_known_metric_and_two_seeds(bench_pair, monkeypatch, tmp_path):
+    with pytest.raises(SystemExit):
+        _claim_main(bench_pair, monkeypatch, tmp_path, lambda i: 0.01, [1, 2],
+                    claim="exact:chains.move_table.s")
+    with pytest.raises(SystemExit):
+        _claim_main(bench_pair, monkeypatch, tmp_path, lambda i: 0.01, [1, 2],
+                    claim="nothing:job_p90_s")
+    with pytest.raises(SystemExit):
+        _claim_main(bench_pair, monkeypatch, tmp_path, lambda i: 0.01, [1],
+                    claim="exact:job_p90_s")

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from groupwalks.algebra import FieldVector, rank_bits
 from groupwalks import chains, cli
@@ -330,6 +331,43 @@ class TestSpaces:
         with pytest.raises(KeyError, match="code 0 is not in the space"):
             empty.index_of_code(0)
 
+    def test_code_lookup_matches_searchsorted(self):
+        for space in (stiefel_space(4, 2), one_column_space(4, 3), heisenberg_tuple_space(2, 3, 1)):
+            codes = philox_generator(space.size).choice(space.codes, size=(3, 50))
+            idx = chains._indices_of(space, codes)
+            assert idx.dtype == np.int64 and idx.shape == codes.shape
+            assert np.array_equal(idx, np.searchsorted(space.codes, codes))
+            assert space.index_of_code(int(space.codes[-1])) == space.size - 1
+        assert chains._indices_of(space, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
+
+    def test_code_lookup_names_the_first_missing_code(self):
+        space = stiefel_space(3, 2)
+        gap = int(np.setdiff1d(np.arange(space.codes[-1]), space.codes)[0])
+        top = int(space.codes[-1])
+        for codes, first in (([top, -5, gap], -5), ([top, gap, top + 1], gap),
+                             ([[top, top], [top + 1, -1]], top + 1)):
+            with pytest.raises(KeyError, match=f"code {first} is not in the space"):
+                chains._indices_of(space, np.array(codes))
+        empty = EnumeratedSpace(np.array([], dtype=np.int64), encode=None, decode=None)
+        assert chains._indices_of(empty, np.array([], dtype=np.int64)).size == 0
+        for code in (0, -1, 7):
+            with pytest.raises(KeyError, match=f"code {code} is not in the space"):
+                empty.index_of_code(code)
+
+    def test_code_index_table_refused_before_allocation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the code-index table was allocated before the budget check")
+
+        space = EnumeratedSpace(np.array([3, 1 << 24]), encode=None, decode=None)
+        monkeypatch.setattr(np, "full", fail)
+        with pytest.raises(BudgetError,
+                           match="16777217 code-index table entries exceed the state budget"):
+            space.index_of_code(3)
+
+    def test_negative_codes_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            EnumeratedSpace(np.array([-2, 0, 5]), encode=None, decode=None)
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             stiefel_space(12, 12, budget=1000)
@@ -562,6 +600,34 @@ def _oracle_dense(walk, perms):
     return mat
 
 
+def _oracle_operator(perms, laziness):
+    """The CSR operator assembled unsorted, then merged by scipy's
+    sum_duplicates, q added to the diagonal and zeros eliminated."""
+    n_moves, M = perms.shape
+    lazy = int(laziness > 0)
+    row_nnz = n_moves + lazy
+    cols = perms.T if not lazy else np.column_stack([perms.T, np.arange(M)])
+    weights = [(1.0 - laziness) / n_moves] * n_moves + [0.0] * lazy
+    mat = csr_matrix(
+        (np.tile(weights, M), cols.astype(np.int32).ravel(),
+         np.arange(0, M * row_nnz + 1, row_nnz, dtype=np.int32)),
+        shape=(M, M),
+    )
+    mat.sum_duplicates()
+    if lazy:
+        rows = np.repeat(np.arange(M, dtype=np.int32), np.diff(mat.indptr))
+        mat.data[mat.indices == rows] += laziness
+        mat.eliminate_zeros()
+    return mat
+
+
+def _assert_same_csr(op, oracle):
+    assert op.has_canonical_format and op.shape == oracle.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(op, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def _oracle_components(perms):
     """Depth-first labels, numbered in the order of each component's first state."""
     n_moves, M = perms.shape
@@ -595,6 +661,14 @@ _ORACLE_WALKS = [
 ]
 
 
+_OPERATOR_WALKS = EXACT_SWEEP + [
+    (TransvectionWalk, (3, 2)),
+    (TransvectionWalk, (4, 3)),
+    (PaPraWalk, (2, 3, 1)),
+    (PaPraWalk, (3, 3, 1)),
+]
+
+
 class TestMoveTables:
     @pytest.mark.parametrize(
         "cls,args", _ORACLE_WALKS, ids=[f"{c.__name__}{a}" for c, a in _ORACLE_WALKS]
@@ -614,6 +688,27 @@ class TestMoveTables:
             op = lazy.operator(space)
             assert op.indices.dtype == op.indptr.dtype == np.int32 and op.has_canonical_format
             assert np.array_equal(op.toarray(), dense)
+
+    @pytest.mark.parametrize(
+        "cls,args", _OPERATOR_WALKS, ids=[f"{c.__name__}{a}" for c, a in _OPERATOR_WALKS])
+    def test_sorted_operator_is_bitwise_the_sum_duplicates_build(self, cls, args):
+        walk = cls(*args)
+        perms = walk.move_permutations(walk.space())
+        for q in (0.0, 0.125, 0.25, 0.375, 0.5, 1.0):
+            _assert_same_csr(chains._move_operator(perms, q), _oracle_operator(perms, q))
+
+    def test_sorted_operator_on_random_tables(self):
+        # few states and repeated rows: fixed points and successors reached
+        # by several moves, on and off the diagonal
+        rng = philox_generator(31)
+        for M, n_moves in ((1, 3), (5, 4), (12, 9), (40, 7)):
+            rows = [rng.permutation(M) for _ in range(n_moves - 2)]
+            perms = np.stack(rows + [np.arange(M), rows[0]])
+            rng.shuffle(perms)
+            for q in (0.0, 0.125, 0.375, 0.5, 1.0):
+                _assert_same_csr(chains._move_operator(perms, q), _oracle_operator(perms, q))
+        empty = np.zeros((3, 0), dtype=np.int64)
+        _assert_same_csr(chains._move_operator(empty, 0.5), _oracle_operator(empty, 0.5))
 
     def test_operator_past_int32_indices_refused(self):
         # broadcast views, nothing allocated: 2^31 entries, one past the int32

@@ -771,6 +771,45 @@ class TestBirthDeath:
         with pytest.raises(ConfigError):
             bd_crossing_prob(3, 3, 3, params)
 
+    @pytest.mark.parametrize("r", [2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_tables_are_bitwise_the_per_s_formulas(self, r, p):
+        params = BDParams(r=r, p=p)
+
+        def hitting(s, target):  # the ladder rebuilt for every s
+            total, d_prev = 0.0, 0.0
+            for k in range(1, target):
+                d_k = 1.0 / bd_probs(k, params)[0] + (bd_rho(k, params) * d_prev if k > 1 else 0.0)
+                if k >= s:
+                    total += d_k
+                d_prev = d_k
+            return total
+
+        def crossing(s, A0, A1):  # the product array rebuilt for every s
+            prods = np.empty(A1 - A0)
+            prods[0] = 1.0
+            for idx, mlev in enumerate(range(A0 + 1, A1), start=1):
+                prods[idx] = prods[idx - 1] * bd_rho(mlev, params)
+            return float(prods[s - A0:].sum()) / float(prods.sum())
+
+        for target in sorted({1, 2, r // 2, r}):
+            want = [hitting(s, target) for s in range(1, target + 1)]
+            assert diagnostics._bd_hitting_times(target, params) == want
+            assert [bd_hitting_time(s, target, params) for s in range(1, target + 1)] == want
+        for A0, A1 in sorted({(1, r), (1, 2), (max(1, r // 4), max(2, 3 * r // 4))}):
+            want = [crossing(s, A0, A1) for s in range(A0, A1 + 1)]
+            assert diagnostics._bd_crossing_probs(A0, A1, params) == want
+            assert [bd_crossing_prob(s, A0, A1, params) for s in range(A0, A1 + 1)] == want
+
+    def test_tables_refuse_as_their_first_per_s_call(self):
+        params = BDParams(r=6, p=3)
+        with pytest.raises(ConfigError, match=r"levels must lie in \[1, 6\], got s=1, target=7"):
+            diagnostics._bd_hitting_times(7, params)
+        with pytest.raises(ConfigError, match=r"need 1 <= A0 < A1 <= 6, got A0=3, A1=3"):
+            diagnostics._bd_crossing_probs(3, 3, params)
+        with pytest.raises(ConfigError, match=r"need 1 <= A0 < A1 <= 6, got A0=0, A1=3"):
+            diagnostics._bd_crossing_probs(0, 3, params)
+
     def test_hitting_mc_matches_formula(self):
         params = BDParams(r=6, p=3)
         exact = bd_hitting_time(1, 4, params)

@@ -1,6 +1,7 @@
 """Run the end-to-end benchmark on two checkouts and record per-metric medians.
 
-    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH.json
+    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH.json \
+        [--seeds S ...] [--claim WORKLOAD:METRIC]
 
 In each checkout this runs ``python3 perfbench/run.py --workload W --seed S
 --seconds 15 --trace 0`` for every workload and seed, interleaving the two
@@ -13,6 +14,15 @@ end-to-end metric of BENCHMARK.json whose change median is worse than the
 parent's by more than the metric's relative bound, and one per workload
 where the change failed more jobs; the script prints them and exits 1 when
 there is any.
+
+The seeds default to 901-903.  ``--claim`` tests a claimed gain on one
+end-to-end metric of one workload, by the rule for a gain in a small
+sandbox: with at least ten seeds, the change wins at least nine tenths of
+the same-seed pairs (ties count for neither side), and its median is better
+than the parent's by more than the distance between the parent's
+quartiles (exclusive method).  The output then also holds ``claim``: the wins, the pairs, both
+medians, that distance and whether the rule ``holds``; the script prints it
+and also exits 1 when the rule fails.
 """
 
 from __future__ import annotations
@@ -59,19 +69,44 @@ def regressions(report: dict, benchmark: dict) -> list[str]:
     return found
 
 
+def claim(parent: list[float], change: list[float], better: str) -> dict:
+    """The module docstring's ``claim`` entry for one metric's same-seed runs."""
+    sign = 1.0 if better == "lower" else -1.0  # positive gains are improvements
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    medians = statistics.median(parent), statistics.median(change)
+    pairs = len(parent)
+    return {"pairs": pairs, "wins": wins, "parent_median": medians[0],
+            "change_median": medians[1], "parent_quartile_distance": q3 - q1,
+            "holds": pairs >= 10 and 10 * wins >= 9 * pairs
+            and sign * (medians[0] - medians[1]) > q3 - q1}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="workload seeds")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="test a claimed gain on this metric and workload")
     args = ap.parse_args()
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    if args.claim:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}.get(claim_metric)
+        if claim_workload not in WORKLOADS or better is None or len(args.seeds) < 2:
+            ap.error(f"--claim {args.claim} needs a workload, one of its end-to-end metrics"
+                     " and at least two seeds")
     sides = {"parent": args.parent, "change": args.change}
     env: dict = {}
     report: dict = {}
+    runs: dict = {}
     for workload in WORKLOADS:
         values: dict = {side: {} for side in sides}
         failed = {side: 0 for side in sides}
-        for i, seed in enumerate(SEEDS):
+        for i, seed in enumerate(args.seeds):
             for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
                 result, run_env = run(sides[side], workload, seed)
                 env = env or run_env
@@ -90,14 +125,22 @@ def main() -> int:
             },
             "failed": failed,
         }
-    with open(BENCHMARK, encoding="utf-8") as fh:
-        found = regressions(report, json.load(fh))
+        runs[workload] = values
+    found = regressions(report, benchmark)
     print("regressions: " + ("; ".join(found) if found else "none"), flush=True)
+    result = {"seeds": args.seeds, "seconds": SECONDS, "env": env,
+              "workloads": report, "regressions": found}
+    holds = True
+    if args.claim:
+        result["claim"] = {"workload": claim_workload, "metric": claim_metric, **claim(
+            runs[claim_workload]["parent"][claim_metric],
+            runs[claim_workload]["change"][claim_metric], better)}
+        holds = result["claim"]["holds"]
+        print("claim " + json.dumps(result["claim"], sort_keys=True), flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"seeds": list(SEEDS), "seconds": SECONDS, "env": env,
-                   "workloads": report, "regressions": found}, fh, indent=1, sort_keys=True)
+        json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 1 if found else 0
+    return 1 if found or not holds else 0
 
 
 if __name__ == "__main__":
