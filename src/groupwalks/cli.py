@@ -378,6 +378,14 @@ def cmd_birthdeath(cfg: dict, out_path: str | None) -> None:
     r = _get_int(cfg, "r", required=True, minimum=2)
     p = _get_int(cfg, "p", required=True, minimum=2)
     params = BDParams(r=r, p=p)
+    target = _get_int(cfg, "target", r)
+    a0 = _get_int(cfg, "A0")
+    a1 = _get_int(cfg, "A1")
+    if (a0 is None) != (a1 is None):
+        raise ConfigError("the crossing table needs both A0 and A1")
+    # both refuse out-of-range levels (target < 1, A1 <= A0) before any table is built
+    hitting = _bd_hitting_times(target, params)
+    crossing = None if a0 is None else _bd_crossing_probs(a0, a1, params)
     table = []
     for s in range(1, r + 1):
         birth, death = bd_probs(s, params)
@@ -385,22 +393,11 @@ def cmd_birthdeath(cfg: dict, out_path: str | None) -> None:
         if s < r:
             row["rho"] = bd_rho(s, params)
         table.append(row)
-    target = _get_int(cfg, "target", r)
-    # a table with no rows (target < 1, A1 < A0) checks no levels
-    hitting = [
-        {"s": s, "expected_steps": steps}
-        for s, steps in enumerate(_bd_hitting_times(target, params) if target >= 1 else [], 1)
-    ]
-    report: dict = {"r": r, "p": p, "table": table, "target": target, "hitting": hitting}
-    a0 = _get_int(cfg, "A0")
-    a1 = _get_int(cfg, "A1")
-    if (a0 is None) != (a1 is None):
-        raise ConfigError("the crossing table needs both A0 and A1")
-    if a0 is not None:
-        report["crossing"] = [
-            {"s": s, "prob_down_first": prob}
-            for s, prob in enumerate(_bd_crossing_probs(a0, a1, params) if a0 <= a1 else [], a0)
-        ]
+    report: dict = {"r": r, "p": p, "table": table, "target": target,
+                    "hitting": [{"s": s, "expected_steps": t} for s, t in enumerate(hitting, 1)]}
+    if crossing is not None:
+        report["crossing"] = [{"s": s, "prob_down_first": prob}
+                              for s, prob in enumerate(crossing, a0)]
     epsilon = _get_float(cfg, "epsilon")
     if epsilon is not None:
         rc = select_constants(p, epsilon)

@@ -379,31 +379,64 @@ def projection_family_bound(
     return delta, lam_max, 1.0 - 0.5 * delta * (1.0 - alpha)
 
 
-def _rep_stack(p: int, m: int, lam: int, digits: np.ndarray) -> np.ndarray:
-    """(N, d, d) stack of rho_lam on elements given by their encode_element
-    digits (N, 2m + 1), from the closed form in the module docstring.
-
-    Row b of rho_lam(w, z) has its one entry in the column of b + w_B, with
-    phase z - omega(w_A, b) - omega(w_A, w_B)/2, read from a p-entry table
-    of psi; the entries equal Representation.matrix's.
-    """
+def _rep_tables(p: int, m: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, phase), both (N, d), of elements given by their encode_element
+    digits (N, 2m + 1): row b of rho_lam(g) has its one entry, psi(lam
+    phase[g, b]), in column cols[g, b], by the module docstring's closed form."""
     d = p**m
     wa, wb, z = digits[:, 0:2 * m:2], digits[:, 1:2 * m:2], digits[:, -1]
     labels = _digits(np.arange(d, dtype=np.int64), p, m)[:, ::-1]  # lexicographic b
     place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    cols = ((labels[None] + wb[:, None]) % p) @ place  # (N, d)
+    cols = ((labels[None] + wb[:, None]) % p) @ place
     base = z - half_mod(p) * (wa * wb).sum(axis=1)
-    phase = (base[:, None] - wa @ labels.T) * lam % p  # (N, d)
+    return cols, (base[:, None] - wa @ labels.T) % p
+
+
+def _rep_stack(p: int, m: int, lam: int, digits: np.ndarray) -> np.ndarray:
+    """(N, d, d) stack of rho_lam on elements given by their encode_element
+    digits (N, 2m + 1), filled from _rep_tables and a p-entry table of psi;
+    the entries equal Representation.matrix's."""
+    cols, phase = _rep_tables(p, m, digits)
     psi_table = np.array([psi(t, p) for t in range(p)])
-    stack = np.zeros((digits.shape[0], d, d), dtype=complex)
-    np.put_along_axis(stack, cols[:, :, None], psi_table[phase][:, :, None], axis=2)
+    stack = np.zeros((digits.shape[0], p**m, p**m), dtype=complex)
+    np.put_along_axis(stack, cols[:, :, None], psi_table[lam * phase % p][:, :, None], axis=2)
     return stack
 
 
-# complex entries in each product temporary of representation_residuals.  At
-# p = 5, 2^14 (256 KiB temporaries) ran fastest and raised peak RSS by under
-# 1 MiB; 2^16 ran 1.7x slower, and 2^20 (no cap at p = 5) added 24 MiB.
-_PRODUCT_BLOCK_ENTRIES = 1 << 14
+def _product_residuals(p: int, m: int, cols: np.ndarray, phase: np.ndarray, prod: np.ndarray,
+                       omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst entries of |rho(g) rho(b) - rho(gb)| and of |rho(g) rho(b) -
+    psi(lam omega(g, b)) rho(b) rho(g)| over all pairs, for lam = 1, ..., p-1.
+
+    Row r of the monomial rho(g) rho(b) has column cols[b, cols[g, r]] and
+    phase phase[g, r] + phase[b, cols[g, r]] for every lam.  So the tables
+    are composed once over all (g, b, r), and each row comparison is coded
+    by base-p digits: a1, a2 and the column of u = psi(a1) psi(a2); e1, e2
+    and the column of w = psi(om) (psi(e1) psi(e2)); om.  Against rho(gb),
+    e1 = om = 0.  Per lam, u - w is evaluated on the distinct codes only;
+    where the columns differ, a row's worst entry is max(|u|, |w|), as in
+    the dense difference.
+    """
+    n, d = cols.shape
+    entry = cols * p + phase  # row (g, r): column and phase as m + 1 digits
+    code = (entry * p ** (m + 3)).ravel()[np.arange(n)[None, :, None] * d + cols[:, None, :]]
+    code += phase[:, None, :] * p ** (2 * m + 4)  # a1 and row cols[g, r] of rho(b)
+    mult = (entry * p)[prod]
+    mult += code
+    code += (entry * p)[:, cols]  # row cols[b, r] of rho(g)
+    code += phase * p ** (m + 2)
+    code += omega[:, :, None]
+    lam = np.arange(1, p)[:, None]
+    psi_table = np.array([psi(t, p) for t in range(p)])
+    worst = []
+    for tuples in (mult, code):
+        dig = _digits(np.flatnonzero(np.bincount(tuples.ravel())), p, 2 * m + 5)
+        places = (2 * m + 4, m + 3, m + 2, 1, 0)
+        a1, a2, e1, e2, om = (psi_table[lam * dig[:, i] % p] for i in places)
+        u, w = a1 * a2, om * (e1 * e2)
+        match = (dig[:, 2:m + 2] == dig[:, m + 4:2 * m + 4]).all(axis=1)
+        worst.append(np.where(match, np.abs(u - w), np.maximum(np.abs(u), np.abs(w))).max(axis=1))
+    return worst[0], worst[1]
 
 
 def representation_residuals(p: int, m: int) -> list[dict]:
@@ -414,17 +447,18 @@ def representation_residuals(p: int, m: int) -> list[dict]:
     and the worst deviation of ||P_g P_b|| from p^{-1/2} over the ordered
     pairs with omega(g, b) != 0, where P_g = fixed_projection(rho_lam(g), p).
     Element indices are element codes, so the product table and omega come
-    from digit arithmetic.  The products rho(g) rho(b) and rho(b) rho(g) for
-    a block of rows g and every b are one GEMM each, with the block capped
-    at _PRODUCT_BLOCK_ENTRIES entries.  The projections are built and checked
-    as one stack, and the pair norms come from one Gram product of their
-    range bases (_pair_norms): for m = 1 every such range is a line, so no
-    pair needs an SVD.
+    from digit arithmetic.  The multiplication and commutation residuals of
+    every lam come from one composition of the monomial tables
+    (_product_residuals).  The projections are built and checked as one
+    stack, and the pair norms come from one Gram product of their range
+    bases (_pair_norms): for m = 1 every such range is a line, so no pair
+    needs an SVD.
     """
     n = p ** (2 * m + 1)
     digits = _digits(np.arange(n, dtype=np.int64), p, 2 * m + 1)
     prod = _h_mul_codes(digits[:, None], digits[None], p)  # (N, N) codes of g b
     omega = _omega_digits(digits[:, None, :-1], digits[None, :, :-1]) % p
+    mult_res, comm_res = _product_residuals(p, m, *_rep_tables(p, m, digits), prod, omega)
     # omega(g, b) != 0 only between non-central elements
     moving = np.flatnonzero(digits[:, :-1].any(axis=1))
     paired = omega[np.ix_(moving, moving)] != 0
@@ -438,30 +472,16 @@ def representation_residuals(p: int, m: int) -> list[dict]:
         proj = _fixed_projections(mats, p, tol=1e-10)
         norms = _pair_norms(proj[moving], tol=1e-10)[paired]
         worst_dev = float(np.abs(norms - target).max(initial=0.0))
-        left = mats.reshape(n * d, d)  # row (b, r) is row r of rho(b)
-        right = mats.transpose(1, 0, 2).reshape(d, n * d)  # column (b, s) is column s of rho(b)
-        rows = max(1, _PRODUCT_BLOCK_ENTRIES // (n * d * d))
-        mult_res = comm_res = 0.0
-        for lo in range(0, n, rows):
-            block = mats[lo:lo + rows]
-            nb = block.shape[0]
-            # [i, b] = rho(g_i) rho(b) and rho(b) rho(g_i), as views of the GEMM outputs
-            gb = (block.reshape(nb * d, d) @ right).reshape(nb, d, n, d).transpose(0, 2, 1, 3)
-            bg = (left @ block.transpose(1, 0, 2).reshape(d, nb * d)).reshape(n, d, nb, d)
-            bg = bg.transpose(2, 0, 1, 3)
-            mult_res = max(mult_res, float(np.abs(gb - mats[prod[lo:lo + nb]]).max()))
-            twist = phase[lam * omega[lo:lo + nb] % p][:, :, None, None]
-            comm_res = max(comm_res, float(np.abs(gb - twist * bg).max()))
         unit = np.einsum("nij,nkj->nik", mats, mats.conj()) - np.eye(d)
         central = mats[centre * p ** (2 * m)] - phase[lam * centre % p][:, None, None] * np.eye(d)
         blocks.append(
             {
                 "lambda": lam,
                 "dimension": d,
-                "mult_residual": mult_res,
+                "mult_residual": float(mult_res[lam - 1]),
                 "unitarity_residual": float(np.abs(unit).max()),
                 "central_residual": float(np.abs(central).max()),
-                "projective_commutation_residual": comm_res,
+                "projective_commutation_residual": float(comm_res[lam - 1]),
                 "two_projection_pairs": int(np.count_nonzero(omega)),
                 "two_projection_worst_deviation": worst_dev,
                 "two_projection_target": target,

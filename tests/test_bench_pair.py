@@ -150,3 +150,30 @@ def test_claim_needs_a_known_metric_and_two_seeds(bench_pair, monkeypatch, tmp_p
     with pytest.raises(SystemExit):
         _claim_main(bench_pair, monkeypatch, tmp_path, lambda i: 0.01, [1],
                     claim="exact:job_p90_s")
+
+
+def test_workloads_flag_runs_only_those_workloads(bench_pair, monkeypatch, tmp_path):
+    seeds = list(range(1, 11))
+    calls = []
+
+    def run(checkout, workload, seed):
+        calls.append((checkout, workload, seed))
+        wall = 0.5 if checkout == "C" else 1.0 + 0.01 * seed
+        return {"failed": 0, "metrics": {**PARENT, **_metrics(wall_s=wall)}}, {}
+
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(bench_pair, "run", run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--parent", "P", "--change", "C", "--out", str(out),
+        "--workloads", "fibres", "--seeds", *map(str, seeds), "--claim", "fibres:wall_s"])
+    assert bench_pair.main() == 0
+    result = json.loads(out.read_text())
+    assert {workload for _, workload, _ in calls} == {"fibres"} and len(calls) == 20
+    assert list(result["workloads"]) == ["fibres"] and result["regressions"] == []
+    assert result["claim"]["workload"] == "fibres" and result["claim"]["holds"]
+    # a claim on a workload that is not run is refused
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pair.py", "--parent", "P", "--change", "C", "--out", str(out),
+        "--workloads", "fibres", "--seeds", "1", "2", "--claim", "exact:wall_s"])
+    with pytest.raises(SystemExit):
+        bench_pair.main()

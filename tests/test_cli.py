@@ -443,6 +443,20 @@ class TestBirthdeathCommand:
         assert code == 1 and out == ""
         assert "config error" in err and "A0 and A1" in err
 
+    @pytest.mark.parametrize("given, message", [
+        (["--target", "0"], "levels must lie in [1, 64], got s=1, target=0"),
+        (["--target", "0", "--A0", "9", "--A1", "3"], "got s=1, target=0"),
+        (["--A0", "9", "--A1", "3"], "need 1 <= A0 < A1 <= 64, got A0=9, A1=3"),
+    ])
+    def test_empty_tables_are_config_errors(self, capsys, monkeypatch, given, message):
+        def no_table(*args):
+            raise AssertionError("a table was built before the refusal")
+
+        monkeypatch.setattr(cli, "bd_probs", no_table)
+        code, out, err = run_cli(["birthdeath", "-r", "64", "-p", "3", *given], capsys)
+        assert code == 1 and out == ""
+        assert "config error" in err and message in err
+
 
 class TestPipelineCommand:
     def test_small_tuple_walk(self, capsys):

@@ -429,10 +429,87 @@ def test_representation_residuals_match_per_pair_oracle(p, m):
                 assert abs(g[key] - w[key]) <= 1e-15, key
 
 
-def test_representation_residuals_do_not_depend_on_product_blocks(monkeypatch):
-    default = [representation_residuals(p, 1) for p in (3, 5)]
-    monkeypatch.setattr(groups, "_PRODUCT_BLOCK_ENTRIES", 1)  # one row of pairs per block
-    assert [representation_residuals(p, 1) for p in (3, 5)] == default
+def _product_tables(p, m):
+    """Element digits, product codes and omega mod p, as representation_residuals builds them."""
+    digits = _digits(np.arange(p ** (2 * m + 1), dtype=np.int64), p, 2 * m + 1)
+    prod = _h_mul_codes(digits[:, None], digits[None], p)
+    omega = groups._omega_digits(digits[:, None, :-1], digits[None, :, :-1]) % p
+    return digits, prod, omega
+
+
+def _dense_product_residuals(p, m, prod, omega):
+    """The blocked complex GEMM sweep that _product_residuals replaced.
+
+    Per lam, the products rho(g) rho(b) and rho(b) rho(g) for a block of
+    rows g and every b are one GEMM each (blocks of at most 2^14 entries),
+    compared with rho(gb) and with psi(lam omega(g, b)) rho(b) rho(g) by a
+    dense difference.  The stacks come from groups._rep_stack.
+    """
+    n = p ** (2 * m + 1)
+    digits = _digits(np.arange(n, dtype=np.int64), p, 2 * m + 1)
+    phase = np.array([psi(t, p) for t in range(p)])
+    mults, comms = [], []
+    for lam in range(1, p):
+        mats = groups._rep_stack(p, m, lam, digits)
+        d = mats.shape[1]
+        left = mats.reshape(n * d, d)  # row (b, r) is row r of rho(b)
+        right = mats.transpose(1, 0, 2).reshape(d, n * d)  # column (b, s) is column s of rho(b)
+        rows = max(1, (1 << 14) // (n * d * d))
+        mult_res = comm_res = 0.0
+        for lo in range(0, n, rows):
+            block = mats[lo:lo + rows]
+            nb = block.shape[0]
+            # [i, b] = rho(g_i) rho(b) and rho(b) rho(g_i), as views of the GEMM outputs
+            gb = (block.reshape(nb * d, d) @ right).reshape(nb, d, n, d).transpose(0, 2, 1, 3)
+            bg = (left @ block.transpose(1, 0, 2).reshape(d, nb * d)).reshape(n, d, nb, d)
+            bg = bg.transpose(2, 0, 1, 3)
+            mult_res = max(mult_res, float(np.abs(gb - mats[prod[lo:lo + nb]]).max()))
+            twist = phase[lam * omega[lo:lo + nb] % p][:, :, None, None]
+            comm_res = max(comm_res, float(np.abs(gb - twist * bg).max()))
+        mults.append(mult_res)
+        comms.append(comm_res)
+    return np.array(mults), np.array(comms)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_product_residuals_match_dense_gemm_oracle(p, m):
+    _, prod, omega = _product_tables(p, m)
+    mult, comm = _dense_product_residuals(p, m, prod, omega)
+    got = representation_residuals(p, m)
+    assert np.abs([b["mult_residual"] for b in got] - mult).max() <= 1e-15
+    assert np.abs([b["projective_commutation_residual"] for b in got] - comm).max() <= 1e-15
+    assert max(mult.max(), comm.max()) <= 1e-14
+
+
+def _corrupt(cols, phase, fault, g, p):
+    """The tables with two columns of row g swapped, or one phase of it shifted by 1."""
+    cols, phase = cols.copy(), phase.copy()
+    if fault == "cols":
+        cols[g, [0, 1]] = cols[g, [1, 0]]
+    else:
+        phase[g, 0] = (phase[g, 0] + 1) % p
+    return cols, phase
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("fault", ["cols", "phase", "twist"])
+def test_product_residuals_detect_injected_faults(monkeypatch, p, m, fault):
+    digits, prod, omega = _product_tables(p, m)
+    g = int(np.flatnonzero(digits[:, :-1].any(axis=1))[3])  # a non-central element
+    if fault == "twist":  # psi(2 lam omega) in place of psi(lam omega)
+        omega = 2 * omega % p
+    else:
+        tables = groups._rep_tables
+        monkeypatch.setattr(groups, "_rep_tables",
+                            lambda p, m, digits: _corrupt(*tables(p, m, digits), fault, g, p))
+    mult, comm = groups._product_residuals(p, m, *groups._rep_tables(p, m, digits), prod, omega)
+    want_mult, want_comm = _dense_product_residuals(p, m, prod, omega)
+    assert np.abs(mult - want_mult).max() <= 1e-15
+    assert np.abs(comm - want_comm).max() <= 1e-15
+    if fault == "twist":
+        assert comm.min() >= 0.5 and mult.max() <= 1e-14
+    else:
+        assert mult.min() >= 0.5
 
 
 def _moving_projections(p, m, lam):

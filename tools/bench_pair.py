@@ -1,7 +1,7 @@
 """Run the end-to-end benchmark on two checkouts and record per-metric medians.
 
     python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH.json \
-        [--seeds S ...] [--claim WORKLOAD:METRIC]
+        [--workloads W ...] [--seeds S ...] [--claim WORKLOAD:METRIC]
 
 In each checkout this runs ``python3 perfbench/run.py --workload W --seed S
 --seconds 15 --trace 0`` for every workload and seed, interleaving the two
@@ -15,14 +15,15 @@ parent's by more than the metric's relative bound, and one per workload
 where the change failed more jobs; the script prints them and exits 1 when
 there is any.
 
-The seeds default to 901-903.  ``--claim`` tests a claimed gain on one
-end-to-end metric of one workload, by the rule for a gain in a small
-sandbox: with at least ten seeds, the change wins at least nine tenths of
-the same-seed pairs (ties count for neither side), and its median is better
-than the parent's by more than the distance between the parent's
-quartiles (exclusive method).  The output then also holds ``claim``: the wins, the pairs, both
-medians, that distance and whether the rule ``holds``; the script prints it
-and also exits 1 when the rule fails.
+The workloads default to all four and the seeds to 901-903.  ``--claim``
+tests a claimed gain on one end-to-end metric of one of the workloads run,
+by the rule for a gain in a small sandbox: with at least ten seeds, the
+change wins at least nine tenths of the same-seed pairs (ties count for
+neither side), and its median is better than the parent's by more than the
+distance between the parent's quartiles (exclusive method).  The output
+then also holds ``claim``: the wins, the pairs, both medians, that distance
+and whether the rule ``holds``; the script prints it and also exits 1
+when the rule fails.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                    help="workloads to run")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="workload seeds")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
                     help="test a claimed gain on this metric and workload")
@@ -96,14 +99,14 @@ def main() -> int:
     if args.claim:
         claim_workload, _, claim_metric = args.claim.partition(":")
         better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}.get(claim_metric)
-        if claim_workload not in WORKLOADS or better is None or len(args.seeds) < 2:
-            ap.error(f"--claim {args.claim} needs a workload, one of its end-to-end metrics"
-                     " and at least two seeds")
+        if claim_workload not in args.workloads or better is None or len(args.seeds) < 2:
+            ap.error(f"--claim {args.claim} needs one of the workloads run, one of its"
+                     " end-to-end metrics and at least two seeds")
     sides = {"parent": args.parent, "change": args.change}
     env: dict = {}
     report: dict = {}
     runs: dict = {}
-    for workload in WORKLOADS:
+    for workload in args.workloads:
         values: dict = {side: {} for side in sides}
         failed = {side: 0 for side in sides}
         for i, seed in enumerate(args.seeds):
