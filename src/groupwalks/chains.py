@@ -298,22 +298,6 @@ def rank_bits_batch(rows: np.ndarray, k: int) -> np.ndarray:
     return ranks
 
 
-def _gl_images(k: int) -> np.ndarray:
-    """(|GL_k(F_2)|, 2^k) value tables: row g sends each packed row v to vA
-    for one invertible A.  Candidates are all k-tuples of nonzero images of
-    the basis rows, the full-rank ones are kept, and the candidate count
-    times 2^k, which bounds both arrays, is checked before either exists."""
-    size = 1 << k
-    check_budget((size - 1) ** k * size, DEFAULT_STATE_BUDGET,
-                 f"GL_{k}(F_2) candidate image entries", "state")
-    basis = _digits(np.arange((size - 1) ** k), size - 1, k) + 1  # images of bits 0 .. k-1
-    basis = basis[rank_bits_batch(basis, k) == k]
-    images = np.zeros((basis.shape[0], size), dtype=np.int64)
-    for i in range(k):  # a value with top bit i: the image of the lower bits XOR bit i's
-        images[:, 1 << i:2 << i] = images[:, :1 << i] ^ basis[:, i:i + 1]
-    return images
-
-
 def rank_modp_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Rank mod p per instance; mats is (N, rows, dim) with entries in [0, p)."""
     work = np.array(mats, dtype=np.int64, copy=True) % p
@@ -455,6 +439,11 @@ def _pa_pra_scalar_rule(p: int, m: int) -> Callable:
 # ---------------------------------------------------------------------------
 
 
+def _swap_coordinates(digits: np.ndarray, c: int) -> np.ndarray:
+    """The (M, coords) digits with coordinates c and c + 1 exchanged."""
+    return digits[:, [*range(c), c + 1, c, *range(c + 2, digits.shape[1])]]
+
+
 class _WalkBase:
     """Shared kernel plumbing: kernels, successor lists, trajectories.
 
@@ -517,14 +506,24 @@ class _WalkBase:
         return tuple(state)
 
     def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
-        """Sorted state indices, one per class of starts with equal TV curves.
-
-        Each class lies in one orbit of automorphisms of the kernel, which
-        carry TV(P^t(x, .), pi) to itself, so worst-start exact mixing needs
-        only these starts.  Without known automorphisms every state is its
-        own class.
+        """Sorted state indices, the smallest of each orbit of the group that
+        _automorphisms generates.  Automorphisms of the kernel fix the uniform
+        law and carry TV(P^t(x, .), pi) to itself, so worst-start exact mixing
+        needs only these starts.  Each generator's state permutation is one
+        _index_table lookup; every index then takes the least index along each
+        generator, and pointer jumping shortcuts the chains, until nothing
+        changes.  int32 digits cut the maps' memory traffic: codes below the
+        2^24 _index_table budget keep every digit and scaled digit in range.
         """
-        return np.arange(space.size)
+        digits = _digits(space.codes, self._base, self._coords).astype(np.int32)
+        perms = [_indices_of(space, _pack(image, self._base)) for image in self._automorphisms(digits)]
+        least, pulled = None, np.arange(space.size)
+        while not np.array_equal(pulled, least):
+            least = pulled
+            for perm in perms:
+                pulled = np.minimum(pulled, pulled[perm])
+            pulled = pulled[pulled]
+        return np.flatnonzero(least == np.arange(space.size))
 
     def symmetries(self, space: EnumeratedSpace) -> np.ndarray:
         """(m, M) state indices of m commuting involutions that commute with
@@ -539,11 +538,7 @@ class _WalkBase:
         it fixes the uniform law.
         """
         digits = _digits(space.codes, self._base, self._coords)
-        images = []
-        for c in range(0, self._coords - 1, 2):
-            swap = np.arange(self._coords)
-            swap[[c, c + 1]] = c + 1, c
-            images.append(digits[:, swap])
+        images = [_swap_coordinates(digits, c) for c in range(0, self._coords - 1, 2)]
         value = self._value_involution(digits)
         if value is not None:
             images.append(value)
@@ -553,6 +548,18 @@ class _WalkBase:
         """An involution of the coordinate values that commutes with the move
         rule, applied to every coordinate's digit; None when the walk has none."""
         return None
+
+    def _automorphisms(self, digits: np.ndarray) -> Iterator[np.ndarray]:
+        """The (M, coords) digits' images, one at a time, under generators of
+        start_representatives' group: the coordinate transposition (0 1) and
+        the cycle (0 1 ... r-1), which send move (i, j) to (s(i), s(j)),
+        then _value_involution when the walk has one.  Walks that know more
+        automorphisms of the kernel add them."""
+        yield _swap_coordinates(digits, 0)
+        yield np.roll(digits, 1, axis=1)
+        value = self._value_involution(digits)
+        if value is not None:
+            yield value
 
     def move_permutations(self, space: EnumeratedSpace) -> np.ndarray:
         """(n_moves, M) successor state indices; every move is a bijection.
@@ -667,23 +674,6 @@ class TransvectionWalk(_WalkBase):
         recipient, donor, _, _ = move
         return transvection_step(state, donor, recipient)
 
-    def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
-        """One state per S_n x GL_k(F_2) orbit.  A row permutation sends move
-        (a, b) to (s(a), s(b)), and a column operation z -> zA is linear, so
-        A(z_b + z_a) = A z_b + A z_a: both commute with the kernel and fix
-        the uniform law.  The S_n key is the packed tuple of sorted rows; the
-        orbit key is the least S_n key of a class's images under the
-        _gl_images value maps, and the smallest index represents each orbit."""
-        base, images = 1 << self.k, _gl_images(self.k)
-        keys, first = np.unique(_pack(np.sort(_digits(space.codes, base, self.n), axis=1), base),
-                                return_index=True)
-        classes = _digits(keys, base, self.n)  # the sorted rows of each S_n class
-        orbit = keys.copy()
-        for image in images:
-            np.minimum(orbit, _pack(np.sort(image[classes], axis=1), base), out=orbit)
-        order = np.argsort(first)
-        return np.sort(first[order][np.unique(orbit[order], return_index=True)[1]])
-
     def _value_involution(self, digits):
         """Swap bits 0 and 1 of every row (k >= 2): a permutation matrix A
         of GL_k(F_2), so A(z_b + z_a) = A z_b + A z_a and A keeps a tuple
@@ -692,6 +682,15 @@ class TransvectionWalk(_WalkBase):
             return None
         flip = (digits ^ (digits >> 1)) & 1
         return digits ^ (flip | flip << 1)
+
+    def _automorphisms(self, digits):
+        """Also add bit 0 of every row to bit 1, and cycle the k bits (k >= 2):
+        linear maps like the bit swap, with which they generate GL_k(F_2),
+        since the bit permutations conjugate the one transvection to all."""
+        yield from super()._automorphisms(digits)
+        if self.k >= 2:
+            yield digits ^ (digits & 1) << 1
+            yield (digits << 1 | digits >> (self.k - 1)) & ((1 << self.k) - 1)
 
     def _start_cells(self, start) -> np.ndarray:
         """Packed int64 rows, so k > 63 is refused; the default is the k
@@ -740,13 +739,17 @@ class OneColumnWalk(_WalkBase):
         i, j, a, _ = move
         return one_column_step(state, i, j, a, self.p)
 
-    def start_representatives(self, space: EnumeratedSpace) -> np.ndarray:
-        """One state per support size.  Coordinate permutations and scalings
-        of single coordinates by F_p^* commute with the kernel (scaling each
-        y_i by c_i turns move (i, j, a) into (i, j, a c_i / c_j), and a runs
-        over all of F_p), and they act transitively on each support size."""
-        support = (_digits(space.codes, self.p, self.r) != 0).sum(axis=1)
-        return np.sort(np.unique(support, return_index=True)[1])
+    def _automorphisms(self, digits):
+        """Also y_0 -> g y_0 for the least generator g of F_p^* (none at p = 2):
+        scaling y_0 by c turns move (0, j, a) into (0, j, c a) and (i, 0, a)
+        into (i, 0, a / c), and a runs over all of F_p.  With the coordinate
+        permutations it scales every coordinate by every unit, so the orbits
+        are the support sizes."""
+        yield from super()._automorphisms(digits)
+        p = self.p
+        if p > 2:
+            g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+            yield np.column_stack([digits[:, 0] * g % p, digits[:, 1:]])
 
     def _value_involution(self, digits):
         """y -> -y at odd p: -(y_i + a y_j) = (-y_i) + a (-y_j), so it sends

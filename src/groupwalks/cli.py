@@ -323,7 +323,7 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
         grid = _get_grid(cfg, "t_grid")
         if grid:  # _tv_at refuses it too, but only after the tau search
             check_budget(grid[-1], TV_STEP_CAP, "steps", "TV grid")
-        # the GL table and tracked-block gates refuse before the operator is built;
+        # the tracked-block gate refuses before the operator is built;
         # one pass over the orbit starts gives tau and the whole curve
         laws = _start_laws(space.size, walk.start_representatives(space))
         tau, curve, steps = _mixing_run(walk.operator(space), epsilon, laws)

@@ -534,7 +534,8 @@ def _matrix_of(kernel) -> np.ndarray:
 
 
 def _refuse_reducible(P, epsilon: float) -> None:
-    """Raise BudgetError when some closed class keeps worst-start TV above epsilon.
+    """Raise ConfigError when some closed class keeps worst-start TV above
+    epsilon: no budget lifts it.
 
     A weak component C of the kernel's nonzero pattern (P dense or CSR) has
     no edge leaving it, so a walk started in C stays there and
@@ -548,7 +549,7 @@ def _refuse_reducible(P, epsilon: float) -> None:
     if floor > epsilon:
         sizes = np.sort(np.bincount(labels))[::-1].tolist()
         shown = ", ".join(map(str, sizes[:10])) + (", ..." if count > 10 else "")
-        raise BudgetError(
+        raise ConfigError(
             f"kernel is reducible ({count} closed classes of sizes {shown}): "
             f"worst-start TV never drops below {floor:.6g} > epsilon {epsilon}"
         )
@@ -650,8 +651,9 @@ def mixing_time_exact(
     fewer rows; with starts=None the result is bitwise the all-starts one.
     The kernel may be dense or scipy.sparse (see _worst_tv_steps).  A
     kernel whose weak components keep some start farther than epsilon
-    from pi for ever is refused with BudgetError before any product, and so
-    are starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET entries.
+    from pi for ever is refused with ConfigError before any product, and
+    starts whose tracked rows exceed DEFAULT_BLOCK_BUDGET entries with
+    BudgetError.
     """
     P = _operator_of(kernel)
     return _mixing_run(P, epsilon, _start_laws(P.shape[0], starts), t_max)[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from groupwalks.algebra import FieldVector, rank_bits
+from groupwalks.algebra import FieldVector, _digits, _pack, rank_bits
 from groupwalks import chains, cli
 from groupwalks.chains import (
     EnumeratedSpace,
@@ -496,27 +496,28 @@ class TestKernelAutomorphisms:
             assert sorted(pi) == list(range(space.size))
             assert (S[pi][:, pi] != S).nnz == 0
 
-    @pytest.mark.parametrize("k,limit,message", [
-        (3, 2743, "2744 GL_3(F_2) candidate image entries exceed the state budget 2743"),
-        (5, chains.DEFAULT_STATE_BUDGET,
-         "916132832 GL_5(F_2) candidate image entries exceed the state budget 16777216"),
+    @pytest.mark.parametrize("cls,args", EXACT_SWEEP + [
+        (TransvectionWalk, (3, 2)), (TransvectionWalk, (4, 3)), (TransvectionWalk, (4, 4)),
+        (OneColumnWalk, (3, 7)), (PaPraWalk, (2, 3, 1)),
     ])
-    def test_gl_table_refused_before_it_is_built(self, monkeypatch, k, limit, message):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("built before the budget check")
-
-        space = stiefel_space(3, 3)  # never read: the table is refused first
-        monkeypatch.setattr(chains, "DEFAULT_STATE_BUDGET", limit)
-        monkeypatch.setattr(chains, "_digits", forbidden)
-        monkeypatch.setattr(chains, "rank_bits_batch", forbidden)
-        with pytest.raises(BudgetError) as err:
-            TransvectionWalk(k, k).start_representatives(space)
-        assert str(err.value) == message
-
-    def test_walk_without_known_automorphisms_keeps_every_start(self):
-        walk = PaPraWalk(2, 3, 1)
+    def test_start_generators_commute_with_the_operator(self, cls, args):
+        """Every generator of start_representatives' group, as its state
+        permutation pi, satisfies S[pi][:, pi] == S exactly: (0 1), the
+        coordinate cycle and the value involution, plus the GL_k(F_2)
+        generators (k >= 2) or the unit scaling of y_0 (odd p)."""
+        walk = cls(*args, laziness=0.25)
         space = walk.space()
-        assert np.array_equal(walk.start_representatives(space), np.arange(space.size))
+        S = walk.operator(space)
+        digits = _digits(space.codes, walk._base, walk._coords)
+        perms = [chains._indices_of(space, _pack(image, walk._base))
+                 for image in walk._automorphisms(digits)]
+        # (0 1) and the cycle, then the value involution and the walk's own maps, if any
+        count = {TransvectionWalk: 2 + 3 * (args[1] >= 2), OneColumnWalk: 2 + 2 * (args[1] > 2),
+                 PaPraWalk: 3}[cls]
+        assert len(perms) == count
+        for pi in perms:
+            assert np.array_equal(np.sort(pi), np.arange(space.size))
+            assert (S[pi][:, pi] != S).nnz == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from groupwalks import chains, cli, diagnostics, spectral
+from groupwalks import cli, diagnostics, spectral
 from groupwalks.algebra import FieldVector
 from groupwalks.chains import OneColumnWalk, TransvectionWalk, _WalkBase
 from groupwalks.diagnostics import mc_tv_curve_one_column, tv_counting_lower, worst_tv_curve
@@ -742,7 +742,7 @@ class TestExitCodes:
         code, _, err = run_cli(["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", "3",
                                 "-p", "3", "-m", "1", "--config", str(cfg)], capsys)
         assert code == 2
-        assert err == ("budget refusal: 283855104 entries (16848 starts x 16848 states) exceed "
+        assert err == ("budget refusal: 25474176 entries (1512 starts x 16848 states) exceed "
                        "the tracked block budget 16777216\n")
 
     def test_tracked_block_refused_before_the_move_table(self, capsys, monkeypatch, tmp_path):
@@ -752,18 +752,8 @@ class TestExitCodes:
         code, _, err = run_cli(["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", "3",
                                 "-p", "3", "-m", "1", "--config", str(cfg)], capsys)
         assert code == 2
-        assert err == ("budget refusal: 283855104 entries (16848 starts x 16848 states) exceed "
+        assert err == ("budget refusal: 25474176 entries (1512 starts x 16848 states) exceed "
                        "the tracked block budget 16777216\n")
-
-    def test_gl_table_refused_before_the_move_table(self, capsys, monkeypatch):
-        # Stief(4,3) has 7^3 x 8 = 2744 GL_3(F_2) candidate image entries
-        monkeypatch.setattr(chains, "DEFAULT_STATE_BUDGET", 2000)
-        monkeypatch.setattr(_WalkBase, "move_permutations", _no_move_table)
-        code, _, err = run_cli(["mixing", "--mode", "exact", "--walk", "transvection", "-n", "4",
-                                "-k", "3"], capsys)
-        assert code == 2
-        assert err == ("budget refusal: 2744 GL_3(F_2) candidate image entries exceed the state "
-                       "budget 2000\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["spectrum", "--walk", "transvection", "-n", "3", "-k", "2", "--eig-budget", "10"],
@@ -824,8 +814,8 @@ class TestExitCodes:
             ["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", "2", "-p", "3", "-m", "1",
              "--laziness", "0.5"], capsys
         )
-        assert code == 2
-        assert "2 closed classes of sizes 216, 216" in err
+        assert code == 1
+        assert err.startswith("config error: kernel is reducible (2 closed classes of sizes 216, 216)")
         assert time.perf_counter() - start < 5.0
 
 

@@ -54,7 +54,7 @@ from groupwalks.diagnostics import (
     worst_tv_curve,
 )
 from groupwalks.errors import BudgetError, ConfigError, DimensionMismatch
-from groupwalks.groups import HeisenbergElement
+from groupwalks.groups import HeisenbergElement, encode_element
 
 
 def _rng(seed=0):
@@ -583,20 +583,24 @@ class TestTvAndMixing:
     def test_epsilon_validation(self):
         with pytest.raises(ConfigError):
             mixing_time_exact(np.eye(3), epsilon=0.0)
-        with pytest.raises(BudgetError):
+        # irreducible but slow: worst-start TV is still 0.45 after 5 steps
+        slow = np.array([[0.99, 0.01], [0.01, 0.99]])
+        with pytest.raises(BudgetError, match="still above 0.25 after 5 steps"):
+            mixing_time_exact(slow, t_max=5)
+        with pytest.raises(ConfigError, match="kernel is reducible"):
             mixing_time_exact(np.eye(3) * 1.0, t_max=5)
 
     def test_reducible_kernel_refused_before_any_product(self, monkeypatch):
         block = np.kron(np.eye(2), np.full((3, 3), 1 / 3))
         monkeypatch.setattr(diagnostics, "_worst_tv_steps", None)
-        with pytest.raises(BudgetError, match=r"2 closed classes of sizes 3, 3"):
+        with pytest.raises(ConfigError, match=r"2 closed classes of sizes 3, 3"):
             mixing_time_exact(block)
 
     def test_reducible_operator_refused_like_its_dense_kernel(self):
         walk = PaPraWalk(2, 3, 1, laziness=0.5)
         space = walk.space()
         for kernel in (walk.dense(space), walk.operator(space)):
-            with pytest.raises(BudgetError, match=r"2 closed classes of sizes 216, 216"):
+            with pytest.raises(ConfigError, match=r"2 closed classes of sizes 216, 216"):
                 mixing_time_exact(kernel)
 
     def test_reducible_kernel_within_epsilon_still_runs(self):
@@ -1251,10 +1255,16 @@ def _sn_keys(space):
 def _class_keys(walk, space):
     """Class of each state, from the decoded states: the least sorted image
     under every invertible column operation for the row walk (its S_n x
-    GL_k(F_2) orbit), support size for the one-column walk."""
+    GL_k(F_2) orbit), support size for the one-column walk, and for PA-PRA
+    the lesser of the sorted element codes of the state and of its (-v, z)
+    image (its S_r x <(v, z) -> (-v, z)> orbit)."""
     if isinstance(walk, TransvectionWalk):
         maps = _gl_maps(walk.k)
         return [min(tuple(sorted(table[v] for v in z)) for table in maps) for z in space.states()]
+    if isinstance(walk, PaPraWalk):
+        return [min(tuple(sorted(encode_element(g) for g in x)),
+                    tuple(sorted(encode_element(HeisenbergElement(-g.v, g.z)) for g in x)))
+                for x in space.states()]
     return [sum(1 for y in z if y) for z in space.states()]
 
 
@@ -1334,6 +1344,36 @@ class TestStartRepresentatives:
         assert reps.size == orbits
         if n * k <= 12:  # the plain-Python orbit keys of Stief(5,3) take seconds
             assert np.array_equal(reps, _first_of_each(_class_keys(walk, space)))
+
+    @pytest.mark.parametrize("n,k,orbits", [(4, 4, 1), (5, 4, 5)])
+    def test_orbit_counts_at_k4(self, n, k, orbits):
+        walk = TransvectionWalk(n, k)
+        assert walk.start_representatives(walk.space()).size == orbits
+
+    @pytest.mark.parametrize("r,starts", [(2, 108), (3, 1512)])
+    def test_pa_pra_classes(self, r, starts):
+        walk = PaPraWalk(r, 3, 1)
+        space = walk.space()
+        reps = walk.start_representatives(space)
+        assert reps.size == starts
+        assert np.array_equal(reps, _first_of_each(_class_keys(walk, space)))
+
+    def test_pa_pra_tv_rows_equal_their_representatives(self):
+        # the kernel is reducible, so the rows are compared for a fixed 20 steps
+        walk = PaPraWalk(2, 3, 1, laziness=0.25)
+        space = walk.space()
+        P = walk.dense(space)
+        reps = walk.start_representatives(space)
+        keys = _class_keys(walk, space)
+        rep_of = {keys[i]: int(i) for i in reps}
+        owner = np.array([rep_of[key] for key in keys])
+        assert not np.array_equal(owner, np.arange(space.size))
+        M = space.size
+        A = np.eye(M)
+        for _ in range(21):
+            tv = 0.5 * np.abs(A - 1.0 / M).sum(axis=1)
+            np.testing.assert_allclose(tv, tv[owner], rtol=0, atol=1e-12)
+            A = A @ P
 
     @pytest.mark.parametrize("n,k", [(6, 2), (4, 3)])
     def test_orbit_tau_equals_all_starts_and_sn_tau(self, n, k):
