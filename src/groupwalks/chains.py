@@ -1,22 +1,20 @@
 """State spaces and Markov kernels for coordinate-replacement walks.
 
-Three reversible walks share one interface.  Every move is a tuple
+Two reversible walks share one interface.  Every move is a tuple
 (i, j, a, left): recipient i, donor j != i, exponent a and side.
 
-* TransvectionWalk — states are n-tuples of rows in F_2^k whose rows span
-  F_2^k; a move replaces row i by row_i + row_j (a = 1, no side).  The
-  kernel averages over all n(n-1) ordered pairs.
-* OneColumnWalk — states are nonzero vectors in F_p^r.  For odd p a move
-  replaces Y_i by Y_i + a Y_j with a uniform in F_p (a = 0 is a hold);
-  over F_2 the walk is the coordinate projection of the tuple walk and a
-  move always adds (a = 1).
+* The row walk (_RowWalk) — states are n-tuples of rows in F_p^k that span
+  F_p^k; a move replaces row i by row_i + a row_j, a = 1 over F_2 and a
+  uniform in F_p at odd p (a = 0 holds), averaged over all n(n-1) ordered
+  pairs.  TransvectionWalk(n, k) is p = 2 and OneColumnWalk(r, p) is k = 1,
+  nonzero vectors of F_p^r; odd p with k >= 2 is not built.
 * PaPraWalk — states are r-tuples of Heisenberg group elements that
   generate H; a move replaces g_i by g_i g_j^a (right) or g_j^a g_i
   (left), averaging over both sides, all exponents a in F_p and all
   ordered pairs.  Horizontal parts evolve exactly as the p-ary one-column
   walk on each coordinate functional.
 
-Every move is invertible by another move of the same kernel, so all three
+Every move is invertible by another move of the same kernel, so both
 kernels are doubly stochastic and reversible with respect to the uniform
 law on their state space.  An optional laziness weight q turns a kernel P
 into q I + (1-q) P.
@@ -30,16 +28,15 @@ A walk's moves are its move codes, and _decode is their one definition:
 the engines decode the codes they draw, and _WalkBase derives moves (in
 code order), move_permutations and counting_move_bound from every code.
 Each walk's move is written once, as a rule on per-coordinate codes: new
-recipient = rule(recipient, donor, exponent, left).  The rules are XOR of
-packed F_2 rows (transvections, and the one-column walk at p = 2),
-(x + a y) mod p (the one-column walk at odd p) and two lookups in the
-_pa_pra_tables (PA-PRA), built once for the last (p, m) used.  The move
-table, the trajectory loop _drive and the fibre kernels all apply that
-rule; a fibre kernel takes the frozen coordinates as codes, so it builds no
-state objects.  apply_move and the *_step functions stay the per-state
-definitions they are tested against.  The move table builds the sparse
-operator, whose toarray() is the dense kernel and whose weak components
-are the connected components.
+recipient = rule(recipient, donor, exponent, left).  The rules are the row
+walk's, XOR of packed F_2 rows at p = 2 and (x + a y) mod p at odd p and
+k = 1, and two lookups in the _pa_pra_tables (PA-PRA), built once for the
+last (p, m) used.  The move table, the trajectory loop _drive and the
+fibre kernels all apply that rule; a fibre kernel takes the frozen
+coordinates as codes, so it builds no state objects.  apply_move and the
+*_step functions stay the per-state definitions they are tested against.
+The move table builds the sparse operator, whose toarray() is the dense
+kernel and whose weak components are the connected components.
 
 A walk's batch method is the one entry point for trajectories: it reads
 the walk's start (its default, validation and cell dtype live in the
@@ -374,13 +371,6 @@ def _xor_rule(x, y, a, left):
     return x ^ y
 
 
-def _one_column_rule(p: int) -> Callable:
-    """Y_i + a Y_j mod p; over F_2 a move always adds, which is XOR."""
-    if p == 2:
-        return _xor_rule
-    return lambda x, y, a, left: (x + a * y) % p
-
-
 @lru_cache(maxsize=1)
 def _pa_pra_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Power and two-sided product tables on the element codes of H(p, m),
@@ -657,120 +647,107 @@ class _WalkBase:
         return tuple(codes)
 
 
-class TransvectionWalk(_WalkBase):
-    """Row-addition walk on spanning n-tuples of rows in F_2^k."""
+class _RowWalk(_WalkBase):
+    """Row-addition walk on n-tuples of rows in F_p^k that span F_p^k, coded
+    in base p^k.  The rule is XOR at p = 2 and (x + a y) mod p otherwise,
+    the move only at k = 1, so odd p is built at k = 1 alone.  Subclasses
+    supply their checks, apply_move, space, the dtype of the batch cells
+    (_cells) and the refusal of rows past their range (_cells_refusal)."""
 
-    def __init__(self, n: int, k: int, laziness: float = 0.0):
-        if n < 2:
-            raise ValueError("the walk needs at least two rows (no moves exist for n=1)")
-        if k < 1 or n < k:
-            raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-        self.n = n
-        self.k = k
-        self._coords, self._base, self._rule = n, 1 << k, _xor_rule
+    def __init__(self, n: int, k: int, p: int, laziness: float):
+        self.n, self.k, self.p = n, k, p
+        self._coords, self._base = n, p**k
+        self._rule = _xor_rule if p == 2 else lambda x, y, a, left: (x + a * y) % p
+        self._exponents = 1 if p == 2 else p
         self._init_laziness(laziness)
 
-    def apply_move(self, state, move):
-        recipient, donor, _, _ = move
-        return transvection_step(state, donor, recipient)
-
     def _value_involution(self, digits):
-        """Swap bits 0 and 1 of every row (k >= 2): a permutation matrix A
-        of GL_k(F_2), so A(z_b + z_a) = A z_b + A z_a and A keeps a tuple
-        spanning.  At k = 1 the only element of GL_1(F_2) is the identity."""
+        """y -> -y on every row at odd p: -(y_i + a y_j) = (-y_i) + a (-y_j),
+        so it sends each move to itself.  At p = 2 and k >= 2, swap bits 0
+        and 1 of every row: a permutation matrix A of GL_k(F_2), so
+        A(z_b + z_a) = A z_b + A z_a and A keeps a tuple spanning.  At p = 2
+        and k = 1 GL_1(F_2) is trivial, so there is none."""
+        if self.p > 2:
+            return -digits % self.p
         if self.k < 2:
             return None
         flip = (digits ^ (digits >> 1)) & 1
         return digits ^ (flip | flip << 1)
 
     def _automorphisms(self, digits):
-        """Also add bit 0 of every row to bit 1, and cycle the k bits (k >= 2):
+        """Also, at odd p, y_0 -> g y_0 for the least generator g of F_p^*:
+        scaling y_0 by c turns move (0, j, a) into (0, j, c a) and (i, 0, a)
+        into (i, 0, a / c), and a runs over all of F_p, so with the
+        coordinate permutations it scales every row by every unit.  And at
+        k >= 2, add bit 0 of every row to bit 1, and cycle the k bits:
         linear maps like the bit swap, with which they generate GL_k(F_2),
         since the bit permutations conjugate the one transvection to all."""
         yield from super()._automorphisms(digits)
-        if self.k >= 2:
+        p, k = self.p, self.k
+        if p > 2:
+            g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+            yield np.column_stack([digits[:, 0] * g % p, digits[:, 1:]])
+        if k >= 2:
             yield digits ^ (digits & 1) << 1
-            yield (digits << 1 | digits >> (self.k - 1)) & ((1 << self.k) - 1)
+            yield (digits << 1 | digits >> (k - 1)) & ((1 << k) - 1)
 
     def _start_cells(self, start) -> np.ndarray:
-        """Packed int64 rows, so k > 63 is refused; the default is the k
-        basis rows, then zero rows."""
-        if self.k > 63:
-            raise ValueError(f"k = {self.k} exceeds 63, the row width of the engine's int64 cells")
+        """The start's rows as _cells, refused with _cells_refusal when a row
+        code may not fit them; the default is the k basis rows, then zero
+        rows (e_1 at k = 1)."""
+        if self._base - 1 > np.iinfo(self._cells).max:
+            raise ValueError(self._cells_refusal.format(k=self.k, p=self.p))
         if start is None:
-            start = np.zeros(self.n, dtype=np.int64)
-            start[:self.k] = 1 << np.arange(self.k)
-        z0 = np.asarray(start, dtype=np.int64)
-        _check_start(start, z0.shape == (self.n,) and ((0 <= z0) & (z0 < 1 << self.k)).all()
-                     and rank_bits_batch(z0[None], self.k)[0] == self.k)
-        return z0
+            start = [self.p**c for c in range(self.k)] + [0] * (self.n - self.k)
+        row = np.asarray(start, dtype=np.int64)
+        _check_start(start, row.ndim == 1 and self.in_omega(row.tolist()))
+        return row.astype(self._cells)
 
     def in_omega(self, state) -> bool:
-        if len(state) != self.n:
-            return False
-        mask = (1 << self.k) - 1
-        if any(r < 0 or r > mask for r in state):
-            return False
-        return rank_bits(state, self.k) == self.k
+        """Whether state is n row codes in [0, p^k) that span F_p^k."""
+        return (len(state) == self.n and all(0 <= y < self._base for y in state)
+                and (rank_bits(state, self.k) == self.k if self.p == 2 else any(state)))
+
+
+class TransvectionWalk(_RowWalk):
+    """The row walk over F_2 on spanning n-tuples of rows in F_2^k; int64
+    batch cells of packed rows."""
+
+    _cells = np.int64
+    _cells_refusal = "k = {k} exceeds 63, the row width of the engine's int64 cells"
+
+    def __init__(self, n: int, k: int, laziness: float = 0.0):
+        if n < 2:
+            raise ValueError("the walk needs at least two rows (no moves exist for n=1)")
+        if k < 1 or n < k:
+            raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
+        super().__init__(n, k, 2, laziness)
+
+    def apply_move(self, state, move):
+        recipient, donor, _, _ = move
+        return transvection_step(state, donor, recipient)
 
     def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
         return stiefel_space(self.n, self.k, budget)
 
 
-class OneColumnWalk(_WalkBase):
-    """Single-column replacement walk on F_p^r minus the origin.
+class OneColumnWalk(_RowWalk):
+    """The row walk at k = 1 on F_p^r minus the origin (n = r); over F_2 it
+    is the functional projection of TransvectionWalk.  uint8 batch cells."""
 
-    Over F_2 a move always adds the donor coordinate (the walk is the
-    functional projection of TransvectionWalk); over odd p the move draws
-    an exponent a uniformly from F_p, so a = 0 holds in place.
-    """
+    _cells = np.uint8
+    _cells_refusal = "p = {p} exceeds 256, the range of the engine's uint8 cells"
 
     def __init__(self, r: int, p: int, laziness: float = 0.0):
         check_prime(p)
         if r < 2:
             raise ValueError("the walk needs at least two coordinates")
         self.r = r
-        self.p = p
-        self._coords, self._base, self._rule = r, p, _one_column_rule(p)
-        self._exponents = 1 if p == 2 else p
-        self._init_laziness(laziness)
+        super().__init__(r, 1, p, laziness)
 
     def apply_move(self, state, move):
         i, j, a, _ = move
         return one_column_step(state, i, j, a, self.p)
-
-    def _automorphisms(self, digits):
-        """Also y_0 -> g y_0 for the least generator g of F_p^* (none at p = 2):
-        scaling y_0 by c turns move (0, j, a) into (0, j, c a) and (i, 0, a)
-        into (i, 0, a / c), and a runs over all of F_p.  With the coordinate
-        permutations it scales every coordinate by every unit, so the orbits
-        are the support sizes."""
-        yield from super()._automorphisms(digits)
-        p = self.p
-        if p > 2:
-            g = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
-            yield np.column_stack([digits[:, 0] * g % p, digits[:, 1:]])
-
-    def _value_involution(self, digits):
-        """y -> -y at odd p: -(y_i + a y_j) = (-y_i) + a (-y_j), so it sends
-        each move to itself.  At p = 2 it is the identity."""
-        return None if self.p == 2 else -digits % self.p
-
-    def _start_cells(self, start) -> np.ndarray:
-        """uint8 coordinates, so p > 256 is refused; the default is e_1."""
-        if self.p > 256:
-            raise ValueError(f"p = {self.p} exceeds 256, the range of the engine's uint8 cells")
-        y0 = np.asarray([1] + [0] * (self.r - 1) if start is None else start, dtype=np.int64)
-        _check_start(start, y0.shape == (self.r,) and ((0 <= y0) & (y0 < self.p)).all()
-                     and y0.any())
-        return y0.astype(np.uint8)
-
-    def in_omega(self, state) -> bool:
-        return (
-            len(state) == self.r
-            and all(0 <= y < self.p for y in state)
-            and any(y != 0 for y in state)
-        )
 
     def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
         return one_column_space(self.r, self.p, budget)

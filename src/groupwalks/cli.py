@@ -228,14 +228,12 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
         check_budget(nf, CSV_BUDGET, "kernel-count columns", "CSV")
         spec = heisenberg_good_set(walk.r, walk.p, walk.m, _get_float(cfg, "beta0", 0.75))
         header = [f"n_xi_{c}" for c in range(1, nf + 1)] + ["support", "in_good"]
-    elif isinstance(walk, OneColumnWalk) and walk.p != 2:
+    elif walk.p != 2:
         spec, header = None, ["support"]
-    else:
-        # over F_2 the one-column walk is the tuple walk with k = 1
-        n, k = (walk.r, 1) if isinstance(walk, OneColumnWalk) else (walk.n, walk.k)
-        check_budget((1 << k) - 1, CSV_BUDGET, "sign columns", "CSV")
-        spec = transvection_good_set(n, k)
-        header = [f"s_xi_{c}" for c in range(1, 1 << k)] + ["in_good"]
+    else:  # the row walk over F_2: the one-column walk is the tuple walk with k = 1
+        check_budget((1 << walk.k) - 1, CSV_BUDGET, "sign columns", "CSV")
+        spec = transvection_good_set(walk.n, walk.k)
+        header = [f"s_xi_{c}" for c in range(1, 1 << walk.k)] + ["in_good"]
     recorded: list[np.ndarray] = []  # per grid time, (trials, coordinates) codes
     walk.batch(trials, grid, seed, lambda t, cells: recorded.append(cells.copy()))
     # trial-major, as the CSV rows are ordered

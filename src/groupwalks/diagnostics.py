@@ -35,9 +35,8 @@ from scipy.sparse import csr_matrix, diags, issparse
 from .algebra import LinearFunctional, _digits, _pack, check_prime
 from .chains import (
     DEFAULT_STATE_BUDGET,
-    OneColumnWalk,
     PaPraWalk,
-    TransvectionWalk,
+    _RowWalk,
     _weak_components,
     canonical_start,
     one_column_batch,
@@ -461,11 +460,9 @@ def burnin_occupancy(
         raise ConfigError(f"need at least one trial, got {trials}")
     if isinstance(walk, PaPraWalk):
         fits = spec.kind == "heisenberg" and (spec.n, spec.p, spec.m) == (walk.r, walk.p, walk.m)
-    elif isinstance(walk, OneColumnWalk):
+    elif isinstance(walk, _RowWalk):
         if walk.p != 2:
             raise ConfigError("occupancy tracking uses the sign statistic, so p = 2")
-        fits = spec.kind == "transvection" and (spec.n, spec.k) == (walk.r, 1)
-    elif isinstance(walk, TransvectionWalk):
         fits = spec.kind == "transvection" and (spec.n, spec.k) == (walk.n, walk.k)
     else:
         raise ConfigError(f"unsupported walk type {type(walk).__name__}")

@@ -977,6 +977,18 @@ class TestBatchEngines:
         TransvectionWalk(63, 63).batch(2, [0, 3], 0, lambda t, z: seen.append(z.copy()))
         assert seen[0][0].tolist() == [1 << c for c in range(63)]
 
+    @pytest.mark.parametrize("walk, start", [
+        (TransvectionWalk(4, 3), (1, 2, 3, 0)),  # rows of rank 2 in F_2^3
+        (OneColumnWalk(4, 3), (0, 0, 0, 0)),  # the zero vector
+    ])
+    def test_row_walk_start_outside_the_space_refused_before_any_step(self, walk, start):
+        seen = []
+        with pytest.raises(ValueError, match="outside the state space"):
+            walk.batch(2, [0, 5], 0, lambda t, cells: seen.append(t), start)
+        with pytest.raises(ValueError, match="outside the state space"):
+            simulate(walk, start, 5, observers={"t": seen.append})
+        assert seen == []
+
     @pytest.mark.parametrize("start", [[7, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [1, 2, 0]])
     def test_transvection_start_outside_the_space_refused(self, start):
         seen = []
@@ -1514,6 +1526,33 @@ class TestPaPraTables:
         for V, Z in got:
             assert (V == v[None]).all() and (Z == z[None]).all()
             assert V.dtype == Z.dtype == np.int16
+
+
+@pytest.mark.parametrize("q", [0.0, 0.25])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tuple_walk_at_k1_is_the_column_walk_over_f2(n, q):
+    """TransvectionWalk(n, 1) and OneColumnWalk(n, 2) are one row walk: the
+    same space, move table, operator, starts, symmetries and moves, and for
+    one seed the same batch codes, as values (int64 rows against uint8
+    cells), at 3, 16 and 128 trials (the scalar, cell and word layouts)."""
+    tw, oc = TransvectionWalk(n, 1, laziness=q), OneColumnWalk(n, 2, laziness=q)
+    space, other = tw.space(), oc.space()
+    assert np.array_equal(space.codes, other.codes)
+    op, op_oc = tw.operator(space), oc.operator(other)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op, part), getattr(op_oc, part))
+    for method in ("move_permutations", "start_representatives", "symmetries"):
+        assert np.array_equal(getattr(tw, method)(space), getattr(oc, method)(other))
+    assert np.array_equal(tw.moves, oc.moves)
+    assert np.array_equal(tw.counting_move_bound, oc.counting_move_bound)
+    for trials in (3, 16, 128):
+        runs = []
+        for walk in (tw, oc):
+            seen = []
+            walk.batch(trials, range(0, 201, 10), 31, lambda t, cells: seen.append(cells.copy()))
+            runs.append(np.stack(seen))
+        assert runs[0].dtype == np.int64 and runs[1].dtype == np.uint8
+        assert np.array_equal(*runs)
 
 
 def test_horizontal_projection_matches_column_walk():

@@ -12,11 +12,14 @@ with ``diff -r`` checks that a change leaves every output byte-identical.
 checkout that lacks this script (default: the ``src`` next to it).
 
 The list covers ``mixing --mode exact`` and ``spectrum`` on the exact sweep
-plus Stief(3,2) and Stief(4,3) at six laziness values, ``pipeline``,
-``birthdeath``, ``repcheck``, ``simulate`` for all three walks,
-``spectrum --fibres-only`` and the budget and reducibility refusals.
-Config files that raise or lower a budget are written to a temporary
-directory.  On a 2-core machine the 202 runs take about 3 s.
+plus Stief(3,2), Stief(4,3) and F_2^r minus 0 for r = 3..6 at six laziness
+values, ``pipeline``, ``birthdeath``, ``repcheck``, ``mixing --mode mc``,
+``simulate`` for all three walks (the F_2 row walk as ``one-column -p 2``
+and as ``transvection -k 1``, at 3, 16 and 128 trials, which step the
+scalar, cell and word layouts), ``spectrum --fibres-only`` and the budget
+and reducibility refusals.  Config files that raise or lower a budget are
+written to a temporary directory.  On a 2-core machine the 263 runs take
+about 2 s.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SWEEP = ([("transvection", n, k) for n, k in ((4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (3, 2), (4, 3))]
          + [("one-column", r, 3) for r in range(2, 7)]
-         + [("one-column", r, 5) for r in range(2, 5)])
+         + [("one-column", r, 5) for r in range(2, 5)]
+         + [("one-column", r, 2) for r in range(3, 7)])
 LAZINESS = (0.0, 0.125, 0.25, 0.375, 0.5, 1.0)
 # config files by name, for the invocations that read one
 CONFIGS = {
@@ -65,6 +69,11 @@ def invocations() -> list[list]:
         ["simulate", *_walk("transvection", 4, 2), "--steps", 200, "--trials", 3, "--seed", 7],
         ["simulate", *_walk("one-column", 6, 3), "--steps", 200, "--trials", 3, "--seed", 7],
         ["simulate", "--walk", "pa-pra", "-r", 4, "-p", 3, "-m", 1, "--steps", 200, "--seed", 7],
+        *(["simulate", *_walk(walk, 16, b), "--steps", 200, "--trials", trials,
+           "--record-every", 10, "--laziness", q, "--seed", 7]
+          for walk, b in (("one-column", 2), ("transvection", 1))
+          for trials in (3, 16, 128) for q in (0.0, 0.25)),
+        ["mixing", "--mode", "mc", "-r", 16],
         ["spectrum", "--walk", "pa-pra", "-r", 4, "-p", 3, "-m", 1, "--fibres-only", "--seed", 7],
         # refusals: budgets (exit 2) and reducible kernels
         ["mixing", "--mode", "exact", "--walk", "pa-pra", "-r", 3, "-p", 3, "-m", 1,
