@@ -7,7 +7,9 @@ Two reversible walks share one interface.  Every move is a tuple
   F_p^k; a move replaces row i by row_i + a row_j, a = 1 over F_2 and a
   uniform in F_p at odd p (a = 0 holds), averaged over all n(n-1) ordered
   pairs.  TransvectionWalk(n, k) is p = 2 and OneColumnWalk(r, p) is k = 1,
-  nonzero vectors of F_p^r; odd p with k >= 2 is not built.
+  nonzero vectors of F_p^r; odd p with k >= 2 is not built.  _RowWalk owns
+  space and apply_move, both read from (n, k, p) alone, so the two names
+  differ only in their constructor checks and batch cell dtype.
 * PaPraWalk — states are r-tuples of Heisenberg group elements that
   generate H; a move replaces g_i by g_i g_j^a (right) or g_j^a g_i
   (left), averaging over both sides, all exponents a in F_p and all
@@ -650,9 +652,11 @@ class _WalkBase:
 class _RowWalk(_WalkBase):
     """Row-addition walk on n-tuples of rows in F_p^k that span F_p^k, coded
     in base p^k.  The rule is XOR at p = 2 and (x + a y) mod p otherwise,
-    the move only at k = 1, so odd p is built at k = 1 alone.  Subclasses
-    supply their checks, apply_move, space, the dtype of the batch cells
-    (_cells) and the refusal of rows past their range (_cells_refusal)."""
+    the move only at k = 1, so odd p is built at k = 1 alone.  This class
+    owns apply_move (transvection_step at p = 2, one_column_step otherwise)
+    and space (F_p^n minus 0 at k = 1, Stief(n, k) otherwise), so both
+    subclasses build one walk at p = 2, k = 1.  Subclasses supply only their
+    checks, the batch cell dtype (_cells) and its refusal (_cells_refusal)."""
 
     def __init__(self, n: int, k: int, p: int, laziness: float):
         self.n, self.k, self.p = n, k, p
@@ -660,6 +664,17 @@ class _RowWalk(_WalkBase):
         self._rule = _xor_rule if p == 2 else lambda x, y, a, left: (x + a * y) % p
         self._exponents = 1 if p == 2 else p
         self._init_laziness(laziness)
+
+    def apply_move(self, state, move):
+        recipient, donor, a, _ = move
+        if self.p == 2:
+            return transvection_step(state, donor, recipient)
+        return one_column_step(state, recipient, donor, a, self.p)
+
+    def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
+        if self.k == 1:
+            return one_column_space(self.n, self.p, budget)
+        return stiefel_space(self.n, self.k, budget)
 
     def _value_involution(self, digits):
         """y -> -y on every row at odd p: -(y_i + a y_j) = (-y_i) + a (-y_j),
@@ -723,17 +738,10 @@ class TransvectionWalk(_RowWalk):
             raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
         super().__init__(n, k, 2, laziness)
 
-    def apply_move(self, state, move):
-        recipient, donor, _, _ = move
-        return transvection_step(state, donor, recipient)
-
-    def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
-        return stiefel_space(self.n, self.k, budget)
-
 
 class OneColumnWalk(_RowWalk):
     """The row walk at k = 1 on F_p^r minus the origin (n = r); over F_2 it
-    is the functional projection of TransvectionWalk.  uint8 batch cells."""
+    is TransvectionWalk(r, 1).  uint8 batch cells."""
 
     _cells = np.uint8
     _cells_refusal = "p = {p} exceeds 256, the range of the engine's uint8 cells"
@@ -744,13 +752,6 @@ class OneColumnWalk(_RowWalk):
             raise ValueError("the walk needs at least two coordinates")
         self.r = r
         super().__init__(r, 1, p, laziness)
-
-    def apply_move(self, state, move):
-        i, j, a, _ = move
-        return one_column_step(state, i, j, a, self.p)
-
-    def space(self, budget: int = DEFAULT_STATE_BUDGET) -> EnumeratedSpace:
-        return one_column_space(self.r, self.p, budget)
 
 
 class PaPraWalk(_WalkBase):

@@ -39,6 +39,7 @@ from .diagnostics import (
     _bd_hitting_times,
     _functional_table,
     _good_mask_of_table,
+    _good_set_of,
     _mixing_run,
     _start_laws,
     _tv_at,
@@ -46,12 +47,10 @@ from .diagnostics import (
     bd_rho,
     good_fibre_gap_scan,
     good_mask_rows,
-    heisenberg_good_set,
     hyperplane_gap_floor,
     mc_tv_curve_one_column,
     sample_balanced_frozen_tuples,
     select_constants,
-    transvection_good_set,
     tv_counting_lower,
     unbalanced_reason,
 )
@@ -226,27 +225,25 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
     if isinstance(walk, PaPraWalk):
         nf = walk.p ** (2 * walk.m) - 1
         check_budget(nf, CSV_BUDGET, "kernel-count columns", "CSV")
-        spec = heisenberg_good_set(walk.r, walk.p, walk.m, _get_float(cfg, "beta0", 0.75))
         header = [f"n_xi_{c}" for c in range(1, nf + 1)] + ["support", "in_good"]
-    elif walk.p != 2:
-        spec, header = None, ["support"]
-    else:  # the row walk over F_2: the one-column walk is the tuple walk with k = 1
-        check_budget((1 << walk.k) - 1, CSV_BUDGET, "sign columns", "CSV")
-        spec = transvection_good_set(walk.n, walk.k)
-        header = [f"s_xi_{c}" for c in range(1, 1 << walk.k)] + ["in_good"]
+    else:  # the row walk; at k = 1 also its nonzero coordinates: weight over F_2, else support
+        header = ["weight" if walk.p == 2 else "support"] * (walk.k == 1)
+        if walk.p == 2:
+            check_budget((1 << walk.k) - 1, CSV_BUDGET, "sign columns", "CSV")
+            header += [f"s_xi_{c}" for c in range(1, 1 << walk.k)] + ["in_good"]
+    spec = _good_set_of(walk, _get_float(cfg, "beta0", 0.75))
     recorded: list[np.ndarray] = []  # per grid time, (trials, coordinates) codes
     walk.batch(trials, grid, seed, lambda t, cells: recorded.append(cells.copy()))
     # trial-major, as the CSV rows are ordered
     cells = np.stack(recorded, axis=1).reshape(trials * len(grid), -1)
-    if spec is None:
-        columns = [np.count_nonzero(cells, axis=1)]
-    else:
+    columns = []
+    if spec is not None:
         table = _functional_table(cells, spec)
         columns = [table, _good_mask_of_table(table, spec)]
     if isinstance(walk, PaPraWalk):  # support: coordinates with a nonzero horizontal part
         columns.insert(1, np.count_nonzero(cells % walk.p ** (2 * walk.m), axis=1))
-    elif isinstance(walk, OneColumnWalk) and walk.p == 2:
-        header, columns = ["weight"] + header, [np.count_nonzero(cells, axis=1)] + columns
+    elif walk.k == 1:
+        columns.insert(0, np.count_nonzero(cells, axis=1))
     ids = np.repeat(np.arange(trials), len(grid))
     times = np.tile(grid, trials)
     table = np.column_stack([ids, times] + columns).astype(np.int64)
@@ -274,18 +271,7 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
             "eigenvalues_top": [float(v) for v in evs[: min(16, evs.size)]],
             "eigenvalues_bottom": [float(v) for v in evs[-min(4, evs.size):]],
         })
-    if isinstance(walk, TransvectionWalk):
-        scan = good_fibre_gap_scan(walk.n, walk.k)
-        hist, edges = np.histogram(scan["good_gaps"], bins=10, range=(0.0, 2.0))
-        report["fibre_scan"] = {
-            "fibre_count": scan["fibre_count"],
-            "good_fibre_count": scan["good_fibre_count"],
-            "min_good_gap": scan["min_good_gap"],
-            "min_bad_gap": scan["min_bad_gap"],
-            "good_gap_hist_counts": hist,
-            "good_gap_hist_edges": edges,
-        }
-    elif isinstance(walk, PaPraWalk):
+    if isinstance(walk, PaPraWalk):
         beta = _get_float(cfg, "beta", 0.5)
         fibre_trials = _get_int(cfg, "fibre_trials", 100, minimum=1)
         seed = _get_int(cfg, "seed", 0)
@@ -307,6 +293,17 @@ def cmd_spectrum(cfg: dict, out_path: str | None) -> None:
                 "min_gap": float(min(gaps)),
                 "gap_floor": hyperplane_gap_floor(walk.p, beta),
             }
+    elif walk.p == 2:  # the row walk over F_2, under either name
+        scan = good_fibre_gap_scan(walk.n, walk.k)
+        hist, edges = np.histogram(scan["good_gaps"], bins=10, range=(0.0, 2.0))
+        report["fibre_scan"] = {
+            "fibre_count": scan["fibre_count"],
+            "good_fibre_count": scan["good_fibre_count"],
+            "min_good_gap": scan["min_good_gap"],
+            "min_bad_gap": scan["min_bad_gap"],
+            "good_gap_hist_counts": hist,
+            "good_gap_hist_edges": edges,
+        }
     _emit_json("spectrum", cfg, report, out_path)
 
 
@@ -422,15 +419,15 @@ def cmd_repcheck(cfg: dict, out_path: str | None) -> None:
 
 def cmd_pipeline(cfg: dict, out_path: str | None) -> None:
     walk = _build_walk(cfg)
-    if not isinstance(walk, TransvectionWalk):
-        raise ConfigError("the pipeline subcommand currently drives the tuple walk")
+    if isinstance(walk, PaPraWalk) or walk.p != 2:
+        raise ConfigError("the pipeline subcommand drives the row walk over F_2 (p = 2)")
     s_steps = _get_int(cfg, "s", 50, minimum=0)
     L = _get_int(cfg, "L", 30, minimum=1)
     t_star = _get_float(cfg, "t_star", required=True)
     space = walk.space(budget=_get_int(cfg, "state_budget", 1 << 16, minimum=1))
     check_budget(space.size, PIPELINE_BUDGET, "states", "pipeline eigensolve")
     op = walk.operator(space)
-    spec = transvection_good_set(walk.n, walk.k)
+    spec = _good_set_of(walk)
     mask = good_mask_rows(_digits(space.codes, 1 << walk.k, walk.n), spec)
     if not mask.any():
         raise ConfigError("the good set is empty for these parameters")

@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -201,6 +201,17 @@ def transvection_good_set(n: int, k: int) -> GoodSetSpec:
 
 def heisenberg_good_set(r: int, p: int, m: int, beta0: float) -> GoodSetSpec:
     return GoodSetSpec(kind="heisenberg", n=r, p=p, m=m, beta0=beta0)
+
+
+def _good_set_of(walk, beta0: float = 0.75) -> GoodSetSpec | None:
+    """The walk's good set: the sign set of the row walk over F_2 (any k),
+    the kernel-count set at level beta0 of PA-PRA, and None for the row
+    walk at odd p, which has none."""
+    if isinstance(walk, PaPraWalk):
+        return heisenberg_good_set(walk.r, walk.p, walk.m, beta0)
+    if not isinstance(walk, _RowWalk):
+        raise ConfigError(f"unsupported walk type {type(walk).__name__}")
+    return transvection_good_set(walk.n, walk.k) if walk.p == 2 else None
 
 
 def _kernel_count_threshold(spec: GoodSetSpec) -> int:
@@ -450,23 +461,18 @@ def burnin_occupancy(
 ) -> dict:
     """Estimated P(X_t not in G) on a time grid, with Wilson 99% intervals.
 
-    ``walk`` is a TransvectionWalk, OneColumnWalk, or PaPraWalk; its
-    laziness is honoured, and ``start`` is in the form its batch takes.
-    Default starts are the worst-case-style states: a weight-one vector,
-    the basis-rows tuple, or the canonical tuple.
+    ``spec`` must be the walk's good set (_good_set_of) at any level
+    beta0; the walk's laziness is honoured, and ``start`` is in the form
+    its batch takes.  Default starts are the worst-case-style states: the
+    basis-rows tuple (a weight-one vector at k = 1) or the canonical tuple.
     """
     grid = sorted(set(int(t) for t in t_grid))
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
-    if isinstance(walk, PaPraWalk):
-        fits = spec.kind == "heisenberg" and (spec.n, spec.p, spec.m) == (walk.r, walk.p, walk.m)
-    elif isinstance(walk, _RowWalk):
-        if walk.p != 2:
-            raise ConfigError("occupancy tracking uses the sign statistic, so p = 2")
-        fits = spec.kind == "transvection" and (spec.n, spec.k) == (walk.n, walk.k)
-    else:
-        raise ConfigError(f"unsupported walk type {type(walk).__name__}")
-    if not fits:
+    good = _good_set_of(walk)
+    if good is None:
+        raise ConfigError("occupancy tracking uses the sign statistic, so p = 2")
+    if spec.kind != good.kind or replace(spec, beta0=good.beta0) != good:
         raise ConfigError("good-set spec does not match the walk")
     failures: dict[int, int] = {}
 

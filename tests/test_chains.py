@@ -1532,12 +1532,15 @@ class TestPaPraTables:
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tuple_walk_at_k1_is_the_column_walk_over_f2(n, q):
     """TransvectionWalk(n, 1) and OneColumnWalk(n, 2) are one row walk: the
-    same space, move table, operator, starts, symmetries and moves, and for
-    one seed the same batch codes, as values (int64 rows against uint8
-    cells), at 3, 16 and 128 trials (the scalar, cell and word layouts)."""
+    same space and description, kernel rows, move table, operator, starts,
+    symmetries and moves, and for one seed the same batch codes, as values
+    (int64 rows against uint8 cells), at 3, 16 and 128 trials (the scalar,
+    cell and word layouts)."""
     tw, oc = TransvectionWalk(n, 1, laziness=q), OneColumnWalk(n, 2, laziness=q)
     space, other = tw.space(), oc.space()
     assert np.array_equal(space.codes, other.codes)
+    assert space.description == other.description == f"F_2^{n} \\ 0"
+    assert all(tw.apply_kernel_row(x) == oc.apply_kernel_row(x) for x in space.states())
     op, op_oc = tw.operator(space), oc.operator(other)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(op, part), getattr(op_oc, part))

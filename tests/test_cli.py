@@ -200,12 +200,14 @@ class TestSimulateCsv:
         raw = out.read_bytes()
         assert b"\r\n" in raw
         rows = self._rows(raw.decode())
-        assert rows[0] == ["trajectory_id", "step", "s_xi_1", "in_good"]
+        assert rows[0] == ["trajectory_id", "step", "weight", "s_xi_1", "in_good"]
         # two trajectories, each recorded at t = 0, 4, 8
         assert len(rows) == 1 + 2 * 3
-        assert rows[1] == ["0", "0", "4", "0"]
+        assert rows[1] == ["0", "0", "1", "4", "0"]
         assert [r[0] for r in rows[1:]] == ["0", "0", "0", "1", "1", "1"]
         assert [r[1] for r in rows[1:4]] == ["0", "4", "8"]
+        # the sign of the one functional is n - 2 * weight on every row
+        assert all(int(r[3]) == 6 - 2 * int(r[2]) for r in rows[1:])
 
     def test_meta_sidecar(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -546,6 +548,78 @@ class TestPipelineCommand:
         )
         assert code == 1
         assert "good set" in err
+
+
+class TestRowWalkNames:
+    """The F_2 row walk at k = 1 is one walk under --walk one-column -p 2 and
+    --walk transvection -k 1, so every report follows (p, k), not the name."""
+
+    @staticmethod
+    def _walk_flags(walk, n, command, tmp_path):
+        if walk == "transvection":
+            return ["--walk", walk, "-n", str(n), "-k", "1"]
+        if command != "pipeline":
+            return ["--walk", walk, "-r", str(n), "-p", "2"]
+        path = tmp_path / f"one-column-{n}.json"  # pipeline has no -r or -p flag
+        path.write_text(json.dumps({"r": n, "p": 2}), encoding="utf-8")
+        return ["--walk", walk, "--config", str(path)]
+
+    @pytest.mark.parametrize("q", ["0", "0.25"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("command", [
+        ["spectrum"],
+        ["mixing", "--mode", "exact"],
+        ["pipeline", "-s", "50", "-L", "30", "--t-star", "25"],
+    ])
+    def test_reports_agree(self, command, n, q, tmp_path, capsys):
+        results = []
+        for walk in ("transvection", "one-column"):
+            out = tmp_path / f"{walk}.json"
+            code = cli.main(command + self._walk_flags(walk, n, command[0], tmp_path)
+                            + ["--laziness", q, "--out", str(out)])
+            err = capsys.readouterr().err
+            report = read_json(out)["report"] if code == 0 else None
+            if report is not None:
+                assert report.pop("walk", walk) == walk
+            results.append((code, err, report))
+        assert results[0] == results[1]
+        code, err, report = results[0]
+        if command[0] == "pipeline" and n == 3:  # no balanced state of F_2^3
+            assert code == 1 and "good set is empty" in err
+        else:
+            assert code == 0, err
+        if command[0] == "spectrum":
+            assert report["fibre_scan"]["fibre_count"] == n
+
+    @pytest.mark.parametrize("q", ["0", "0.25"])
+    @pytest.mark.parametrize("trials", ["3", "16", "128"])
+    def test_simulate_csv_bytes_agree(self, trials, q, capsys):
+        texts = []
+        for walk in ("transvection", "one-column"):
+            code, out, err = run_cli(
+                ["simulate", *self._walk_flags(walk, 16, "simulate", None), "--steps", "200",
+                 "--trials", trials, "--record-every", "10", "--laziness", q, "--seed", "7"],
+                capsys,
+            )
+            assert code == 0, err
+            texts.append(out)
+        # row by row first: pytest's diff of two long texts takes minutes
+        lines = [text.splitlines() for text in texts]
+        assert lines[0][0] == "trajectory_id,step,weight,s_xi_1,in_good"
+        assert len(lines[0]) == len(lines[1]) == 1 + int(trials) * 21
+        assert [i for i, (a, b) in enumerate(zip(*lines)) if a != b] == []
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("walk_cfg", [
+        {"walk": "one-column", "r": 4, "p": 3},
+        {"walk": "pa-pra", "r": 4, "p": 3, "m": 1},
+    ])
+    def test_pipeline_refuses_other_walks(self, walk_cfg, tmp_path, capsys):
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps(walk_cfg), encoding="utf-8")
+        code, _, err = run_cli(["pipeline", "--config", str(path), "--t-star", "25"], capsys)
+        assert code == 1
+        assert "row walk over F_2 (p = 2)" in err
 
 
 class TestRepcheckCommand:

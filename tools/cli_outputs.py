@@ -13,13 +13,15 @@ checkout that lacks this script (default: the ``src`` next to it).
 
 The list covers ``mixing --mode exact`` and ``spectrum`` on the exact sweep
 plus Stief(3,2), Stief(4,3) and F_2^r minus 0 for r = 3..6 at six laziness
-values, ``pipeline``, ``birthdeath``, ``repcheck``, ``mixing --mode mc``,
+values, ``pipeline`` of the F_2 row walk under both names (``one-column``
+reads r from a config file, since ``pipeline`` has no -r flag),
+``birthdeath``, ``repcheck``, ``mixing --mode mc``,
 ``simulate`` for all three walks (the F_2 row walk as ``one-column -p 2``
 and as ``transvection -k 1``, at 3, 16 and 128 trials, which step the
-scalar, cell and word layouts), ``spectrum --fibres-only`` and the budget
-and reducibility refusals.  Config files that raise or lower a budget are
-written to a temporary directory.  On a 2-core machine the 263 runs take
-about 2 s.
+scalar, cell and word layouts), ``spectrum --fibres-only``, the budget and
+reducibility refusals and ``pipeline``'s refusal of the other walks.  Config
+files that set a budget or a ``pipeline`` walk are written to a temporary
+directory.  On a 2-core machine the 270 runs take about 2 s.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ CONFIGS = {
     "eig-41": {"spectrum": {"eig_budget": 41}},
     "dense-41": {"mixing": {"dense_budget": 41}},
     "state-1023": {"mixing": {"state_budget": 1023}},
+    "pipeline-r4": {"pipeline": {"r": 4, "p": 2}},
+    "pipeline-r5": {"pipeline": {"r": 5, "p": 2}},
+    "pipeline-p3": {"pipeline": {"r": 4, "p": 3}},
+    "pipeline-pa-pra": {"pipeline": {"r": 4, "p": 3, "m": 1}},
 }
 
 
@@ -63,6 +69,8 @@ def invocations() -> list[list]:
             runs.append(["spectrum", *_walk(walk, a, b), "--laziness", q])
     runs += [["pipeline", *_walk("transvection", n, 2), "-s", 50, "-L", 30, "--t-star", t]
              for n in (4, 5) for t in (5, 25)]
+    runs += [["pipeline", "--walk", "one-column", "--config", f"@pipeline-r{r}", "-s", 50, "-L", 30,
+              "--t-star", t] for r in (4, 5) for t in (5, 25)]
     runs += [
         ["birthdeath", "-r", 8, "-p", 3],
         ["repcheck", "-p", 3],
@@ -83,9 +91,12 @@ def invocations() -> list[list]:
         ["spectrum", *_walk("transvection", 3, 2), "--config", "@eig-41"],
         ["mixing", "--mode", "exact", *_walk("transvection", 3, 2), "--config", "@dense-41"],
         ["mixing", "--mode", "exact", *_walk("transvection", 5, 2), "--config", "@state-1023"],
+        ["mixing", "--mode", "exact", *_walk("transvection", 10, 1), "--config", "@state-1023"],
         ["mixing", "--mode", "exact", *_walk("one-column", 8, 3)],
         ["repcheck", "-p", 3, "-m", 1, "--pair-budget", 100],
         ["pipeline", *_walk("transvection", 6, 2), "--t-star", 25],
+        ["pipeline", "--walk", "one-column", "--config", "@pipeline-p3", "--t-star", 25],
+        ["pipeline", "--walk", "pa-pra", "--config", "@pipeline-pa-pra", "--t-star", 25],
         ["simulate", *_walk("transvection", 9, 9), "--steps", 1],
         ["simulate", "--walk", "pa-pra", "-r", 3, "-p", 17, "-m", 1, "--steps", 1],
         ["spectrum", "--walk", "pa-pra", "-r", 16, "-p", 3, "-m", 1, "--fibres-only",
