@@ -32,6 +32,9 @@ __all__ = [
 
 # Largest modulus the trial-division primality check will certify.
 _PRIME_CHECK_MAX = 1 << 20
+# Entries per block of a blocked scan: codes of an ambient enumeration
+# (chains._ambient_scan) or (g, b, row) product codes (groups._product_residuals).
+_AMBIENT_CHUNK = 1 << 18
 _prime_cache: dict[int, bool] = {}
 
 

@@ -47,7 +47,10 @@ steps for every trial at once (about _BLOCK_CELLS steps x trials: one
 integer code per move, decoded to its pair, exponent and side, then the
 laziness coins) from the counter-based Philox generator keyed by (seed,
 stream).  The pair decodes through two tables that the layout supplies:
-the recipient and donor, or their bit shifts in a packed word.  The steps
+the recipient and donor, or their bit shifts in a packed word.  The arrays
+a block fills (pair codes, operands, exponents, sides, coins, and the
+cell and scalar layouts' cell offsets) are allocated once per run, sized
+to its first block, and each block is a prefix view of them.  The steps
 run on one of three layouts: runs of 1 to _SCALAR_TRIALS trials step
 Python int codes in a flat list (_scalar_layout), where numpy's fixed cost
 per call would outweigh the work on so few elements; F_2 runs whose state
@@ -70,7 +73,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .algebra import _digits, _pack, check_prime, rank_bits
+from .algebra import _AMBIENT_CHUNK, _digits, _pack, check_prime, rank_bits
 from .errors import ConfigError, InvalidMove, check_budget
 from .groups import (
     HeisenbergElement,
@@ -108,7 +111,6 @@ __all__ = [
 ]
 
 DEFAULT_STATE_BUDGET = 1 << 24
-_AMBIENT_CHUNK = 1 << 18  # codes per block of an ambient scan
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -900,7 +902,7 @@ def _pair_tables(r):
     return recipient, donor
 
 
-def _decode(r, exponents=1, sides=False, codes=None, operands=None):
+def _decode(r, exponents=1, sides=False, codes=None, operands=None, out=None):
     """(recipient, donor, exponent, left) of move codes, the one definition
     of a walk's moves: a code d in [0, r(r-1) e s), where e = `exponents`
     and s = 2 when the walk draws `sides`, else 1, is (extra, pair) =
@@ -910,13 +912,17 @@ def _decode(r, exponents=1, sides=False, codes=None, operands=None):
     pair reads recipient and donor from `operands`, two tables indexed by
     pair code (the int32 _pair_tables(r) when None), so they have the
     tables' dtype; exponent is int32 (1 when exponents == 1), left is bool,
-    and the ones not drawn are read-only broadcast constants.
+    and the ones not drawn are read-only broadcast constants.  The arrays
+    are filled in place and returned as prefix views of `out` (see
+    _decode_buffers), or of new ones when None.
     """
     pairs, s = r * (r - 1), 2 if sides else 1
     extras = exponents * s
     codes = np.arange(pairs * extras) if codes is None else codes
     recipient, donor = _pair_tables(r) if operands is None else operands
-    a, left = np.broadcast_to(np.int32(1), codes.shape), np.broadcast_to(False, codes.shape)
+    if out is None:
+        out = _decode_buffers(codes.shape, exponents, sides, recipient.dtype)
+    pair, into, out_of, a, left = (None if b is None else b[:len(codes)] for b in out)
     if extras > 1:
         # divmod by hand: numpy divides unsigned ints by a scalar about
         # 10x faster than np.divmod, which takes the general path
@@ -924,13 +930,26 @@ def _decode(r, exponents=1, sides=False, codes=None, operands=None):
         codes -= extra * pairs
         exponent_of, left_of = np.divmod(np.arange(extras, dtype=np.int32), s)
         if exponents > 1:
-            a = exponent_of.take(extra)
+            exponent_of.take(extra, out=a, mode="clip")
         if sides:
-            left = (left_of == 1).take(extra)
-    # one cast for both lookups: take converts other index dtypes on
-    # every call, and into uint64 tables that path is slower still
-    pair = codes.astype(np.intp)
-    return recipient.take(pair), donor.take(pair), a, left
+            (left_of == 1).take(extra, out=left, mode="clip")
+    # one cast for both lookups: take converts other index dtypes on every
+    # call, and into uint64 tables that path is slower still.  Codes lie in
+    # range by construction, and mode="raise" would buffer `out`.
+    np.copyto(pair, codes)
+    recipient.take(pair, out=into, mode="clip")
+    donor.take(pair, out=out_of, mode="clip")
+    return (into, out_of, np.broadcast_to(np.int32(1), codes.shape) if a is None else a,
+            np.broadcast_to(False, codes.shape) if left is None else left)
+
+
+def _decode_buffers(shape, exponents, sides, dtype):
+    """The arrays of `shape` that _decode fills: intp pair codes, recipient
+    and donor of the operand tables' dtype, then int32 exponents and bool
+    sides, each None when the walk does not draw it."""
+    return (np.empty(shape, dtype=np.intp), np.empty(shape, dtype=dtype),
+            np.empty(shape, dtype=dtype), np.empty(shape, dtype=np.int32) if exponents > 1 else None,
+            np.empty(shape, dtype=bool) if sides else None)
 
 
 def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0, operands=None):
@@ -944,17 +963,55 @@ def _move_blocks(rng, steps, trials, r, exponents=1, sides=False, laziness=0.0, 
     2^32), then its laziness coins (hold, bool, with probability
     `laziness`; a read-only constant when 0), and decodes the codes with
     `operands`.
+
+    The arrays it fills (pair codes, recipient, donor, drawn exponents and
+    sides, coins and hold) are allocated once per run, min(steps per block,
+    steps) rows each, and every block is a prefix view of them: a block
+    stays valid until the next one is drawn.  Fresh arrays per block cost
+    page faults whenever glibc maps them afresh.
     """
     count = r * (r - 1) * exponents * (2 if sides else 1)
     if count > 1 << 32:
         raise ValueError(f"{count} moves per step exceed the 2^32 codes of one draw")
     dtype = np.uint16 if count <= 1 << 16 else np.uint32
     per_block = max(1, _BLOCK_CELLS // max(trials, 1))
+    shape = (min(per_block, steps), trials)
+    operands = _pair_tables(r) if operands is None else operands
+    out = _decode_buffers(shape, exponents, sides, operands[0].dtype)
+    if laziness > 0:
+        coins, held = np.empty(shape), np.empty(shape, dtype=bool)
     for done in range(0, steps, per_block):
-        shape = (min(per_block, steps - done), trials)
-        codes = rng.integers(0, count, size=shape, dtype=dtype)
-        hold = rng.random(shape) < laziness if laziness > 0 else np.broadcast_to(False, shape)
-        yield (*_decode(r, exponents, sides, codes, operands), hold)
+        rows = min(per_block, steps - done)
+        codes = rng.integers(0, count, size=(rows, trials), dtype=dtype)
+        if laziness > 0:
+            hold = held[:rows]
+            np.less(rng.random(out=coins[:rows]), laziness, out=hold)
+        else:
+            hold = np.broadcast_to(False, (rows, trials))
+        yield (*_decode(r, exponents, sides, codes, operands, out), hold)
+
+
+def _cell_offsets(trials, r, laziness):
+    """offsets(i, j, hold) -> (tgt, src): the flat cell offsets of each
+    block's recipient and donor, i + c r and j + c r for trial c, with a held
+    step's donor at the spare cell trials * r.  The two intp arrays are
+    allocated at the first block, the largest, and every block fills a
+    prefix view of them, so each stays valid until the next call."""
+    spare = trials * r
+    offset = np.arange(0, spare, r)
+    buffers = []
+
+    def offsets(i, j, hold):
+        if not buffers:
+            buffers.extend(np.empty(i.shape, dtype=np.intp) for _ in range(2))
+        tgt, src = (b[:len(i)] for b in buffers)
+        np.add(i, offset, out=tgt)
+        np.add(j, offset, out=src)
+        if laziness > 0:
+            np.copyto(src, spare, where=hold)
+        return tgt, src
+
+    return offsets
 
 
 def _cell_layout(row, trials, rule, laziness):
@@ -970,16 +1027,13 @@ def _cell_layout(row, trials, rule, laziness):
     _pair_tables: the step offsets coordinates into cells.
     """
     r = row.size
-    spare = trials * r
-    cells = np.zeros(spare + 1, dtype=row.dtype)
+    cells = np.zeros(trials * r + 1, dtype=row.dtype)
     codes = cells[:-1].reshape(trials, r)
     codes[:] = row
-    offset = np.arange(0, spare, r)
+    offsets = _cell_offsets(trials, r, laziness)
 
     def advance(i, j, a, left, hold):
-        tgt, src = i + offset, j + offset
-        if laziness > 0:
-            np.copyto(src, spare, where=hold)
+        tgt, src = offsets(i, j, hold)
         for tgt_t, src_t, a_t, left_t in zip(tgt, src, a, left):
             cells.put(tgt_t, rule(cells.take(tgt_t), cells.take(src_t), a_t, left_t))
             yield
@@ -1007,12 +1061,10 @@ def _scalar_layout(row, trials, rule, laziness):
     cells = np.tile(row, trials).tolist() + [0]
     codes = np.empty((trials, r), dtype=row.dtype)
     flat = codes.reshape(-1)
-    offset = np.arange(0, spare, r)
+    offsets = _cell_offsets(trials, r, laziness)
 
     def advance(i, j, a, left, hold):
-        tgt, src = i + offset, j + offset
-        if laziness > 0:
-            np.copyto(src, spare, where=hold)
+        tgt, src = offsets(i, j, hold)
         done = 0
         for x, y, a_k, left_k in zip(*(v.ravel().tolist() for v in (tgt, src, a, left))):
             cells[x] = rule(cells[x], cells[y], a_k, left_k)
@@ -1078,7 +1130,9 @@ def _drive(advance, operands, trials, r, grid, seed, stream, laziness, observe, 
     each move's recipient and donor from the layout's `operands` tables,
     and advance(*block) applies each block's steps in order, yielding after
     each one (see _cell_layout and _word_layout).  observe(t) runs at every
-    time of grid (sorted, distinct and nonnegative), after step t.
+    time of grid (sorted, distinct and nonnegative), after step t.  A block
+    is a view of buffers that _move_blocks allocates once for the run and
+    refills for the next block, so advance uses it up before the next draw.
     """
     due = iter(grid)
     t, next_t = 0, next(due, None)

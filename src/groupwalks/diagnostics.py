@@ -32,6 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, diags, issparse
 
+from . import chains
 from .algebra import LinearFunctional, _digits, _pack, check_prime
 from .chains import (
     DEFAULT_STATE_BUDGET,
@@ -410,7 +411,13 @@ def good_set_measure(
     spanning states, and reports Wilson 99% intervals.  Each row is one
     uniform draw of its value code (a packed F_2^k row, or the base-p
     digits of a horizontal part in F_p^{2m}), and each sample is reduced to
-    its value counts, so ``budget`` bounds trials * |values|.
+    its value counts; ``budget`` bounds trials * |values| and is checked
+    before any draw.  The samples are drawn and counted in blocks of
+    chains._BLOCK_CELLS codes, max(1, _BLOCK_CELLS // n) samples each, so
+    memory is one block whatever the trial count.  numpy's bounded int64
+    draws below 2^32 take one 32-bit word each and keep a spare half-word
+    in the generator between calls, so the blocks draw the codes one draw
+    of all trials would.
     """
     if method == "exact":
         total, amb_bad, span, span_bad = _type_counts(spec, budget)
@@ -430,10 +437,16 @@ def good_set_measure(
     size = spec.functional_count + 1  # row values
     check_budget(trials * size, budget, f"count entries ({trials} samples x {size} row values)",
                  "class")
-    codes = philox_generator(seed).integers(0, size, size=(trials, spec.n))
-    trial = np.arange(trials, dtype=np.int64)[:, None] * size
-    C = np.bincount((trial + codes).ravel(), minlength=trials * size).reshape(trials, size)
-    _, amb_bad, span, span_bad = _class_counts(C, np.ones(trials, dtype=np.int64), spec)
+    rng = philox_generator(seed)
+    rows = max(1, chains._BLOCK_CELLS // spec.n)
+    amb_bad = span = span_bad = 0
+    for done in range(0, trials, rows):
+        block = min(rows, trials - done)
+        codes = rng.integers(0, size, size=(block, spec.n))
+        codes += np.arange(0, block * size, size)[:, None]
+        C = np.bincount(codes.ravel(), minlength=block * size).reshape(block, size)
+        _, bad, spanning, spanning_bad = _class_counts(C, np.ones(block, dtype=np.int64), spec)
+        amb_bad, span, span_bad = amb_bad + bad, span + spanning, span_bad + spanning_bad
     mu_lo, mu_hi = wilson_interval(amb_bad, trials)
     pi_lo, pi_hi = wilson_interval(span_bad, span) if span else (0.0, 1.0)
     return {

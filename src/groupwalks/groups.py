@@ -41,6 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algebra import (
+    _AMBIENT_CHUNK,
     FieldVector,
     SymplecticForm,
     _digits,
@@ -415,22 +416,32 @@ def _product_residuals(p: int, m: int, cols: np.ndarray, phase: np.ndarray, prod
     and the column of w = psi(om) (psi(e1) psi(e2)); om.  Against rho(gb),
     e1 = om = 0.  Per lam, u - w is evaluated on the distinct codes only;
     where the columns differ, a row's worst entry is max(|u|, |w|), as in
-    the dense difference.
+    the dense difference.  The codes are built over blocks of g holding at
+    most _AMBIENT_CHUNK (g, b, r) entries, and every code seen is marked in
+    one bool table of p^(2m+5) entries per comparison, so memory does not
+    grow with the |H|^2 p^m triples.
     """
     n, d = cols.shape
     entry = cols * p + phase  # row (g, r): column and phase as m + 1 digits
-    code = (entry * p ** (m + 3)).ravel()[np.arange(n)[None, :, None] * d + cols[:, None, :]]
-    code += phase[:, None, :] * p ** (2 * m + 4)  # a1 and row cols[g, r] of rho(b)
-    mult = (entry * p)[prod]
-    mult += code
-    code += (entry * p)[:, cols]  # row cols[b, r] of rho(g)
-    code += phase * p ** (m + 2)
-    code += omega[:, :, None]
+    high, lifted, rows = (entry * p ** (m + 3)).ravel(), entry * p, np.arange(n)[:, None] * d
+    seen = np.zeros((2, p ** (2 * m + 5)), dtype=bool)  # codes against rho(gb), then commutation
+    step = max(1, _AMBIENT_CHUNK // (n * d))
+    for lo in range(0, n, step):
+        g = slice(lo, lo + step)
+        code = high[rows + cols[g, None, :]]
+        code += phase[g, None, :] * p ** (2 * m + 4)  # a1 and row cols[g, r] of rho(b)
+        mult = lifted[prod[g]]
+        mult += code
+        seen[0, mult] = True
+        code += lifted[g][:, cols]  # row cols[b, r] of rho(g)
+        code += phase * p ** (m + 2)
+        code += omega[g, :, None]
+        seen[1, code] = True
     lam = np.arange(1, p)[:, None]
     psi_table = np.array([psi(t, p) for t in range(p)])
     worst = []
-    for tuples in (mult, code):
-        dig = _digits(np.flatnonzero(np.bincount(tuples.ravel())), p, 2 * m + 5)
+    for codes in seen:
+        dig = _digits(np.flatnonzero(codes), p, 2 * m + 5)
         places = (2 * m + 4, m + 3, m + 2, 1, 0)
         a1, a2, e1, e2, om = (psi_table[lam * dig[:, i] % p] for i in places)
         u, w = a1 * a2, om * (e1 * e2)

@@ -1254,8 +1254,10 @@ class TestDriverReplay:
         steps, s = 50, 2 if sides else 1
         count = r * (r - 1) * exponents * s
         rng = philox_generator(71)
-        got = list(chains._move_blocks(philox_generator(71), steps, trials, r,
-                                       exponents, sides, laziness))
+        # a block is a view of the run's buffers, valid until the next one is drawn
+        got = [tuple(v.copy() for v in block)
+               for block in chains._move_blocks(philox_generator(71), steps, trials, r,
+                                                exponents, sides, laziness)]
         per_block = max(1, 64 // trials)
         for done, block in zip(range(0, steps, per_block), got):
             shape = (min(per_block, steps - done), trials)
@@ -1271,6 +1273,69 @@ class TestDriverReplay:
             for want, have, dtype in zip((i, j, a, side == 1, hold), block, dtypes):
                 assert have.dtype == dtype and np.array_equal(want, have)
         assert sum(b[0].shape[0] for b in got) == steps
+
+    @pytest.mark.parametrize("r, exponents, sides, laziness, trials", _DRAW_CASES)
+    def test_blocks_reuse_one_set_of_buffers(self, monkeypatch, r, exponents, sides, laziness,
+                                             trials):
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
+        per_block = max(1, 64 // trials)
+        steps = 4 * per_block + 1  # four full blocks and a one-step last block
+        blocks = list(chains._move_blocks(philox_generator(71), steps, trials, r,
+                                          exponents, sides, laziness))
+        # recipient and donor always; the exponent, side and hold only when drawn
+        drawn = [0, 1] + [2] * (exponents > 1) + [3] * sides + [4] * (laziness > 0)
+        first, last = blocks[0], blocks[-1]
+        assert last[0].shape == (1, trials)
+        for x in drawn:
+            assert first[x].base.shape == (per_block, trials)
+            assert all(np.shares_memory(block[x], first[x]) for block in blocks[1:])
+            # the last block is a prefix view: it starts where the first does
+            assert (last[x].__array_interface__["data"][0]
+                    == first[x].__array_interface__["data"][0])
+            assert np.array_equal(last[x], first[x][:1])
+
+    @pytest.mark.parametrize("steps, trials", [(5, 3), (40, 1), (0, 4)])
+    def test_buffers_hold_no_more_than_the_run(self, monkeypatch, steps, trials):
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
+        buffers = []
+        decode_buffers = chains._decode_buffers
+        monkeypatch.setattr(chains, "_decode_buffers",
+                            lambda *args: buffers.append(decode_buffers(*args)) or buffers[-1])
+        blocks = list(chains._move_blocks(philox_generator(2), steps, trials, 5, 3, True, 0.5))
+        assert len(buffers) == 1
+        assert all(b.shape == (min(64 // trials, steps), trials) for b in buffers[0])
+        assert sum(b[0].shape[0] for b in blocks) == steps
+
+    @pytest.mark.parametrize("walk, trials", [
+        (OneColumnWalk(6, 3, 0.25), chains._SCALAR_TRIALS + 1),  # cells
+        (PaPraWalk(3, 3, 1, 0.25), chains._SCALAR_TRIALS + 1),
+        (OneColumnWalk(6, 3, 0.25), 3),  # Python ints
+    ])
+    def test_layouts_reuse_their_offset_buffers(self, monkeypatch, walk, trials):
+        monkeypatch.setattr(chains, "_BLOCK_CELLS", 64)
+        seen = []
+        cell_offsets = chains._cell_offsets
+
+        def spying(*args):
+            offsets = cell_offsets(*args)
+
+            def spy(i, j, hold):
+                tgt, src = offsets(i, j, hold)
+                r = walk._coords
+                assert np.array_equal(tgt, i + np.arange(0, trials * r, r))
+                assert np.array_equal(src, np.where(hold, trials * r, j + np.arange(0, trials * r, r)))
+                seen.append((tgt, src))
+                return tgt, src
+            return spy
+
+        monkeypatch.setattr(chains, "_cell_offsets", spying)
+        walk.batch(trials, [0, 50], 4, lambda t, codes: None)
+        assert len(seen) == -(-50 // (64 // trials)) > 2
+        (tgt0, src0), (tgt_last, src_last) = seen[0], seen[-1]
+        for tgt, src in seen[1:]:
+            assert np.shares_memory(tgt, tgt0) and np.shares_memory(src, src0)
+        assert tgt_last.__array_interface__["data"][0] == tgt0.__array_interface__["data"][0]
+        assert src_last.__array_interface__["data"][0] == src0.__array_interface__["data"][0]
 
     @pytest.mark.parametrize("r, exponents, sides", [
         (2, 1, False), (3, 1, False), (4, 3, False), (3, 1, True), (4, 5, True),

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,27 @@ def _mc_row_oracle(spec, trials, seed):
     return int((~good).sum()), int(spanning.sum()), int((spanning & ~good).sum())
 
 
+def _one_draw_monte_carlo(spec, trials, seed):
+    """good_set_measure's Monte Carlo result from one draw of all trials x n
+    row codes and one count table, the body the blocked sampler replaced."""
+    size = spec.functional_count + 1
+    codes = philox_generator(seed).integers(0, size, size=(trials, spec.n))
+    trial = np.arange(trials, dtype=np.int64)[:, None] * size
+    C = np.bincount((trial + codes).ravel(), minlength=trials * size).reshape(trials, size)
+    _, amb_bad, span, span_bad = diagnostics._class_counts(C, np.ones(trials, dtype=np.int64), spec)
+    mu_lo, mu_hi = wilson_interval(amb_bad, trials)
+    pi_lo, pi_hi = wilson_interval(span_bad, span) if span else (0.0, 1.0)
+    return {
+        "method": "monte_carlo",
+        "mu_trials": trials,
+        "pi_trials": span,
+        "mu_gc": amb_bad / trials,
+        "mu_gc_ci": (mu_lo, mu_hi),
+        "pi_gc": span_bad / span if span else float("nan"),
+        "pi_gc_ci": (pi_lo, pi_hi),
+    }
+
+
 def _value_counts(codes, size):
     trials = codes.shape[0]
     flat = (np.arange(trials)[:, None] * size + codes).ravel()
@@ -445,6 +467,32 @@ class TestGoodSetMeasure:
         T = _value_counts(codes, size) @ diagnostics._value_table(spec)
         assert np.array_equal((T < spec.n).all(axis=1), rank)
         assert rank.any() and not rank.all()
+
+    _BLOCKED_SPECS = [transvection_good_set(16, 2), transvection_good_set(5, 3),
+                      transvection_good_set(64, 1), heisenberg_good_set(16, 3, 1, 0.75),
+                      heisenberg_good_set(5, 5, 1, 0.6)]
+
+    @pytest.mark.parametrize("block_cells", [None, 7])
+    @pytest.mark.parametrize("spec", _BLOCKED_SPECS,
+                             ids=lambda x: f"{x.kind}-{x.n}-{x.k or (x.p, x.m)}")
+    def test_blocked_monte_carlo_equals_one_draw(self, monkeypatch, spec, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(chain_module, "_BLOCK_CELLS", block_cells)
+        block = max(1, chain_module._BLOCK_CELLS // spec.n)  # samples per block
+        for seed, trials in enumerate(sorted({1, block - 1, block, block + 1, 50_000, 70_001} - {0})):
+            np.testing.assert_equal(good_set_measure(spec, "monte_carlo", trials, seed),
+                                    _one_draw_monte_carlo(spec, trials, seed))
+
+    def test_monte_carlo_memory_is_one_block(self):
+        spec = transvection_good_set(16, 2)
+        good_set_measure(spec, "monte_carlo", 10, 0)  # the cached value table
+        tracemalloc.start()
+        try:
+            good_set_measure(spec, "monte_carlo", 50_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20  # one draw of all 50 000 x 16 codes peaked at 14.1 MiB
 
     def test_monte_carlo_budget_refused_before_drawing(self, monkeypatch):
         def fail(*args):

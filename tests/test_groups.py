@@ -491,9 +491,12 @@ def _corrupt(cols, phase, fault, g, p):
     return cols, phase
 
 
+@pytest.mark.parametrize("chunk", [None, 1])  # the default blocks of g, or one g per block
 @pytest.mark.parametrize("p, m", [(5, 1), (3, 2)])
 @pytest.mark.parametrize("fault", ["cols", "phase", "twist"])
-def test_product_residuals_detect_injected_faults(monkeypatch, p, m, fault):
+def test_product_residuals_detect_injected_faults(monkeypatch, p, m, fault, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(groups, "_AMBIENT_CHUNK", chunk)
     digits, prod, omega = _product_tables(p, m)
     g = int(np.flatnonzero(digits[:, :-1].any(axis=1))[3])  # a non-central element
     if fault == "twist":  # psi(2 lam omega) in place of psi(lam omega)
