@@ -8,8 +8,8 @@ Two reversible walks share one interface.  Every move is a tuple
   uniform in F_p at odd p (a = 0 holds), averaged over all n(n-1) ordered
   pairs.  TransvectionWalk(n, k) is p = 2 and OneColumnWalk(r, p) is k = 1,
   nonzero vectors of F_p^r; odd p with k >= 2 is not built.  _RowWalk owns
-  space and apply_move, both read from (n, k, p) alone, so the two names
-  differ only in their constructor checks and batch cell dtype.
+  the argument checks, space and apply_move, all read from (n, k, p) alone,
+  so the two names differ only in how they map their arguments.
 * PaPraWalk — states are r-tuples of Heisenberg group elements that
   generate H; a move replaces g_i by g_i g_j^a (right) or g_j^a g_i
   (left), averaging over both sides, all exponents a in F_p and all
@@ -41,19 +41,21 @@ The move table builds the sparse operator, whose toarray() is the dense
 kernel and whose weak components are the connected components.
 
 A walk's batch method is the one entry point for trajectories: it reads
-the walk's start (its default, validation and cell dtype live in the
-walk's _start_cells) and runs _drive, which draws the moves of a block of
-steps for every trial at once (about _BLOCK_CELLS steps x trials: one
-integer code per move, decoded to its pair, exponent and side, then the
-laziness coins) from the counter-based Philox generator keyed by (seed,
-stream).  The pair decodes through two tables that the layout supplies:
-the recipient and donor, or their bit shifts in a packed word.  The arrays
-a block fills (pair codes, operands, exponents, sides, coins, and the
-cell and scalar layouts' cell offsets) are allocated once per run, sized
-to its first block, and each block is a prefix view of them.  The steps
-run on one of three layouts: runs of 1 to _SCALAR_TRIALS trials step
-Python int codes in a flat list (_scalar_layout), where numpy's fixed cost
-per call would outweigh the work on so few elements; F_2 runs whose state
+the walk's start (its default and validation live in the walk's
+_start_codes, and _WalkBase._start_cells casts it to the cell dtype,
+which follows the alphabet: uint8 up to 256 codes per coordinate, else
+int64) and runs _drive, which draws the moves of a block of steps for
+every trial at once (about _BLOCK_CELLS steps x trials: one integer code
+per move, decoded to its pair, exponent and side, then the laziness
+coins) from the counter-based Philox generator keyed by (seed, stream).
+The pair decodes through two tables that the layout supplies: the
+recipient and donor, or their bit shifts in a packed word.  The arrays a
+block fills (pair codes, operands, exponents, sides, coins, and the cell
+and scalar layouts' cell offsets) are allocated once per run, sized to
+its first block, and each block is a prefix view of them.  The steps run
+on one of three layouts: runs of 1 to _SCALAR_TRIALS trials step Python
+int codes in a flat list (_scalar_layout), where numpy's fixed cost per
+call would outweigh the work on so few elements; F_2 runs whose state
 code fits 64 bits, with at least _WORD_TRIALS trials and
 _WORD_STEPS_PER_GRID_TIME steps per grid time, step each trial's code as
 one uint64 word (_word_layout); all others step the per-coordinate codes
@@ -460,7 +462,7 @@ class _WalkBase:
     # in_omega(state), space(budget), _coords and _base (the number of
     # digits of a state code and their base), _rule (the move rule on those
     # digits), _exponents and _sides when the walk draws them, and
-    # _start_cells(start), the validated code row of a batch start
+    # _start_codes(start), the validated int64 code row of a batch start
 
     @cached_property
     def moves(self) -> list:
@@ -595,9 +597,10 @@ class _WalkBase:
         """Run `trials` trajectories from one start; stat_fn(t, codes) sees
         the (trials, coordinates) state codes after step t of each grid time.
 
-        The codes are uint8 coordinates (one-column), packed int64 rows
-        (transvection) or int16 element codes (PA-PRA), as a read-only view;
-        start=None is the walk's default start (see _start_cells).  All trials
+        The codes are row codes (the row walk) or element codes (PA-PRA), as
+        a read-only view whose dtype follows the alphabet of _base codes per
+        coordinate: uint8 when it has at most 256, else int64 (see
+        _start_cells); start=None is the walk's default start.  All trials
         share one Philox stream keyed (seed, stream), so the run is
         deterministic in (seed, stream, trials).  Each block of steps draws one
         code per move, uniform over (recipient != donor, exponent, side) and
@@ -642,6 +645,15 @@ class _WalkBase:
         _drive(advance, operands, trials, self._coords, grid, seed, stream, self.laziness, observe,
                self._exponents, self._sides)
 
+    def _start_cells(self, start) -> np.ndarray:
+        """The start's code row (_start_codes) as batch cells, whose dtype
+        follows the alphabet: uint8 when every digit (below _base) fits a
+        byte, else int64; refused, before the start is read, when a digit
+        may pass int64."""
+        if self._base - 1 > np.iinfo(np.int64).max:
+            raise ValueError(f"{self._base} codes per coordinate exceed the engine's int64 cells")
+        return self._start_codes(start).astype(np.uint8 if self._base <= 256 else np.int64)
+
     def _as_start(self, state):
         """The batch start of a state tuple."""
         return np.array(state)
@@ -655,12 +667,19 @@ class _RowWalk(_WalkBase):
     """Row-addition walk on n-tuples of rows in F_p^k that span F_p^k, coded
     in base p^k.  The rule is XOR at p = 2 and (x + a y) mod p otherwise,
     the move only at k = 1, so odd p is built at k = 1 alone.  This class
-    owns apply_move (transvection_step at p = 2, one_column_step otherwise)
-    and space (F_p^n minus 0 at k = 1, Stief(n, k) otherwise), so both
-    subclasses build one walk at p = 2, k = 1.  Subclasses supply only their
-    checks, the batch cell dtype (_cells) and its refusal (_cells_refusal)."""
+    owns the checks (prime p, n >= 2, 1 <= k <= n), apply_move
+    (transvection_step at p = 2, one_column_step otherwise) and space
+    (F_p^n minus 0 at k = 1, Stief(n, k) otherwise), so both subclasses
+    build one walk at p = 2, k = 1; they only map their arguments.  Past
+    p = 256 the batch cells are int64, so the mod-p rule's a y < p^2 is
+    exact for every p whose moves one draw can code (below 2^31)."""
 
     def __init__(self, n: int, k: int, p: int, laziness: float):
+        check_prime(p)
+        if n < 2:
+            raise ValueError(f"the walk needs at least two rows (coordinates), got {n}")
+        if k < 1 or n < k:
+            raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
         self.n, self.k, self.p = n, k, p
         self._coords, self._base = n, p**k
         self._rule = _xor_rule if p == 2 else lambda x, y, a, left: (x + a * y) % p
@@ -708,17 +727,14 @@ class _RowWalk(_WalkBase):
             yield digits ^ (digits & 1) << 1
             yield (digits << 1 | digits >> (k - 1)) & ((1 << k) - 1)
 
-    def _start_cells(self, start) -> np.ndarray:
-        """The start's rows as _cells, refused with _cells_refusal when a row
-        code may not fit them; the default is the k basis rows, then zero
-        rows (e_1 at k = 1)."""
-        if self._base - 1 > np.iinfo(self._cells).max:
-            raise ValueError(self._cells_refusal.format(k=self.k, p=self.p))
+    def _start_codes(self, start) -> np.ndarray:
+        """The start's int64 row codes; the default is the k basis rows, then
+        zero rows (e_1 at k = 1)."""
         if start is None:
             start = [self.p**c for c in range(self.k)] + [0] * (self.n - self.k)
         row = np.asarray(start, dtype=np.int64)
         _check_start(start, row.ndim == 1 and self.in_omega(row.tolist()))
-        return row.astype(self._cells)
+        return row
 
     def in_omega(self, state) -> bool:
         """Whether state is n row codes in [0, p^k) that span F_p^k."""
@@ -727,31 +743,17 @@ class _RowWalk(_WalkBase):
 
 
 class TransvectionWalk(_RowWalk):
-    """The row walk over F_2 on spanning n-tuples of rows in F_2^k; int64
-    batch cells of packed rows."""
-
-    _cells = np.int64
-    _cells_refusal = "k = {k} exceeds 63, the row width of the engine's int64 cells"
+    """The row walk over F_2 on spanning n-tuples of rows in F_2^k."""
 
     def __init__(self, n: int, k: int, laziness: float = 0.0):
-        if n < 2:
-            raise ValueError("the walk needs at least two rows (no moves exist for n=1)")
-        if k < 1 or n < k:
-            raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
         super().__init__(n, k, 2, laziness)
 
 
 class OneColumnWalk(_RowWalk):
     """The row walk at k = 1 on F_p^r minus the origin (n = r); over F_2 it
-    is TransvectionWalk(r, 1).  uint8 batch cells."""
-
-    _cells = np.uint8
-    _cells_refusal = "p = {p} exceeds 256, the range of the engine's uint8 cells"
+    is TransvectionWalk(r, 1)."""
 
     def __init__(self, r: int, p: int, laziness: float = 0.0):
-        check_prime(p)
-        if r < 2:
-            raise ValueError("the walk needs at least two coordinates")
         self.r = r
         super().__init__(r, 1, p, laziness)
 
@@ -796,15 +798,15 @@ class PaPraWalk(_WalkBase):
         parts[..., :h] = -parts[..., :h] % self.p
         return _pack(parts, self.p)
 
-    def _start_cells(self, start) -> np.ndarray:
-        """int16 element codes of start = (horizontal parts (r, 2m), central
+    def _start_codes(self, start) -> np.ndarray:
+        """int64 element codes of start = (horizontal parts (r, 2m), central
         coordinates (r,)), reduced mod p; the default is canonical_start."""
         start_v, start_z = canonical_start(self.r, self.p, self.m) if start is None else start
         p, h = self.p, 2 * self.m
         v0, z0 = np.asarray(start_v, dtype=np.int64) % p, np.asarray(start_z, dtype=np.int64) % p
         _check_start(start, v0.shape == (self.r, h) and z0.shape == (self.r,)
                      and rank_modp_batch(v0[None], p)[0] == h)
-        return _pack(np.column_stack([v0, z0]), p).astype(np.int16)
+        return _pack(np.column_stack([v0, z0]), p)
 
     def _as_start(self, state):
         return [g.v.entries for g in state], [g.z for g in state]
@@ -1184,7 +1186,7 @@ def one_column_batch(
     laziness: float = 0.0,
 ) -> None:
     """OneColumnWalk(r, p, laziness).batch: stat_fn(t, Y) sees (trials, r)
-    uint8 states; the default start is e_1."""
+    states, uint8 for p < 256 and int64 above; the default start is e_1."""
     OneColumnWalk(r, p, laziness).batch(trials, t_grid, seed, stat_fn, start)
 
 
@@ -1199,7 +1201,7 @@ def transvection_batch(
     laziness: float = 0.0,
 ) -> None:
     """TransvectionWalk(n, k, laziness).batch: stat_fn(t, Z) sees packed
-    int64 rows (trials, n)."""
+    rows (trials, n), uint8 for k <= 8 and int64 above."""
     TransvectionWalk(n, k, laziness).batch(trials, t_grid, seed, stat_fn, start)
 
 

@@ -222,16 +222,17 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
     record_every = _get_int(cfg, "record_every", 1, minimum=1)
     seed = _get_int(cfg, "seed", 0)
     grid = sorted({*range(0, steps + 1, record_every), steps})
+    spec = _good_set_of(walk, _get_float(cfg, "beta0", 0.75))
+    # one statistic column per nonzero functional, p^(2m) - 1 or 2^k - 1;
+    # the odd-p row walk has none
+    nf = 0 if spec is None else spec.functional_count
     if isinstance(walk, PaPraWalk):
-        nf = walk.p ** (2 * walk.m) - 1
         check_budget(nf, CSV_BUDGET, "kernel-count columns", "CSV")
         header = [f"n_xi_{c}" for c in range(1, nf + 1)] + ["support", "in_good"]
     else:  # the row walk; at k = 1 also its nonzero coordinates: weight over F_2, else support
+        check_budget(nf, CSV_BUDGET, "sign columns", "CSV")
         header = ["weight" if walk.p == 2 else "support"] * (walk.k == 1)
-        if walk.p == 2:
-            check_budget((1 << walk.k) - 1, CSV_BUDGET, "sign columns", "CSV")
-            header += [f"s_xi_{c}" for c in range(1, 1 << walk.k)] + ["in_good"]
-    spec = _good_set_of(walk, _get_float(cfg, "beta0", 0.75))
+        header += [f"s_xi_{c}" for c in range(1, nf + 1)] + ["in_good"] * (spec is not None)
     recorded: list[np.ndarray] = []  # per grid time, (trials, coordinates) codes
     walk.batch(trials, grid, seed, lambda t, cells: recorded.append(cells.copy()))
     # trial-major, as the CSV rows are ordered
@@ -240,8 +241,8 @@ def cmd_simulate(cfg: dict, out_path: str | None) -> None:
     if spec is not None:
         table = _functional_table(cells, spec)
         columns = [table, _good_mask_of_table(table, spec)]
-    if isinstance(walk, PaPraWalk):  # support: coordinates with a nonzero horizontal part
-        columns.insert(1, np.count_nonzero(cells % walk.p ** (2 * walk.m), axis=1))
+    if isinstance(walk, PaPraWalk):  # support: coordinates whose code mod p^(2m) is nonzero
+        columns.insert(1, np.count_nonzero(cells % (nf + 1), axis=1))
     elif walk.k == 1:
         columns.insert(0, np.count_nonzero(cells, axis=1))
     ids = np.repeat(np.arange(trials), len(grid))
@@ -337,6 +338,10 @@ def cmd_mixing(cfg: dict, out_path: str | None) -> None:
             "move_bound": walk.counting_move_bound,
         }
     elif mode == "mc":
+        named = (_get(cfg, "walk", "one-column"), _get_int(cfg, "p", 2),
+                 *(key for key in "nkm" if key in cfg))
+        if named != ("one-column", 2):
+            raise ConfigError("mixing --mode mc takes walk one-column, p = 2 and r, with no n, k or m")
         r = _get_int(cfg, "r", required=True, minimum=2)
         trials = _get_int(cfg, "trials", 10_000, minimum=1)
         seed = _get_int(cfg, "seed", 0)

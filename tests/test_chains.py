@@ -957,21 +957,23 @@ class TestBatchEngines:
             one_column_batch(4, 3, 2, [0, 5], seed=0, stat_fn=lambda t, y: seen.append(t), start=start)
         assert seen == []
 
-    def test_one_column_prime_above_the_cell_range_refused(self):
-        # uint8 cells would wrap: the start [256, 0, 0] would be recorded as 0
+    @pytest.mark.parametrize("trials", [1, 16])  # Python ints, then int64 cells
+    def test_one_column_prime_past_a_byte_replays(self, trials):
+        # 65 537 is a prime above 46 341, where an int32 a y would wrap
         seen = []
-        with pytest.raises(ValueError, match="p = 257 exceeds 256"):
-            one_column_batch(3, 257, 1, [0], 1, lambda t, y: seen.append(y.copy()), start=[256, 0, 0])
-        with pytest.raises(ValueError, match="p = 257 exceeds 256"):
-            simulate(OneColumnWalk(3, 257), (256, 0, 0), 1)
-        assert seen == []
+        one_column_batch(3, 65_537, trials, [0], 1, lambda t, y: seen.append(y.copy()),
+                         start=[65_536, 0, 0])
+        assert seen[0].dtype == np.int64 and seen[0].tolist() == [[65_536, 0, 0]] * trials
+        assert simulate(OneColumnWalk(3, 65_537), (65_536, 0, 0), 3, keep_states=True).states[0] == (
+            65_536, 0, 0)
+        _assert_replay_equal("one-column p=65537", trials, list(range(201)), 83, 0.0)
         one_column_batch(3, 251, 1, [0], 1, lambda t, y: seen.append(y.copy()), start=[250, 0, 0])
-        assert seen[0].tolist() == [[250, 0, 0]]
+        assert seen[-1].dtype == np.uint8 and seen[-1].tolist() == [[250, 0, 0]]
 
     def test_transvection_rows_past_the_cell_width_refused(self):
         # int64 cells: the default start's row 1 << 63 would overflow at k = 64
         seen = []
-        with pytest.raises(ValueError, match="k = 64 exceeds 63"):
+        with pytest.raises(ValueError, match="codes per coordinate exceed the engine's int64 cells"):
             TransvectionWalk(64, 64).batch(2, [0, 3], 0, lambda t, z: seen.append(t))
         assert seen == []
         TransvectionWalk(63, 63).batch(2, [0, 3], 0, lambda t, z: seen.append(z.copy()))
@@ -1011,7 +1013,7 @@ class TestBatchEngines:
     # the engines refuse what the walks refuse; F_4 is not Z/4
     @pytest.mark.parametrize("run, message", [
         (lambda stat: one_column_batch(3, 4, 2, [0, 5], 0, stat), "modulus 4 is not prime"),
-        (lambda stat: one_column_batch(1, 3, 2, [0, 5], 0, stat), "at least two coordinates"),
+        (lambda stat: one_column_batch(1, 3, 2, [0, 5], 0, stat), "at least two rows"),
         (lambda stat: transvection_batch(1, 1, 2, [0, 5], 0, stat, start=[1]),
          "needs at least two rows"),
     ], ids=["non-prime", "one-coordinate", "one-row"])
@@ -1022,12 +1024,16 @@ class TestBatchEngines:
         assert seen == []
 
     @pytest.mark.parametrize("walk, cells", [
+        # uint8 cells up to 256 codes per coordinate, int64 cells beyond
         (OneColumnWalk(4, 3), np.array([1, 0, 0, 0], dtype=np.uint8)),  # e_1
         (OneColumnWalk(5, 2, laziness=0.5), np.array([1, 0, 0, 0, 0], dtype=np.uint8)),
-        (TransvectionWalk(5, 3), np.array([1, 2, 4, 0, 0], dtype=np.int64)),  # basis rows, zeros
+        (OneColumnWalk(3, 257), np.array([1, 0, 0], dtype=np.int64)),
+        (TransvectionWalk(5, 3), np.array([1, 2, 4, 0, 0], dtype=np.uint8)),  # basis rows, zeros
+        (TransvectionWalk(10, 9), np.array([1 << c for c in range(9)] + [0], dtype=np.int64)),
         # canonical_start: the symplectic basis, the central generator, identities
-        (PaPraWalk(4, 3, 1), np.array([1, 3, 9, 0], dtype=np.int16)),
-        (PaPraWalk(6, 3, 2), np.array([1, 3, 9, 27, 81, 0], dtype=np.int16)),
+        (PaPraWalk(4, 3, 1), np.array([1, 3, 9, 0], dtype=np.uint8)),
+        (PaPraWalk(6, 3, 2), np.array([1, 3, 9, 27, 81, 0], dtype=np.uint8)),  # 243 codes
+        (PaPraWalk(4, 7, 1), np.array([1, 7, 49, 0], dtype=np.int64)),  # 343 codes
     ])
     def test_default_start_is_observed_first(self, walk, cells):
         seen = []
@@ -1057,6 +1063,7 @@ _REPLAY_CASES = {
     "one-column p=2": ({"r": 4, "p": 2}, (1, 0, 0, 0)),
     "one-column p=3": ({"r": 4, "p": 3}, (1, 0, 0, 0)),
     "one-column p=5": ({"r": 4, "p": 5}, (1, 0, 0, 0)),
+    "one-column p=65537": ({"r": 3, "p": 65_537}, (1, 0, 0)),
     "pa-pra": ({"r": 3, "p": 3, "m": 1}, (_hel(1, 0, 0), _hel(0, 1, 0), _hel(0, 0, 1))),
     "pa-pra p=5": ({"r": 3, "p": 5, "m": 1},
                    (_hel(1, 0, 0, p=5), _hel(0, 1, 0, p=5), _hel(0, 0, 1, p=5))),
@@ -1201,8 +1208,9 @@ class TestDriverReplay:
         assert len(seen) == len(grid) and seen[0].shape == (trials, walk._coords)
 
     @pytest.mark.parametrize("walk, dtype", [
-        (OneColumnWalk(4, 3), np.uint8), (TransvectionWalk(4, 2, 0.25), np.int64),
-        (PaPraWalk(3, 3, 1), np.int16),
+        (OneColumnWalk(4, 3), np.uint8), (TransvectionWalk(4, 2, 0.25), np.uint8),
+        (PaPraWalk(3, 3, 1), np.uint8), (TransvectionWalk(9, 9, 0.25), np.int64),
+        (PaPraWalk(3, 7, 1), np.int64),
     ])
     def test_zero_trials_observe_empty_codes(self, walk, dtype):
         seen = []
@@ -1598,9 +1606,9 @@ class TestPaPraTables:
 def test_tuple_walk_at_k1_is_the_column_walk_over_f2(n, q):
     """TransvectionWalk(n, 1) and OneColumnWalk(n, 2) are one row walk: the
     same space and description, kernel rows, move table, operator, starts,
-    symmetries and moves, and for one seed the same batch codes, as values
-    (int64 rows against uint8 cells), at 3, 16 and 128 trials (the scalar,
-    cell and word layouts)."""
+    symmetries and moves, and for one seed the same batch codes, dtype
+    included (uint8: two codes per coordinate), at 3, 16 and 128 trials
+    (the scalar, cell and word layouts)."""
     tw, oc = TransvectionWalk(n, 1, laziness=q), OneColumnWalk(n, 2, laziness=q)
     space, other = tw.space(), oc.space()
     assert np.array_equal(space.codes, other.codes)
@@ -1619,8 +1627,8 @@ def test_tuple_walk_at_k1_is_the_column_walk_over_f2(n, q):
             seen = []
             walk.batch(trials, range(0, 201, 10), 31, lambda t, cells: seen.append(cells.copy()))
             runs.append(np.stack(seen))
-        assert runs[0].dtype == np.int64 and runs[1].dtype == np.uint8
-        assert np.array_equal(*runs)
+        assert runs[0].dtype == runs[1].dtype == np.uint8
+        assert runs[0].shape == runs[1].shape and runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_horizontal_projection_matches_column_walk():

@@ -399,6 +399,37 @@ class TestMixingCommand:
             assert code == 1
             assert "config error" in err and "overflows a float for r >= 1024" in err
 
+    # the mc mode runs the one-column walk over F_2 alone, so a config that
+    # names another walk, another p, or n, k or m would get its report
+    @pytest.mark.parametrize("extra", [
+        ["--walk", "pa-pra", "-p", "3", "-m", "1"], ["--walk", "transvection"], ["-p", "3"],
+        ["--walk", "one-column", "-p", "3"], ["-n", "8"], ["-k", "1"], ["-m", "1"],
+        ["--config", "walk-pa-pra.json"],
+    ])
+    def test_mc_refuses_what_it_does_not_run(self, capsys, monkeypatch, tmp_path, extra):
+        (tmp_path / "walk-pa-pra.json").write_text(json.dumps({"walk": "pa-pra"}))
+        monkeypatch.chdir(tmp_path)
+
+        def fail(*args, **kw):
+            raise AssertionError("a trajectory ran before the refusal")
+
+        monkeypatch.setattr(diagnostics, "one_column_batch", fail)
+        code, out, err = run_cli(["mixing", "--mode", "mc", "-r", "8", "--trials", "10", *extra],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == ("config error: mixing --mode mc takes walk one-column, p = 2 and r, "
+                       "with no n, k or m\n")
+
+    def test_mc_runs_the_one_column_walk_over_f2_by_name(self, capsys):
+        argv = ["mixing", "--mode", "mc", "-r", "8", "--trials", "50", "--t-max", "20",
+                "--points", "4", "--seed", "3"]
+        reports = []
+        for extra in ([], ["--walk", "one-column"], ["--walk", "one-column", "-p", "2"]):
+            code, out, _ = run_cli(argv + extra, capsys)
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        assert reports[0] == reports[1] == reports[2]
+
     def test_unknown_mode(self, capsys):
         code, _, err = run_cli(["mixing", "--mode", "weird"], capsys)
         assert code == 1

@@ -39,4 +39,4 @@ def test_two_runs_write_identical_directories(cli_outputs, tmp_path):
 
 def test_every_invocation_has_its_own_files(cli_outputs):
     names = [cli_outputs.name_of(argv) for argv in cli_outputs.invocations()]
-    assert len(set(names)) == len(names) == 270
+    assert len(set(names)) == len(names) == 272

@@ -157,7 +157,11 @@ DIGESTS = {
     # re-pinned; so were the Heisenberg good measures, whose rows are one
     # uniform value code each instead of 2m uniform digits.  The
     # bd_hitting_mc, embedded_crossing_mc and transvection good-measure
-    # digests draw as before and did not change.
+    # digests draw as before and did not change.  The batch cells' dtype
+    # follows the alphabet (uint8 up to 256 codes per coordinate), so the
+    # transvection n=13 k=5 states are uint8: their canonical JSON differs
+    # from the int64 one in "dtype" alone, and with "int64" written back it
+    # hashes to the old digest d3c5a72c...280dc6.
     "bd_hitting_mc r=16 p=3":
         "ab1a831026ecd88e405b3cd272e7e36de2db24083b2b20d7f9f24ee6aef7469e",
     "bd_hitting_mc r=32 p=2":
@@ -227,7 +231,7 @@ DIGESTS = {
     "support frequencies r=16 p=3":
         "c87a902cd362c50bd31680d8d11b0e8ea3116cc37cb1b23cc6232af0618f045c",
     "transvection states n=13 k=5":
-        "d3c5a72c80223da825a07a370d68f63978989ffa5fb28f41f3a1109abe280dc6",
+        "8fa087cfdd1043da8c3325507dd1fabc441494276eb497b10a066df58cd77fc0",
 }
 
 

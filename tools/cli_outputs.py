@@ -18,10 +18,12 @@ reads r from a config file, since ``pipeline`` has no -r flag),
 ``birthdeath``, ``repcheck``, ``mixing --mode mc``,
 ``simulate`` for all three walks (the F_2 row walk as ``one-column -p 2``
 and as ``transvection -k 1``, at 3, 16 and 128 trials, which step the
-scalar, cell and word layouts), ``spectrum --fibres-only``, the budget and
-reducibility refusals and ``pipeline``'s refusal of the other walks.  Config
-files that set a budget or a ``pipeline`` walk are written to a temporary
-directory.  On a 2-core machine the 270 runs take about 2 s.
+scalar, cell and word layouts; the one-column walk at p = 257, on int64
+cells), ``spectrum --fibres-only``, the budget and reducibility refusals,
+``pipeline``'s refusal of the other walks and ``mixing --mode mc``'s
+refusal of any walk but the one-column walk over F_2.  Config files that
+set a budget or a ``pipeline`` walk are written to a temporary directory.
+On a 2-core machine the 272 runs take about 2 s.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ def invocations() -> list[list]:
         ["simulate", *_walk("transvection", 4, 2), "--steps", 200, "--trials", 3, "--seed", 7],
         ["simulate", *_walk("one-column", 6, 3), "--steps", 200, "--trials", 3, "--seed", 7],
         ["simulate", "--walk", "pa-pra", "-r", 4, "-p", 3, "-m", 1, "--steps", 200, "--seed", 7],
+        ["simulate", *_walk("one-column", 3, 257), "--steps", 200, "--trials", 3, "--seed", 7],
         *(["simulate", *_walk(walk, 16, b), "--steps", 200, "--trials", trials,
            "--record-every", 10, "--laziness", q, "--seed", 7]
           for walk, b in (("one-column", 2), ("transvection", 1))
@@ -97,6 +100,7 @@ def invocations() -> list[list]:
         ["pipeline", *_walk("transvection", 6, 2), "--t-star", 25],
         ["pipeline", "--walk", "one-column", "--config", "@pipeline-p3", "--t-star", 25],
         ["pipeline", "--walk", "pa-pra", "--config", "@pipeline-pa-pra", "--t-star", 25],
+        ["mixing", "--mode", "mc", "--walk", "pa-pra", "-r", 8, "-p", 3, "-m", 1, "--trials", 10],
         ["simulate", *_walk("transvection", 9, 9), "--steps", 1],
         ["simulate", "--walk", "pa-pra", "-r", 3, "-p", 17, "-m", 1, "--steps", 1],
         ["spectrum", "--walk", "pa-pra", "-r", 16, "-p", 3, "-m", 1, "--fibres-only",
